@@ -18,7 +18,7 @@ from . import models, network as net, optimizers as opt, reduction as red
 from . import stiefel as st
 from .config import RunConfig, load_config
 from .errors import SympmorError
-from .integrators import Trajectory, implicit_midpoint
+from .integrators import implicit_midpoint
 from .network import LossKind
 from .snapshot_io import read_snapshot_file, write_snapshot_file
 from .stiefel import MetricKind, TransportKind
@@ -29,35 +29,26 @@ from .stiefel import MetricKind, TransportKind
 def generate_snapshots(cfg):
     """Snapshot set for the configured model: integrated (wave) or analytic (sine-Gordon)."""
     K = cfg.time_steps
-    blocks, inits = [], []
-    if cfg.model == "wave":
-        for mu in cfg.params:
-            model = models.wave_build(cfg.N, mu)
-            x0 = models.wave_initial(cfg.N, mu)
-            traj = implicit_midpoint(models.wave_system(model), x0, cfg.t0, cfg.t1, K)
-            blocks.append(traj.states)
-    else:
-        kind = (models.SgKind.SingleSoliton if cfg.model == "sg_single_soliton"
-                else models.SgKind.Doublets)
-        times = np.linspace(cfg.t0, cfg.t1, K + 1)
-        for nu in cfg.params:
-            model = models.sg_build(cfg.N, nu, cfg.a, cfg.b, kind)
-            cols = np.empty((model.dim, K + 1))
-            for k, t in enumerate(times):
-                u, u_t = models.sg_exact(kind, nu, t, model.xi)
-                cols[:, k] = np.concatenate([u, u_t])
-            blocks.append(cols)
-    data = np.hstack(blocks)
-    return red.SnapshotSet(data=data, params=list(cfg.params), K=K,
+    times = np.linspace(cfg.t0, cfg.t1, K + 1)
+    blocks = []
+    for param in cfg.params:
+        if cfg.model == "wave":
+            sys_fom, x0 = fom_system_for(cfg, param)
+            blocks.append(implicit_midpoint(sys_fom, x0, cfg.t0, cfg.t1, K).states)
+        else:
+            kind = models.SG_MODELS[cfg.model]
+            xi = models.sg_build(cfg.N, param, cfg.a, cfg.b, kind).xi
+            blocks.append(np.column_stack(
+                [np.concatenate(models.sg_exact(kind, param, t, xi)) for t in times]))
+    return red.SnapshotSet(data=np.hstack(blocks), params=list(cfg.params), K=K,
                            t0=cfg.t0, t1=cfg.t1, normalized=False)
 
 
 def fom_system_for(cfg, param):
+    """FOM system and initial state of the configured model at one parameter."""
     if cfg.model == "wave":
         return models.wave_system(models.wave_build(cfg.N, param)), models.wave_initial(cfg.N, param)
-    kind = (models.SgKind.SingleSoliton if cfg.model == "sg_single_soliton"
-            else models.SgKind.Doublets)
-    model = models.sg_build(cfg.N, param, cfg.a, cfg.b, kind)
+    model = models.sg_build(cfg.N, param, cfg.a, cfg.b, models.SG_MODELS[cfg.model])
     return models.sg_system(model), models.sg_initial(model)
 
 
@@ -154,19 +145,25 @@ def load_network(path):
 
 # -- evaluation -------------------------------------------------------------
 
-def evaluate_run(cfg, run_dir, out_path):
-    """errors.csv rows (n, param, e_red, e_proj, integration_seconds)."""
-    run_dir = Path(run_dir)
+def evaluate(cfg, maps, normalized, out_path):
+    """Write rows (n, param, e_red, e_proj, integration_seconds) to out_path.
+
+    maps(n) gives the (encode, decode, decoder Jacobian) triple of the reduced
+    size n.  Each FOM is solved once per parameter and shared by every n; a
+    ROM solver failure is recorded as a "failed" row.
+    """
+    variant = "with_ref" if normalized else "no_ref"
+    foms = []
+    for param in (cfg.testing_params or cfg.params):
+        sys_fom, x0 = fom_system_for(cfg, param)
+        exact = implicit_midpoint(sys_fom, x0, cfg.t0, cfg.t1, cfg.time_steps)
+        foms.append((param, sys_fom, x0, exact))
     rows = []
-    variant = "with_ref" if cfg.normalized else "no_ref"
     for n in cfg.n_range:
-        network = load_network(run_dir / f"params_n{n}.npz")
-        for param in (cfg.testing_params or cfg.params):
-            sys_fom, x0 = fom_system_for(cfg, param)
-            exact = implicit_midpoint(sys_fom, x0, cfg.t0, cfg.t1, cfg.time_steps)
-            rom = red.build_rom(network.encode, network.decode,
-                                network.decoder_jacobian, x0,
-                                use_ref=cfg.normalized, normalized=cfg.normalized)
+        encode, decode, jacobian = maps(n)
+        for param, sys_fom, x0, exact in foms:
+            rom = red.build_rom(encode, decode, jacobian, x0,
+                                use_ref=normalized, normalized=normalized)
             t_start = time.perf_counter()
             try:
                 reduced = red.solve_rom(rom, sys_fom, cfg.t0, cfg.t1, cfg.time_steps,
@@ -176,35 +173,7 @@ def evaluate_run(cfg, run_dir, out_path):
             except SympmorError as exc:
                 rows.append([n, param, "failed", "failed", f"{exc}"])
                 continue
-            e_proj = red.projection_error(
-                variant, exact, network.encode, network.decode, x_ref=rom.x_ref)
-            rows.append([n, param, e_red, e_proj, seconds])
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "param", "e_red", "e_proj", "integration_seconds"])
-        writer.writerows(rows)
-    return rows
-
-
-def psd_baseline(cfg, snapshots, out_path):
-    """PSD comparison: always unnormalized, no reference state."""
-    if snapshots.normalized:
-        raise SympmorError("PSD baseline requires unnormalized data")
-    rows = []
-    for n in cfg.n_range:
-        X = red.psd_cotangent_lift(snapshots.data, n)
-        encode, decode, jac = red.psd_maps(X)
-        for param in (cfg.testing_params or cfg.params):
-            sys_fom, x0 = fom_system_for(cfg, param)
-            exact = implicit_midpoint(sys_fom, x0, cfg.t0, cfg.t1, cfg.time_steps)
-            rom = red.build_rom(encode, decode, lambda xr: jac(xr), x0,
-                                use_ref=False, normalized=False)
-            t_start = time.perf_counter()
-            reduced = red.solve_rom(rom, sys_fom, cfg.t0, cfg.t1, cfg.time_steps,
-                                    tol=1e-10)
-            seconds = time.perf_counter() - t_start
-            e_red = red.reduction_error("no_ref", exact, rom, reduced)
-            e_proj = red.projection_error("no_ref", exact, encode, decode)
+            e_proj = red.projection_error(variant, exact, encode, decode, x_ref=rom.x_ref)
             rows.append([n, param, e_red, e_proj, seconds])
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -343,14 +312,23 @@ def main(argv=None):
             print(out)
         elif args.command == "evaluate":
             cfg = _load(args)
+            run = Path(args.run)
+
+            def network_maps(n):
+                network = load_network(run / f"params_n{n}.npz")
+                return network.encode, network.decode, network.decoder_jacobian
+
             out.mkdir(parents=True, exist_ok=True)
-            evaluate_run(cfg, args.run, Path(args.run) / "errors.csv")
-            print(Path(args.run) / "errors.csv")
+            evaluate(cfg, network_maps, cfg.normalized, run / "errors.csv")
+            print(run / "errors.csv")
         elif args.command == "psd":
             cfg = _load(args)
             snaps, _ = read_snapshot_file(args.data)
+            if snaps.normalized:
+                raise SympmorError("PSD baseline requires unnormalized data")
             out.mkdir(parents=True, exist_ok=True)
-            psd_baseline(cfg, snaps, out / "psd_errors.csv")
+            evaluate(cfg, lambda n: red.psd_maps(red.psd_cotangent_lift(snaps.data, n)),
+                     False, out / "psd_errors.csv")
             print(out / "psd_errors.csv")
         elif args.command == "speed-test":
             pairs = [tuple(int(v) for v in pair.split("x"))

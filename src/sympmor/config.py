@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .models import SG_MODELS
 from .network import LossKind
 from .stiefel import MetricKind, TransportKind
 
@@ -31,7 +32,7 @@ VARIANTS = {
 
 @dataclass
 class RunConfig:
-    model: str = "wave"                # wave | sg_single_soliton | sg_doublets
+    model: str = "wave"                # wave or a key of models.SG_MODELS
     N: int = 32
     n_range: list = field(default_factory=lambda: [4])
     n_epochs: int = 10
@@ -54,7 +55,7 @@ class RunConfig:
     variant: str = ""
 
     def validate(self):
-        if self.model not in ("wave", "sg_single_soliton", "sg_doublets"):
+        if self.model != "wave" and self.model not in SG_MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.model == "wave" and (self.t0, self.t1, self.a, self.b) != (0.0, 1.0, -0.5, 0.5):
             raise ConfigError("wave model fixes I=[0,1], Omega=[-1/2,1/2]")
@@ -83,8 +84,12 @@ def _parse_list(text):
 def load_config(path):
     """Parse a flat key = value config file (\"#\" starts a comment)."""
     cfg = RunConfig()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
     pairs = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -96,39 +101,44 @@ def load_config(path):
     if "variant" in pairs:
         cfg.apply_variant(pairs.pop("variant"))
 
-    for key, value in pairs.items():
-        if key == "model":
-            cfg.model = value
-        elif key in ("N", "n_epochs", "batch_size", "time_steps", "seed"):
-            setattr(cfg, key, int(value))
-        elif key == "n_range":
-            cfg.n_range = [int(float(v)) for v in value.replace(",", " ").split()]
-        elif key in ("mu_list", "nu_list", "params"):
-            cfg.params = _parse_list(value)
-        elif key in ("mu_left", "mu_right", "n_params"):
-            continue  # handled collectively below
-        elif key in ("testing", "testing_params"):
-            cfg.testing_params = _parse_list(value)
-        elif key == "loss":
-            cfg.loss = LossKind.Relative if value.lower().startswith("rel") else LossKind.ScaledMSE
-        elif key == "epochwise":
-            cfg.epochwise = value.lower() in ("1", "true", "yes")
-        elif key == "normalized":
-            cfg.normalized = value.lower() in ("1", "true", "yes")
-        elif key == "optimizer":
-            cfg.optimizer = value
-        elif key == "metric":
-            cfg.metric = MetricKind.Canonical if value.lower().startswith("can") else MetricKind.Euclidean
-        elif key == "transport":
-            cfg.transport = (TransportKind.Submanifold if value.lower().startswith("sub")
-                             else TransportKind.Differential)
-        elif key in ("t0", "t1", "a", "b", "eta"):
-            setattr(cfg, key, float(value))
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+    span = {}  # mu_left, mu_right, n_params: training parameters as a linspace
+    try:
+        for key, value in pairs.items():
+            if key == "model":
+                cfg.model = value
+            elif key in ("N", "n_epochs", "batch_size", "time_steps", "seed"):
+                setattr(cfg, key, int(value))
+            elif key == "n_range":
+                cfg.n_range = [int(float(v)) for v in value.replace(",", " ").split()]
+            elif key in ("mu_list", "nu_list", "params"):
+                cfg.params = _parse_list(value)
+            elif key in ("mu_left", "mu_right"):
+                span[key] = float(value)
+            elif key == "n_params":
+                span[key] = int(value)
+            elif key in ("testing", "testing_params"):
+                cfg.testing_params = _parse_list(value)
+            elif key == "loss":
+                cfg.loss = LossKind.Relative if value.lower().startswith("rel") else LossKind.ScaledMSE
+            elif key == "epochwise":
+                cfg.epochwise = value.lower() in ("1", "true", "yes")
+            elif key == "normalized":
+                cfg.normalized = value.lower() in ("1", "true", "yes")
+            elif key == "optimizer":
+                cfg.optimizer = value
+            elif key == "metric":
+                cfg.metric = MetricKind.Canonical if value.lower().startswith("can") else MetricKind.Euclidean
+            elif key == "transport":
+                cfg.transport = (TransportKind.Submanifold if value.lower().startswith("sub")
+                                 else TransportKind.Differential)
+            elif key in ("t0", "t1", "a", "b", "eta"):
+                setattr(cfg, key, float(value))
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
+    except ValueError as exc:
+        raise ConfigError(f"invalid value {value!r} for config key {key!r}") from exc
 
-    if "mu_left" in pairs and "mu_right" in pairs and "n_params" in pairs:
+    if len(span) == 3:
         import numpy as np
-        cfg.params = list(np.linspace(float(pairs["mu_left"]), float(pairs["mu_right"]),
-                                      int(pairs["n_params"])))
+        cfg.params = list(np.linspace(span["mu_left"], span["mu_right"], span["n_params"]))
     return cfg.validate()

@@ -138,6 +138,10 @@ class SgKind(enum.Enum):
     Doublets = "doublets"
 
 
+# config model name -> boundary/initial family
+SG_MODELS = {"sg_single_soliton": SgKind.SingleSoliton, "sg_doublets": SgKind.Doublets}
+
+
 @dataclass
 class SineGordonModel:
     N: int

@@ -47,21 +47,32 @@ def write_snapshot_file(path, snapshots, model_id="", seed=None, extra=None):
 
 def read_snapshot_file(path):
     path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        magic, version, rows, cols, n_params, K, normalized = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise SympmorError(f"not a snapshot file: bad magic {magic!r}")
-        if version != VERSION:
-            raise SympmorError(f"unsupported format version {version}")
-        payload = fh.read(rows * cols * 8)
-    if len(payload) != rows * cols * 8:
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER.size)
+            payload = fh.read()
+    except OSError as exc:
+        raise SympmorError(f"cannot read snapshot file {str(path)!r}: {exc}") from exc
+    if len(head) != _HEADER.size:
+        raise SympmorError(f"truncated header: {len(head)} of {_HEADER.size} bytes")
+    magic, version, rows, cols, n_params, K, normalized = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise SympmorError(f"not a snapshot file: bad magic {magic!r}")
+    if version != VERSION:
+        raise SympmorError(f"unsupported format version {version}")
+    if len(payload) < rows * cols * 8:
         raise SympmorError("truncated payload")
-    data = np.frombuffer(payload, dtype="<f8").reshape((rows, cols), order="F").copy()
+    data = np.frombuffer(payload, dtype="<f8", count=rows * cols)
+    data = data.reshape((rows, cols), order="F").copy()
     meta_path = Path(str(path) + ".meta.json")
     meta = {}
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+        try:
+            meta = json.loads(meta_path.read_text())
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise SympmorError(f"malformed snapshot metadata {str(meta_path)!r}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise SympmorError(f"snapshot metadata {str(meta_path)!r} is not a JSON object")
     inits = None
     if "initial_states" in meta:
         inits = np.asarray(meta["initial_states"], dtype=float)

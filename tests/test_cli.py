@@ -3,13 +3,18 @@ network save/load, error handling."""
 
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sympmor import cli, reduction
 from sympmor.cli import load_network, main, save_network, speed_test
+from sympmor.errors import IntegrationFailureError
 from sympmor.network import build_network
+from sympmor.reduction import SnapshotSet
+from sympmor.snapshot_io import write_snapshot_file
 
 
 WAVE_CFG = """
@@ -129,6 +134,73 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     junk.write_bytes(b"XXXX" + b"\x00" * 40)
     rc = main(["normalize", "--input", str(junk), "--out", str(tmp_path)])
     assert rc == 1
+    capsys.readouterr()
+
+    def reports_error(argv):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        return rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+    bad.write_text("model = wave\nN = abc\nmu_list = 0.5\n")
+    assert reports_error(["generate-data", "--config", str(bad), "--out", str(tmp_path)])
+    assert reports_error(["generate-data", "--config", str(tmp_path / "missing.cfg"),
+                          "--out", str(tmp_path)])
+    assert reports_error(["normalize", "--input", str(tmp_path / "missing.bin"),
+                          "--out", str(tmp_path)])
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"SMOR" + b"\x00" * 10)
+    assert reports_error(["normalize", "--input", str(short), "--out", str(tmp_path)])
+    # header claiming 2^40 rows on an empty payload
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(struct.pack("<4sIQQQQB", b"SMOR", 1, 2 ** 40, 1, 1, 1, 0))
+    assert reports_error(["normalize", "--input", str(huge), "--out", str(tmp_path)])
+    good = tmp_path / "good.bin"
+    snaps = SnapshotSet(data=np.ones((4, 3)), params=[0.5], K=2, t0=0.0, t1=1.0)
+    write_snapshot_file(good, snaps)
+    meta = Path(str(good) + ".meta.json")
+    for text in ("{not json", "[1, 2]"):
+        meta.write_text(text)
+        assert reports_error(["normalize", "--input", str(good), "--out", str(tmp_path)])
+
+
+def test_evaluate_and_psd_share_one_loop(cfg_path, tmp_path, monkeypatch):
+    cfg_path.write_text(WAVE_CFG.replace("n_range = 2", "n_range = 2 3")
+                        .replace("testing = 0.25", "testing = 0.25 0.3"))
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    main(["generate-data", "--config", str(cfg_path), "--out", str(data_dir)])
+    main(["normalize", "--input", str(data_dir / "snapshots.bin"), "--out", str(data_dir)])
+    main(["train", "--config", str(cfg_path),
+          "--data", str(data_dir / "snapshots_normalized.bin"), "--out", str(run_dir)])
+    evaluate = ["evaluate", "--config", str(cfg_path), "--run", str(run_dir),
+                "--out", str(run_dir)]
+    psd = ["psd", "--config", str(cfg_path), "--data", str(data_dir / "snapshots.bin"),
+           "--out", str(run_dir)]
+
+    # each test parameter's FOM is solved once, not once per reduced size n
+    fom_solves = []
+    solve = cli.implicit_midpoint
+
+    def counting(sys_fom, *args, **kwargs):
+        fom_solves.append(sys_fom.dim)
+        return solve(sys_fom, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "implicit_midpoint", counting)
+    assert main(evaluate) == 0
+    assert len(fom_solves) == 2
+    assert len(read_csv(run_dir / "errors.csv")) == 5
+
+    # a ROM solver failure is a "failed" row in both commands
+    def fail(*args, **kwargs):
+        raise IntegrationFailureError(3)
+
+    monkeypatch.setattr(reduction, "solve_rom", fail)
+    assert main(evaluate) == 0
+    assert main(psd) == 0
+    for name in ("errors.csv", "psd_errors.csv"):
+        rows = read_csv(run_dir / name)[1:]
+        assert [(r[0], r[1]) for r in rows] == [("2", "0.25"), ("2", "0.3"),
+                                                ("3", "0.25"), ("3", "0.3")]
+        assert all(r[2] == r[3] == "failed" for r in rows)
 
 
 def test_speed_test_rows():

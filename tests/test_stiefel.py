@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from sympmor.errors import AnchorMismatchError, DimensionError
+from sympmor.errors import AnchorMismatchError, DimensionError, RetractionSingularError
 from sympmor.stiefel import (
     MetricKind,
     StiefelPoint,
@@ -109,6 +109,18 @@ def test_anchor_mismatch_detected():
     Z = rand_tangent(X, 2)
     with pytest.raises(AnchorMismatchError):
         metric_inner(MetricKind.Euclidean, Y, Z, Z)
+
+
+def test_nan_point_rejected():
+    with pytest.raises(DimensionError):
+        StiefelPoint(np.full((4, 2), np.nan))
+
+
+def test_nan_tangent_retraction_is_singular():
+    X = rand_point(6, 2, 0)
+    Z = TangentVector(np.full((6, 2), np.nan), X)
+    with pytest.raises(RetractionSingularError):
+        cayley_retract(X, Z)
 
 
 def test_cayley_factors():
