@@ -10,6 +10,7 @@ import csv
 import json
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -127,20 +128,26 @@ def save_network(network, path):
 
 
 def load_network(path):
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["spec"].tobytes()).decode())
-        layers = []
-        for i, entry in enumerate(meta["layers"]):
-            if entry["type"] == "gradient":
-                layers.append(net.GradientLayer(
-                    entry["kind"], entry["dim"], entry["upscale"],
-                    data[f"K_{i}"], data[f"a_{i}"], data[f"b_{i}"],
-                    net.Activation(entry["activation"])))
-            else:
-                layers.append(net.PSDLayer(st.StiefelPoint(data[f"X_{i}"]),
-                                           entry["direction"]))
-    return net.Network(layers=layers, encoder_len=meta["encoder_len"],
-                       full_dim=meta["full_dim"], reduced_dim=meta["reduced_dim"])
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["spec"].tobytes()).decode())
+            layers = []
+            for i, entry in enumerate(meta["layers"]):
+                if entry["type"] == "gradient":
+                    layers.append(net.GradientLayer(
+                        entry["kind"], entry["dim"], entry["upscale"],
+                        data[f"K_{i}"], data[f"a_{i}"], data[f"b_{i}"],
+                        net.Activation(entry["activation"])))
+                else:
+                    layers.append(net.PSDLayer(st.StiefelPoint(data[f"X_{i}"]),
+                                               entry["direction"]))
+        return net.Network(layers=layers, encoder_len=meta["encoder_len"],
+                           full_dim=meta["full_dim"], reduced_dim=meta["reduced_dim"])
+    # OSError: missing file; BadZipFile/EOFError/ValueError: truncated or not an
+    # npz (ValueError also covers a bad spec); KeyError: a missing array or key
+    except (OSError, zipfile.BadZipFile, EOFError, ValueError, KeyError) as exc:
+        raise SympmorError(f"cannot load network {str(path)!r}: "
+                           f"{type(exc).__name__}: {exc}") from exc
 
 
 # -- evaluation -------------------------------------------------------------

@@ -123,11 +123,13 @@ def wave_initial(N, mu, a=-0.5, b=0.5):
 
 
 def wave_system(model):
+    A = wave_linear_matrix(model)
     return OdeSystem(
         dim=model.dim,
         vector_field=wave_vector_field(model),
         hamiltonian=wave_hamiltonian(model),
-        linear_matrix=wave_linear_matrix(model),
+        jacobian=lambda t, x: A,
+        linear_matrix=A,
     )
 
 

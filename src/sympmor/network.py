@@ -333,7 +333,11 @@ class Trainer:
                         hyper, cache, layer.weight, grads["X"],
                         cfg.metric, cfg.transport,
                     )
-                layer.weight = layer.weight.renormalized()
+                X = layer.weight.renormalized()
+                if X is not layer.weight and cfg.kind != "homogeneous":
+                    # a QR copy is a new point: move the first moment onto its tangent space
+                    cache.B1 = st.project_tangent(X, cache.B1.data)
+                layer.weight = X
         self.step_index += 1
 
     def train_batch(self, loss_kind, batch):

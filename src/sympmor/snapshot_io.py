@@ -60,6 +60,9 @@ def read_snapshot_file(path):
         raise SympmorError(f"not a snapshot file: bad magic {magic!r}")
     if version != VERSION:
         raise SympmorError(f"unsupported format version {version}")
+    if cols != n_params * (K + 1):
+        raise SympmorError(f"header claims {n_params} parameters of {K + 1} columns "
+                           f"but {cols} columns")
     if len(payload) < rows * cols * 8:
         raise SympmorError("truncated payload")
     data = np.frombuffer(payload, dtype="<f8", count=rows * cols)

@@ -152,7 +152,7 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     assert reports_error(["normalize", "--input", str(short), "--out", str(tmp_path)])
     # header claiming 2^40 rows on an empty payload
     huge = tmp_path / "huge.bin"
-    huge.write_bytes(struct.pack("<4sIQQQQB", b"SMOR", 1, 2 ** 40, 1, 1, 1, 0))
+    huge.write_bytes(struct.pack("<4sIQQQQB", b"SMOR", 1, 2 ** 40, 2, 1, 1, 0))
     assert reports_error(["normalize", "--input", str(huge), "--out", str(tmp_path)])
     good = tmp_path / "good.bin"
     snaps = SnapshotSet(data=np.ones((4, 3)), params=[0.5], K=2, t0=0.0, t1=1.0)
@@ -161,6 +161,17 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     for text in ("{not json", "[1, 2]"):
         meta.write_text(text)
         assert reports_error(["normalize", "--input", str(good), "--out", str(tmp_path)])
+    # evaluate on a run whose params file is missing, then truncated
+    cfg = tmp_path / "wave.cfg"
+    cfg.write_text(WAVE_CFG)
+    run = tmp_path / "run"
+    run.mkdir()
+    evaluate = ["evaluate", "--config", str(cfg), "--run", str(run), "--out", str(run)]
+    assert reports_error(evaluate)
+    params = run / "params_n2.npz"
+    save_network(build_network(16, 4, seed=2), params)
+    params.write_bytes(params.read_bytes()[:200])
+    assert reports_error(evaluate)
 
 
 def test_evaluate_and_psd_share_one_loop(cfg_path, tmp_path, monkeypatch):

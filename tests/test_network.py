@@ -4,6 +4,7 @@ hand-computed loss oracles, and training-loop behavior."""
 import numpy as np
 import pytest
 
+from sympmor import optimizers
 from sympmor.errors import DegenerateBatchError, DimensionError
 from sympmor.network import (
     Activation,
@@ -261,3 +262,30 @@ def test_train_noepoch_iteration_count():
     losses = train_noepoch(trainer, data, batch_size=8, n_epochs=2,
                            loss_kind=LossKind.ScaledMSE, seed=3)
     assert len(losses) == int(np.ceil(2 * 25 / 8))
+
+
+def test_training_continues_after_renormalization(monkeypatch):
+    """A re-orthonormalized Stiefel iterate re-anchors the first-moment cache."""
+    data = np.random.default_rng(1).standard_normal((6, 25)) * 0.3
+    net = build_network(6, 2, seed=0)
+    trainer = Trainer(net, OptimizerConfig(kind="stiefel", run_seed=0))
+    update = optimizers.stiefel_psd_update
+    drifted = []
+
+    def drift_once(*args, **kwargs):
+        X = update(*args, **kwargs)
+        if not drifted:
+            X.data *= 1.0 + 5e-8   # residual 1e-7 sqrt(n), past REORTH_THRESHOLD
+            drifted.append(X)
+        return X
+
+    monkeypatch.setattr(optimizers, "stiefel_psd_update", drift_once)
+    with pytest.warns(RuntimeWarning, match="re-orthonormalizing"):
+        losses = train_noepoch(trainer, data, batch_size=8, n_epochs=2,
+                               loss_kind=LossKind.ScaledMSE, seed=3)
+    assert len(losses) == 7 and np.all(np.isfinite(losses))
+    for layer, (tag, _, cache) in zip(net.layers, trainer.states):
+        if tag == "psd":
+            cache.B1.require_anchor(layer.weight)
+            X, B1 = layer.weight.data, cache.B1.data
+            assert np.linalg.norm(X.T @ B1 + B1.T @ X) < 1e-12

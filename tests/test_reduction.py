@@ -1,13 +1,17 @@
 """Snapshots, PSD cotangent lift (Jacobi SVD vs numpy oracle), ROM assembly,
 error metrics with hand-computed oracles, snapshot file round trip."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from sympmor.errors import DimensionError, SympmorError
-from sympmor.integrators import Trajectory, implicit_midpoint
-from sympmor.models import wave_build, wave_initial, wave_system
+from sympmor.integrators import OdeSystem, Trajectory, _fd_jacobian, implicit_midpoint
+from sympmor.models import (SgKind, sg_build, sg_initial, sg_system, wave_build,
+                            wave_initial, wave_system)
+from sympmor.network import LossKind, OptimizerConfig, Trainer, build_network, train_epochwise
 from sympmor.reduction import (
     RomSpec,
     SnapshotSet,
@@ -19,6 +23,7 @@ from sympmor.reduction import (
     psd_cotangent_lift,
     psd_maps,
     reconstruct,
+    reduced_jacobian,
     reduced_vector_field,
     reduction_error,
     solve_rom,
@@ -158,6 +163,10 @@ def test_build_rom_variants():
         build_rom(encode, decode, jacobian, x0, use_ref=False, normalized=True)
 
 
+def _dense_j(m):
+    return np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
+
+
 def test_reduced_field_matches_dense_j_products():
     model = wave_build(6, 0.25)
     sys = wave_system(model)
@@ -168,8 +177,7 @@ def test_reduced_field_matches_dense_j_products():
     field = reduced_vector_field(rom, sys.vector_field, sys.dim)
     d = sys.dim // 2
     n = 3
-    J2d = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
-    J2n = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    J2d, J2n = _dense_j(d), _dense_j(n)
     rng = np.random.default_rng(12)
     for _ in range(5):
         xi = rng.standard_normal(2 * n)
@@ -178,6 +186,61 @@ def test_reduced_field_matches_dense_j_products():
         assert np.linalg.norm(field(0.0, xi) - oracle) < 1e-11
     with pytest.raises(DimensionError):
         field(0.0, np.zeros(2 * n + 1))
+
+
+@pytest.fixture(scope="module")
+def learned_wave_rom():
+    """A desk-trained wave decoder (N = 6, n = 2) bound as a reference-state ROM."""
+    sys = wave_system(wave_build(6, 0.3))
+    x0 = wave_initial(6, 0.3)
+    fom = implicit_midpoint(sys, x0, 0.0, 1.0, 20)
+    network = build_network(sys.dim, 4, seed=3)
+    trainer = Trainer(network, OptimizerConfig(kind="stiefel", eta=0.01, run_seed=3))
+    train_epochwise(trainer, fom.states - x0[:, None], batch_size=8, n_epochs=5,
+                    loss_kind=LossKind.ScaledMSE, seed=4)
+    rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
+                    use_ref=True, normalized=True)
+    return sys, rom
+
+
+def test_reduced_jacobian_psd_matches_fd():
+    """Linear PSD decoder on sine-Gordon: the Newton matrix is the exact Jacobian."""
+    model = sg_build(20, 0.3, -10.0, 10.0, SgKind.SingleSoliton)
+    sys, x0 = sg_system(model), sg_initial(model)
+    fom = implicit_midpoint(sys, x0, 0.0, 1.0, 10)
+    encode, decode, jacobian = psd_maps(psd_cotangent_lift(fom.states, 3))
+    rom = build_rom(encode, decode, jacobian, x0, use_ref=False, normalized=False)
+    field = reduced_vector_field(rom, sys.vector_field, sys.dim)
+    jac = reduced_jacobian(rom, sys.jacobian, sys.dim)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        xi = rom.x_r0 + 0.5 * rng.standard_normal(6)
+        fd = _fd_jacobian(field, 0.3, xi)
+        assert np.linalg.norm(jac(0.3, xi) - fd) < 1e-6 * np.linalg.norm(fd)
+
+
+def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
+    sys, rom = learned_wave_rom
+    d, n = sys.dim // 2, 2
+    J2d, J2n = _dense_j(d), _dense_j(n)
+    Df = sys.linear_matrix
+    jac = reduced_jacobian(rom, sys.jacobian, sys.dim)
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        xi = rom.x_r0 + rng.standard_normal(2 * n)
+        Dd = rom.decode_jacobian(xi)
+        oracle = -J2n @ Dd.T @ J2d @ Df @ Dd
+        assert np.linalg.norm(jac(0.0, xi) - oracle) < 1e-12 * np.linalg.norm(oracle)
+
+
+def test_learned_rom_newton_matrix_matches_fd_path(learned_wave_rom):
+    """Dropping the decoder curvature changes the Newton matrix, not the solution."""
+    sys, rom = learned_wave_rom
+    analytic = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
+    no_jacobian = OdeSystem(dim=sys.dim, vector_field=sys.vector_field)
+    fd = solve_rom(rom, no_jacobian, 0.0, 1.0, 20, tol=1e-10)
+    scale = np.max(np.abs(fd.states))
+    assert np.max(np.abs(analytic.states - fd.states)) <= 1e-8 * scale
 
 
 def test_square_rom_reproduces_fom():
@@ -270,4 +333,8 @@ def test_snapshot_file_rejects_garbage(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(SympmorError):
+        read_snapshot_file(p)
+    # a 41-byte header claiming 2^40 parameters, no payload and no sidecar
+    p.write_bytes(struct.pack("<4sIQQQQB", b"SMOR", 1, 0, 0, 2 ** 40, 0, 0))
+    with pytest.raises(SympmorError, match="parameters"):
         read_snapshot_file(p)
