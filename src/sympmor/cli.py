@@ -56,7 +56,10 @@ def fom_system_for(cfg, param):
 # -- training ---------------------------------------------------------------
 
 def train_run(cfg, snapshots, out_dir):
-    """Train one network per n in cfg.n_range; write loss CSVs and a manifest."""
+    """Train one network per n in cfg.n_range; write loss CSVs and a manifest.
+
+    A TrainingDivergedError propagates, so a diverged n leaves no params file.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = snapshots.data
@@ -65,15 +68,9 @@ def train_run(cfg, snapshots, out_dir):
     for n in cfg.n_range:
         t_start = time.perf_counter()
         network = net.build_network(full_dim, 2 * n, seed=cfg.seed)
-        ocfg = net.OptimizerConfig(
-            kind="homogeneous" if cfg.optimizer == "homogeneous" else "stiefel",
-            decay=(cfg.optimizer == "stiefel_decay"),
-            metric=cfg.metric,
-            transport=cfg.transport,
-            eta=cfg.eta,
-            run_seed=cfg.seed,
-        )
-        trainer = net.Trainer(network, ocfg)
+        trainer = net.Trainer(network, net.OptimizerConfig(
+            optimizer=cfg.optimizer, metric=cfg.metric, transport=cfg.transport,
+            eta=cfg.eta, run_seed=cfg.seed))
         if cfg.epochwise:
             losses = net.train_epochwise(trainer, data, cfg.batch_size,
                                          cfg.n_epochs, cfg.loss, seed=cfg.seed + 1)

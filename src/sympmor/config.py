@@ -1,12 +1,16 @@
 """Run configuration: flat key-value config files and the V1-V10 variant table."""
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .models import SG_MODELS
-from .network import LossKind
+from .network import OPTIMIZERS, LossKind
 from .stiefel import MetricKind, TransportKind
+
+# Upper bound on n_params: each training parameter costs one full-order solve.
+MAX_PARAMS = 10_000
 
 # variant -> (epochwise, normalized, loss, optimizer, metric, transport)
 # optimizer: 'homogeneous', 'stiefel', 'stiefel_decay'
@@ -59,7 +63,7 @@ class RunConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.model == "wave" and (self.t0, self.t1, self.a, self.b) != (0.0, 1.0, -0.5, 0.5):
             raise ConfigError("wave model fixes I=[0,1], Omega=[-1/2,1/2]")
-        if self.optimizer not in ("homogeneous", "stiefel", "stiefel_decay"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if not self.params:
             raise ConfigError("no training parameters")
@@ -77,8 +81,15 @@ class RunConfig:
         return self
 
 
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def _parse_list(text):
-    return [float(v) for v in text.replace(",", " ").split()]
+    return [_float(v) for v in text.replace(",", " ").split()]
 
 
 def load_config(path):
@@ -109,11 +120,11 @@ def load_config(path):
             elif key in ("N", "n_epochs", "batch_size", "time_steps", "seed"):
                 setattr(cfg, key, int(value))
             elif key == "n_range":
-                cfg.n_range = [int(float(v)) for v in value.replace(",", " ").split()]
+                cfg.n_range = [int(v) for v in _parse_list(value)]
             elif key in ("mu_list", "nu_list", "params"):
                 cfg.params = _parse_list(value)
             elif key in ("mu_left", "mu_right"):
-                span[key] = float(value)
+                span[key] = _float(value)
             elif key == "n_params":
                 span[key] = int(value)
             elif key in ("testing", "testing_params"):
@@ -132,13 +143,15 @@ def load_config(path):
                 cfg.transport = (TransportKind.Submanifold if value.lower().startswith("sub")
                                  else TransportKind.Differential)
             elif key in ("t0", "t1", "a", "b", "eta"):
-                setattr(cfg, key, float(value))
+                setattr(cfg, key, _float(value))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     except ValueError as exc:
         raise ConfigError(f"invalid value {value!r} for config key {key!r}") from exc
 
     if len(span) == 3:
+        if not 1 <= span["n_params"] <= MAX_PARAMS:
+            raise ConfigError(f"n_params = {span['n_params']} is outside [1, {MAX_PARAMS}]")
         import numpy as np
         cfg.params = list(np.linspace(span["mu_left"], span["mu_right"], span["n_params"]))
     return cfg.validate()

@@ -33,5 +33,13 @@ class IntegrationFailureError(SympmorError):
         super().__init__(message or f"Newton did not converge at step {step_index}")
 
 
+class TrainingDivergedError(SympmorError):
+    """Training loss or gradient blew up; no update was taken for this batch."""
+
+    def __init__(self, batch_index, message):
+        self.batch_index = batch_index
+        super().__init__(f"training diverged at batch {batch_index}: {message}")
+
+
 class ConfigError(SympmorError):
     """Invalid or inconsistent run configuration."""

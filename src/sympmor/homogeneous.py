@@ -3,10 +3,10 @@
 The manifold is a homogeneous space: any point is lambda E with E = [I_n; 0]
 and lambda in O(N).  A section lambda_E(X) = [X, lambda_bar] maps a point into
 the group; tangent vectors lift to the fixed horizontal space g^{hor,E} of
-skew N x N matrices [[W, -C^T], [C, 0]], stored compactly as the (W, C)
-blocks.  Retraction back to the manifold goes through the Cayley transform of
-the horizontal element, evaluated with the same SMW trick used on the
-manifold directly.
+skew N x N matrices [[W, -C^T], [C, 0]], stored compactly as the one N x n
+array [W; C] = [X | lambda_bar]^T Z.  Retraction back to the manifold goes
+through the Cayley transform of the horizontal element, evaluated with the
+same SMW trick used on the manifold directly.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, SectionDegenerateError
-from .stiefel import StiefelPoint, TangentVector, _smw_core, skew
+from .stiefel import StiefelPoint, _smw_core, skew
 
 
 @dataclass(frozen=True)
@@ -26,58 +26,20 @@ class OrthoSection:
     complement: np.ndarray  # N x (N - n)
 
 
-class HorizontalElement:
-    """Compact storage of [[W, -C^T], [C, 0]] in g^{hor,E}.
+def horizontal_pointwise(hyper, cache, B):
+    """Adam on the stored blocks [W; C] of horizontal elements; returns the update V.
 
-    W (n x n, skew) and C ((N-n) x n) hold all independent entries; the dense
-    N x N form is never materialized in production paths.
+    Mutates cache.B1 and cache.B2 (N x n arrays like B).  Both the first moment
+    and V get their top n x n block re-skewed, so they stay horizontal.
     """
-
-    __slots__ = ("skew_block", "comp_block")
-
-    def __init__(self, skew_block, comp_block):
-        self.skew_block = np.asarray(skew_block, dtype=np.float64)
-        self.comp_block = np.asarray(comp_block, dtype=np.float64)
-
-    @classmethod
-    def zeros_like(cls, other):
-        return cls(np.zeros_like(other.skew_block), np.zeros_like(other.comp_block))
-
-    def reskewed(self):
-        """Force exact skewness of the W block (storage hygiene for moment caches)."""
-        return HorizontalElement(skew(self.skew_block), self.comp_block)
-
-    def dense(self):
-        """Test-only dense N x N form."""
-        n = self.skew_block.shape[0]
-        N = n + self.comp_block.shape[0]
-        M = np.zeros((N, N))
-        M[:n, :n] = self.skew_block
-        M[n:, :n] = self.comp_block
-        M[:n, n:] = -self.comp_block.T
-        return M
-
-
-def horizontal_pointwise(a, b=None, op="mul", s=None, delta=None):
-    """Pointwise operation on the stored blocks of horizontal elements.
-
-    op: 'mul' (Hadamard with b), 'add' (a + b), 'scale' (s * a),
-    'sqrt_add_delta' (elementwise sqrt(a + delta)), 'div' (a / b elementwise).
-    Results are shape-compatible storage, not necessarily horizontal.
-    """
-    if op == "mul":
-        return HorizontalElement(a.skew_block * b.skew_block, a.comp_block * b.comp_block)
-    if op == "add":
-        return HorizontalElement(a.skew_block + b.skew_block, a.comp_block + b.comp_block)
-    if op == "scale":
-        return HorizontalElement(s * a.skew_block, s * a.comp_block)
-    if op == "sqrt_add_delta":
-        return HorizontalElement(
-            np.sqrt(a.skew_block + delta), np.sqrt(a.comp_block + delta)
-        )
-    if op == "div":
-        return HorizontalElement(a.skew_block / b.skew_block, a.comp_block / b.comp_block)
-    raise DimensionError(f"unknown pointwise op {op!r}")
+    n = B.shape[1]
+    c1, c1n, c2, c2n = hyper.moment_coeffs()
+    cache.B1 = c1 * cache.B1 + c1n * B
+    cache.B1[:n] = skew(cache.B1[:n])
+    cache.B2 = c2 * cache.B2 + c2n * (B * B)
+    V = -hyper.eta * (cache.B1 / np.sqrt(cache.B2 + hyper.delta))
+    V[:n] = skew(V[:n])
+    return V
 
 
 def section_qr(X, seed):
@@ -111,15 +73,13 @@ def lift_omega(X, Z):
 
 
 def lift_to_global(section, Z):
-    """Block form of lambda^{-1} Omega_X(Z) lambda: W = X^T Z, C = lambda_bar^T Z."""
+    """Blocks [W; C] of lambda^{-1} Omega_X(Z) lambda: W = X^T Z, C = lambda_bar^T Z."""
     Z.require_anchor(section.base)
-    return HorizontalElement(
-        section.base.data.T @ Z.data, section.complement.T @ Z.data
-    )
+    return np.vstack([section.base.data.T @ Z.data, section.complement.T @ Z.data])
 
 
 def retract_global(section, V):
-    """Retract lambda_E(X) cay(M/2) E for the horizontal element V (M its dense form).
+    """Retract lambda_E(X) cay(M/2) E for the horizontal blocks V = [W; C] (M its dense form).
 
     Uses the factorization M = U' V' with U' = [[W, -I], [C, 0]],
     V' = [[I, 0], [0, C^T]] and the SMW right-multiplication identity; the
@@ -127,11 +87,10 @@ def retract_global(section, V):
     """
     X = section.base
     N, n = X.shape
-    W, C = V.skew_block, V.comp_block
+    C = V[n:]
 
     Up = np.zeros((N, 2 * n))
-    Up[:n, :n] = W
-    Up[n:, :n] = C
+    Up[:, :n] = V
     Up[:n, n:] = -np.eye(n)
     Vp = np.zeros((2 * n, N))
     Vp[:n, :n] = np.eye(n)
@@ -149,4 +108,4 @@ def retract_global(section, V):
     out += 0.5 * Up @ VpE + 0.5 * Up @ coeff
     # left-multiply by lambda = [X | lambda_bar] without assembling it
     full = X.data @ out[:n] + section.complement @ out[n:]
-    return StiefelPoint(full)
+    return StiefelPoint(full, check=False).renormalized()

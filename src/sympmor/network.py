@@ -10,14 +10,21 @@ Riemannian update.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import optimizers as opt
 from . import stiefel as st
-from .errors import DegenerateBatchError, DimensionError
-from .stiefel import MetricKind, StiefelPoint, TransportKind
+from .errors import ConfigError, DegenerateBatchError, DimensionError, TrainingDivergedError
+from .stiefel import MetricKind, TransportKind
+
+# A batch whose relative error ||Y - X|| / ||X|| exceeds this multiple of the
+# first batch's counts as divergence.  The relative error is compared rather
+# than the loss, because a scaled-MSE loss moves with the batch norm: on one
+# healthy desk run (V4) the fourth batch's loss is 16x the first's.
+DIVERGENCE_FACTOR = 10.0
+OPTIMIZERS = ("homogeneous", "stiefel", "stiefel_decay")   # for the PSD weights
 
 
 class Activation(enum.Enum):
@@ -236,8 +243,7 @@ def loss_backward(kind, Xb, Yb):
     return (Yb - Xb) / (diff * denom)
 
 
-def build_network(full_dim, reduced_dim, seed, activation=Activation.tanh,
-                  alternate_pq=False):
+def build_network(full_dim, reduced_dim, seed, activation=Activation.tanh):
     """Assemble the 9-layer autoencoder.
 
     Encoder: 4 GradientLayers at width 2d, then a PSD reduce to 2n.
@@ -251,25 +257,24 @@ def build_network(full_dim, reduced_dim, seed, activation=Activation.tanh,
         raise DimensionError("reduced dim exceeds full dim")
     rng = np.random.default_rng(seed)
 
-    def make_gradient(dim, index):
+    def make_gradient(dim):
         half = dim // 2
         L = 5 * half
         limit = np.sqrt(6.0 / (L + half))
         K = rng.uniform(-limit, limit, size=(L, half))
         a = rng.uniform(-limit, limit, size=L) / L
         b = np.zeros(L)
-        kind = "Q" if (alternate_pq and index % 2) else "P"
-        return GradientLayer(kind, dim, L, K, a, b, activation)
+        return GradientLayer("P", dim, L, K, a, b, activation)
 
     layers = []
-    for i in range(4):
-        layers.append(make_gradient(full_dim, i))
+    for _ in range(4):
+        layers.append(make_gradient(full_dim))
     seed_enc, seed_dec = rng.integers(0, 2 ** 62, size=2)
     layers.append(PSDLayer(st.random_stiefel(d, n, int(seed_enc)), "reduce"))
-    for i in range(2):
-        layers.append(make_gradient(reduced_dim, i))
+    for _ in range(2):
+        layers.append(make_gradient(reduced_dim))
     layers.append(PSDLayer(st.random_stiefel(d, n, int(seed_dec)), "expand"))
-    layers.append(make_gradient(full_dim, 0))
+    layers.append(make_gradient(full_dim))
     return Network(layers=layers, encoder_len=5, full_dim=full_dim,
                    reduced_dim=reduced_dim)
 
@@ -278,8 +283,7 @@ def build_network(full_dim, reduced_dim, seed, activation=Activation.tanh,
 class OptimizerConfig:
     """Which manifold optimizer drives the PSD weights, and how."""
 
-    kind: str = "homogeneous"        # 'homogeneous' or 'stiefel'
-    decay: bool = False
+    optimizer: str = "homogeneous"   # one of OPTIMIZERS
     metric: MetricKind = MetricKind.Canonical
     transport: TransportKind = TransportKind.Submanifold
     eta: float = 0.001
@@ -292,7 +296,9 @@ class Trainer:
     def __init__(self, net, config):
         self.net = net
         self.config = config
-        decay = 0.9995 if config.decay else None
+        if config.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {config.optimizer!r}")
+        decay = 0.9995 if config.optimizer == "stiefel_decay" else None
         self.states = []
         for layer in net.layers:
             if isinstance(layer, GradientLayer):
@@ -305,13 +311,14 @@ class Trainer:
                 self.states.append(("gradient", hyper, caches))
             else:
                 hyper = opt.AdamHyper(eta=config.eta, decay=decay)
-                if config.kind == "homogeneous":
+                if config.optimizer == "homogeneous":
                     N, n = layer.weight.shape
                     cache = opt.HomogeneousAdamCache(N, n)
                 else:
                     cache = opt.StiefelAdamCache(layer.weight)
                 self.states.append(("psd", hyper, cache))
         self.step_index = 0
+        self.first_error = None
 
     def update(self, grads_per_layer):
         cfg = self.config
@@ -323,7 +330,7 @@ class Trainer:
                 layer.b += opt.adam_step(hyper, cache["b"], grads["b"])
                 opt.update_hyper(hyper)
             else:
-                if cfg.kind == "homogeneous":
+                if cfg.optimizer == "homogeneous":
                     layer.weight = opt.homogeneous_psd_update(
                         hyper, cache, layer.weight, grads["X"],
                         seed=cfg.run_seed + self.step_index,
@@ -333,14 +340,10 @@ class Trainer:
                         hyper, cache, layer.weight, grads["X"],
                         cfg.metric, cfg.transport,
                     )
-                X = layer.weight.renormalized()
-                if X is not layer.weight and cfg.kind != "homogeneous":
-                    # a QR copy is a new point: move the first moment onto its tangent space
-                    cache.B1 = st.project_tangent(X, cache.B1.data)
-                layer.weight = X
         self.step_index += 1
 
     def train_batch(self, loss_kind, batch):
+        """One update; raise TrainingDivergedError instead of taking a diverged step."""
         out, tape = self.net.forward(batch)
         value = loss(loss_kind, batch, out)
         upstream = loss_backward(loss_kind, batch, out)
@@ -348,6 +351,18 @@ class Trainer:
         for layer, entry in zip(reversed(self.net.layers), reversed(tape)):
             upstream, g = layer.backward(entry, upstream)
             grads.append(g)
+        finite = np.isfinite(value) and all(
+            np.all(np.isfinite(a)) for g in grads for a in g.values())
+        if not finite:
+            raise TrainingDivergedError(self.step_index, f"non-finite loss or gradient ({value})")
+        norm = np.linalg.norm(batch)
+        error = np.linalg.norm(out - batch) / norm if norm > 0.0 else 0.0
+        if self.first_error is None:
+            self.first_error = error
+        if error > DIVERGENCE_FACTOR * self.first_error:
+            raise TrainingDivergedError(
+                self.step_index, f"relative error {error:.4g} exceeds "
+                f"{DIVERGENCE_FACTOR:g}x the first batch's {self.first_error:.4g}")
         self.update(list(reversed(grads)))
         return value
 

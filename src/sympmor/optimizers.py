@@ -6,7 +6,8 @@ Three update rules share the hyperparameter record:
   with the bias correction folded into the moment updates.
 * ``homogeneous_psd_update``: the baseline manifold optimizer. The gradient is
   lifted into the fixed global tangent space g^{hor,E} through a QR section,
-  Adam runs pointwise on the stored blocks, and the result retracts back.
+  Adam runs pointwise on its N x n block array [W; C], and the result
+  retracts back.
   Caches persist across steps without transport (the global space is fixed),
   but the section is recomputed every step.
 * ``stiefel_psd_update``: the direct St(n,N) update. One first-moment cache
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stiefel as st
-from .homogeneous import HorizontalElement, horizontal_pointwise, lift_to_global, retract_global, section_qr
-from .stiefel import MetricKind, StiefelPoint, TangentVector, TransportKind
+from .homogeneous import horizontal_pointwise, lift_to_global, retract_global, section_qr
+from .stiefel import MetricKind, TangentVector
 
 
 @dataclass
@@ -75,36 +76,18 @@ def adam_step(hyper, cache, Y):
     return -hyper.eta * cache.B1 / np.sqrt(cache.B2 + hyper.delta)
 
 
-class HomogeneousAdamCache:
-    """Moment storage over g^{hor,E} in compact block form."""
+class HomogeneousAdamCache(EuclideanAdamCache):
+    """Moments over g^{hor,E}, stored like the lifted gradients as N x n arrays [W; C]."""
 
     def __init__(self, N, n):
-        self.B1 = HorizontalElement(np.zeros((n, n)), np.zeros((N - n, n)))
-        self.B2 = HorizontalElement(np.zeros((n, n)), np.zeros((N - n, n)))
+        super().__init__((N, n))
 
 
 def homogeneous_psd_update(hyper, cache, X, egrad, seed):
     """One baseline update: rgrad -> section -> lift -> blockwise Adam -> retract."""
     Z = st.riemannian_gradient(MetricKind.Canonical, X, egrad)
     section = section_qr(X, seed)
-    B = lift_to_global(section, Z)
-
-    c1, c1n, c2, c2n = hyper.moment_coeffs()
-    cache.B1 = horizontal_pointwise(
-        horizontal_pointwise(cache.B1, op="scale", s=c1),
-        horizontal_pointwise(B, op="scale", s=c1n),
-        op="add",
-    ).reskewed()
-    cache.B2 = horizontal_pointwise(
-        horizontal_pointwise(cache.B2, op="scale", s=c2),
-        horizontal_pointwise(horizontal_pointwise(B, B, op="mul"), op="scale", s=c2n),
-        op="add",
-    )
-    denom = horizontal_pointwise(cache.B2, op="sqrt_add_delta", delta=hyper.delta)
-    V = horizontal_pointwise(
-        horizontal_pointwise(cache.B1, denom, op="div"), op="scale", s=-hyper.eta
-    ).reskewed()
-
+    V = horizontal_pointwise(hyper, cache, lift_to_global(section, Z))
     X_new = retract_global(section, V)
     update_hyper(hyper)
     return X_new
@@ -152,11 +135,3 @@ def stiefel_psd_update(hyper, cache, X, egrad, metric, transport_kind):
     update_hyper(hyper)
     return X_new
 
-
-def gradient_descent_step(hyper, X, egrad, metric=MetricKind.Canonical):
-    """Plain Riemannian gradient descent behind the same interface (debugging aid)."""
-    Z = st.riemannian_gradient(metric, X, egrad)
-    V = TangentVector(-hyper.eta * Z.data, X, check=False)
-    X_new = st.cayley_retract(X, V)
-    update_hyper(hyper)
-    return X_new

@@ -63,6 +63,8 @@ def read_snapshot_file(path):
     if cols != n_params * (K + 1):
         raise SympmorError(f"header claims {n_params} parameters of {K + 1} columns "
                            f"but {cols} columns")
+    if rows == 0 and cols:
+        raise SympmorError(f"header claims {cols} columns of zero rows")
     if len(payload) < rows * cols * 8:
         raise SympmorError("truncated payload")
     data = np.frombuffer(payload, dtype="<f8", count=rows * cols)
@@ -76,15 +78,19 @@ def read_snapshot_file(path):
             raise SympmorError(f"malformed snapshot metadata {str(meta_path)!r}: {exc}") from exc
         if not isinstance(meta, dict):
             raise SympmorError(f"snapshot metadata {str(meta_path)!r} is not a JSON object")
-    inits = None
-    if "initial_states" in meta:
-        inits = np.asarray(meta["initial_states"], dtype=float)
-    return SnapshotSet(
-        data=data,
-        params=meta.get("params", [float("nan")] * n_params),
-        K=K,
-        t0=meta.get("t0", 0.0),
-        t1=meta.get("t1", 1.0),
-        normalized=bool(normalized),
-        initial_states=inits,
-    ), meta
+    try:
+        params = meta.get("params", [float("nan")] * n_params)
+        if not isinstance(params, list):
+            raise TypeError(f"params must be a list, not {type(params).__name__}")
+        params = [float(v) for v in params]
+        t0, t1 = float(meta.get("t0", 0.0)), float(meta.get("t1", 1.0))
+        inits = None
+        if "initial_states" in meta:
+            inits = np.asarray(meta["initial_states"], dtype=float)
+            if inits.shape != (rows, n_params):
+                raise ValueError(f"initial_states has shape {inits.shape}, "
+                                 f"not {(rows, n_params)}")
+    except (TypeError, ValueError) as exc:
+        raise SympmorError(f"bad snapshot metadata {str(meta_path)!r}: {exc}") from exc
+    return SnapshotSet(data=data, params=params, K=K, t0=t0, t1=t1,
+                       normalized=bool(normalized), initial_states=inits), meta

@@ -214,6 +214,59 @@ def test_evaluate_and_psd_share_one_loop(cfg_path, tmp_path, monkeypatch):
         assert all(r[2] == r[3] == "failed" for r in rows)
 
 
+# The benchmark's desk training: N = 32, n = 4, five speeds, K = 50, 10 epochs.
+DESK_CFG = """
+model = wave
+N = 32
+n_range = 4
+mu_left = 0.4166666666666667
+mu_right = 0.6666666666666666
+n_params = 5
+n_epochs = 10
+batch_size = 32
+time_steps = 50
+seed = 7
+"""
+
+
+@pytest.fixture(scope="module")
+def desk_data(tmp_path_factory):
+    base = tmp_path_factory.mktemp("desk")
+    cfg = base / "desk.cfg"
+    cfg.write_text(DESK_CFG)
+    assert main(["generate-data", "--config", str(cfg), "--out", str(base)]) == 0
+    assert main(["normalize", "--input", str(base / "snapshots.bin"), "--out", str(base)]) == 0
+    return base
+
+
+def _train_desk(desk_data, tmp_path, variant, eta, data_name):
+    cfg = tmp_path / f"{variant}.cfg"
+    cfg.write_text(DESK_CFG + f"variant = {variant}\neta = {eta}\n")
+    out = tmp_path / variant
+    rc = main(["train", "--config", str(cfg), "--data", str(desk_data / data_name),
+               "--out", str(out)])
+    return rc, out
+
+
+def test_desk_divergence_is_reported(desk_data, tmp_path, capsys):
+    """V6 at eta = 100 used to exit 0 with epoch losses 1.07 -> 70.7 -> 126."""
+    capsys.readouterr()
+    rc, out = _train_desk(desk_data, tmp_path, "V6", 100, "snapshots_normalized.bin")
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith("error: TrainingDivergedError: training diverged at batch ")
+    assert not (out / "params_n4.npz").exists()
+
+
+def test_desk_drift_is_renormalized(desk_data, tmp_path):
+    """V1 at eta = 10 drifts off the manifold inside the homogeneous retraction;
+    it used to die there with DimensionError and now trains on."""
+    with pytest.warns(RuntimeWarning, match="re-orthonormalizing"):
+        rc, out = _train_desk(desk_data, tmp_path, "V1", 10, "snapshots.bin")
+    assert rc == 0
+    assert (out / "params_n4.npz").exists()
+
+
 def test_speed_test_rows():
     rows = speed_test([(60, 4)])
     assert {r[0] for r in rows} == {"homogeneous", "stiefel_decay"}

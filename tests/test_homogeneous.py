@@ -5,7 +5,6 @@ import pytest
 
 from sympmor.errors import DimensionError
 from sympmor.homogeneous import (
-    HorizontalElement,
     OrthoSection,
     horizontal_pointwise,
     lift_omega,
@@ -13,12 +12,22 @@ from sympmor.homogeneous import (
     retract_global,
     section_qr,
 )
-from sympmor.stiefel import TangentVector, cayley_retract, project_tangent, random_stiefel
+from sympmor.optimizers import AdamHyper, HomogeneousAdamCache
+from sympmor.stiefel import StiefelPoint, cayley_retract, project_tangent, random_stiefel, skew
 
 
 def rand_tangent(X, seed):
     rng = np.random.default_rng(seed)
     return project_tangent(X, rng.standard_normal(X.shape))
+
+
+def dense(V):
+    """Dense N x N horizontal element [[W, -C^T], [C, 0]] of the blocks V = [W; C]."""
+    N, n = V.shape
+    M = np.zeros((N, N))
+    M[:, :n] = V
+    M[:n, n:] = -V[n:].T
+    return M
 
 
 def test_section_qr_orthogonal_completion():
@@ -52,36 +61,44 @@ def test_lift_to_global_matches_conjugation():
     H = lift_to_global(sec, Z)
     lam = np.hstack([X.data, sec.complement])
     oracle = lam.T @ lift_omega(X, Z) @ lam
-    assert np.linalg.norm(H.dense() - oracle) < 1e-10
-    # W block is skew, shapes are compact
-    assert H.skew_block.shape == (3, 3)
-    assert H.comp_block.shape == (5, 3)
-    assert np.linalg.norm(H.skew_block + H.skew_block.T) < 1e-11
+    assert np.linalg.norm(dense(H) - oracle) < 1e-10
+    # one compact N x n array whose top n x n block is skew
+    assert H.shape == (8, 3)
+    assert np.linalg.norm(H[:3] + H[:3].T) < 1e-11
 
 
-def test_horizontal_pointwise_ops():
-    a = HorizontalElement(np.array([[0.0, 2.0], [-2.0, 0.0]]), np.array([[3.0, 4.0]]))
-    b = HorizontalElement(np.array([[1.0, 5.0], [5.0, 1.0]]), np.array([[2.0, 2.0]]))
-    m = horizontal_pointwise(a, b, op="mul")
-    assert np.array_equal(m.skew_block, [[0.0, 10.0], [-10.0, 0.0]])
-    assert np.array_equal(m.comp_block, [[6.0, 8.0]])
-    s = horizontal_pointwise(a, op="scale", s=-2.0)
-    assert np.array_equal(s.comp_block, [[-6.0, -8.0]])
-    add = horizontal_pointwise(a, b, op="add")
-    assert np.array_equal(add.skew_block, [[1.0, 7.0], [3.0, 1.0]])
-    sq = horizontal_pointwise(b, op="sqrt_add_delta", delta=0.0)
-    assert np.allclose(sq.skew_block, np.sqrt(b.skew_block))
-    d = horizontal_pointwise(a, b, op="div")
-    assert np.allclose(d.comp_block, [[1.5, 2.0]])
-    with pytest.raises(DimensionError):
-        horizontal_pointwise(a, b, op="frobnicate")
+def test_horizontal_pointwise_is_blockwise_adam():
+    """Two steps of Adam on [W; C] against the same update on the dense elements.
+
+    The dense first moment and update are made skew, as the stored W block is.
+    """
+    X = random_stiefel(7, 2, 3)
+    sec = section_qr(X, seed=4)
+    h = AdamHyper(eta=0.1)
+    cache = HomogeneousAdamCache(7, 2)
+    M1, M2 = np.zeros((7, 7)), np.zeros((7, 7))
+    for step in range(2):
+        B = lift_to_global(sec, rand_tangent(X, 10 + step))
+        V = horizontal_pointwise(h, cache, B)
+        c1, c1n, c2, c2n = h.moment_coeffs()
+        G = dense(B)
+        M1 = skew(c1 * M1 + c1n * G)
+        M2 = c2 * M2 + c2n * G * G
+        Vd = skew(-h.eta * M1 / np.sqrt(M2 + h.delta))
+        assert V.shape == cache.B1.shape == cache.B2.shape == (7, 2)
+        assert np.linalg.norm(dense(V) - Vd) < 1e-14
+        assert np.linalg.norm(dense(cache.B1) - M1) < 1e-14
+        # the stored blocks stay horizontal: W exactly skew
+        assert np.array_equal(V[:2], -V[:2].T)
+        h.t += 1
+        h.beta1_t *= h.beta1
+        h.beta2_t *= h.beta2
 
 
 def test_retract_global_zero_is_identity():
     X = random_stiefel(6, 2, 9)
     sec = section_qr(X, seed=0)
-    V = HorizontalElement(np.zeros((2, 2)), np.zeros((4, 2)))
-    out = retract_global(sec, V)
+    out = retract_global(sec, np.zeros((6, 2)))
     assert np.linalg.norm(out.data - X.data) < 1e-13
 
 
@@ -93,7 +110,7 @@ def test_retract_global_dense_cayley_oracle():
     out = retract_global(sec, H)
     # dense oracle: lambda cay(M/2) E with M the dense horizontal element
     lam = np.hstack([X.data, sec.complement])
-    M = H.dense()
+    M = dense(H)
     I = np.eye(8)
     cay = np.linalg.solve(I - 0.5 * M, I + 0.5 * M)
     E = np.zeros((8, 3))
@@ -112,3 +129,15 @@ def test_retract_global_agrees_with_manifold_retraction():
     via_group = retract_global(sec, H)
     via_manifold = cayley_retract(X, Z)
     assert np.linalg.norm(via_group.data - via_manifold.data) < 1e-10
+
+
+def test_retract_global_renormalizes_drift():
+    """A drifted output is re-orthonormalized inside the retraction, with a warning."""
+    X = random_stiefel(8, 3, 13)
+    sec = section_qr(X, seed=21)
+    H = lift_to_global(sec, rand_tangent(X, 14))
+    drifted = OrthoSection(StiefelPoint(X.data * (1.0 + 5e-8), check=False), sec.complement)
+    with pytest.warns(RuntimeWarning, match="re-orthonormalizing"):
+        out = retract_global(drifted, H)
+    assert out.ortho_residual() < 1e-12
+    assert np.linalg.norm(out.data - retract_global(sec, H).data) < 1e-6

@@ -4,8 +4,8 @@ hand-computed loss oracles, and training-loop behavior."""
 import numpy as np
 import pytest
 
-from sympmor import optimizers
-from sympmor.errors import DegenerateBatchError, DimensionError
+from sympmor import stiefel
+from sympmor.errors import ConfigError, DegenerateBatchError, DimensionError, TrainingDivergedError
 from sympmor.network import (
     Activation,
     GradientLayer,
@@ -228,7 +228,7 @@ def test_training_reduces_loss(opt_kind):
     t = np.linspace(0, 1, 40)
     data = np.vstack([np.sin(2 * np.pi * k * t) for k in range(1, 9)]) * 0.5
     net = build_network(8, 2, seed=1)
-    cfg = OptimizerConfig(kind=opt_kind, eta=0.01, run_seed=5)
+    cfg = OptimizerConfig(optimizer=opt_kind, eta=0.01, run_seed=5)
     trainer = Trainer(net, cfg)
     losses = train_epochwise(trainer, data, batch_size=10, n_epochs=15,
                              loss_kind=LossKind.ScaledMSE, seed=2)
@@ -247,7 +247,7 @@ def test_training_deterministic():
 
     def run():
         net = build_network(6, 2, seed=4)
-        trainer = Trainer(net, OptimizerConfig(kind="homogeneous", run_seed=17))
+        trainer = Trainer(net, OptimizerConfig(optimizer="homogeneous", run_seed=17))
         return train_epochwise(trainer, data, batch_size=8, n_epochs=3,
                                loss_kind=LossKind.ScaledMSE, seed=7)
 
@@ -258,34 +258,55 @@ def test_train_noepoch_iteration_count():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((6, 25)) * 0.3
     net = build_network(6, 2, seed=0)
-    trainer = Trainer(net, OptimizerConfig(kind="stiefel", run_seed=0))
+    trainer = Trainer(net, OptimizerConfig(optimizer="stiefel", run_seed=0))
     losses = train_noepoch(trainer, data, batch_size=8, n_epochs=2,
                            loss_kind=LossKind.ScaledMSE, seed=3)
     assert len(losses) == int(np.ceil(2 * 25 / 8))
 
 
 def test_training_continues_after_renormalization(monkeypatch):
-    """A re-orthonormalized Stiefel iterate re-anchors the first-moment cache."""
+    """Drift inside a retraction is fixed there; the cache is transported to the QR copy."""
     data = np.random.default_rng(1).standard_normal((6, 25)) * 0.3
     net = build_network(6, 2, seed=0)
-    trainer = Trainer(net, OptimizerConfig(kind="stiefel", run_seed=0))
-    update = optimizers.stiefel_psd_update
+    trainer = Trainer(net, OptimizerConfig(optimizer="stiefel", run_seed=0))
+    apply = stiefel._cayley_apply
     drifted = []
 
-    def drift_once(*args, **kwargs):
-        X = update(*args, **kwargs)
+    def drift_once(U, V, M):
+        out = apply(U, V, M)
         if not drifted:
-            X.data *= 1.0 + 5e-8   # residual 1e-7 sqrt(n), past REORTH_THRESHOLD
-            drifted.append(X)
-        return X
+            out *= 1.0 + 5e-8   # residual 1e-7 sqrt(n), past REORTH_THRESHOLD
+            drifted.append(out)
+        return out
 
-    monkeypatch.setattr(optimizers, "stiefel_psd_update", drift_once)
+    monkeypatch.setattr(stiefel, "_cayley_apply", drift_once)
     with pytest.warns(RuntimeWarning, match="re-orthonormalizing"):
         losses = train_noepoch(trainer, data, batch_size=8, n_epochs=2,
                                loss_kind=LossKind.ScaledMSE, seed=3)
-    assert len(losses) == 7 and np.all(np.isfinite(losses))
+    assert drifted and len(losses) == 7 and np.all(np.isfinite(losses))
     for layer, (tag, _, cache) in zip(net.layers, trainer.states):
         if tag == "psd":
+            assert layer.weight.ortho_residual() < 1e-12
             cache.B1.require_anchor(layer.weight)
             X, B1 = layer.weight.data, cache.B1.data
             assert np.linalg.norm(X.T @ B1 + B1.T @ X) < 1e-12
+
+
+def test_non_finite_batch_stops_training_before_the_update():
+    data = np.random.default_rng(2).standard_normal((6, 16)) * 0.3
+    net = build_network(6, 2, seed=0)
+    trainer = Trainer(net, OptimizerConfig(optimizer="stiefel_decay", run_seed=0))
+    trainer.train_batch(LossKind.Relative, data[:, :8])
+    before = [layer.K.copy() for layer in net.layers if isinstance(layer, GradientLayer)]
+    bad = data[:, 8:].copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(TrainingDivergedError, match="batch 1") as info:
+        trainer.train_batch(LossKind.Relative, bad)
+    assert info.value.batch_index == 1
+    after = [layer.K for layer in net.layers if isinstance(layer, GradientLayer)]
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_unknown_optimizer_name_rejected():
+    with pytest.raises(ConfigError):
+        Trainer(build_network(6, 2, seed=0), OptimizerConfig(optimizer="homogeneous_decay"))

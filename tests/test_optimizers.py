@@ -9,7 +9,6 @@ from sympmor.optimizers import (
     HomogeneousAdamCache,
     StiefelAdamCache,
     adam_step,
-    gradient_descent_step,
     homogeneous_psd_update,
     stiefel_adam_step,
     stiefel_psd_update,
@@ -141,7 +140,7 @@ def test_homogeneous_psd_update_descends_and_stays_feasible():
         X = homogeneous_psd_update(h, cache, X, egrad(X), seed=1000 + step)
         vals.append(f(X))
         assert X.ortho_residual() < 1e-9
-        assert np.linalg.norm(cache.B1.skew_block + cache.B1.skew_block.T) < 1e-12
+        assert np.linalg.norm(cache.B1[:3] + cache.B1[:3].T) < 1e-12
     assert vals[-1] < vals[0] - 0.05 * abs(vals[0])
 
 
@@ -156,24 +155,13 @@ def test_homogeneous_first_step_oracle():
     out = homogeneous_psd_update(h, cache, X, egrad, seed=seed)
 
     # oracle: canonical rgrad, lift, V = -eta B / sqrt(B*B + delta), retract
-    from sympmor.homogeneous import HorizontalElement, lift_to_global, retract_global
+    from sympmor.homogeneous import lift_to_global, retract_global
 
     Z = riemannian_gradient(MetricKind.Canonical, X, egrad)
     sec = section_qr(X, seed)
     B = lift_to_global(sec, Z)
-    W = -h.__class__().eta * B.skew_block / np.sqrt(B.skew_block ** 2 + 1e-8)
-    C = -h.__class__().eta * B.comp_block / np.sqrt(B.comp_block ** 2 + 1e-8)
-    ref = retract_global(sec, HorizontalElement((W - W.T) / 2, C))
+    V = -h.__class__().eta * B / np.sqrt(B ** 2 + 1e-8)
+    V[:2] = (V[:2] - V[:2].T) / 2
+    ref = retract_global(sec, V)
     assert np.linalg.norm(out.data - ref.data) < 1e-12
 
-
-def test_gradient_descent_step():
-    f, egrad = quad_target(8, 2, 23)
-    X = random_stiefel(8, 2, 9)
-    h = AdamHyper(eta=0.1)
-    vals = [f(X)]
-    for _ in range(40):
-        X = gradient_descent_step(h, X, egrad(X))
-        vals.append(f(X))
-    assert vals[-1] < vals[0]
-    assert X.ortho_residual() < 1e-10

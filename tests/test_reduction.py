@@ -1,7 +1,9 @@
 """Snapshots, PSD cotangent lift (Jacobi SVD vs numpy oracle), ROM assembly,
 error metrics with hand-computed oracles, snapshot file round trip."""
 
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +197,7 @@ def learned_wave_rom():
     x0 = wave_initial(6, 0.3)
     fom = implicit_midpoint(sys, x0, 0.0, 1.0, 20)
     network = build_network(sys.dim, 4, seed=3)
-    trainer = Trainer(network, OptimizerConfig(kind="stiefel", eta=0.01, run_seed=3))
+    trainer = Trainer(network, OptimizerConfig(optimizer="stiefel", eta=0.01, run_seed=3))
     train_epochwise(trainer, fom.states - x0[:, None], batch_size=8, n_epochs=5,
                     loss_kind=LossKind.ScaledMSE, seed=4)
     rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
@@ -338,3 +340,15 @@ def test_snapshot_file_rejects_garbage(tmp_path):
     p.write_bytes(struct.pack("<4sIQQQQB", b"SMOR", 1, 0, 0, 2 ** 40, 0, 0))
     with pytest.raises(SympmorError, match="parameters"):
         read_snapshot_file(p)
+
+
+def test_snapshot_sidecar_values_are_typed(tmp_path):
+    """Wrongly typed sidecar values raise SympmorError, not a raw ValueError/TypeError."""
+    s = SnapshotSet(data=np.zeros((4, 6)), params=[0.25, 0.5], K=2, t0=0.0, t1=1.0)
+    p = tmp_path / "snaps.bin"
+    for meta in ({"initial_states": "abc"}, {"params": 5}, {"params": ["x", 1]},
+                 {"t0": [1]}, {"initial_states": [[1.0, 2.0]]}):
+        write_snapshot_file(p, s)
+        Path(str(p) + ".meta.json").write_text(json.dumps(meta))
+        with pytest.raises(SympmorError, match="metadata"):
+            read_snapshot_file(p)

@@ -1,7 +1,10 @@
 """Stiefel geometry against dense N x N oracles written straight from the formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as hst
 
 from sympmor.errors import AnchorMismatchError, DimensionError, RetractionSingularError
@@ -17,6 +20,7 @@ from sympmor.stiefel import (
     riemannian_gradient,
     transport_differential,
     transport_submanifold,
+    _smw_core,
 )
 
 
@@ -121,6 +125,26 @@ def test_nan_tangent_retraction_is_singular():
     Z = TangentVector(np.full((6, 2), np.nan), X)
     with pytest.raises(RetractionSingularError):
         cayley_retract(X, Z)
+
+
+def test_smw_condition_estimate():
+    """_smw_core factors I - VU/2 and judges its conditioning from that LU."""
+    rng = np.random.default_rng(3)
+    U, V = rng.standard_normal((9, 4)), 0.3 * rng.standard_normal((4, 9))
+    lu, piv = _smw_core(U, V)
+    S = np.eye(4) - 0.5 * V @ U
+    b = rng.standard_normal(4)
+    assert np.allclose(scipy.linalg.lu_solve((lu, piv), b), np.linalg.solve(S, b))
+    # U = I, V = 2(I - S) gives back S: graded down to 1e-17 ...
+    Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    S = Q @ np.diag([1.0, 0.5, 0.2, 1e-17]) @ Q.T
+    with pytest.raises(RetractionSingularError, match="condition"):
+        _smw_core(np.eye(4), 2.0 * (np.eye(4) - S))
+    # ... and exactly singular, with a zero pivot in the LU (rcond == 0)
+    with pytest.raises(RetractionSingularError, match="condition"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            _smw_core(np.eye(4), np.diag([0.0, 1.0, 1.6, 2.0]))
 
 
 def test_cayley_factors():
