@@ -197,6 +197,20 @@ def _time_median(fn, repeats=5):
     return float(np.median(times))
 
 
+def _parse_pairs(text):
+    """'2000x10,4000x10' -> [(2000, 10), (4000, 10)]; each pair needs 0 < n <= N."""
+    pairs = []
+    for pair in text.split(","):
+        try:
+            N, n = (int(v) for v in pair.split("x"))
+        except ValueError:
+            raise SympmorError(f"bad --pairs entry {pair!r}: expected Nxn, e.g. 2000x10") from None
+        if not 0 < n <= N:
+            raise SympmorError(f"bad --pairs entry {pair!r}: need 0 < n <= N")
+        pairs.append((N, n))
+    return pairs
+
+
 def speed_test(pairs, optimizers=("homogeneous", "stiefel_decay"), seed=0):
     """Timing rows (optimizer, N, n, seconds); one warm-up step before the median of 5."""
     rows = []
@@ -229,25 +243,46 @@ def speed_test(pairs, optimizers=("homogeneous", "stiefel_decay"), seed=0):
 
 # -- report -----------------------------------------------------------------
 
+def _run_variant(run_dir):
+    """The variant named in run_dir/manifest.json, else the directory name."""
+    mpath = run_dir / "manifest.json"
+    if not mpath.exists():
+        return run_dir.name
+    try:
+        variant = json.loads(mpath.read_text()).get("config", {}).get("variant", run_dir.name)
+    except (ValueError, AttributeError) as exc:   # JSONDecodeError is a ValueError
+        raise SympmorError(f"malformed manifest {str(mpath)!r}: {exc}") from exc
+    if not isinstance(variant, str):
+        raise SympmorError(f"malformed manifest {str(mpath)!r}: variant {variant!r}")
+    return variant
+
+
+def _report_key(row):
+    """(variant, n, param) of a merged row, with n and param as numbers."""
+    try:
+        return row[0], int(row[1]), float(row[2])
+    except (IndexError, ValueError) as exc:
+        raise SympmorError(f"bad errors.csv row {row[1:]!r} of variant {row[0]!r}: "
+                           f"n and param must be numbers") from exc
+
+
 def merge_reports(run_dirs, out_path):
-    """Merge errors.csv files across runs into one CSV keyed by variant."""
+    """Merge errors.csv files across runs into one CSV, sorted by variant, then
+    n and param as numbers."""
     rows = []
     for run_dir in run_dirs:
         run_dir = Path(run_dir)
-        manifest = {}
-        mpath = run_dir / "manifest.json"
-        if mpath.exists():
-            manifest = json.loads(mpath.read_text())
-        variant = manifest.get("config", {}).get("variant", run_dir.name)
+        variant = _run_variant(run_dir)
         epath = run_dir / "errors.csv"
         if not epath.exists():
             raise SympmorError(f"missing errors.csv in {run_dir}")
         with open(epath, newline="") as fh:
             reader = csv.reader(fh)
-            next(reader)
+            if next(reader, None) is None:
+                raise SympmorError(f"empty errors.csv in {run_dir}")
             for row in reader:
                 rows.append([variant] + row)
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    rows.sort(key=_report_key)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "n", "param", "e_red", "e_proj",
@@ -335,9 +370,7 @@ def main(argv=None):
                      False, out / "psd_errors.csv")
             print(out / "psd_errors.csv")
         elif args.command == "speed-test":
-            pairs = [tuple(int(v) for v in pair.split("x"))
-                     for pair in args.pairs.split(",")]
-            rows = speed_test(pairs, seed=args.seed or 0)
+            rows = speed_test(_parse_pairs(args.pairs), seed=args.seed or 0)
             out.mkdir(parents=True, exist_ok=True)
             with open(out / "speed.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)

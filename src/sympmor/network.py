@@ -208,14 +208,14 @@ class Network:
         return xr[:, 0] if single else xr
 
     def decoder_jacobian(self, x_r):
-        """Exact Jacobian of the decoder at x_r via forward-mode basis propagation."""
+        """(d(x_r), Dd(x_r)): the decoded state and the exact decoder Jacobian,
+        from one pass that propagates the identity basis in forward mode."""
         x = np.asarray(x_r, dtype=float)[:, None]
         D = np.eye(self.reduced_dim)
         for layer in self.layers[self.encoder_len:]:
-            x_next, tape = layer.forward(x)
+            x, tape = layer.forward(x)
             D = layer.differential(tape, D)
-            x = x_next
-        return D
+        return x[:, 0], D
 
 
 def loss(kind, Xb, Yb):
@@ -291,7 +291,11 @@ class OptimizerConfig:
 
 
 class Trainer:
-    """Owns one optimizer state per layer and performs batch updates."""
+    """Owns the optimizer state of every layer and performs batch updates.
+
+    All GradientLayers share one AdamHyper, advanced once per step; each PSD
+    weight has its own, which its manifold update advances.
+    """
 
     def __init__(self, net, config):
         self.net = net
@@ -299,47 +303,35 @@ class Trainer:
         if config.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {config.optimizer!r}")
         decay = 0.9995 if config.optimizer == "stiefel_decay" else None
-        self.states = []
-        for layer in net.layers:
-            if isinstance(layer, GradientLayer):
-                hyper = opt.AdamHyper(eta=config.eta, decay=decay)
-                caches = {
-                    "K": opt.EuclideanAdamCache(layer.K.shape),
-                    "a": opt.EuclideanAdamCache(layer.a.shape),
-                    "b": opt.EuclideanAdamCache(layer.b.shape),
-                }
-                self.states.append(("gradient", hyper, caches))
-            else:
-                hyper = opt.AdamHyper(eta=config.eta, decay=decay)
-                if config.optimizer == "homogeneous":
-                    N, n = layer.weight.shape
-                    cache = opt.HomogeneousAdamCache(N, n)
-                else:
-                    cache = opt.StiefelAdamCache(layer.weight)
-                self.states.append(("psd", hyper, cache))
+        self.hyper = opt.AdamHyper(eta=config.eta, decay=decay)
+        self.states = [self._state(layer) for layer in net.layers]
         self.step_index = 0
         self.first_error = None
+
+    def _state(self, layer):
+        """Adam caches of one layer: one per parameter array, or (hyper, cache) of a PSD weight."""
+        if isinstance(layer, GradientLayer):
+            return {name: opt.EuclideanAdamCache(getattr(layer, name).shape)
+                    for name in ("K", "a", "b")}
+        hyper = opt.AdamHyper(eta=self.config.eta, decay=self.hyper.decay)
+        if self.config.optimizer == "homogeneous":
+            return hyper, opt.HomogeneousAdamCache(*layer.weight.shape)
+        return hyper, opt.StiefelAdamCache(layer.weight)
 
     def update(self, grads_per_layer):
         cfg = self.config
         for layer, state, grads in zip(self.net.layers, self.states, grads_per_layer):
-            tag, hyper, cache = state
-            if tag == "gradient":
-                layer.K += opt.adam_step(hyper, cache["K"], grads["K"])
-                layer.a += opt.adam_step(hyper, cache["a"], grads["a"])
-                layer.b += opt.adam_step(hyper, cache["b"], grads["b"])
-                opt.update_hyper(hyper)
+            if isinstance(layer, GradientLayer):
+                for name, cache in state.items():
+                    param = getattr(layer, name)
+                    param += opt.adam_step(self.hyper, cache, grads[name])
+            elif cfg.optimizer == "homogeneous":
+                layer.weight = opt.homogeneous_psd_update(
+                    *state, layer.weight, grads["X"], seed=cfg.run_seed + self.step_index)
             else:
-                if cfg.optimizer == "homogeneous":
-                    layer.weight = opt.homogeneous_psd_update(
-                        hyper, cache, layer.weight, grads["X"],
-                        seed=cfg.run_seed + self.step_index,
-                    )
-                else:
-                    layer.weight = opt.stiefel_psd_update(
-                        hyper, cache, layer.weight, grads["X"],
-                        cfg.metric, cfg.transport,
-                    )
+                layer.weight = opt.stiefel_psd_update(
+                    *state, layer.weight, grads["X"], cfg.metric, cfg.transport)
+        opt.update_hyper(self.hyper)
         self.step_index += 1
 
     def train_batch(self, loss_kind, batch):

@@ -6,7 +6,6 @@ the Poisson-shaped product -J_{2n} (Dd)^T J_{2d} f without ever multiplying
 by a full J matrix.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -64,48 +63,6 @@ def denormalize_snapshots(norm):
                        t1=norm.t1, normalized=False, initial_states=None)
 
 
-def _jacobi_svd_left(A, max_sweeps=60, tol=1e-13):
-    """Left singular vectors and singular values of A (d x m) by one-sided Jacobi.
-
-    Jacobi rotations orthogonalize the d columns of A^T while the same
-    rotations accumulate in R; at convergence A = R Sigma Q^T, so the columns
-    of R are the left singular vectors and the rotated column norms the
-    singular values.  Deterministic, no external decomposition routine, and R
-    is orthogonal by construction even for rank-deficient input.
-    """
-    B = np.array(A.T, dtype=float)   # m x d, rotate its d columns
-    d = B.shape[1]
-    R = np.eye(d)
-    for _ in range(max_sweeps):
-        rotated = False
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                g = B[:, i] @ B[:, j]
-                if abs(g) < 1e-300:
-                    continue
-                ni = B[:, i] @ B[:, i]
-                nj = B[:, j] @ B[:, j]
-                if abs(g) <= tol * np.sqrt(ni * nj):
-                    continue
-                rotated = True
-                tau = (nj - ni) / (2.0 * g)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                bi, bj = B[:, i].copy(), B[:, j]
-                B[:, i], B[:, j] = c * bi - s * bj, s * bi + c * bj
-                ri, rj = R[:, i].copy(), R[:, j]
-                R[:, i], R[:, j] = c * ri - s * rj, s * ri + c * rj
-        if not rotated:
-            break
-    sigma = np.linalg.norm(B, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    return R[:, order], sigma[order]
-
-
 def psd_cotangent_lift(M, n):
     """Cotangent-lift basis X (d x n) from the snapshot matrix M (2d x k).
 
@@ -119,7 +76,7 @@ def psd_cotangent_lift(M, n):
     R = np.hstack([M[:d], M[d:]])
     if n > min(d, R.shape[1]):
         raise DimensionError("n exceeds min(d, 2k)")
-    U, sigma = _jacobi_svd_left(R)
+    U, sigma, _ = np.linalg.svd(R, full_matrices=False)
     if sigma[0] > 0 and sigma[n - 1] < 1e-12 * sigma[0]:
         warnings.warn("PSD basis includes directions below numerical rank", RuntimeWarning)
     X = U[:, :n].copy()
@@ -132,44 +89,47 @@ def psd_cotangent_lift(M, n):
 
 
 def psd_maps(X):
-    """encode/decode/jacobian closures for the linear PSD pair A, A^+."""
+    """encode/decode/(decode, jacobian) closures for the linear PSD pair A, A^+."""
     A = X.data
     d, n = A.shape
 
     def encode(x):
-        if x.ndim == 1:
-            return np.concatenate([A.T @ x[:d], A.T @ x[d:]])
-        return np.vstack([A.T @ x[:d], A.T @ x[d:]])
+        return np.concatenate([A.T @ x[:d], A.T @ x[d:]])
 
     def decode(xr):
-        if xr.ndim == 1:
-            return np.concatenate([A @ xr[:n], A @ xr[n:]])
-        return np.vstack([A @ xr[:n], A @ xr[n:]])
+        return np.concatenate([A @ xr[:n], A @ xr[n:]])
 
     J = np.zeros((2 * d, 2 * n))
     J[:d, :n] = A
     J[d:, n:] = A
 
-    def jacobian(xr):
-        return J
+    def decode_jacobian(xr):
+        return decode(xr), J
 
-    return encode, decode, jacobian
+    return encode, decode, decode_jacobian
 
 
 @dataclass
 class RomSpec:
     encode: Callable
     decode: Callable
-    decode_jacobian: Callable
+    decode_jacobian: Callable    # xi -> (d(xi), Dd(xi)) from one decoder pass
     x_r0: np.ndarray
     reduced_dim: int
     x_ref: Optional[np.ndarray] = None
 
+    def _add_ref(self, out):
+        if self.x_ref is None:
+            return out
+        return out + (self.x_ref if out.ndim == 1 else self.x_ref[:, None])
+
     def reconstruct_state(self, xr):
-        out = self.decode(xr)
-        if self.x_ref is not None:
-            out = out + (self.x_ref if out.ndim == 1 else self.x_ref[:, None])
-        return out
+        return self._add_ref(self.decode(xr))
+
+    def state_and_jacobian(self, xi):
+        """(x_ref + d(xi), Dd(xi)) from one decoder pass."""
+        out, D = self.decode_jacobian(xi)
+        return self._add_ref(out), D
 
 
 def build_rom(encode, decode, decode_jacobian, x0, use_ref, normalized):
@@ -192,20 +152,24 @@ def build_rom(encode, decode, decode_jacobian, x0, use_ref, normalized):
                    x_r0=x_r0, reduced_dim=len(x_r0), x_ref=x_ref)
 
 
+def _poisson_product(D, V):
+    """-J_{2n} D^T J_{2d} V for D of shape 2d x 2n and a 2d-vector or 2d-row
+    matrix V, without J products."""
+    d, n = D.shape[0] // 2, D.shape[1] // 2
+    rhs = np.concatenate([V[d:], -V[:d]])           # J_{2d} V
+    rows = np.vstack([-D[:, n:].T, D[:, :n].T])     # -J_{2n} D^T
+    return rows @ rhs
+
+
 def reduced_vector_field(rom, fom_field, fom_dim):
     """xi' = -J_{2n} (Dd)^T J_{2d} f(x_ref + d(xi)), evaluated without J products."""
-    d = fom_dim // 2
     n = rom.reduced_dim // 2
 
     def field(t, xi):
         if len(xi) != 2 * n:
             raise DimensionError(f"reduced state must have length {2 * n}")
-        x_full = rom.reconstruct_state(xi)
-        f = fom_field(t, x_full)
-        Del = rom.decode_jacobian(xi).T        # 2n x 2d
-        rhs = np.concatenate([f[d:], -f[:d]])  # J_{2d} f
-        rows = np.vstack([-Del[n:], Del[:n]])  # -J_{2n} Del
-        return rows @ rhs
+        x_full, D = rom.state_and_jacobian(xi)
+        return _poisson_product(D, fom_field(t, x_full))
 
     return field
 
@@ -217,15 +181,10 @@ def reduced_jacobian(rom, fom_jacobian, fom_dim):
     term (d Dd^T / d xi) J_{2d} f (a Gauss-Newton matrix); the residual the
     Newton loop drives to zero is still the exact reduced field.
     """
-    d = fom_dim // 2
-    n = rom.reduced_dim // 2
 
     def jac(t, xi):
-        D = rom.decode_jacobian(xi)                         # 2d x 2n
-        DfD = fom_jacobian(t, rom.reconstruct_state(xi)) @ D
-        rhs = np.vstack([DfD[d:], -DfD[:d]])                # J_{2d} Df Dd
-        rows = np.vstack([-D[:, n:].T, D[:, :n].T])         # -J_{2n} Dd^T
-        return rows @ rhs
+        x_full, D = rom.state_and_jacobian(xi)
+        return _poisson_product(D, fom_jacobian(t, x_full) @ D)
 
     return jac
 
@@ -287,23 +246,17 @@ def projection_error(variant, exact, encode, decode, x_ref=None):
 def symplectic_residual_projection(rom, fom_field, reduced_traj):
     """Max over steps of the symplectically projected residual of the
     reconstructed trajectory, using midpoint-consistent finite differences."""
-    n = rom.reduced_dim // 2
     states = reduced_traj.states
     h = (reduced_traj.t1 - reduced_traj.t0) / reduced_traj.K
     times = reduced_traj.times
     worst = 0.0
     for k in range(reduced_traj.K):
         xr_mid = 0.5 * (states[:, k] + states[:, k + 1])
-        x_full = rom.reconstruct_state(xr_mid)
+        x_full, D = rom.state_and_jacobian(xr_mid)
         t_mid = 0.5 * (times[k] + times[k + 1])
-        f = fom_field(t_mid, x_full)
-        D = rom.decode_jacobian(xr_mid)
-        d = D.shape[0] // 2
         # residual of the reconstructed trajectory in the full space
-        xdot = D @ ((states[:, k + 1] - states[:, k]) / h)
-        r = xdot - f
-        # (Dd)^+ r = J_{2n} D^T J_{2d}^T r
-        DtJr = D.T @ np.concatenate([-r[d:], r[:d]])   # D^T J^T r
-        proj = np.concatenate([DtJr[n:], -DtJr[:n]])   # J_{2n} (...)
+        r = D @ ((states[:, k + 1] - states[:, k]) / h) - fom_field(t_mid, x_full)
+        # (Dd)^+ r = J_{2n} D^T J_{2d}^T r = -J_{2n} D^T J_{2d} r
+        proj = _poisson_product(D, r)
         worst = max(worst, float(np.linalg.norm(proj)))
     return worst

@@ -172,6 +172,31 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     save_network(build_network(16, 4, seed=2), params)
     params.write_bytes(params.read_bytes()[:200])
     assert reports_error(evaluate)
+    for pairs in ("abc", "2000", "10x20"):
+        assert reports_error(["speed-test", "--pairs", pairs, "--out", str(tmp_path)])
+    # report on an empty errors.csv, then on a malformed manifest
+    (run / "errors.csv").write_text("")
+    report = ["report", str(run), "--out", str(tmp_path)]
+    assert reports_error(report)
+    (run / "errors.csv").write_text("n,param,e_red,e_proj,integration_seconds\n")
+    for text in ("{not json", "[1, 2]", '{"config": {"variant": 3}}'):
+        (run / "manifest.json").write_text(text)
+        assert reports_error(report)
+
+
+def test_report_sorts_n_and_param_as_numbers(tmp_path, capsys):
+    header = "n,param,e_red,e_proj,integration_seconds\n"
+    run = tmp_path / "V3"
+    run.mkdir()
+    (run / "errors.csv").write_text(header + "10,0.5,1,1,1\n4,0.5,1,1,1\n"
+                                    "4,10.0,1,1,1\n4,2.0,1,1,1\n")
+    assert main(["report", str(run), "--out", str(tmp_path)]) == 0
+    report = read_csv(tmp_path / "report.csv")
+    assert [row[1:3] for row in report[1:]] == [
+        ["4", "0.5"], ["4", "2.0"], ["4", "10.0"], ["10", "0.5"]]
+    (run / "errors.csv").write_text(header + "four,0.5,1,1,1\n")
+    assert main(["report", str(run), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: SympmorError")
 
 
 def test_evaluate_and_psd_share_one_loop(cfg_path, tmp_path, monkeypatch):

@@ -184,7 +184,8 @@ def test_network_reproducible():
 def test_decoder_jacobian_fd_and_symplectic():
     net = build_network(10, 4, seed=3)
     xr = np.random.default_rng(4).standard_normal(4) * 0.3
-    D = net.decoder_jacobian(xr)
+    out, D = net.decoder_jacobian(xr)
+    assert np.array_equal(out, net.decode(xr))
     assert D.shape == (10, 4)
     fd = fd_jacobian(lambda v: net.decode(v), xr)
     assert np.linalg.norm(D - fd) < 1e-6
@@ -284,8 +285,9 @@ def test_training_continues_after_renormalization(monkeypatch):
         losses = train_noepoch(trainer, data, batch_size=8, n_epochs=2,
                                loss_kind=LossKind.ScaledMSE, seed=3)
     assert drifted and len(losses) == 7 and np.all(np.isfinite(losses))
-    for layer, (tag, _, cache) in zip(net.layers, trainer.states):
-        if tag == "psd":
+    for layer, state in zip(net.layers, trainer.states):
+        if isinstance(layer, PSDLayer):
+            _, cache = state
             assert layer.weight.ortho_residual() < 1e-12
             cache.B1.require_anchor(layer.weight)
             X, B1 = layer.weight.data, cache.B1.data

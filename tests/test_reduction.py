@@ -1,4 +1,4 @@
-"""Snapshots, PSD cotangent lift (Jacobi SVD vs numpy oracle), ROM assembly,
+"""Snapshots, PSD cotangent lift (eigenvector oracle), ROM assembly,
 error metrics with hand-computed oracles, snapshot file round trip."""
 
 import json
@@ -17,7 +17,6 @@ from sympmor.network import LossKind, OptimizerConfig, Trainer, build_network, t
 from sympmor.reduction import (
     RomSpec,
     SnapshotSet,
-    _jacobi_svd_left,
     build_rom,
     denormalize_snapshots,
     normalize_snapshots,
@@ -60,39 +59,28 @@ def test_normalize_roundtrip():
         denormalize_snapshots(raw)
 
 
-def test_jacobi_svd_vs_numpy():
-    rng = np.random.default_rng(1)
-    for d, m in [(3, 3), (5, 9), (8, 20), (6, 4)]:
-        A = rng.standard_normal((d, m))
-        R, sigma = _jacobi_svd_left(A)
-        s_ref = np.linalg.svd(A, compute_uv=False)
-        k = min(d, m)
-        assert np.max(np.abs(sigma[:k] - s_ref)) < 1e-12 * max(1.0, s_ref[0])
-        # R orthogonal, and A = R diag(sigma) Q^T for some orthonormal Q
-        assert np.linalg.norm(R.T @ R - np.eye(d)) < 1e-12
-        # columns of R are left singular vectors: A A^T R = R diag(sigma^2)
-        assert np.linalg.norm(A @ A.T @ R - R * sigma ** 2) < 1e-10 * max(1.0, s_ref[0] ** 2)
+@settings(max_examples=30, deadline=None)
+@given(hst.integers(1, 8), hst.integers(1, 8), hst.data())
+def test_psd_cotangent_lift_eigenvectors(d, k, data):
+    """X is orthonormal and spans eigenvectors of R R^T, R = [M1, M2], in
+    non-increasing eigenvalue order."""
+    n = data.draw(hst.integers(1, min(d, 2 * k)))
+    seed = data.draw(hst.integers(0, 10 ** 6))
+    M = np.random.default_rng(seed).standard_normal((2 * d, k))
+    X = psd_cotangent_lift(M, n).data
+    assert X.shape == (d, n)
+    assert np.linalg.norm(X.T @ X - np.eye(n)) < 1e-12
+    R = np.hstack([M[:d], M[d:]])
+    RRX = R @ (R.T @ X)
+    lam = np.einsum("ij,ij->j", X, RRX)
+    scale = max(1.0, np.linalg.norm(R, 2) ** 2)
+    assert np.linalg.norm(RRX - X * lam) < 1e-10 * scale
+    assert np.all(np.diff(lam) <= 1e-10 * scale)
 
 
-def test_jacobi_svd_rank_deficient():
-    rng = np.random.default_rng(2)
-    u = rng.standard_normal((5, 1))
-    v = rng.standard_normal((1, 7))
-    A = u @ v  # rank one
-    R, sigma = _jacobi_svd_left(A)
-    assert np.linalg.norm(R.T @ R - np.eye(5)) < 1e-12
-    assert sigma[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
-    assert np.max(sigma[1:]) < 1e-12 * sigma[0]
-
-
-@settings(max_examples=20, deadline=None)
-@given(hst.integers(2, 8), hst.integers(2, 12), hst.integers(0, 10 ** 6))
-def test_jacobi_svd_random(d, m, seed):
-    A = np.random.default_rng(seed).standard_normal((d, m))
-    R, sigma = _jacobi_svd_left(A)
-    s_ref = np.linalg.svd(A, compute_uv=False)
-    assert np.max(np.abs(sigma[: min(d, m)] - s_ref)) < 1e-11 * max(1.0, s_ref[0])
-    assert np.linalg.norm(R.T @ R - np.eye(d)) < 1e-11
+def test_psd_cotangent_lift_is_deterministic():
+    M = np.random.default_rng(2).standard_normal((40, 15))
+    assert psd_cotangent_lift(M, 5).data.tobytes() == psd_cotangent_lift(M, 5).data.tobytes()
 
 
 def test_psd_cotangent_lift_optimality():
@@ -126,7 +114,9 @@ def test_psd_cotangent_lift_warns_below_rank():
     u = np.random.default_rng(5).standard_normal((8, 1))
     M = np.hstack([u, 2 * u, -u])  # rank-1 snapshots, d = 4
     with pytest.warns(RuntimeWarning):
-        psd_cotangent_lift(M, 3)
+        X = psd_cotangent_lift(M, 3)
+    # the directions below rank are still an orthonormal completion
+    assert np.linalg.norm(X.data.T @ X.data - np.eye(3)) < 1e-12
 
 
 def test_psd_maps_consistency():
@@ -142,7 +132,8 @@ def test_psd_maps_consistency():
     batch = decode(encode(Xb))
     for j in range(3):
         assert np.linalg.norm(batch[:, j] - decode(encode(Xb[:, j]))) < 1e-13
-    D = jacobian(xr)
+    out, D = jacobian(xr)
+    assert np.array_equal(out, decode(xr))
     assert D.shape == (10, 4)
     # jacobian columns are exactly the decoder applied to basis vectors
     for j in range(4):
@@ -184,7 +175,7 @@ def test_reduced_field_matches_dense_j_products():
     for _ in range(5):
         xi = rng.standard_normal(2 * n)
         f = sys.vector_field(0.0, rom.reconstruct_state(xi))
-        oracle = -J2n @ jacobian(xi).T @ J2d @ f
+        oracle = -J2n @ jacobian(xi)[1].T @ J2d @ f
         assert np.linalg.norm(field(0.0, xi) - oracle) < 1e-11
     with pytest.raises(DimensionError):
         field(0.0, np.zeros(2 * n + 1))
@@ -230,7 +221,7 @@ def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
     rng = np.random.default_rng(14)
     for _ in range(5):
         xi = rom.x_r0 + rng.standard_normal(2 * n)
-        Dd = rom.decode_jacobian(xi)
+        _, Dd = rom.decode_jacobian(xi)
         oracle = -J2n @ Dd.T @ J2d @ Df @ Dd
         assert np.linalg.norm(jac(0.0, xi) - oracle) < 1e-12 * np.linalg.norm(oracle)
 
