@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionError
 from .integrators import OdeSystem
@@ -199,20 +200,18 @@ def sg_exact(bc, nu, t, xi):
     return u, u_t
 
 
-def sg_boundary_fns(model):
-    """phi(t) = u(t, a), psi(t) = u(t, b) from the exact solution."""
+def sg_boundary_values(model):
+    """t -> [u(t, a), u(t, b)] from the exact solution, in one sg_exact call."""
+    ends = np.array([model.a, model.b])
 
-    def phi(t):
-        return float(sg_exact(model.bc, model.nu, t, np.array([model.a]))[0][0])
+    def boundary(t):
+        return sg_exact(model.bc, model.nu, t, ends)[0]
 
-    def psi(t):
-        return float(sg_exact(model.bc, model.nu, t, np.array([model.b]))[0][0])
-
-    return phi, psi
+    return boundary
 
 
 def sg_vector_field(model):
-    phi, psi = sg_boundary_fns(model)
+    boundary = sg_boundary_values(model)
     L = model.L_mat
     h2 = model.h ** 2
 
@@ -220,9 +219,10 @@ def sg_vector_field(model):
         if len(x) != model.dim:
             raise DimensionError(f"state must have length {model.dim}")
         q, p = x[:model.N], x[model.N:]
+        phi, psi = boundary(t)
         f = np.sin(q)
-        f[0] -= phi(t) / h2
-        f[-1] -= psi(t) / h2
+        f[0] -= phi / h2
+        f[-1] -= psi / h2
         return np.concatenate([p, L @ q - f])
 
     return field
@@ -241,23 +241,45 @@ def sg_jacobian(model):
     return jac
 
 
+def sg_newton_solve(model):
+    """Banded solve of (I - tau/2 Df(x)) delta = r for the implicit midpoint step tau.
+
+    With Df = [[0, I], [S, 0]] and S = L - diag(cos q), eliminating delta_p
+    leaves the tridiagonal Schur complement (I - tau^2/4 S) delta_q =
+    r_q + tau/2 r_p; then delta_p = r_p + tau/2 S delta_q.  O(N) per solve.
+    """
+    N = model.N
+    off = 1.0 / model.h ** 2       # L's off-diagonal; its diagonal is -2 off
+
+    def solve(t, x, tau, r):
+        c = np.cos(x[:N])
+        r_q, r_p = r[:N], r[N:]
+        w = 0.25 * tau ** 2
+        ab = np.empty((3, N))
+        ab[0] = ab[2] = -w * off
+        ab[1] = 1.0 + w * (2.0 * off + c)
+        dq = scipy.linalg.solve_banded((1, 1), ab, r_q + 0.5 * tau * r_p, check_finite=False)
+        Sdq = -(2.0 * off + c) * dq
+        Sdq[1:] += off * dq[:-1]
+        Sdq[:-1] += off * dq[1:]
+        return np.concatenate([dq, r_p + 0.5 * tau * Sdq])
+
+    return solve
+
+
 def sg_hamiltonian(model):
     """Discrete sine-Gordon Hamiltonian including the boundary contributions."""
-    phi_f, psi_f = sg_boundary_fns(model)
+    boundary = sg_boundary_values(model)
     h, L = model.h, model.L_mat
-
-    def phi_t(t, eps=1e-6):
-        return (phi_f(t + eps) - phi_f(t - eps)) / (2 * eps)
-
-    def psi_t(t, eps=1e-6):
-        return (psi_f(t + eps) - psi_f(t - eps)) / (2 * eps)
+    eps = 1e-6  # central-difference step for the boundary velocities
 
     def H(x, t=0.0):
         q, p = x[:model.N], x[model.N:]
-        phi, psi = phi_f(t), psi_f(t)
+        phi, psi = boundary(t)
+        phi_t, psi_t = (boundary(t + eps) - boundary(t - eps)) / (2 * eps)
         val = -0.5 * h * (q @ L @ q) + 0.5 * h * (p @ p)
         val += 0.5 * h * ((-2 * q[0] * phi + phi ** 2 - 2 * q[-1] * psi + psi ** 2) / h ** 2)
-        val += 0.25 * h * (phi_t(t) ** 2 + psi_t(t) ** 2)
+        val += 0.25 * h * (phi_t ** 2 + psi_t ** 2)
         val += 0.5 * h * ((1 - np.cos(phi)) + (1 - np.cos(psi)))
         val += h * np.sum(1 - np.cos(q))
         return float(val)
@@ -277,6 +299,7 @@ def sg_system(model):
         vector_field=sg_vector_field(model),
         hamiltonian=sg_hamiltonian(model),
         jacobian=sg_jacobian(model),
+        newton_solve=sg_newton_solve(model),
     )
 
 

@@ -161,7 +161,7 @@ def _poisson_product(D, V):
     return rows @ rhs
 
 
-def reduced_vector_field(rom, fom_field, fom_dim):
+def reduced_vector_field(rom, fom_field):
     """xi' = -J_{2n} (Dd)^T J_{2d} f(x_ref + d(xi)), evaluated without J products."""
     n = rom.reduced_dim // 2
 
@@ -174,7 +174,7 @@ def reduced_vector_field(rom, fom_field, fom_dim):
     return field
 
 
-def reduced_jacobian(rom, fom_jacobian, fom_dim):
+def reduced_jacobian(rom, fom_jacobian):
     """Newton matrix -J_{2n} (Dd)^T J_{2d} Df(x_ref + d(xi)) Dd of the reduced field.
 
     Exact for a linear decoder.  For a nonlinear one it drops the curvature
@@ -192,10 +192,10 @@ def reduced_jacobian(rom, fom_jacobian, fom_dim):
 def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
     """Integrate the ROM; Newton falls back to finite differences only when
     the FOM has no Jacobian."""
-    field = reduced_vector_field(rom, fom_sys.vector_field, fom_sys.dim)
+    field = reduced_vector_field(rom, fom_sys.vector_field)
     jac = None
     if fom_sys.jacobian is not None:
-        jac = reduced_jacobian(rom, fom_sys.jacobian, fom_sys.dim)
+        jac = reduced_jacobian(rom, fom_sys.jacobian)
     reduced_sys = OdeSystem(dim=rom.reduced_dim, vector_field=field, jacobian=jac)
     return implicit_midpoint(reduced_sys, rom.x_r0, t0, t1, K, tol=tol)
 

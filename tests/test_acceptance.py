@@ -285,7 +285,7 @@ def test_acceptance_5_reduction_identities(capsys):
     recon = red.reconstruct(rom_sq, reduced)
     sq_err = np.max(np.abs(recon.states - fom.states)) / max(1.0, np.max(np.abs(fom.states)))
 
-    field = red.reduced_vector_field(rom, sys_w.vector_field, sys_w.dim)
+    field = red.reduced_vector_field(rom, sys_w.vector_field)
     n = 4
     J2d = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
     J2n = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sympmor.errors import DimensionError, IntegrationFailureError
 from sympmor.integrators import OdeSystem, Trajectory, _fd_jacobian, implicit_midpoint
@@ -105,3 +106,42 @@ def test_newton_failure_raises_with_step_index():
     with pytest.raises(IntegrationFailureError) as exc:
         implicit_midpoint(sys, np.array([1.0]), 0.0, 10.0, 2, max_newton=4)
     assert exc.value.step_index >= 0
+
+
+def test_newton_solve_hook_replaces_dense_solve():
+    field = lambda t, x: np.array([x[1], -np.sin(x[0])])
+    jac = lambda t, x: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]])
+    calls = []
+
+    def solve(t, x, h, r):
+        calls.append(t)
+        return np.linalg.solve(np.eye(2) - 0.5 * h * jac(t, x), r)
+
+    def no_jacobian(t, x):
+        raise AssertionError("the hook must replace the Jacobian")
+
+    x0 = np.array([2.0, 0.0])
+    hooked = implicit_midpoint(OdeSystem(2, field, jacobian=no_jacobian, newton_solve=solve),
+                               x0, 0.0, 5.0, 200)
+    dense = implicit_midpoint(OdeSystem(2, field, jacobian=jac), x0, 0.0, 5.0, 200)
+    assert len(calls) >= 200
+    assert np.array_equal(hooked.states, dense.states)
+
+
+def test_singular_newton_matrix_raises_integration_failure():
+    # f = (2/h) x makes I - h/2 Df exactly zero at the step size h = 1/2
+    h = 0.5
+    sys = OdeSystem(1, lambda t, x: 2.0 / h * x, jacobian=lambda t, x: np.array([[2.0 / h]]))
+    with pytest.raises(IntegrationFailureError, match="singular Newton matrix") as exc:
+        implicit_midpoint(sys, np.array([1.0]), 0.0, 2 * h, 2)
+    assert exc.value.step_index == 0
+
+
+def test_singular_banded_hook_raises_integration_failure():
+    def solve(t, x, h, r):
+        return scipy.linalg.solve_banded((1, 1), np.zeros((3, 2)), r, check_finite=False)
+
+    sys = OdeSystem(2, lambda t, x: x, newton_solve=solve)
+    with pytest.raises(IntegrationFailureError, match="singular Newton matrix") as exc:
+        implicit_midpoint(sys, np.ones(2), 0.0, 1.0, 4)
+    assert exc.value.step_index == 0

@@ -1,6 +1,8 @@
 """Hamiltonian testbeds: matrix stencils, initial data, exact solutions,
 conservation structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from sympmor.models import (
     SgKind,
     _bump,
     _bump_prime,
+    sg_boundary_values,
     sg_build,
     sg_exact,
     sg_hamiltonian,
     sg_initial,
     sg_jacobian,
+    sg_newton_solve,
     sg_residual_check,
     sg_system,
     wave_build,
@@ -194,3 +198,47 @@ def test_sg_hamiltonian_nearly_conserved():
     vals = [H(traj.states[:, k], t=traj.times[k]) for k in range(0, 201, 20)]
     spread = max(vals) - min(vals)
     assert spread < 1e-3 * max(1.0, abs(vals[0]))
+
+
+def test_sg_boundary_values_match_single_point_calls():
+    rng = np.random.default_rng(5)
+    for bc in SgKind:
+        for _ in range(50):
+            nu, t = rng.uniform(-0.95, 0.95), rng.uniform(-3.0, 3.0)
+            model = sg_build(4, nu, a=-10.0, b=10.0, bc=bc)
+            single = [sg_exact(bc, nu, t, np.array([end]))[0][0] for end in (model.a, model.b)]
+            assert np.allclose(sg_boundary_values(model)(t), single, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 64])
+def test_sg_newton_solve_matches_dense_solve(N):
+    model = sg_build(N, nu=0.4, a=-5.0, b=5.0, bc=SgKind.SingleSoliton)
+    solve = sg_newton_solve(model)
+    jac = sg_jacobian(model)
+    rng = np.random.default_rng(N)
+    for tau in (1e-3, 0.02, 0.5):
+        x = 3.0 * rng.standard_normal(model.dim)
+        r = rng.standard_normal(model.dim)
+        dense = np.linalg.solve(np.eye(model.dim) - 0.5 * tau * jac(0.3, x), r)
+        assert np.linalg.norm(solve(0.3, x, tau, r) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.35, 0.6])
+def test_sg_banded_fom_matches_dense_fom(nu):
+    model = sg_build(200, nu, a=-10.0, b=10.0, bc=SgKind.SingleSoliton)
+    sys = sg_system(model)
+    assert sys.newton_solve is not None
+    calls = {"banded": 0, "dense": 0}
+
+    def counted(key):
+        def field(t, x):
+            calls[key] += 1
+            return sys.vector_field(t, x)
+        return field
+
+    banded = dataclasses.replace(sys, vector_field=counted("banded"))
+    dense = dataclasses.replace(sys, vector_field=counted("dense"), newton_solve=None)
+    a = implicit_midpoint(banded, sg_initial(model), 0.0, 1.0, 50)
+    b = implicit_midpoint(dense, sg_initial(model), 0.0, 1.0, 50)
+    assert np.linalg.norm(a.states - b.states) <= 1e-12 * np.linalg.norm(b.states)
+    assert calls["banded"] == calls["dense"]

@@ -167,7 +167,7 @@ def test_reduced_field_matches_dense_j_products():
     encode, decode, jacobian = psd_maps(X)
     x0 = wave_initial(6, 0.25)
     rom = build_rom(encode, decode, jacobian, x0, use_ref=True, normalized=True)
-    field = reduced_vector_field(rom, sys.vector_field, sys.dim)
+    field = reduced_vector_field(rom, sys.vector_field)
     d = sys.dim // 2
     n = 3
     J2d, J2n = _dense_j(d), _dense_j(n)
@@ -203,8 +203,8 @@ def test_reduced_jacobian_psd_matches_fd():
     fom = implicit_midpoint(sys, x0, 0.0, 1.0, 10)
     encode, decode, jacobian = psd_maps(psd_cotangent_lift(fom.states, 3))
     rom = build_rom(encode, decode, jacobian, x0, use_ref=False, normalized=False)
-    field = reduced_vector_field(rom, sys.vector_field, sys.dim)
-    jac = reduced_jacobian(rom, sys.jacobian, sys.dim)
+    field = reduced_vector_field(rom, sys.vector_field)
+    jac = reduced_jacobian(rom, sys.jacobian)
     rng = np.random.default_rng(13)
     for _ in range(5):
         xi = rom.x_r0 + 0.5 * rng.standard_normal(6)
@@ -217,7 +217,7 @@ def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
     d, n = sys.dim // 2, 2
     J2d, J2n = _dense_j(d), _dense_j(n)
     Df = sys.linear_matrix
-    jac = reduced_jacobian(rom, sys.jacobian, sys.dim)
+    jac = reduced_jacobian(rom, sys.jacobian)
     rng = np.random.default_rng(14)
     for _ in range(5):
         xi = rom.x_r0 + rng.standard_normal(2 * n)
