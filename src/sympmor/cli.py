@@ -227,7 +227,7 @@ def speed_test(pairs, optimizers=("homogeneous", "stiefel_decay"), seed=0):
                     state["X"] = opt.homogeneous_psd_update(
                         hyper, cache, state["X"], egrad, seed=hyper.t)
             else:
-                decay = 0.9995 if name.endswith("decay") else None
+                decay = opt.ETA_DECAY if name.endswith("decay") else None
                 hyper = opt.AdamHyper(decay=decay)
                 cache = opt.StiefelAdamCache(X)
                 state = {"X": X}

@@ -5,17 +5,16 @@ and lambda in O(N).  A section lambda_E(X) = [X, lambda_bar] maps a point into
 the group; tangent vectors lift to the fixed horizontal space g^{hor,E} of
 skew N x N matrices [[W, -C^T], [C, 0]], stored compactly as the one N x n
 array [W; C] = [X | lambda_bar]^T Z.  Retraction back to the manifold goes
-through the Cayley transform of the horizontal element, evaluated with the
-same SMW trick used on the manifold directly.
+through the Cayley transform of the horizontal element, evaluated by the
+same SMW kernel (``stiefel._cayley_apply``) the manifold retraction uses.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, SectionDegenerateError
-from .stiefel import StiefelPoint, _smw_core, skew
+from .stiefel import StiefelPoint, _cayley_apply, skew
 
 
 @dataclass(frozen=True)
@@ -63,15 +62,6 @@ def section_qr(X, seed):
     return OrthoSection(base=X, complement=Q)
 
 
-def lift_omega(X, Z):
-    """Dense lift Omega_X(Z) = (I - XX^T/2) Z X^T - X Z^T (I - XX^T/2); test-only path."""
-    Z.require_anchor(X)
-    A, B = X.data, Z.data
-    half = B - 0.5 * A @ (A.T @ B)
-    M = half @ A.T
-    return M - M.T
-
-
 def lift_to_global(section, Z):
     """Blocks [W; C] of lambda^{-1} Omega_X(Z) lambda: W = X^T Z, C = lambda_bar^T Z."""
     Z.require_anchor(section.base)
@@ -81,31 +71,21 @@ def lift_to_global(section, Z):
 def retract_global(section, V):
     """Retract lambda_E(X) cay(M/2) E for the horizontal blocks V = [W; C] (M its dense form).
 
-    Uses the factorization M = U' V' with U' = [[W, -I], [C, 0]],
-    V' = [[I, 0], [0, C^T]] and the SMW right-multiplication identity; the
-    only dense solve is 2n x 2n and no N x N matrix appears.
+    M = U' V' with U' = [[W, -I], [C, 0]] and V' = [[I, 0], [0, C^T]], so
+    cay(M/2) E comes from the manifold's SMW kernel; the only dense solve is
+    2n x 2n and no N x N matrix appears.
     """
     X = section.base
     N, n = X.shape
-    C = V[n:]
 
     Up = np.zeros((N, 2 * n))
     Up[:, :n] = V
     Up[:n, n:] = -np.eye(n)
     Vp = np.zeros((2 * n, N))
     Vp[:n, :n] = np.eye(n)
-    Vp[n:, n:] = C.T
+    Vp[n:, n:] = V[n:].T
 
-    lu, piv = _smw_core(Up, Vp)
-    # E = [I_n; 0] so V' E = [I_n; 0] (2n x n)
-    VpE = np.zeros((2 * n, n))
-    VpE[:n] = np.eye(n)
-    rhs = VpE + 0.5 * (Vp @ Up) @ VpE
-    coeff = scipy.linalg.lu_solve((lu, piv), rhs)
-    # cay(M/2) E = E + U'(V'E)/2 + U' (I - V'U'/2)^{-1} (V'E + V'U'(V'E)/2) / 2
-    out = np.zeros((N, n))
-    out[:n] = np.eye(n)
-    out += 0.5 * Up @ VpE + 0.5 * Up @ coeff
+    out = _cayley_apply(Up, Vp, np.eye(N, n))
     # left-multiply by lambda = [X | lambda_bar] without assembling it
     full = X.data @ out[:n] + section.complement @ out[n:]
     return StiefelPoint(full, check=False).renormalized()

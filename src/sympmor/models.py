@@ -42,38 +42,31 @@ def wave_build(N, mu, a=-0.5, b=0.5):
         raise DimensionError("need N >= 1 and mu > 0")
     h = (b - a) / (N + 1)
     m = N + 2
-    K = np.zeros((m, m))
     diag = np.full(m, 0.75)
     diag[0] = diag[-1] = 0.25
-    np.fill_diagonal(K, diag)
-    for i in range(m - 1):
-        # off-diagonals are -1/2 except in the first and last rows
-        if i not in (0,):
-            K[i, i + 1] = -0.5
-        if i + 1 != m - 1:
-            K[i + 1, i] = -0.5
-    K[0, 1] = 0.0
-    K[m - 1, m - 2] = 0.0
-    K *= mu ** 2 / h
+    # off-diagonals are -1/2 except in the first and last rows
+    upper = np.full(m - 1, -0.5)
+    upper[0] = 0.0
+    lower = np.full(m - 1, -0.5)
+    lower[-1] = 0.0
+    K = (np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)) * (mu ** 2 / h)
     xi = np.linspace(a, b, m)
     return WaveModel(N=N, mu=mu, h=h, K_mat=K, xi=xi)
 
 
 def wave_vector_field(model):
-    m = model.N + 2
-    S = -(model.K_mat + model.K_mat.T) / model.h
+    A = wave_linear_matrix(model)
 
     def field(t, x):
-        if len(x) != 2 * m:
-            raise DimensionError(f"state must have length {2 * m}")
-        q, p = x[:m], x[m:]
-        return np.concatenate([p, S @ q])
+        if len(x) != model.dim:
+            raise DimensionError(f"state must have length {model.dim}")
+        return A @ x
 
     return field
 
 
 def wave_linear_matrix(model):
-    """Dense A with field(x) = A x; enables the cached-factorization fast path."""
+    """Dense A with field(x) = A x: the one assembly of the wave operator."""
     m = model.N + 2
     A = np.zeros((2 * m, 2 * m))
     A[:m, m:] = np.eye(m)
@@ -152,7 +145,6 @@ class SineGordonModel:
     a: float
     b: float
     h: float
-    L_mat: np.ndarray
     bc: SgKind
 
     @property
@@ -171,13 +163,15 @@ def sg_build(N, nu, a, b, bc):
     if N < 1 or b <= a:
         raise DimensionError("need N >= 1 and b > a")
     h = (b - a) / (N + 1)
-    L = np.zeros((N, N))
-    np.fill_diagonal(L, -2.0)
-    idx = np.arange(N - 1)
-    L[idx, idx + 1] = 1.0
-    L[idx + 1, idx] = 1.0
-    L /= h ** 2
-    return SineGordonModel(N=N, nu=nu, a=a, b=b, h=h, L_mat=L, bc=bc)
+    return SineGordonModel(N=N, nu=nu, a=a, b=b, h=h, bc=bc)
+
+
+def sg_laplacian(q, h):
+    """Apply L = tridiag(1, -2, 1)/h^2 to q; the callers add the boundary terms."""
+    Lq = -2.0 * q
+    Lq[1:] += q[:-1]
+    Lq[:-1] += q[1:]
+    return Lq / h ** 2
 
 
 def sg_exact(bc, nu, t, xi):
@@ -201,41 +195,44 @@ def sg_exact(bc, nu, t, xi):
 
 
 def sg_boundary_values(model):
-    """t -> [u(t, a), u(t, b)] from the exact solution, in one sg_exact call."""
+    """t -> ([u(t, a), u(t, b)], [u_t(t, a), u_t(t, b)]) from one sg_exact call."""
     ends = np.array([model.a, model.b])
 
     def boundary(t):
-        return sg_exact(model.bc, model.nu, t, ends)[0]
+        return sg_exact(model.bc, model.nu, t, ends)
 
     return boundary
 
 
 def sg_vector_field(model):
     boundary = sg_boundary_values(model)
-    L = model.L_mat
-    h2 = model.h ** 2
+    h = model.h
 
     def field(t, x):
         if len(x) != model.dim:
             raise DimensionError(f"state must have length {model.dim}")
         q, p = x[:model.N], x[model.N:]
-        phi, psi = boundary(t)
+        (phi, psi), _ = boundary(t)
         f = np.sin(q)
-        f[0] -= phi / h2
-        f[-1] -= psi / h2
-        return np.concatenate([p, L @ q - f])
+        f[0] -= phi / h ** 2
+        f[-1] -= psi / h ** 2
+        return np.concatenate([p, sg_laplacian(q, h) - f])
 
     return field
 
 
 def sg_jacobian(model):
-    L = model.L_mat
+    """Dense Df = [[0, I], [L - diag(cos q), 0]], its bands written by index."""
+    N = model.N
+    off = 1.0 / model.h ** 2       # L's off-diagonal; its diagonal is -2 off
+    idx = np.arange(N)
 
     def jac(t, x):
-        q = x[:model.N]
-        J = np.zeros((model.dim, model.dim))
-        J[:model.N, model.N:] = np.eye(model.N)
-        J[model.N:, :model.N] = L - np.diag(np.cos(q))
+        J = np.zeros((2 * N, 2 * N))
+        J[idx, N + idx] = 1.0
+        J[N + idx, idx] = -2.0 * off - np.cos(x[:N])
+        J[N + idx[1:], idx[:-1]] = off
+        J[N + idx[:-1], idx[1:]] = off
         return J
 
     return jac
@@ -259,9 +256,7 @@ def sg_newton_solve(model):
         ab[0] = ab[2] = -w * off
         ab[1] = 1.0 + w * (2.0 * off + c)
         dq = scipy.linalg.solve_banded((1, 1), ab, r_q + 0.5 * tau * r_p, check_finite=False)
-        Sdq = -(2.0 * off + c) * dq
-        Sdq[1:] += off * dq[:-1]
-        Sdq[:-1] += off * dq[1:]
+        Sdq = sg_laplacian(dq, model.h) - c * dq
         return np.concatenate([dq, r_p + 0.5 * tau * Sdq])
 
     return solve
@@ -270,14 +265,12 @@ def sg_newton_solve(model):
 def sg_hamiltonian(model):
     """Discrete sine-Gordon Hamiltonian including the boundary contributions."""
     boundary = sg_boundary_values(model)
-    h, L = model.h, model.L_mat
-    eps = 1e-6  # central-difference step for the boundary velocities
+    h = model.h
 
     def H(x, t=0.0):
         q, p = x[:model.N], x[model.N:]
-        phi, psi = boundary(t)
-        phi_t, psi_t = (boundary(t + eps) - boundary(t - eps)) / (2 * eps)
-        val = -0.5 * h * (q @ L @ q) + 0.5 * h * (p @ p)
+        (phi, psi), (phi_t, psi_t) = boundary(t)
+        val = -0.5 * h * (q @ sg_laplacian(q, h)) + 0.5 * h * (p @ p)
         val += 0.5 * h * ((-2 * q[0] * phi + phi ** 2 - 2 * q[-1] * psi + psi ** 2) / h ** 2)
         val += 0.25 * h * (phi_t ** 2 + psi_t ** 2)
         val += 0.5 * h * ((1 - np.cos(phi)) + (1 - np.cos(psi)))
@@ -301,20 +294,3 @@ def sg_system(model):
         jacobian=sg_jacobian(model),
         newton_solve=sg_newton_solve(model),
     )
-
-
-def sg_residual_check(bc, nu, t_grid, xi_grid):
-    """Max finite-difference residual of u_tt - u_xx + sin(u) for the exact solution.
-
-    Used as a test oracle; the residual is O(tau^2 + h^2) for the interior of
-    the grids.
-    """
-    U = np.empty((len(t_grid), len(xi_grid)))
-    for i, t in enumerate(t_grid):
-        U[i] = sg_exact(bc, nu, t, xi_grid)[0]
-    tau = t_grid[1] - t_grid[0]
-    h = xi_grid[1] - xi_grid[0]
-    utt = (U[2:, 1:-1] - 2 * U[1:-1, 1:-1] + U[:-2, 1:-1]) / tau ** 2
-    uxx = (U[1:-1, 2:] - 2 * U[1:-1, 1:-1] + U[1:-1, :-2]) / h ** 2
-    res = utt - uxx + np.sin(U[1:-1, 1:-1])
-    return float(np.max(np.abs(res)))

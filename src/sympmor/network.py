@@ -174,6 +174,16 @@ class PSDLayer:
         return self.forward(dx)[0] if dx.shape[0] == self.in_dim else None
 
 
+def _run_layers(layers, x):
+    """Apply layers in order to a state vector or to the columns of a batch."""
+    single = x.ndim == 1
+    if single:
+        x = x[:, None]
+    for layer in layers:
+        x, _ = layer.forward(x)
+    return x[:, 0] if single else x
+
+
 @dataclass
 class Network:
     layers: list
@@ -192,20 +202,10 @@ class Network:
         return x, tape
 
     def encode(self, x):
-        single = x.ndim == 1
-        if single:
-            x = x[:, None]
-        for layer in self.layers[: self.encoder_len]:
-            x, _ = layer.forward(x)
-        return x[:, 0] if single else x
+        return _run_layers(self.layers[: self.encoder_len], x)
 
     def decode(self, xr):
-        single = xr.ndim == 1
-        if single:
-            xr = xr[:, None]
-        for layer in self.layers[self.encoder_len:]:
-            xr, _ = layer.forward(xr)
-        return xr[:, 0] if single else xr
+        return _run_layers(self.layers[self.encoder_len:], xr)
 
     def decoder_jacobian(self, x_r):
         """(d(x_r), Dd(x_r)): the decoded state and the exact decoder Jacobian,
@@ -302,7 +302,7 @@ class Trainer:
         self.config = config
         if config.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {config.optimizer!r}")
-        decay = 0.9995 if config.optimizer == "stiefel_decay" else None
+        decay = opt.ETA_DECAY if config.optimizer == "stiefel_decay" else None
         self.hyper = opt.AdamHyper(eta=config.eta, decay=decay)
         self.states = [self._state(layer) for layer in net.layers]
         self.step_index = 0

@@ -23,6 +23,8 @@ from . import stiefel as st
 from .homogeneous import horizontal_pointwise, lift_to_global, retract_global, section_qr
 from .stiefel import MetricKind, TangentVector
 
+ETA_DECAY = 0.9995   # per-step eta factor of the decaying optimizers (stiefel_decay)
+
 
 @dataclass
 class AdamHyper:
@@ -30,7 +32,7 @@ class AdamHyper:
     beta1: float = 0.9
     beta2: float = 0.99
     delta: float = 1e-8
-    decay: float | None = None  # 0.9995 when enabled
+    decay: float | None = None  # ETA_DECAY when enabled
     t: int = 1
     beta1_t: float = field(default=None)
     beta2_t: float = field(default=None)

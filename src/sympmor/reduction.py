@@ -31,11 +31,6 @@ class SnapshotSet:
         if self.data.shape[1] != len(self.params) * (self.K + 1):
             raise DimensionError("column count must equal n_params * (K+1)")
 
-    def block(self, j):
-        """Columns belonging to parameter j."""
-        w = self.K + 1
-        return self.data[:, j * w:(j + 1) * w]
-
 
 def normalize_snapshots(raw):
     """Subtract each parameter's initial state from its block of columns."""
@@ -50,17 +45,6 @@ def normalize_snapshots(raw):
         data[:, j * w:(j + 1) * w] -= x0[:, None]
     return SnapshotSet(data=data, params=list(raw.params), K=raw.K, t0=raw.t0,
                        t1=raw.t1, normalized=True, initial_states=inits)
-
-
-def denormalize_snapshots(norm):
-    if not norm.normalized:
-        raise SympmorError("snapshot set is not normalized")
-    w = norm.K + 1
-    data = norm.data.copy()
-    for j in range(len(norm.params)):
-        data[:, j * w:(j + 1) * w] += norm.initial_states[:, j][:, None]
-    return SnapshotSet(data=data, params=list(norm.params), K=norm.K, t0=norm.t0,
-                       t1=norm.t1, normalized=False, initial_states=None)
 
 
 def psd_cotangent_lift(M, n):
@@ -220,10 +204,7 @@ def reduction_error(variant, exact, rom, reduced):
         recon = recon + rom.x_ref[:, None]
     elif variant != "no_ref":
         raise SympmorError(f"unknown variant {variant!r}")
-    denom = np.sum(exact.states ** 2)
-    if denom == 0:
-        raise SympmorError("zero-norm exact trajectory")
-    return float(np.sqrt(np.sum((recon - exact.states) ** 2) / denom))
+    return _relative_error(recon, exact.states)
 
 
 def projection_error(variant, exact, encode, decode, x_ref=None):
@@ -237,6 +218,11 @@ def projection_error(variant, exact, encode, decode, x_ref=None):
         recon = x_ref[:, None] + decode(encode(X - x_ref[:, None]))
     else:
         raise SympmorError(f"unknown variant {variant!r}")
+    return _relative_error(recon, X)
+
+
+def _relative_error(recon, X):
+    """||recon - X||_F / ||X||_F over a whole trajectory."""
     denom = np.sum(X ** 2)
     if denom == 0:
         raise SympmorError("zero-norm exact trajectory")

@@ -36,6 +36,14 @@ def skew(M):
     return (M - M.T) / 2.0
 
 
+def _qr_orthonormal(A):
+    """Thin-QR factor Q of A with the sign ambiguity fixed (diag R >= 0), so Q stays close to A."""
+    Q, R = np.linalg.qr(A)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return Q * signs
+
+
 class StiefelPoint:
     """A point on St(n, N): an N x n matrix with orthonormal columns."""
 
@@ -81,11 +89,7 @@ class StiefelPoint:
             f"Stiefel iterate drifted off the manifold (residual {res:.3e}); re-orthonormalizing",
             RuntimeWarning,
         )
-        Q, R = np.linalg.qr(self.data)
-        # fix QR sign ambiguity so the result stays close to the input
-        signs = np.sign(np.diag(R))
-        signs[signs == 0] = 1.0
-        return StiefelPoint(Q * signs)
+        return StiefelPoint(_qr_orthonormal(self.data))
 
     def same_point(self, other):
         return self.shape == other.shape and np.array_equal(self.data, other.data)
@@ -127,11 +131,7 @@ def random_stiefel(N, n, seed):
     if N < n:
         raise DimensionError(f"need N >= n, got ({N}, {n})")
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((N, n))
-    Q, R = np.linalg.qr(A)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return StiefelPoint(Q * signs)
+    return StiefelPoint(_qr_orthonormal(rng.standard_normal((N, n))))
 
 
 def project_tangent(X, Y):

@@ -7,7 +7,6 @@ from sympmor.errors import DimensionError
 from sympmor.homogeneous import (
     OrthoSection,
     horizontal_pointwise,
-    lift_omega,
     lift_to_global,
     retract_global,
     section_qr,
@@ -19,6 +18,15 @@ from sympmor.stiefel import StiefelPoint, cayley_retract, project_tangent, rando
 def rand_tangent(X, seed):
     rng = np.random.default_rng(seed)
     return project_tangent(X, rng.standard_normal(X.shape))
+
+
+def lift_omega(X, Z):
+    """Dense lift Omega_X(Z) = (I - XX^T/2) Z X^T - X Z^T (I - XX^T/2); test-only path."""
+    Z.require_anchor(X)
+    A, B = X.data, Z.data
+    half = B - 0.5 * A @ (A.T @ B)
+    M = half @ A.T
+    return M - M.T
 
 
 def dense(V):

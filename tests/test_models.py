@@ -18,8 +18,8 @@ from sympmor.models import (
     sg_hamiltonian,
     sg_initial,
     sg_jacobian,
+    sg_laplacian,
     sg_newton_solve,
-    sg_residual_check,
     sg_system,
     wave_build,
     wave_hamiltonian,
@@ -30,6 +30,29 @@ from sympmor.models import (
 )
 
 
+def sg_residual_check(bc, nu, t_grid, xi_grid):
+    """Max finite-difference residual of u_tt - u_xx + sin(u) for the exact solution.
+
+    Used as a test oracle; the residual is O(tau^2 + h^2) for the interior of
+    the grids.
+    """
+    U = np.empty((len(t_grid), len(xi_grid)))
+    for i, t in enumerate(t_grid):
+        U[i] = sg_exact(bc, nu, t, xi_grid)[0]
+    tau = t_grid[1] - t_grid[0]
+    h = xi_grid[1] - xi_grid[0]
+    utt = (U[2:, 1:-1] - 2 * U[1:-1, 1:-1] + U[:-2, 1:-1]) / tau ** 2
+    uxx = (U[1:-1, 2:] - 2 * U[1:-1, 1:-1] + U[1:-1, :-2]) / h ** 2
+    res = utt - uxx + np.sin(U[1:-1, 1:-1])
+    return float(np.max(np.abs(res)))
+
+
+def dense_laplacian(N, h):
+    """tridiag(1, -2, 1)/h^2 as a dense N x N matrix, built independently of the model."""
+    return (np.diag(np.full(N, -2.0)) + np.diag(np.ones(N - 1), 1)
+            + np.diag(np.ones(N - 1), -1)) / h ** 2
+
+
 def test_wave_build_stencil():
     model = wave_build(3, mu=2.0)  # m = 5, h = 1/4
     K = model.K_mat * model.h / model.mu ** 2  # strip the prefactor
@@ -37,6 +60,7 @@ def test_wave_build_stencil():
     assert K[0, 1] == 0.0 and K[4, 3] == 0.0
     assert K[1, 0] == -0.5 and K[1, 2] == -0.5
     assert K[2, 1] == -0.5 and K[3, 4] == -0.5
+    assert np.count_nonzero(K) == 11 and np.count_nonzero(np.triu(K, 2) + np.tril(K, -2)) == 0
     assert model.h == pytest.approx(0.25)
     assert model.dim == 10
     assert np.allclose(model.xi, np.linspace(-0.5, 0.5, 5))
@@ -130,9 +154,11 @@ def test_wave_hamiltonian_drift_small_mu():
 def test_sg_build():
     model = sg_build(4, nu=0.5, a=-1.0, b=1.0, bc=SgKind.SingleSoliton)
     assert model.h == pytest.approx(0.4)
-    L = model.L_mat * model.h ** 2
+    # the stencil applied to the unit vectors gives the columns of L
+    L = np.column_stack([sg_laplacian(e, model.h) for e in np.eye(4)]) * model.h ** 2
     assert np.allclose(np.diag(L), -2.0)
     assert L[0, 1] == 1.0 and L[1, 0] == 1.0 and L[0, 2] == 0.0
+    assert np.array_equal(L, L.T) and np.count_nonzero(L) == 10
     assert model.dim == 8
     assert np.allclose(model.xi, [-0.6, -0.2, 0.2, 0.6])
     with pytest.raises(DimensionError):
@@ -180,6 +206,16 @@ def test_sg_jacobian_matches_fd():
     assert np.linalg.norm(J - fd) < 1e-6
 
 
+def test_sg_jacobian_lower_block_is_dense_oracle():
+    for N in (1, 2, 9):
+        model = sg_build(N, nu=0.3, a=-4.0, b=4.0, bc=SgKind.Doublets)
+        x = 2.0 * np.random.default_rng(N).standard_normal(model.dim)
+        J = sg_jacobian(model)(0.1, x)
+        assert np.array_equal(J[N:, :N], dense_laplacian(N, model.h) - np.diag(np.cos(x[:N])))
+        assert np.array_equal(J[:N, N:], np.eye(N))
+        assert not J[:N, :N].any() and not J[N:, N:].any()
+
+
 def test_sg_integration_tracks_exact_solution():
     model = sg_build(64, nu=0.5, a=-10.0, b=10.0, bc=SgKind.SingleSoliton)
     sys = sg_system(model)
@@ -206,8 +242,27 @@ def test_sg_boundary_values_match_single_point_calls():
         for _ in range(50):
             nu, t = rng.uniform(-0.95, 0.95), rng.uniform(-3.0, 3.0)
             model = sg_build(4, nu, a=-10.0, b=10.0, bc=bc)
-            single = [sg_exact(bc, nu, t, np.array([end]))[0][0] for end in (model.a, model.b)]
-            assert np.allclose(sg_boundary_values(model)(t), single, rtol=1e-15, atol=0.0)
+            u, u_t = sg_boundary_values(model)(t)
+            single = [sg_exact(bc, nu, t, np.array([end])) for end in (model.a, model.b)]
+            assert np.allclose(u, [s[0][0] for s in single], rtol=1e-15, atol=0.0)
+            assert np.allclose(u_t, [s[1][0] for s in single], rtol=1e-15, atol=0.0)
+
+
+def test_sg_hamiltonian_boundary_velocity_term():
+    # the boundary velocities enter H as h/4 (phi_t^2 + psi_t^2) with the
+    # closed-form u_t; a central difference in t misses by 1e-13 to 1e-12 here
+    for bc in SgKind:
+        model = sg_build(5, nu=0.6, a=-1.5, b=1.5, bc=bc)
+        x = np.random.default_rng(2).standard_normal(model.dim)
+        q, p, h, t = x[:5], x[5:], model.h, 0.7
+        (phi, psi), (phi_t, psi_t) = sg_exact(bc, 0.6, t, np.array([model.a, model.b]))
+        expected = (-0.5 * h * q @ dense_laplacian(5, h) @ q + 0.5 * h * p @ p
+                    + 0.5 * h * (-2 * q[0] * phi + phi ** 2 - 2 * q[-1] * psi + psi ** 2) / h ** 2
+                    + 0.25 * h * (phi_t ** 2 + psi_t ** 2)
+                    + 0.5 * h * ((1 - np.cos(phi)) + (1 - np.cos(psi)))
+                    + h * np.sum(1 - np.cos(q)))
+        assert abs(phi_t) > 0.1 or abs(psi_t) > 0.1
+        assert sg_hamiltonian(model)(x, t=t) == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 64])

