@@ -64,19 +64,13 @@ def train_run(cfg, snapshots, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     data = snapshots.data
     full_dim = data.shape[0]
+    train = net.train_epochwise if cfg.epochwise else net.train_noepoch
     summaries = {}
     for n in cfg.n_range:
         t_start = time.perf_counter()
         network = net.build_network(full_dim, 2 * n, seed=cfg.seed)
-        trainer = net.Trainer(network, net.OptimizerConfig(
-            optimizer=cfg.optimizer, metric=cfg.metric, transport=cfg.transport,
-            eta=cfg.eta, run_seed=cfg.seed))
-        if cfg.epochwise:
-            losses = net.train_epochwise(trainer, data, cfg.batch_size,
-                                         cfg.n_epochs, cfg.loss, seed=cfg.seed + 1)
-        else:
-            losses = net.train_noepoch(trainer, data, cfg.batch_size,
-                                       cfg.n_epochs, cfg.loss, seed=cfg.seed + 1)
+        losses = train(net.Trainer(network, cfg), data, cfg.batch_size, cfg.n_epochs,
+                       cfg.loss, seed=cfg.seed + 1)
         wall = time.perf_counter() - t_start
         with open(out_dir / f"losses_n{n}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -212,30 +206,19 @@ def _parse_pairs(text):
 
 
 def speed_test(pairs, optimizers=("homogeneous", "stiefel_decay"), seed=0):
-    """Timing rows (optimizer, N, n, seconds); one warm-up step before the median of 5."""
+    """Timing rows (optimizer, N, n, seconds); one warm-up step before the median of 5.
+    Steps at eta = 0.001, canonical metric, submanifold transport."""
     rows = []
     for N, n in pairs:
         egrad = np.ones((N, n))
         for name in optimizers:
             X = st.random_stiefel(N, n, seed)
-            if name == "homogeneous":
-                hyper = opt.AdamHyper()
-                cache = opt.HomogeneousAdamCache(N, n)
-                state = {"X": X}
+            hyper, cache = opt.psd_state(name, X, eta=0.001)
+            state = {"X": X}
 
-                def step(state=state, hyper=hyper, cache=cache):
-                    state["X"] = opt.homogeneous_psd_update(
-                        hyper, cache, state["X"], egrad, seed=hyper.t)
-            else:
-                decay = opt.ETA_DECAY if name.endswith("decay") else None
-                hyper = opt.AdamHyper(decay=decay)
-                cache = opt.StiefelAdamCache(X)
-                state = {"X": X}
-
-                def step(state=state, hyper=hyper, cache=cache):
-                    state["X"] = opt.stiefel_psd_update(
-                        hyper, cache, state["X"], egrad,
-                        MetricKind.Canonical, TransportKind.Submanifold)
+            def step(state=state, hyper=hyper, cache=cache):
+                state["X"] = opt.psd_update(hyper, cache, state["X"], egrad, hyper.t,
+                                            MetricKind.Canonical, TransportKind.Submanifold)
             step()  # warm-up, excluded from the median
             rows.append([name, N, n, _time_median(step)])
     return rows

@@ -6,14 +6,15 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .models import SG_MODELS
-from .network import OPTIMIZERS, LossKind
+from .network import LossKind
+from .optimizers import PSD_OPTIMIZERS
 from .stiefel import MetricKind, TransportKind
 
 # Upper bound on n_params: each training parameter costs one full-order solve.
 MAX_PARAMS = 10_000
 
 # variant -> (epochwise, normalized, loss, optimizer, metric, transport)
-# optimizer: 'homogeneous', 'stiefel', 'stiefel_decay'
+# optimizer: a key of optimizers.PSD_OPTIMIZERS
 VARIANTS = {
     "V1": (False, False, LossKind.Relative, "homogeneous", None, None),
     "V2": (True, False, LossKind.Relative, "homogeneous", None, None),
@@ -47,7 +48,7 @@ class RunConfig:
     loss: LossKind = LossKind.Relative
     epochwise: bool = True
     normalized: bool = True
-    optimizer: str = "homogeneous"     # homogeneous | stiefel | stiefel_decay
+    optimizer: str = "homogeneous"     # a key of optimizers.PSD_OPTIMIZERS
     metric: MetricKind = MetricKind.Canonical
     transport: TransportKind = TransportKind.Submanifold
     t0: float = 0.0
@@ -63,8 +64,13 @@ class RunConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.model == "wave" and (self.t0, self.t1, self.a, self.b) != (0.0, 1.0, -0.5, 0.5):
             raise ConfigError("wave model fixes I=[0,1], Omega=[-1/2,1/2]")
-        if self.optimizer not in OPTIMIZERS:
+        if self.optimizer not in PSD_OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        sizes = {"n_epochs": self.n_epochs, "batch_size": self.batch_size,
+                 "time_steps": self.time_steps, "n_range": min(self.n_range, default=0)}
+        for key, size in sizes.items():
+            if size < 1:
+                raise ConfigError(f"{key} = {getattr(self, key)} must be positive")
         if not self.params:
             raise ConfigError("no training parameters")
         return self
@@ -88,8 +94,12 @@ def _float(text):
     return value
 
 
-def _parse_list(text):
-    return [_float(v) for v in text.replace(",", " ").split()]
+def _parse_list(text, parse=_float):
+    return [parse(v) for v in text.replace(",", " ").split()]
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_ENUMS = {"loss": LossKind, "metric": MetricKind, "transport": TransportKind}
 
 
 def load_config(path):
@@ -120,7 +130,7 @@ def load_config(path):
             elif key in ("N", "n_epochs", "batch_size", "time_steps", "seed"):
                 setattr(cfg, key, int(value))
             elif key == "n_range":
-                cfg.n_range = [int(v) for v in _parse_list(value)]
+                cfg.n_range = _parse_list(value, int)
             elif key in ("mu_list", "nu_list", "params"):
                 cfg.params = _parse_list(value)
             elif key in ("mu_left", "mu_right"):
@@ -129,24 +139,17 @@ def load_config(path):
                 span[key] = int(value)
             elif key in ("testing", "testing_params"):
                 cfg.testing_params = _parse_list(value)
-            elif key == "loss":
-                cfg.loss = LossKind.Relative if value.lower().startswith("rel") else LossKind.ScaledMSE
-            elif key == "epochwise":
-                cfg.epochwise = value.lower() in ("1", "true", "yes")
-            elif key == "normalized":
-                cfg.normalized = value.lower() in ("1", "true", "yes")
+            elif key in _ENUMS:
+                setattr(cfg, key, _ENUMS[key](value.lower()))
+            elif key in ("epochwise", "normalized"):
+                setattr(cfg, key, _BOOLS[value.lower()])
             elif key == "optimizer":
                 cfg.optimizer = value
-            elif key == "metric":
-                cfg.metric = MetricKind.Canonical if value.lower().startswith("can") else MetricKind.Euclidean
-            elif key == "transport":
-                cfg.transport = (TransportKind.Submanifold if value.lower().startswith("sub")
-                                 else TransportKind.Differential)
             elif key in ("t0", "t1", "a", "b", "eta"):
                 setattr(cfg, key, _float(value))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:   # KeyError: not a key of _BOOLS
         raise ConfigError(f"invalid value {value!r} for config key {key!r}") from exc
 
     if len(span) == 3:

@@ -1,6 +1,6 @@
 """Symplectic autoencoder: layers, losses, and training loops.
 
-The network alternates two symplectic layer types.  GradientLayers update one
+The network is built from two symplectic layer types.  GradientLayers update one
 half of phase space through K^T diag(a) sigma(K . + b) and are
 dimension-preserving; PSDLayers apply the cotangent-lift map blockdiag(X, X)
 (or its symplectic inverse) with a Stiefel weight and change the dimension.
@@ -16,15 +16,13 @@ import numpy as np
 
 from . import optimizers as opt
 from . import stiefel as st
-from .errors import ConfigError, DegenerateBatchError, DimensionError, TrainingDivergedError
-from .stiefel import MetricKind, TransportKind
+from .errors import DegenerateBatchError, DimensionError, TrainingDivergedError
 
 # A batch whose relative error ||Y - X|| / ||X|| exceeds this multiple of the
 # first batch's counts as divergence.  The relative error is compared rather
 # than the loss, because a scaled-MSE loss moves with the batch norm: on one
 # healthy desk run (V4) the fourth batch's loss is 16x the first's.
 DIVERGENCE_FACTOR = 10.0
-OPTIMIZERS = ("homogeneous", "stiefel", "stiefel_decay")   # for the PSD weights
 
 
 class Activation(enum.Enum):
@@ -137,11 +135,6 @@ class PSDLayer:
     def in_dim(self):
         N, n = self.weight.shape
         return 2 * N if self.direction == "reduce" else 2 * n
-
-    @property
-    def out_dim(self):
-        N, n = self.weight.shape
-        return 2 * n if self.direction == "reduce" else 2 * N
 
     def forward(self, x):
         if x.shape[0] != self.in_dim:
@@ -279,32 +272,20 @@ def build_network(full_dim, reduced_dim, seed, activation=Activation.tanh):
                    reduced_dim=reduced_dim)
 
 
-@dataclass
-class OptimizerConfig:
-    """Which manifold optimizer drives the PSD weights, and how."""
-
-    optimizer: str = "homogeneous"   # one of OPTIMIZERS
-    metric: MetricKind = MetricKind.Canonical
-    transport: TransportKind = TransportKind.Submanifold
-    eta: float = 0.001
-    run_seed: int = 0
-
-
 class Trainer:
     """Owns the optimizer state of every layer and performs batch updates.
 
-    All GradientLayers share one AdamHyper, advanced once per step; each PSD
-    weight has its own, which its manifold update advances.
+    cfg is a config.RunConfig; the trainer reads its optimizer, metric,
+    transport, eta and seed.  All GradientLayers share one AdamHyper, advanced
+    once per step; each PSD weight has its own, which its manifold update
+    advances.
     """
 
-    def __init__(self, net, config):
+    def __init__(self, net, cfg):
         self.net = net
-        self.config = config
-        if config.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {config.optimizer!r}")
-        decay = opt.ETA_DECAY if config.optimizer == "stiefel_decay" else None
-        self.hyper = opt.AdamHyper(eta=config.eta, decay=decay)
-        self.states = [self._state(layer) for layer in net.layers]
+        self.cfg = cfg
+        self.states = [self._state(layer) for layer in net.layers]   # rejects an unknown optimizer
+        self.hyper = opt.AdamHyper(eta=cfg.eta, decay=opt.PSD_OPTIMIZERS[cfg.optimizer])
         self.step_index = 0
         self.first_error = None
 
@@ -313,24 +294,19 @@ class Trainer:
         if isinstance(layer, GradientLayer):
             return {name: opt.EuclideanAdamCache(getattr(layer, name).shape)
                     for name in ("K", "a", "b")}
-        hyper = opt.AdamHyper(eta=self.config.eta, decay=self.hyper.decay)
-        if self.config.optimizer == "homogeneous":
-            return hyper, opt.HomogeneousAdamCache(*layer.weight.shape)
-        return hyper, opt.StiefelAdamCache(layer.weight)
+        return opt.psd_state(self.cfg.optimizer, layer.weight, self.cfg.eta)
 
     def update(self, grads_per_layer):
-        cfg = self.config
+        cfg = self.cfg
         for layer, state, grads in zip(self.net.layers, self.states, grads_per_layer):
             if isinstance(layer, GradientLayer):
                 for name, cache in state.items():
                     param = getattr(layer, name)
                     param += opt.adam_step(self.hyper, cache, grads[name])
-            elif cfg.optimizer == "homogeneous":
-                layer.weight = opt.homogeneous_psd_update(
-                    *state, layer.weight, grads["X"], seed=cfg.run_seed + self.step_index)
             else:
-                layer.weight = opt.stiefel_psd_update(
-                    *state, layer.weight, grads["X"], cfg.metric, cfg.transport)
+                layer.weight = opt.psd_update(*state, layer.weight, grads["X"],
+                                              cfg.seed + self.step_index,
+                                              cfg.metric, cfg.transport)
         opt.update_hyper(self.hyper)
         self.step_index += 1
 

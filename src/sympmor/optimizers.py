@@ -13,6 +13,9 @@ Three update rules share the hyperparameter record:
 * ``stiefel_psd_update``: the direct St(n,N) update. One first-moment cache
   lives in the tangent space at the current iterate and is carried along by a
   vector transport after each Cayley retraction.
+
+``psd_state`` and ``psd_update`` pick one of the two PSD rules by a name of
+``PSD_OPTIMIZERS``.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stiefel as st
+from .errors import ConfigError
 from .homogeneous import horizontal_pointwise, lift_to_global, retract_global, section_qr
 from .stiefel import MetricKind, TangentVector
 
@@ -137,3 +141,24 @@ def stiefel_psd_update(hyper, cache, X, egrad, metric, transport_kind):
     update_hyper(hyper)
     return X_new
 
+
+# PSD optimizer name -> per-step eta decay (None: constant eta)
+PSD_OPTIMIZERS = {"homogeneous": None, "stiefel": None, "stiefel_decay": ETA_DECAY}
+
+
+def psd_state(name, X, eta):
+    """(hyper, cache) of the named optimizer for the PSD weight X."""
+    if name not in PSD_OPTIMIZERS:
+        raise ConfigError(f"unknown optimizer {name!r}")
+    hyper = AdamHyper(eta=eta, decay=PSD_OPTIMIZERS[name])
+    if name == "homogeneous":
+        return hyper, HomogeneousAdamCache(*X.shape)
+    return hyper, StiefelAdamCache(X)
+
+
+def psd_update(hyper, cache, X, egrad, seed, metric, transport):
+    """One step of the optimizer psd_state chose; seed drives the homogeneous
+    section, metric and transport the direct update."""
+    if isinstance(cache, HomogeneousAdamCache):
+        return homogeneous_psd_update(hyper, cache, X, egrad, seed)
+    return stiefel_psd_update(hyper, cache, X, egrad, metric, transport)

@@ -11,8 +11,10 @@ import pytest
 
 from sympmor import cli, reduction
 from sympmor.cli import load_network, main, save_network, speed_test
-from sympmor.errors import IntegrationFailureError
+from sympmor.config import VARIANTS, RunConfig
+from sympmor.errors import ConfigError, IntegrationFailureError
 from sympmor.network import build_network
+from sympmor.optimizers import PSD_OPTIMIZERS
 from sympmor.reduction import SnapshotSet
 from sympmor.snapshot_io import write_snapshot_file
 
@@ -164,6 +166,15 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     # evaluate on a run whose params file is missing, then truncated
     cfg = tmp_path / "wave.cfg"
     cfg.write_text(WAVE_CFG)
+    # non-positive sizes, V1's no-epoch batch count and a fractional n_range
+    wave = tmp_path / "wave"
+    assert main(["generate-data", "--config", str(cfg), "--out", str(wave)]) == 0
+    for line in ("batch_size = 0", "batch_size = -4", "n_epochs = 0", "time_steps = -2",
+                 "n_range = -1", "n_range = 2.5", "variant = V1\nbatch_size = 0"):
+        bad.write_text(WAVE_CFG + line + "\n")
+        assert reports_error(["train", "--config", str(bad), "--data", str(wave / "snapshots.bin"),
+                              "--out", str(tmp_path / "sizes")]), line
+    assert not (tmp_path / "sizes").exists()
     run = tmp_path / "run"
     run.mkdir()
     evaluate = ["evaluate", "--config", str(cfg), "--run", str(run), "--out", str(run)]
@@ -297,3 +308,32 @@ def test_speed_test_rows():
     assert {r[0] for r in rows} == {"homogeneous", "stiefel_decay"}
     for r in rows:
         assert r[1] == 60 and r[2] == 4 and r[3] > 0
+
+
+def test_speed_test_runs_every_psd_optimizer():
+    rows = speed_test([(8, 2)], optimizers=tuple(PSD_OPTIMIZERS))
+    assert [r[0] for r in rows] == list(PSD_OPTIMIZERS)
+    with pytest.raises(ConfigError):
+        speed_test([(8, 2)], optimizers=("stiefel_decayed",))
+
+
+@pytest.fixture(scope="module")
+def tiny_snapshots():
+    """Wave snapshots with 8 columns (N = 4, K = 7): two batches of 4."""
+    return cli.generate_snapshots(RunConfig(N=4, time_steps=7, params=[0.25]))
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_every_variant_trains_through_train_run(variant, tiny_snapshots, tmp_path):
+    """Each row's optimizer, metric, transport, loss and sampling mode trains."""
+    cfg = RunConfig(N=4, n_range=[1], time_steps=7, n_epochs=1, batch_size=4, eta=0.01,
+                    params=[0.25], seed=3).apply_variant(variant).validate()
+    snaps = reduction.normalize_snapshots(tiny_snapshots) if cfg.normalized else tiny_snapshots
+    cli.train_run(cfg, snaps, tmp_path)
+    losses = [float(row[1]) for row in read_csv(tmp_path / "losses_n1.csv")[1:]]
+    # one epoch-mean row, or one row per batch without epochs
+    assert len(losses) == (1 if cfg.epochwise else 2)
+    assert np.all(np.isfinite(losses))
+    for layer in load_network(tmp_path / "params_n1.npz").layers:
+        if hasattr(layer, "weight"):
+            assert layer.weight.ortho_residual() < 1e-12

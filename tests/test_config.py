@@ -109,3 +109,25 @@ def test_load_config_rejects_bad_lines(tmp_path):
     p.write_text("model = wave\nwibble = 3\nmu_list = 0.5\n")
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+@pytest.mark.parametrize("line", ["metric = foo", "loss = foo", "transport = foo",
+                                  "epochwise = maybe", "normalized = maybe",
+                                  "loss = rel", "metric = can", "transport = sub"])
+def test_load_config_rejects_misspelt_names(tmp_path, line):
+    """A misspelt or abbreviated value is an error, not the other option."""
+    p = tmp_path / "run.cfg"
+    p.write_text(f"mu_list = 0.5\n{line}\n")
+    with pytest.raises(ConfigError, match=line.split()[0]):
+        load_config(p)
+
+
+def test_load_config_enum_values_and_booleans(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("mu_list = 0.5\nloss = Scaled_MSE\nmetric = CANONICAL\n"
+                 "transport = submanifold\nepochwise = no\nnormalized = 1\n")
+    cfg = load_config(p)
+    assert cfg.loss is LossKind.ScaledMSE
+    assert cfg.metric is MetricKind.Canonical
+    assert cfg.transport is TransportKind.Submanifold
+    assert cfg.epochwise is False and cfg.normalized is True

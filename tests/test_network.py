@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from sympmor import stiefel
+from sympmor.config import RunConfig
 from sympmor.errors import ConfigError, DegenerateBatchError, DimensionError, TrainingDivergedError
 from sympmor.network import (
     Activation,
     GradientLayer,
     LossKind,
     Network,
-    OptimizerConfig,
     PSDLayer,
     Trainer,
     build_network,
@@ -229,7 +229,7 @@ def test_training_reduces_loss(opt_kind):
     t = np.linspace(0, 1, 40)
     data = np.vstack([np.sin(2 * np.pi * k * t) for k in range(1, 9)]) * 0.5
     net = build_network(8, 2, seed=1)
-    cfg = OptimizerConfig(optimizer=opt_kind, eta=0.01, run_seed=5)
+    cfg = RunConfig(optimizer=opt_kind, eta=0.01, seed=5)
     trainer = Trainer(net, cfg)
     losses = train_epochwise(trainer, data, batch_size=10, n_epochs=15,
                              loss_kind=LossKind.ScaledMSE, seed=2)
@@ -248,7 +248,7 @@ def test_training_deterministic():
 
     def run():
         net = build_network(6, 2, seed=4)
-        trainer = Trainer(net, OptimizerConfig(optimizer="homogeneous", run_seed=17))
+        trainer = Trainer(net, RunConfig(optimizer="homogeneous", seed=17))
         return train_epochwise(trainer, data, batch_size=8, n_epochs=3,
                                loss_kind=LossKind.ScaledMSE, seed=7)
 
@@ -259,7 +259,7 @@ def test_train_noepoch_iteration_count():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((6, 25)) * 0.3
     net = build_network(6, 2, seed=0)
-    trainer = Trainer(net, OptimizerConfig(optimizer="stiefel", run_seed=0))
+    trainer = Trainer(net, RunConfig(optimizer="stiefel", seed=0))
     losses = train_noepoch(trainer, data, batch_size=8, n_epochs=2,
                            loss_kind=LossKind.ScaledMSE, seed=3)
     assert len(losses) == int(np.ceil(2 * 25 / 8))
@@ -269,7 +269,7 @@ def test_training_continues_after_renormalization(monkeypatch):
     """Drift inside a retraction is fixed there; the cache is transported to the QR copy."""
     data = np.random.default_rng(1).standard_normal((6, 25)) * 0.3
     net = build_network(6, 2, seed=0)
-    trainer = Trainer(net, OptimizerConfig(optimizer="stiefel", run_seed=0))
+    trainer = Trainer(net, RunConfig(optimizer="stiefel", seed=0))
     apply = stiefel._cayley_apply
     drifted = []
 
@@ -297,7 +297,7 @@ def test_training_continues_after_renormalization(monkeypatch):
 def test_non_finite_batch_stops_training_before_the_update():
     data = np.random.default_rng(2).standard_normal((6, 16)) * 0.3
     net = build_network(6, 2, seed=0)
-    trainer = Trainer(net, OptimizerConfig(optimizer="stiefel_decay", run_seed=0))
+    trainer = Trainer(net, RunConfig(optimizer="stiefel_decay", seed=0))
     trainer.train_batch(LossKind.Relative, data[:, :8])
     before = [layer.K.copy() for layer in net.layers if isinstance(layer, GradientLayer)]
     bad = data[:, 8:].copy()
@@ -311,4 +311,4 @@ def test_non_finite_batch_stops_training_before_the_update():
 
 def test_unknown_optimizer_name_rejected():
     with pytest.raises(ConfigError):
-        Trainer(build_network(6, 2, seed=0), OptimizerConfig(optimizer="homogeneous_decay"))
+        Trainer(build_network(6, 2, seed=0), RunConfig(optimizer="homogeneous_decay"))

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from sympmor.config import RunConfig
 from sympmor.errors import DimensionError, SympmorError
 from sympmor.integrators import OdeSystem, Trajectory, _fd_jacobian, implicit_midpoint
 from sympmor.models import (SgKind, sg_build, sg_initial, sg_system, wave_build,
                             wave_initial, wave_system)
-from sympmor.network import LossKind, OptimizerConfig, Trainer, build_network, train_epochwise
+from sympmor.network import LossKind, Trainer, build_network, train_epochwise
 from sympmor.reduction import (
     RomSpec,
     SnapshotSet,
@@ -204,7 +205,7 @@ def learned_wave_rom():
     x0 = wave_initial(6, 0.3)
     fom = implicit_midpoint(sys, x0, 0.0, 1.0, 20)
     network = build_network(sys.dim, 4, seed=3)
-    trainer = Trainer(network, OptimizerConfig(optimizer="stiefel", eta=0.01, run_seed=3))
+    trainer = Trainer(network, RunConfig(optimizer="stiefel", eta=0.01, seed=3))
     train_epochwise(trainer, fom.states - x0[:, None], batch_size=8, n_epochs=5,
                     loss_kind=LossKind.ScaledMSE, seed=4)
     rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
