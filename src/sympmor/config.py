@@ -98,6 +98,9 @@ def _parse_list(text, parse=_float):
     return [parse(v) for v in text.replace(",", " ").split()]
 
 
+# config key -> the RunConfig field it sets, where the two names differ
+_ALIASES = {"mu_list": "params", "nu_list": "params", "testing": "testing_params"}
+_SPAN = ("mu_left", "mu_right", "n_params")   # training parameters as a linspace
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _ENUMS = {"loss": LossKind, "metric": MetricKind, "transport": TransportKind}
 
@@ -109,7 +112,7 @@ def load_config(path):
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
-    pairs = {}
+    pairs = {}   # field name -> (key as written, value)
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -117,42 +120,53 @@ def load_config(path):
         if "=" not in line:
             raise ConfigError(f"malformed config line: {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        pairs[key] = value
+        name = _ALIASES.get(key, key)
+        if name in pairs:
+            first = pairs[name][0]
+            raise ConfigError(f"config key {key!r} is given twice" if first == key else
+                              f"config keys {first!r} and {key!r} both set {name!r}")
+        pairs[name] = (key, value)
+    span_keys = [k for k in _SPAN if k in pairs]
+    if span_keys and "params" in pairs:
+        raise ConfigError(f"config keys {pairs['params'][0]!r} and {span_keys[0]!r} "
+                          "both set 'params'")
+    if 0 < len(span_keys) < len(_SPAN):
+        missing = next(k for k in _SPAN if k not in pairs)
+        raise ConfigError(f"config key {missing!r} is missing from the "
+                          f"{'/'.join(_SPAN)} span")
 
     if "variant" in pairs:
-        cfg.apply_variant(pairs.pop("variant"))
+        cfg.apply_variant(pairs.pop("variant")[1])
 
-    span = {}  # mu_left, mu_right, n_params: training parameters as a linspace
+    span = {}
     try:
-        for key, value in pairs.items():
-            if key == "model":
+        for name, (key, value) in pairs.items():
+            if name == "model":
                 cfg.model = value
-            elif key in ("N", "n_epochs", "batch_size", "time_steps", "seed"):
-                setattr(cfg, key, int(value))
-            elif key == "n_range":
+            elif name in ("N", "n_epochs", "batch_size", "time_steps", "seed"):
+                setattr(cfg, name, int(value))
+            elif name == "n_range":
                 cfg.n_range = _parse_list(value, int)
-            elif key in ("mu_list", "nu_list", "params"):
-                cfg.params = _parse_list(value)
-            elif key in ("mu_left", "mu_right"):
-                span[key] = _float(value)
-            elif key == "n_params":
-                span[key] = int(value)
-            elif key in ("testing", "testing_params"):
-                cfg.testing_params = _parse_list(value)
-            elif key in _ENUMS:
-                setattr(cfg, key, _ENUMS[key](value.lower()))
-            elif key in ("epochwise", "normalized"):
-                setattr(cfg, key, _BOOLS[value.lower()])
-            elif key == "optimizer":
+            elif name in ("params", "testing_params"):
+                setattr(cfg, name, _parse_list(value))
+            elif name in ("mu_left", "mu_right"):
+                span[name] = _float(value)
+            elif name == "n_params":
+                span[name] = int(value)
+            elif name in _ENUMS:
+                setattr(cfg, name, _ENUMS[name](value.lower()))
+            elif name in ("epochwise", "normalized"):
+                setattr(cfg, name, _BOOLS[value.lower()])
+            elif name == "optimizer":
                 cfg.optimizer = value
-            elif key in ("t0", "t1", "a", "b", "eta"):
-                setattr(cfg, key, _float(value))
+            elif name in ("t0", "t1", "a", "b", "eta"):
+                setattr(cfg, name, _float(value))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     except (KeyError, ValueError) as exc:   # KeyError: not a key of _BOOLS
         raise ConfigError(f"invalid value {value!r} for config key {key!r}") from exc
 
-    if len(span) == 3:
+    if span:
         if not 1 <= span["n_params"] <= MAX_PARAMS:
             raise ConfigError(f"n_params = {span['n_params']} is outside [1, {MAX_PARAMS}]")
         import numpy as np

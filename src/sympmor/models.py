@@ -36,11 +36,11 @@ class WaveModel:
         return 2 * (self.N + 2)
 
 
-def wave_build(N, mu, a=-0.5, b=0.5):
-    """Assemble the discrete wave model on [a, b] = [-1/2, 1/2]."""
+def wave_build(N, mu):
+    """Assemble the discrete wave model on Omega = [-1/2, 1/2]."""
     if N < 1 or mu <= 0:
         raise DimensionError("need N >= 1 and mu > 0")
-    h = (b - a) / (N + 1)
+    h = 1.0 / (N + 1)
     m = N + 2
     diag = np.full(m, 0.75)
     diag[0] = diag[-1] = 0.25
@@ -50,7 +50,7 @@ def wave_build(N, mu, a=-0.5, b=0.5):
     lower = np.full(m - 1, -0.5)
     lower[-1] = 0.0
     K = (np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)) * (mu ** 2 / h)
-    xi = np.linspace(a, b, m)
+    xi = np.linspace(-0.5, 0.5, m)
     return WaveModel(N=N, mu=mu, h=h, K_mat=K, xi=xi)
 
 
@@ -105,10 +105,9 @@ def _bump_prime(s):
     return out
 
 
-def wave_initial(N, mu, a=-0.5, b=0.5):
+def wave_initial(N, mu):
     """Initial state [q0; p0]: q0 a cubic bump at the left edge, p0 = -mu d_xi q0."""
-    model = wave_build(N, mu, a, b)
-    xi = model.xi
+    xi = wave_build(N, mu).xi
     s = 28.0 * np.abs(xi + 0.5)
     q0 = _bump(s)
     sgn = np.sign(xi + 0.5)  # sign(0) = 0; harmless since h'(0) = 0

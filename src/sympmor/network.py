@@ -31,21 +31,14 @@ class Activation(enum.Enum):
     explu = "explu"
 
 
-def _act(kind, u):
-    if kind is Activation.tanh:
-        return np.tanh(u)
-    if kind is Activation.relu:
-        return np.maximum(u, 0.0)
+# Activation -> (sigma, sigma'); sigma' takes u and the already evaluated s = sigma(u)
+_ACTIVATIONS = {
+    Activation.tanh: (np.tanh, lambda u, s: 1.0 - s ** 2),
+    Activation.relu: (lambda u: np.maximum(u, 0.0), lambda u, s: (u > 0.0).astype(float)),
     # explu: exponential below zero, linear above
-    return np.where(u > 0.0, u, np.exp(u) - 1.0)
-
-
-def _act_prime(kind, u):
-    if kind is Activation.tanh:
-        return 1.0 - np.tanh(u) ** 2
-    if kind is Activation.relu:
-        return (u > 0.0).astype(float)
-    return np.where(u > 0.0, 1.0, np.exp(u))
+    Activation.explu: (lambda u: np.where(u > 0.0, u, np.exp(u) - 1.0),
+                       lambda u, s: np.where(u > 0.0, 1.0, np.exp(u))),
+}
 
 
 class LossKind(enum.Enum):
@@ -54,10 +47,14 @@ class LossKind(enum.Enum):
 
 
 class GradientLayer:
-    """Dimension-preserving symplectic layer.
+    """Dimension-preserving symplectic layer: one half of phase space, the
+    driver, shifts the other by K^T diag(a) sigma(K driver + b).
 
-    kind 'P': [q; p] -> [q; p + K^T diag(a) sigma(K q + b)]
-    kind 'Q': [q; p] -> [q + K^T diag(a) sigma(K p + b); p]
+    kind 'P' (q drives p): [q; p] -> [q; p + K^T diag(a) sigma(K q + b)]
+    kind 'Q' (p drives q): [q; p] -> [q + K^T diag(a) sigma(K p + b); p]
+
+    The forward tape is (driver, sigma(u), sigma'(u)), so backward and
+    differential evaluate no activation.
     """
 
     def __init__(self, kind, dim, upscale, K, a, b, activation=Activation.tanh):
@@ -71,53 +68,40 @@ class GradientLayer:
         self.b = b          # L
         self.activation = activation
 
+    def _swap(self, first, second):
+        """[q-half, p-half] <-> [driver, driven]: q drives p for 'P', p drives q
+        for 'Q'.  The map is its own inverse, so it both splits and joins."""
+        return (first, second) if self.kind == "P" else (second, first)
+
     def forward(self, x):
-        half = self.dim // 2
         if x.shape[0] != self.dim:
             raise DimensionError(f"expected {self.dim} rows, got {x.shape[0]}")
-        q, p = x[:half], x[half:]
-        driver = q if self.kind == "P" else p
+        half = self.dim // 2
+        driver, driven = self._swap(x[:half], x[half:])
+        sigma, sigma_prime = _ACTIVATIONS[self.activation]
         u = self.K @ driver + self.b[:, None]
-        s = _act(self.activation, u)
+        s = sigma(u)
         add = self.K.T @ (self.a[:, None] * s)
-        if self.kind == "P":
-            out = np.vstack([q, p + add])
-        else:
-            out = np.vstack([q + add, p])
-        return out, (x, u)
+        return np.concatenate(self._swap(driver, driven + add)), (driver, s, sigma_prime(u, s))
 
     def backward(self, tape, upstream):
-        x, u = tape
+        driver, s, sp = tape
         half = self.dim // 2
-        q, p = x[:half], x[half:]
-        driver = q if self.kind == "P" else p
-        g_q, g_p = upstream[:half], upstream[half:]
-        g = g_p if self.kind == "P" else g_q  # gradient flowing into the nonlinear branch
-        s = _act(self.activation, u)
-        sp = _act_prime(self.activation, u)
+        # g flows into the nonlinear branch
+        g_driver, g = self._swap(upstream[:half], upstream[half:])
         Kg = self.K @ g
-        da = np.sum(s * Kg, axis=1)
-        db = np.sum(self.a[:, None] * sp * Kg, axis=1)
         inner = self.a[:, None] * sp * Kg
         dK = (self.a[:, None] * s) @ g.T + inner @ driver.T
-        coupled = self.K.T @ inner
-        if self.kind == "P":
-            input_grad = np.vstack([g_q + coupled, g_p])
-        else:
-            input_grad = np.vstack([g_q, g_p + coupled])
-        return input_grad, {"K": dK, "a": da, "b": db}
+        input_grad = np.concatenate(self._swap(g_driver + self.K.T @ inner, g))
+        return input_grad, {"K": dK, "a": np.sum(s * Kg, axis=1), "b": np.sum(inner, axis=1)}
 
     def differential(self, tape, dx):
         """Forward-mode directional derivative at the taped input."""
-        x, u = tape
+        _, _, sp = tape
         half = self.dim // 2
-        dq, dp = dx[:half], dx[half:]
-        sp = _act_prime(self.activation, u)
-        if self.kind == "P":
-            dadd = self.K.T @ (self.a[:, None] * sp * (self.K @ dq))
-            return np.vstack([dq, dp + dadd])
-        dadd = self.K.T @ (self.a[:, None] * sp * (self.K @ dp))
-        return np.vstack([dq + dadd, dp])
+        d_driver, d_driven = self._swap(dx[:half], dx[half:])
+        dadd = self.K.T @ (self.a[:, None] * sp * (self.K @ d_driver))
+        return np.concatenate(self._swap(d_driver, d_driven + dadd))
 
 
 class PSDLayer:
@@ -143,9 +127,9 @@ class PSDLayer:
         q, p = x[:half], x[half:]
         A = self.weight.data
         if self.direction == "expand":
-            out = np.vstack([A @ q, A @ p])
+            out = np.concatenate([A @ q, A @ p])
         else:
-            out = np.vstack([A.T @ q, A.T @ p])
+            out = np.concatenate([A.T @ q, A.T @ p])
         return out, (x,)
 
     def backward(self, tape, upstream):
@@ -156,15 +140,15 @@ class PSDLayer:
         g_q, g_p = upstream[:uhalf], upstream[uhalf:]
         A = self.weight.data
         if self.direction == "expand":
-            input_grad = np.vstack([A.T @ g_q, A.T @ g_p])
+            input_grad = np.concatenate([A.T @ g_q, A.T @ g_p])
             egrad = g_q @ q.T + g_p @ p.T
         else:
-            input_grad = np.vstack([A @ g_q, A @ g_p])
+            input_grad = np.concatenate([A @ g_q, A @ g_p])
             egrad = q @ g_q.T + p @ g_p.T
         return input_grad, {"X": egrad}
 
     def differential(self, tape, dx):
-        return self.forward(dx)[0] if dx.shape[0] == self.in_dim else None
+        return self.forward(dx)[0]
 
 
 def _run_layers(layers, x):

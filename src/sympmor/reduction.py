@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, SympmorError
 from .integrators import OdeSystem, Trajectory, implicit_midpoint
+from .network import PSDLayer
 from .stiefel import StiefelPoint
 
 
@@ -73,19 +74,17 @@ def psd_cotangent_lift(M, n):
 
 
 def psd_maps(X):
-    """encode/decode/(decode, jacobian) closures for the linear PSD pair A, A^+."""
-    A = X.data
-    d, n = A.shape
+    """(encode, decode, decode_jacobian) of the autoencoder's PSD layers with
+    weight X: reduce by blockdiag(X, X)^T, expand by blockdiag(X, X).  The
+    decoder is linear, so its Jacobian blockdiag(X, X) is formed once."""
+    reduce, expand = PSDLayer(X, "reduce"), PSDLayer(X, "expand")
+    J = expand.differential(None, np.eye(2 * X.shape[1]))
 
     def encode(x):
-        return np.concatenate([A.T @ x[:d], A.T @ x[d:]])
+        return reduce.forward(x)[0]
 
     def decode(xr):
-        return np.concatenate([A @ xr[:n], A @ xr[n:]])
-
-    J = np.zeros((2 * d, 2 * n))
-    J[:d, :n] = A
-    J[d:, n:] = A
+        return expand.forward(xr)[0]
 
     def decode_jacobian(xr):
         return decode(xr), J

@@ -34,6 +34,13 @@ seed = 5
 """
 
 
+def cfg_with(text, lines):
+    """Config text with the keys of lines set to their values in lines."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in text.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + [lines]) + "\n"
+
+
 @pytest.fixture
 def cfg_path(tmp_path):
     p = tmp_path / "run.cfg"
@@ -171,9 +178,13 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     assert main(["generate-data", "--config", str(cfg), "--out", str(wave)]) == 0
     for line in ("batch_size = 0", "batch_size = -4", "n_epochs = 0", "time_steps = -2",
                  "n_range = -1", "n_range = 2.5", "variant = V1\nbatch_size = 0"):
-        bad.write_text(WAVE_CFG + line + "\n")
+        bad.write_text(cfg_with(WAVE_CFG, line))
         assert reports_error(["train", "--config", str(bad), "--data", str(wave / "snapshots.bin"),
                               "--out", str(tmp_path / "sizes")]), line
+    # a key given twice
+    bad.write_text(WAVE_CFG + "variant = V1\n")
+    assert reports_error(["train", "--config", str(bad), "--data", str(wave / "snapshots.bin"),
+                          "--out", str(tmp_path / "sizes")])
     assert not (tmp_path / "sizes").exists()
     run = tmp_path / "run"
     run.mkdir()

@@ -131,3 +131,26 @@ def test_load_config_enum_values_and_booleans(tmp_path):
     assert cfg.metric is MetricKind.Canonical
     assert cfg.transport is TransportKind.Submanifold
     assert cfg.epochwise is False and cfg.normalized is True
+
+
+@pytest.mark.parametrize("text, keys", [
+    pytest.param("variant = V3\nmu_list = 0.5\nvariant = V1\n", ["variant"], id="variant"),
+    pytest.param("N = 16\nmu_list = 0.5\nN = 64\n", ["N"], id="N"),
+    pytest.param("mu_list = 0.5\nparams = 0.25\n", ["mu_list", "params"], id="alias"),
+    pytest.param("testing = 0.5\ntesting_params = 0.25\nmu_list = 0.5\n",
+                 ["testing", "testing_params"], id="testing-alias"),
+    pytest.param("params = 0.5\nmu_left = 0.4\nmu_right = 0.6\nn_params = 5\n",
+                 ["params", "mu_left"], id="list-and-span"),
+    pytest.param("params = 0.5\nmu_left = 0.4\nmu_right = 0.6\n", ["params", "mu_left"],
+                 id="list-and-partial-span"),
+    pytest.param("mu_left = 0.4\nmu_right = 0.6\n", ["n_params"], id="partial-span"),
+])
+def test_load_config_rejects_a_field_set_twice(tmp_path, text, keys):
+    """A second value for a field, or a partial span, is an error naming the key,
+    not a silent override."""
+    p = tmp_path / "run.cfg"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(p)
+    for key in keys:
+        assert repr(key) in str(info.value)

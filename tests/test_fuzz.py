@@ -97,7 +97,8 @@ config_values = hst.one_of(
 def test_load_config_one_key_fuzz(key, value):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cfg"
-        path.write_text(f"mu_left = 0.25\nmu_right = 0.5\nn_params = 3\n{key} = {value}\n",
+        pairs = {"mu_left": "0.25", "mu_right": "0.5", "n_params": "3", key: value}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()),
                         encoding="utf-8", errors="surrogatepass")
         parses_or_typed_error(load_config, path)
 

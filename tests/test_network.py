@@ -76,8 +76,9 @@ def test_gradient_layer_hand_oracle():
 
 
 @pytest.mark.parametrize("kind", ["P", "Q"])
-def test_gradient_layer_backward_directional(kind):
-    layer = make_gradient_layer(kind, 8, 3)
+@pytest.mark.parametrize("activation", list(Activation))
+def test_gradient_layer_backward_directional(kind, activation):
+    layer = make_gradient_layer(kind, 8, 3, activation)
     rng = np.random.default_rng(4)
     batch = rng.standard_normal((8, 5))
     out, tape = layer.forward(batch)
@@ -105,8 +106,10 @@ def test_gradient_layer_backward_directional(kind):
         assert abs(fd - np.vdot(grads[name], dP)) < 1e-6 * max(1.0, abs(fd))
 
 
-def test_gradient_layer_differential_matches_fd():
-    layer = make_gradient_layer("P", 6, 5)
+@pytest.mark.parametrize("kind", ["P", "Q"])
+@pytest.mark.parametrize("activation", list(Activation))
+def test_gradient_layer_differential_matches_fd(kind, activation):
+    layer = make_gradient_layer(kind, 6, 5, activation)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((6, 1))
     dx = rng.standard_normal((6, 1))
@@ -139,6 +142,13 @@ def test_psd_layer_forward_and_backward():
         upstream, np.vstack([W @ x[:2], W @ x[2:]])))
     fd = (scalar(A + eps * dX) - scalar(A - eps * dX)) / (2 * eps)
     assert abs(fd - np.tensordot(grads["X"], dX)) < 1e-6 * max(1.0, abs(fd))
+
+
+def test_psd_layer_differential_rejects_wrong_size():
+    layer = PSDLayer(random_stiefel(4, 2, 0), "expand")
+    _, tape = layer.forward(np.ones((4, 1)))
+    with pytest.raises(DimensionError):
+        layer.differential(tape, np.eye(6))
 
 
 def test_psd_expand_is_symplectic_lift():
