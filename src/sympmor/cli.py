@@ -28,29 +28,26 @@ from .stiefel import MetricKind, TransportKind
 # -- data generation --------------------------------------------------------
 
 def generate_snapshots(cfg):
-    """Snapshot set for the configured model: integrated (wave) or analytic (sine-Gordon)."""
+    """Snapshot set for the configured model: closed form if it has one, else integrated."""
+    testbed = models.MODELS[cfg.model]
     K = cfg.time_steps
     times = np.linspace(cfg.t0, cfg.t1, K + 1)
     blocks = []
     for param in cfg.params:
-        if cfg.model == "wave":
+        if testbed.exact is None:
             sys_fom, x0 = fom_system_for(cfg, param)
             blocks.append(implicit_midpoint(sys_fom, x0, cfg.t0, cfg.t1, K).states)
         else:
-            kind = models.SG_MODELS[cfg.model]
-            xi = models.sg_build(cfg.N, param, cfg.a, cfg.b, kind).xi
-            blocks.append(np.column_stack(
-                [np.concatenate(models.sg_exact(kind, param, t, xi)) for t in times]))
+            model = testbed.build(cfg.N, param, cfg.a, cfg.b)
+            blocks.append(np.column_stack([testbed.exact(model, t) for t in times]))
     return red.SnapshotSet(data=np.hstack(blocks), params=list(cfg.params), K=K,
                            t0=cfg.t0, t1=cfg.t1, normalized=False)
 
 
 def fom_system_for(cfg, param):
     """FOM system and initial state of the configured model at one parameter."""
-    if cfg.model == "wave":
-        return models.wave_system(models.wave_build(cfg.N, param)), models.wave_initial(cfg.N, param)
-    model = models.sg_build(cfg.N, param, cfg.a, cfg.b, models.SG_MODELS[cfg.model])
-    return models.sg_system(model), models.sg_initial(model)
+    testbed = models.MODELS[cfg.model]
+    return testbed.fom(testbed.build(cfg.N, param, cfg.a, cfg.b))
 
 
 # -- training ---------------------------------------------------------------

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .models import SG_MODELS
+from .models import MODELS
 from .network import LossKind
 from .optimizers import PSD_OPTIMIZERS
 from .stiefel import MetricKind, TransportKind
@@ -37,7 +37,7 @@ VARIANTS = {
 
 @dataclass
 class RunConfig:
-    model: str = "wave"                # wave or a key of models.SG_MODELS
+    model: str = "wave"                # a key of models.MODELS
     N: int = 32
     n_range: list = field(default_factory=lambda: [4])
     n_epochs: int = 10
@@ -60,10 +60,10 @@ class RunConfig:
     variant: str = ""
 
     def validate(self):
-        if self.model != "wave" and self.model not in SG_MODELS:
+        if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.model == "wave" and (self.t0, self.t1, self.a, self.b) != (0.0, 1.0, -0.5, 0.5):
-            raise ConfigError("wave model fixes I=[0,1], Omega=[-1/2,1/2]")
+        if (span := MODELS[self.model].span) and (self.t0, self.t1, self.a, self.b) != span:
+            raise ConfigError(f"{self.model} model fixes (t0, t1, a, b) = {span}")
         if self.optimizer not in PSD_OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         sizes = {"n_epochs": self.n_epochs, "batch_size": self.batch_size,

@@ -1,11 +1,11 @@
 """Implicit midpoint rule for (Hamiltonian) ODEs.
 
 One step solves x_{k+1} = x_k + h f(t_k + h/2, (x_k + x_{k+1})/2) by Newton
-iteration.  Each Newton step solves (I - h/2 Df(x_mid)) delta = r: through the
-system's own ``newton_solve`` when it has one (a structured FOM solves it at
-O(dim)), otherwise densely.  For linear autonomous systems (vector field A x)
-the iteration matrix is step-invariant and every step collapses to one cached
-LU solve.
+iteration.  Each Newton iterate linearizes the system once: ``newton(t, x, h)``
+returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r.  A structured FOM
+supplies its own (O(dim) per solve), otherwise it is dense.  For linear
+autonomous systems (vector field A x) the iteration matrix is step-invariant
+and every step collapses to one cached LU solve.
 """
 
 from dataclasses import dataclass
@@ -22,9 +22,9 @@ class OdeSystem:
     dim: int
     vector_field: Callable          # (t, x) -> dx/dt
     hamiltonian: Optional[Callable] = None
-    jacobian: Optional[Callable] = None     # (t, x) -> d f / d x
+    jacobian: Optional[Callable] = None     # (t, x, V) -> Df(x) @ V for a dim x m block V
     linear_matrix: Optional[np.ndarray] = None  # set when f(t, x) = A x
-    newton_solve: Optional[Callable] = None  # (t, x, h, r) -> (I - h/2 Df(x))^{-1} r
+    newton: Optional[Callable] = None  # (t, x, h) -> (f(t, x), r -> (I - h/2 Df(x))^{-1} r)
 
 
 @dataclass
@@ -40,22 +40,20 @@ class Trajectory:
 
 
 def _fd_jacobian(f, t, x, eps=1e-7):
-    n = len(x)
-    J = np.empty((n, n))
-    scale = np.maximum(np.abs(x), 1.0) * eps
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = scale[j]
-        J[:, j] = (f(t, x + step) - f(t, x - step)) / (2 * scale[j])
-    return J
+    """Dense Df(x) by central differences, one column per coordinate step."""
+    steps = np.diag(np.maximum(np.abs(x), 1.0) * eps)
+    return np.column_stack([(f(t, x + s) - f(t, x - s)) / (2 * s[j]) for j, s in enumerate(steps)])
 
 
-def _newton_step(sys, f, t, x, h, r):
-    """delta with (I - h/2 Df(x)) delta = r."""
-    if sys.newton_solve is not None:
-        return sys.newton_solve(t, x, h, r)
-    Jf = sys.jacobian(t, x) if sys.jacobian else _fd_jacobian(f, t, x)
-    return np.linalg.solve(np.eye(sys.dim) - 0.5 * h * Jf, r)
+def dense_newton(linearize):
+    """Newton hook from linearize(t, x) -> (f(t, x), dense Df(x)); solves densely."""
+
+    def newton(t, x, h):
+        f, Jf = linearize(t, x)
+        M = np.eye(len(x)) - 0.5 * h * Jf
+        return f, lambda r: np.linalg.solve(M, r)
+
+    return newton
 
 
 def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12, max_newton=50):
@@ -73,31 +71,35 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12, max_newton=50):
         # (I - h A / 2) x_{k+1} = (I + h A / 2) x_k, factored once
         A = sys.linear_matrix
         I = np.eye(sys.dim)
-        lu = scipy.linalg.lu_factor(I - 0.5 * h * A)
+        lu, piv, info = scipy.linalg.lapack.dgetrf(I - 0.5 * h * A)
+        if info > 0:
+            raise IntegrationFailureError(0, "singular Newton matrix at step 0")
         plus = I + 0.5 * h * A
         for k in range(K):
-            X[:, k + 1] = scipy.linalg.lu_solve(lu, plus @ X[:, k])
+            X[:, k + 1] = scipy.linalg.lu_solve((lu, piv), plus @ X[:, k])
         return Trajectory(states=X, t0=t0, t1=t1, K=K)
 
     f = sys.vector_field
+    I = np.eye(sys.dim)
+    # default: dense Df = jacobian(t, x, I), or finite differences (always at V = I)
+    jac = sys.jacobian or (lambda t, x, V: _fd_jacobian(f, t, x))
+    newton = sys.newton or dense_newton(lambda t, x: (f(t, x), jac(t, x, I)))
     for k in range(K):
         t_mid = t0 + (k + 0.5) * h
         x_old = X[:, k]
         x_new = x_old + h * f(t0 + k * h, x_old)  # explicit Euler predictor
-        converged = False
         for _ in range(max_newton):
             x_mid = 0.5 * (x_old + x_new)
-            res = x_new - x_old - h * f(t_mid, x_mid)
             try:
-                delta = _newton_step(sys, f, t_mid, x_mid, h, res)
+                f_mid, solve = newton(t_mid, x_mid, h)
+                delta = solve(x_new - x_old - h * f_mid)
             except np.linalg.LinAlgError:
                 raise IntegrationFailureError(k, f"singular Newton matrix at step {k}") from None
             x_new = x_new - delta
             # scale-aware: an absolute 1e-12 is unattainable for large states
             if np.linalg.norm(delta) < tol * max(1.0, np.linalg.norm(x_new)):
-                converged = True
                 break
-        if not converged:
+        else:
             raise IntegrationFailureError(k)
         X[:, k + 1] = x_new
     return Trajectory(states=X, t0=t0, t1=t1, K=K)

@@ -11,8 +11,9 @@ soliton doublets), both with closed-form solutions.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -50,12 +51,13 @@ def wave_build(N, mu):
     lower = np.full(m - 1, -0.5)
     lower[-1] = 0.0
     K = (np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)) * (mu ** 2 / h)
-    xi = np.linspace(-0.5, 0.5, m)
-    return WaveModel(N=N, mu=mu, h=h, K_mat=K, xi=xi)
+    return WaveModel(N=N, mu=mu, h=h, K_mat=K, xi=np.linspace(-0.5, 0.5, m))
 
 
-def wave_vector_field(model):
-    A = wave_linear_matrix(model)
+def wave_vector_field(model, A=None):
+    """field(t, x) = A x; pass A when the caller has already assembled it."""
+    if A is None:
+        A = wave_linear_matrix(model)
 
     def field(t, x):
         if len(x) != model.dim:
@@ -87,27 +89,19 @@ def wave_hamiltonian(model):
 def _bump(s):
     """Piecewise cubic h(s): 1 - 3s^2/2 + 3s^3/4 on [0,1], (2-s)^3/4 on (1,2], else 0."""
     s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    m1 = (s >= 0) & (s <= 1)
-    m2 = (s > 1) & (s <= 2)
-    out[m1] = 1.0 - 1.5 * s[m1] ** 2 + 0.75 * s[m1] ** 3
-    out[m2] = 0.25 * (2.0 - s[m2]) ** 3
-    return out
+    return np.select([(s >= 0) & (s <= 1), (s > 1) & (s <= 2)],
+                     [1.0 - 1.5 * s ** 2 + 0.75 * s ** 3, 0.25 * (2.0 - s) ** 3])
 
 
 def _bump_prime(s):
     s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    m1 = (s >= 0) & (s <= 1)
-    m2 = (s > 1) & (s <= 2)
-    out[m1] = -3.0 * s[m1] + 2.25 * s[m1] ** 2
-    out[m2] = -0.75 * (2.0 - s[m2]) ** 2
-    return out
+    return np.select([(s >= 0) & (s <= 1), (s > 1) & (s <= 2)],
+                     [-3.0 * s + 2.25 * s ** 2, -0.75 * (2.0 - s) ** 2])
 
 
 def wave_initial(N, mu):
     """Initial state [q0; p0]: q0 a cubic bump at the left edge, p0 = -mu d_xi q0."""
-    xi = wave_build(N, mu).xi
+    xi = np.linspace(-0.5, 0.5, N + 2)   # wave_build's grid, without assembling K
     s = 28.0 * np.abs(xi + 0.5)
     q0 = _bump(s)
     sgn = np.sign(xi + 0.5)  # sign(0) = 0; harmless since h'(0) = 0
@@ -119,9 +113,9 @@ def wave_system(model):
     A = wave_linear_matrix(model)
     return OdeSystem(
         dim=model.dim,
-        vector_field=wave_vector_field(model),
+        vector_field=wave_vector_field(model, A),
         hamiltonian=wave_hamiltonian(model),
-        jacobian=lambda t, x: A,
+        jacobian=lambda t, x, V: A @ V,
         linear_matrix=A,
     )
 
@@ -131,10 +125,6 @@ def wave_system(model):
 class SgKind(enum.Enum):
     SingleSoliton = "single_soliton"
     Doublets = "doublets"
-
-
-# config model name -> boundary/initial family
-SG_MODELS = {"sg_single_soliton": SgKind.SingleSoliton, "sg_doublets": SgKind.Doublets}
 
 
 @dataclass
@@ -221,24 +211,18 @@ def sg_vector_field(model):
 
 
 def sg_jacobian(model):
-    """Dense Df = [[0, I], [L - diag(cos q), 0]], its bands written by index."""
+    """(t, x, V) -> Df(x) V = [V_p; L V_q - cos(q) V_q] for a 2N x m block V, at O(N m)."""
     N = model.N
-    off = 1.0 / model.h ** 2       # L's off-diagonal; its diagonal is -2 off
-    idx = np.arange(N)
 
-    def jac(t, x):
-        J = np.zeros((2 * N, 2 * N))
-        J[idx, N + idx] = 1.0
-        J[N + idx, idx] = -2.0 * off - np.cos(x[:N])
-        J[N + idx[1:], idx[:-1]] = off
-        J[N + idx[:-1], idx[1:]] = off
-        return J
+    def jac(t, x, V):
+        V_q = V[:N]
+        return np.concatenate([V[N:], sg_laplacian(V_q, model.h) - np.cos(x[:N])[:, None] * V_q])
 
     return jac
 
 
-def sg_newton_solve(model):
-    """Banded solve of (I - tau/2 Df(x)) delta = r for the implicit midpoint step tau.
+def sg_newton(model):
+    """Newton hook (t, x, tau) -> (f(t, x), banded solve of (I - tau/2 Df(x)) delta = r).
 
     With Df = [[0, I], [S, 0]] and S = L - diag(cos q), eliminating delta_p
     leaves the tridiagonal Schur complement (I - tau^2/4 S) delta_q =
@@ -246,19 +230,24 @@ def sg_newton_solve(model):
     """
     N = model.N
     off = 1.0 / model.h ** 2       # L's off-diagonal; its diagonal is -2 off
+    field = sg_vector_field(model)
 
-    def solve(t, x, tau, r):
+    def newton(t, x, tau):
         c = np.cos(x[:N])
-        r_q, r_p = r[:N], r[N:]
         w = 0.25 * tau ** 2
         ab = np.empty((3, N))
         ab[0] = ab[2] = -w * off
         ab[1] = 1.0 + w * (2.0 * off + c)
-        dq = scipy.linalg.solve_banded((1, 1), ab, r_q + 0.5 * tau * r_p, check_finite=False)
-        Sdq = sg_laplacian(dq, model.h) - c * dq
-        return np.concatenate([dq, r_p + 0.5 * tau * Sdq])
 
-    return solve
+        def solve(r):
+            r_q, r_p = r[:N], r[N:]
+            dq = scipy.linalg.solve_banded((1, 1), ab, r_q + 0.5 * tau * r_p, check_finite=False)
+            Sdq = sg_laplacian(dq, model.h) - c * dq
+            return np.concatenate([dq, r_p + 0.5 * tau * Sdq])
+
+        return field(t, x), solve
+
+    return newton
 
 
 def sg_hamiltonian(model):
@@ -279,10 +268,9 @@ def sg_hamiltonian(model):
     return H
 
 
-def sg_initial(model):
-    """Initial state sampled from the exact solution at t = 0."""
-    u, u_t = sg_exact(model.bc, model.nu, 0.0, model.xi)
-    return np.concatenate([u, u_t])
+def sg_initial(model, t=0.0):
+    """State [u; u_t] sampled from the exact solution at time t (the initial state at t = 0)."""
+    return np.concatenate(sg_exact(model.bc, model.nu, t, model.xi))
 
 
 def sg_system(model):
@@ -291,5 +279,23 @@ def sg_system(model):
         vector_field=sg_vector_field(model),
         hamiltonian=sg_hamiltonian(model),
         jacobian=sg_jacobian(model),
-        newton_solve=sg_newton_solve(model),
+        newton=sg_newton(model),
     )
+
+
+@dataclass(frozen=True)
+class Testbed:
+    build: Callable                     # (N, param, a, b) -> model
+    fom: Callable                       # model -> (FOM OdeSystem, x0)
+    exact: Optional[Callable] = None    # (model, t) -> closed-form state; snapshots come from it
+    span: Optional[tuple] = None        # the (t0, t1, a, b) the model fixes
+
+
+# config model name -> testbed
+MODELS = {
+    "wave": Testbed(lambda N, mu, a, b: wave_build(N, mu),
+                    lambda m: (wave_system(m), wave_initial(m.N, m.mu)), span=(0.0, 1.0, -0.5, 0.5)),
+    **{f"sg_{kind.value}": Testbed(functools.partial(sg_build, bc=kind),
+                                   lambda m: (sg_system(m), sg_initial(m)), exact=sg_initial)
+       for kind in SgKind},
+}

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, SympmorError
-from .integrators import OdeSystem, Trajectory, implicit_midpoint
+from .integrators import OdeSystem, Trajectory, dense_newton, implicit_midpoint
 from .network import PSDLayer
 from .stiefel import StiefelPoint
 
@@ -37,13 +37,8 @@ def normalize_snapshots(raw):
     """Subtract each parameter's initial state from its block of columns."""
     if raw.normalized:
         raise SympmorError("snapshot set is already normalized")
-    w = raw.K + 1
-    data = raw.data.copy()
-    inits = np.empty((raw.data.shape[0], len(raw.params)))
-    for j in range(len(raw.params)):
-        x0 = raw.data[:, j * w].copy()
-        inits[:, j] = x0
-        data[:, j * w:(j + 1) * w] -= x0[:, None]
+    inits = raw.data[:, ::raw.K + 1].copy()     # column 0 of each parameter's block
+    data = raw.data - np.repeat(inits, raw.K + 1, axis=1)
     return SnapshotSet(data=data, params=list(raw.params), K=raw.K, t0=raw.t0,
                        t1=raw.t1, normalized=True, initial_states=inits)
 
@@ -146,40 +141,39 @@ def _poisson_product(D, V):
 
 def reduced_vector_field(rom, fom_field):
     """xi' = -J_{2n} (Dd)^T J_{2d} f(x_ref + d(xi)), evaluated without J products."""
-    n = rom.reduced_dim // 2
 
     def field(t, xi):
-        if len(xi) != 2 * n:
-            raise DimensionError(f"reduced state must have length {2 * n}")
+        if len(xi) != rom.reduced_dim:
+            raise DimensionError(f"reduced state must have length {rom.reduced_dim}")
         x_full, D = rom.state_and_jacobian(xi)
         return _poisson_product(D, fom_field(t, x_full))
 
     return field
 
 
-def reduced_jacobian(rom, fom_jacobian):
-    """Newton matrix -J_{2n} (Dd)^T J_{2d} Df(x_ref + d(xi)) Dd of the reduced field.
+def reduced_linearization(rom, fom_sys):
+    """(t, xi) -> (f_r, M) from one decoder pass at x = x_ref + d(xi): the reduced
+    field f_r = -J_{2n} Dd^T J_{2d} f(x) and its Newton matrix M = -J_{2n} Dd^T J_{2d} Df(x) Dd.
 
-    Exact for a linear decoder.  For a nonlinear one it drops the curvature
-    term (d Dd^T / d xi) J_{2d} f (a Gauss-Newton matrix); the residual the
-    Newton loop drives to zero is still the exact reduced field.
+    M is exact for a linear decoder.  For a nonlinear one it drops the
+    curvature term (d Dd^T / d xi) J_{2d} f (a Gauss-Newton matrix); the
+    residual the Newton loop drives to zero is still the exact reduced field.
     """
 
-    def jac(t, xi):
+    def linearize(t, xi):
         x_full, D = rom.state_and_jacobian(xi)
-        return _poisson_product(D, fom_jacobian(t, x_full) @ D)
+        return (_poisson_product(D, fom_sys.vector_field(t, x_full)),
+                _poisson_product(D, fom_sys.jacobian(t, x_full, D)))
 
-    return jac
+    return linearize
 
 
 def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
     """Integrate the ROM; Newton falls back to finite differences only when
     the FOM has no Jacobian."""
     field = reduced_vector_field(rom, fom_sys.vector_field)
-    jac = None
-    if fom_sys.jacobian is not None:
-        jac = reduced_jacobian(rom, fom_sys.jacobian)
-    reduced_sys = OdeSystem(dim=rom.reduced_dim, vector_field=field, jacobian=jac)
+    newton = dense_newton(reduced_linearization(rom, fom_sys)) if fom_sys.jacobian else None
+    reduced_sys = OdeSystem(dim=rom.reduced_dim, vector_field=field, newton=newton)
     return implicit_midpoint(reduced_sys, rom.x_r0, t0, t1, K, tol=tol)
 
 

@@ -78,7 +78,7 @@ def test_linear_fast_path_matches_newton_path():
     x0 = rng.standard_normal(4)
     fast = OdeSystem(dim=4, vector_field=lambda t, x: A @ x, linear_matrix=A)
     slow = OdeSystem(dim=4, vector_field=lambda t, x: A @ x,
-                     jacobian=lambda t, x: A)
+                     jacobian=lambda t, x, V: A @ V)
     a = implicit_midpoint(fast, x0, 0.0, 1.0, 50)
     b = implicit_midpoint(slow, x0, 0.0, 1.0, 50, tol=1e-14)
     assert np.max(np.abs(a.states - b.states)) < 1e-10
@@ -86,7 +86,7 @@ def test_linear_fast_path_matches_newton_path():
 
 def test_analytic_vs_fd_jacobian_paths():
     field = lambda t, x: np.array([x[1], -np.sin(x[0])])
-    jac = lambda t, x: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]])
+    jac = lambda t, x, V: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]]) @ V
     x0 = np.array([2.0, 0.0])
     a = implicit_midpoint(OdeSystem(2, field, jacobian=jac), x0, 0.0, 5.0, 200)
     b = implicit_midpoint(OdeSystem(2, field), x0, 0.0, 5.0, 200)
@@ -110,18 +110,19 @@ def test_newton_failure_raises_with_step_index():
 
 def test_newton_solve_hook_replaces_dense_solve():
     field = lambda t, x: np.array([x[1], -np.sin(x[0])])
-    jac = lambda t, x: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]])
+    jac = lambda t, x, V: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]]) @ V
     calls = []
 
-    def solve(t, x, h, r):
+    def newton(t, x, h):
         calls.append(t)
-        return np.linalg.solve(np.eye(2) - 0.5 * h * jac(t, x), r)
+        M = np.eye(2) - 0.5 * h * jac(t, x, np.eye(2))
+        return field(t, x), lambda r: np.linalg.solve(M, r)
 
-    def no_jacobian(t, x):
+    def no_jacobian(t, x, V):
         raise AssertionError("the hook must replace the Jacobian")
 
     x0 = np.array([2.0, 0.0])
-    hooked = implicit_midpoint(OdeSystem(2, field, jacobian=no_jacobian, newton_solve=solve),
+    hooked = implicit_midpoint(OdeSystem(2, field, jacobian=no_jacobian, newton=newton),
                                x0, 0.0, 5.0, 200)
     dense = implicit_midpoint(OdeSystem(2, field, jacobian=jac), x0, 0.0, 5.0, 200)
     assert len(calls) >= 200
@@ -131,17 +132,28 @@ def test_newton_solve_hook_replaces_dense_solve():
 def test_singular_newton_matrix_raises_integration_failure():
     # f = (2/h) x makes I - h/2 Df exactly zero at the step size h = 1/2
     h = 0.5
-    sys = OdeSystem(1, lambda t, x: 2.0 / h * x, jacobian=lambda t, x: np.array([[2.0 / h]]))
+    sys = OdeSystem(1, lambda t, x: 2.0 / h * x,
+                    jacobian=lambda t, x, V: np.array([[2.0 / h]]) @ V)
     with pytest.raises(IntegrationFailureError, match="singular Newton matrix") as exc:
         implicit_midpoint(sys, np.array([1.0]), 0.0, 2 * h, 2)
     assert exc.value.step_index == 0
 
 
-def test_singular_banded_hook_raises_integration_failure():
-    def solve(t, x, h, r):
-        return scipy.linalg.solve_banded((1, 1), np.zeros((3, 2)), r, check_finite=False)
+def test_singular_linear_matrix_raises_integration_failure():
+    # the cached-LU path: I - h/2 A is exactly zero at h = 1/2
+    h = 0.5
+    sys = OdeSystem(1, lambda t, x: 2.0 / h * x, linear_matrix=np.array([[2.0 / h]]))
+    with pytest.raises(IntegrationFailureError, match="singular Newton matrix at step 0") as exc:
+        implicit_midpoint(sys, np.array([1.0]), 0.0, 2 * h, 2)
+    assert exc.value.step_index == 0
 
-    sys = OdeSystem(2, lambda t, x: x, newton_solve=solve)
+
+def test_singular_banded_hook_raises_integration_failure():
+    def newton(t, x, h):
+        return x, lambda r: scipy.linalg.solve_banded((1, 1), np.zeros((3, 2)), r,
+                                                      check_finite=False)
+
+    sys = OdeSystem(2, lambda t, x: x, newton=newton)
     with pytest.raises(IntegrationFailureError, match="singular Newton matrix") as exc:
         implicit_midpoint(sys, np.ones(2), 0.0, 1.0, 4)
     assert exc.value.step_index == 0

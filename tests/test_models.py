@@ -19,7 +19,7 @@ from sympmor.models import (
     sg_initial,
     sg_jacobian,
     sg_laplacian,
-    sg_newton_solve,
+    sg_newton,
     sg_system,
     wave_build,
     wave_hamiltonian,
@@ -196,7 +196,7 @@ def test_sg_jacobian_matches_fd():
     sys = sg_system(model)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(model.dim)
-    J = sg_jacobian(model)(0.2, x)
+    J = sg_jacobian(model)(0.2, x, np.eye(model.dim))
     eps = 1e-6
     fd = np.empty_like(J)
     for j in range(model.dim):
@@ -210,10 +210,25 @@ def test_sg_jacobian_lower_block_is_dense_oracle():
     for N in (1, 2, 9):
         model = sg_build(N, nu=0.3, a=-4.0, b=4.0, bc=SgKind.Doublets)
         x = 2.0 * np.random.default_rng(N).standard_normal(model.dim)
-        J = sg_jacobian(model)(0.1, x)
+        J = sg_jacobian(model)(0.1, x, np.eye(model.dim))
         assert np.array_equal(J[N:, :N], dense_laplacian(N, model.h) - np.diag(np.cos(x[:N])))
         assert np.array_equal(J[:N, N:], np.eye(N))
         assert not J[:N, :N].any() and not J[N:, N:].any()
+
+
+@pytest.mark.parametrize("N", [1, 2, 9])
+def test_sg_jacobian_product_matches_dense_df(N):
+    model = sg_build(N, nu=0.3, a=-4.0, b=4.0, bc=SgKind.SingleSoliton)
+    rng = np.random.default_rng(30 + N)
+    x = 2.0 * rng.standard_normal(model.dim)
+    Df = np.block([[np.zeros((N, N)), np.eye(N)],
+                   [dense_laplacian(N, model.h) - np.diag(np.cos(x[:N])), np.zeros((N, N))]])
+    n = (N + 1) // 2
+    for m in (1, 2 * n, 2 * N):
+        V = rng.standard_normal((model.dim, m))
+        JV = sg_jacobian(model)(0.4, x, V)
+        assert JV.shape == (model.dim, m)
+        assert np.linalg.norm(JV - Df @ V) <= 1e-14 * np.linalg.norm(Df) * np.linalg.norm(V)
 
 
 def test_sg_integration_tracks_exact_solution():
@@ -268,31 +283,32 @@ def test_sg_hamiltonian_boundary_velocity_term():
 @pytest.mark.parametrize("N", [1, 2, 7, 64])
 def test_sg_newton_solve_matches_dense_solve(N):
     model = sg_build(N, nu=0.4, a=-5.0, b=5.0, bc=SgKind.SingleSoliton)
-    solve = sg_newton_solve(model)
+    newton = sg_newton(model)
     jac = sg_jacobian(model)
     rng = np.random.default_rng(N)
     for tau in (1e-3, 0.02, 0.5):
         x = 3.0 * rng.standard_normal(model.dim)
         r = rng.standard_normal(model.dim)
-        dense = np.linalg.solve(np.eye(model.dim) - 0.5 * tau * jac(0.3, x), r)
-        assert np.linalg.norm(solve(0.3, x, tau, r) - dense) <= 1e-12 * np.linalg.norm(dense)
+        dense = np.linalg.solve(np.eye(model.dim) - 0.5 * tau * jac(0.3, x, np.eye(model.dim)), r)
+        assert np.linalg.norm(newton(0.3, x, tau)[1](r) - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize("nu", [0.1, 0.35, 0.6])
 def test_sg_banded_fom_matches_dense_fom(nu):
     model = sg_build(200, nu, a=-10.0, b=10.0, bc=SgKind.SingleSoliton)
     sys = sg_system(model)
-    assert sys.newton_solve is not None
+    assert sys.newton is not None
     calls = {"banded": 0, "dense": 0}
 
-    def counted(key):
-        def field(t, x):
+    def counted(key, fn):
+        def wrapped(*args):
             calls[key] += 1
-            return sys.vector_field(t, x)
-        return field
+            return fn(*args)
+        return wrapped
 
-    banded = dataclasses.replace(sys, vector_field=counted("banded"))
-    dense = dataclasses.replace(sys, vector_field=counted("dense"), newton_solve=None)
+    # one call per Newton iterate on each path: the banded hook, the dense Jacobian
+    banded = dataclasses.replace(sys, newton=counted("banded", sys.newton))
+    dense = dataclasses.replace(sys, jacobian=counted("dense", sys.jacobian), newton=None)
     a = implicit_midpoint(banded, sg_initial(model), 0.0, 1.0, 50)
     b = implicit_midpoint(dense, sg_initial(model), 0.0, 1.0, 50)
     assert np.linalg.norm(a.states - b.states) <= 1e-12 * np.linalg.norm(b.states)

@@ -1,6 +1,7 @@
 """Snapshots, PSD cotangent lift (eigenvector oracle), ROM assembly,
 error metrics with hand-computed oracles, snapshot file round trip."""
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -18,13 +19,14 @@ from sympmor.network import LossKind, Trainer, build_network, train_epochwise
 from sympmor.reduction import (
     RomSpec,
     SnapshotSet,
+    _poisson_product,
     build_rom,
     normalize_snapshots,
     projection_error,
     psd_cotangent_lift,
     psd_maps,
     reconstruct,
-    reduced_jacobian,
+    reduced_linearization,
     reduced_vector_field,
     reduction_error,
     solve_rom,
@@ -221,12 +223,12 @@ def test_reduced_jacobian_psd_matches_fd():
     encode, decode, jacobian = psd_maps(psd_cotangent_lift(fom.states, 3))
     rom = build_rom(encode, decode, jacobian, x0, use_ref=False, normalized=False)
     field = reduced_vector_field(rom, sys.vector_field)
-    jac = reduced_jacobian(rom, sys.jacobian)
+    linearize = reduced_linearization(rom, sys)
     rng = np.random.default_rng(13)
     for _ in range(5):
         xi = rom.x_r0 + 0.5 * rng.standard_normal(6)
         fd = _fd_jacobian(field, 0.3, xi)
-        assert np.linalg.norm(jac(0.3, xi) - fd) < 1e-6 * np.linalg.norm(fd)
+        assert np.linalg.norm(linearize(0.3, xi)[1] - fd) < 1e-6 * np.linalg.norm(fd)
 
 
 def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
@@ -234,13 +236,54 @@ def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
     d, n = sys.dim // 2, 2
     J2d, J2n = _dense_j(d), _dense_j(n)
     Df = sys.linear_matrix
-    jac = reduced_jacobian(rom, sys.jacobian)
+    linearize = reduced_linearization(rom, sys)
     rng = np.random.default_rng(14)
     for _ in range(5):
         xi = rom.x_r0 + rng.standard_normal(2 * n)
         _, Dd = rom.decode_jacobian(xi)
         oracle = -J2n @ Dd.T @ J2d @ Df @ Dd
-        assert np.linalg.norm(jac(0.0, xi) - oracle) < 1e-12 * np.linalg.norm(oracle)
+        assert np.linalg.norm(linearize(0.0, xi)[1] - oracle) < 1e-12 * np.linalg.norm(oracle)
+
+
+def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
+    """Each Newton iterate linearizes the ROM with one decoder pass."""
+    sys, rom = learned_wave_rom
+    calls = {"decode": 0, "field": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    rom = dataclasses.replace(rom, decode_jacobian=counted("decode", rom.decode_jacobian))
+    fom = dataclasses.replace(sys, vector_field=counted("field", sys.vector_field))
+    solve_rom(rom, fom, 0.0, 1.0, 20, tol=1e-10)
+    assert calls["field"] > 2 * 20
+    assert calls["decode"] == calls["field"]
+
+
+@pytest.mark.parametrize("learned", [False, True])
+def test_solve_rom_equals_default_dense_newton(learned, learned_wave_rom):
+    """solve_rom's one-pass Newton matches the integrator's default dense Newton
+    built from the reduced field and a reduced Jacobian written here."""
+    if learned:
+        sys, rom = learned_wave_rom
+    else:
+        model = sg_build(30, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
+        sys, x0 = sg_system(model), sg_initial(model)
+        X = psd_cotangent_lift(implicit_midpoint(sys, x0, 0.0, 1.0, 10).states, 3)
+        rom = build_rom(*psd_maps(X), x0, use_ref=False, normalized=False)
+
+    def reduced_jac(t, xi, V):
+        x_full, D = rom.state_and_jacobian(xi)
+        return _poisson_product(D, sys.jacobian(t, x_full, D)) @ V
+
+    field = reduced_vector_field(rom, sys.vector_field)
+    default = OdeSystem(dim=rom.reduced_dim, vector_field=field, jacobian=reduced_jac)
+    a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
+    b = implicit_midpoint(default, rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
+    assert np.array_equal(a.states, b.states)
 
 
 def test_learned_rom_newton_matrix_matches_fd_path(learned_wave_rom):
