@@ -80,10 +80,9 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12, max_newton=50):
         return Trajectory(states=X, t0=t0, t1=t1, K=K)
 
     f = sys.vector_field
-    I = np.eye(sys.dim)
     # default: dense Df = jacobian(t, x, I), or finite differences (always at V = I)
     jac = sys.jacobian or (lambda t, x, V: _fd_jacobian(f, t, x))
-    newton = sys.newton or dense_newton(lambda t, x: (f(t, x), jac(t, x, I)))
+    newton = sys.newton or dense_newton(lambda t, x: (f(t, x), jac(t, x, np.eye(len(x)))))
     for k in range(K):
         t_mid = t0 + (k + 0.5) * h
         x_old = X[:, k]
