@@ -45,9 +45,9 @@ def generate_snapshots(cfg):
 
 
 def fom_system_for(cfg, param):
-    """FOM system and initial state of the configured model at one parameter."""
+    """FOM system of the configured model at one parameter, and its state at cfg.t0."""
     testbed = models.MODELS[cfg.model]
-    return testbed.fom(testbed.build(cfg.N, param, cfg.a, cfg.b))
+    return testbed.fom(testbed.build(cfg.N, param, cfg.a, cfg.b), cfg.t0)
 
 
 # -- training ---------------------------------------------------------------

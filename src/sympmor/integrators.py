@@ -4,15 +4,14 @@ One step solves x_{k+1} = x_k + h f(t_k + h/2, (x_k + x_{k+1})/2) by Newton
 iteration.  Each Newton iterate linearizes the system once: ``newton(t, x, h)``
 returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r.  A structured FOM
 supplies its own (O(dim) per solve), otherwise it is dense.  For linear
-autonomous systems (vector field A x) the iteration matrix is step-invariant
-and every step collapses to one cached LU solve.
+autonomous systems (vector field A x) the iteration matrix is step-invariant,
+and SuperLU factors it once.
 """
 
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, IntegrationFailureError
 
@@ -23,7 +22,7 @@ class OdeSystem:
     vector_field: Callable          # (t, x) -> dx/dt
     hamiltonian: Optional[Callable] = None
     jacobian: Optional[Callable] = None     # (t, x, V) -> Df(x) @ V for a dim x m block V
-    linear_matrix: Optional[np.ndarray] = None  # set when f(t, x) = A x
+    linear_matrix: Optional[object] = None  # A, dense or scipy.sparse, when f(t, x) = A x
     newton: Optional[Callable] = None  # (t, x, h) -> (f(t, x), r -> (I - h/2 Df(x))^{-1} r)
 
 
@@ -69,14 +68,16 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12, max_newton=50):
 
     if sys.linear_matrix is not None:
         # (I - h A / 2) x_{k+1} = (I + h A / 2) x_k, factored once
-        A = sys.linear_matrix
-        I = np.eye(sys.dim)
-        lu, piv, info = scipy.linalg.lapack.dgetrf(I - 0.5 * h * A)
-        if info > 0:
-            raise IntegrationFailureError(0, "singular Newton matrix at step 0")
+        import scipy.sparse as sp   # only linear systems pay for these imports
+        from scipy.sparse.linalg import splu
+        A, I = sp.csc_matrix(sys.linear_matrix), sp.identity(sys.dim, format="csc")
+        try:
+            lu = splu(I - 0.5 * h * A)
+        except RuntimeError:    # SuperLU: "Factor is exactly singular"
+            raise IntegrationFailureError(0, "singular Newton matrix at step 0") from None
         plus = I + 0.5 * h * A
         for k in range(K):
-            X[:, k + 1] = scipy.linalg.lu_solve((lu, piv), plus @ X[:, k])
+            X[:, k + 1] = lu.solve(plus @ X[:, k])
         return Trajectory(states=X, t0=t0, t1=t1, K=K)
 
     f = sys.vector_field

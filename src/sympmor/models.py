@@ -1,9 +1,9 @@
-"""Hamiltonian PDE testbeds: 1D linear wave and 1D sine-Gordon.
+"""Hamiltonian PDE testbeds: 1D linear wave and 1D sine-Gordon, both of the
+`SecondOrder` form q' = p, p' = -S q - V'(q) + b(t) with S tridiagonal.
 
 Wave equation u_tt = mu^2 u_xx on Omega = [-1/2, 1/2] with homogeneous
 Dirichlet boundary values, discretized on N+2 grid points (full dimension
-2(N+2)); the system stays in its unscaled form with the 1/h factor folded
-into the vector field.
+2(N+2)); no V and no b.
 
 Sine-Gordon u_tt = u_xx - sin(u) on [a, b] with N interior points (full
 dimension 2N) and two boundary/initial families (single soliton, soliton-
@@ -16,74 +16,122 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DimensionError
 from .integrators import OdeSystem
 
 
-# -- linear wave ------------------------------------------------------------
+@dataclass(eq=False)
+class SecondOrder:
+    """q' = p, p' = -S q - V'(q) + b(t) on d nodes, S = tridiag(off, diag, off) / h^2.
 
-@dataclass
-class WaveModel:
-    N: int
-    mu: float
+    diag and off are S's bands: arrays of length d and d - 1, or numbers for a
+    uniform band.  A nonlinear testbed sets potential to the pointwise
+    (V', V'') and defines ends(t) -> (b_0, b_{d-1}), the forcing on the two
+    end nodes (b is zero elsewhere).
+    """
+    d: int
+    diag: object
+    off: object
     h: float
-    K_mat: np.ndarray      # (N+2) x (N+2)
-    xi: np.ndarray         # grid points including boundaries
+    potential = None
 
     @property
     def dim(self):
-        return 2 * (self.N + 2)
+        return 2 * self.d
+
+    def S(self, Q, sign=1.0):
+        """sign S Q for a d-vector or a d x m block Q, at O(d m); no matrix is stored."""
+        diag, off = self.diag, self.off
+        if Q.ndim == 2 and isinstance(diag, np.ndarray):   # varying bands act on rows
+            diag, off = diag[:, None], off[:, None]
+        SQ = diag * Q
+        SQ[1:] += off * Q[:-1]
+        SQ[:-1] += off * Q[1:]
+        return SQ / (sign * self.h ** 2)    # dividing by -h^2 negates exactly
+
+    def field(self, t, x):
+        if len(x) != self.dim:
+            raise DimensionError(f"state must have length {self.dim}")
+        q, p = x[:self.d], x[self.d:]
+        if self.potential is None:
+            return np.concatenate([p, self.S(q, -1.0)])
+        force = self.potential[0](q)        # V'(q) - b(t)
+        b0, b1 = self.ends(t)
+        force[0] -= b0
+        force[-1] -= b1
+        return np.concatenate([p, self.S(q, -1.0) - force])
+
+    def jacobian(self, t, x, V):
+        """Df(x) V = [V_p; -(S + diag V''(q)) V_q] for a dim x m block V, at O(dim m)."""
+        DfV = self.S(V[:self.d], -1.0)
+        if self.potential is not None:
+            DfV -= self.potential[1](x[:self.d])[:, None] * V[:self.d]
+        return np.concatenate([V[self.d:], DfV])
+
+    def hamiltonian(self, x):
+        """h (q.S q + p.p) / 2: H without V and b."""
+        q, p = x[:self.d], x[self.d:]
+        return float(0.5 * self.h * (q @ self.S(q)) + 0.5 * self.h * (p @ p))
+
+    def matrix(self):
+        """A = [[0, I], [-S, 0]] with field(x) = A x, as a scipy.sparse block."""
+        import scipy.sparse as sp   # only linear systems need it
+        S = sp.diags([self.off, self.diag, self.off], [-1, 0, 1], shape=(self.d, self.d))
+        return sp.bmat([[None, sp.identity(self.d)], [-S / self.h ** 2, None]], format="csc")
+
+    def banded_newton(self, field):
+        """Newton hook (t, x, tau) -> (field(t, x), solve of (I - tau/2 Df(x)) delta = r).
+
+        With T = S + diag V''(q), eliminating delta_p leaves the tridiagonal Schur
+        complement (I + tau^2/4 T) delta_q = r_q + tau/2 r_p, solved by one LAPACK
+        dgtsv at O(d); then delta_p = r_p - tau/2 T delta_q.
+        """
+        def newton(t, x, tau):
+            d, c = self.d, self.potential[1](x[:self.d])
+            w = 0.25 * tau ** 2
+            sub = np.zeros(max(d - 1, 1))   # dgtsv takes a band of length >= 1
+            sub[:d - 1] = w * (self.off / self.h ** 2)
+            main = 1.0 + w * (self.diag / self.h ** 2 + c)
+
+            def solve(r):
+                *_, dq, info = dgtsv(sub, main, sub, r[:d] + 0.5 * tau * r[d:], overwrite_b=True)
+                if info > 0:
+                    raise np.linalg.LinAlgError(f"singular Schur complement (pivot {info})")
+                return np.concatenate([dq, r[d:] - 0.5 * tau * (self.S(dq) + c * dq)])
+
+            return field(t, x), solve
+
+        return newton
+
+
+def vector_field(model):
+    """The FOM field of a testbed, built through one factory that perfbench traces."""
+    return model.field
+
+
+wave_vector_field = sg_vector_field = vector_field
+
+
+# -- linear wave ------------------------------------------------------------
+
+@dataclass(eq=False)
+class WaveModel(SecondOrder):
+    N: int
+    mu: float
+    xi: np.ndarray         # grid points including boundaries
 
 
 def wave_build(N, mu):
-    """Assemble the discrete wave model on Omega = [-1/2, 1/2]."""
+    """The discrete wave model on Omega = [-1/2, 1/2]: S = (K + K^T)/h for the
+    edge stencil K = mu^2/h tridiag(-1/2, 3/4, -1/2), with 1/4 at both ends of
+    its diagonal and K[0, 1] = K[N+1, N] = 0."""
     if N < 1 or mu <= 0:
         raise DimensionError("need N >= 1 and mu > 0")
-    h = 1.0 / (N + 1)
-    m = N + 2
-    diag = np.full(m, 0.75)
-    diag[0] = diag[-1] = 0.25
-    # off-diagonals are -1/2 except in the first and last rows
-    upper = np.full(m - 1, -0.5)
-    upper[0] = 0.0
-    lower = np.full(m - 1, -0.5)
-    lower[-1] = 0.0
-    K = (np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)) * (mu ** 2 / h)
-    return WaveModel(N=N, mu=mu, h=h, K_mat=K, xi=np.linspace(-0.5, 0.5, m))
-
-
-def wave_vector_field(model, A=None):
-    """field(t, x) = A x; pass A when the caller has already assembled it."""
-    if A is None:
-        A = wave_linear_matrix(model)
-
-    def field(t, x):
-        if len(x) != model.dim:
-            raise DimensionError(f"state must have length {model.dim}")
-        return A @ x
-
-    return field
-
-
-def wave_linear_matrix(model):
-    """Dense A with field(x) = A x: the one assembly of the wave operator."""
-    m = model.N + 2
-    A = np.zeros((2 * m, 2 * m))
-    A[:m, m:] = np.eye(m)
-    A[m:, :m] = -(model.K_mat + model.K_mat.T) / model.h
-    return A
-
-
-def wave_hamiltonian(model):
-    m = model.N + 2
-
-    def H(x):
-        q, p = x[:m], x[m:]
-        return float(q @ model.K_mat @ q + 0.5 * model.h * (p @ p))
-
-    return H
+    return WaveModel(d=N + 2, diag=mu ** 2 * np.r_[0.5, np.full(N, 1.5), 0.5],
+                     off=mu ** 2 * np.r_[-0.5, np.full(N - 1, -1.0), -0.5],
+                     h=1.0 / (N + 1), N=N, mu=mu, xi=np.linspace(-0.5, 0.5, N + 2))
 
 
 def _bump(s):
@@ -101,7 +149,7 @@ def _bump_prime(s):
 
 def wave_initial(N, mu):
     """Initial state [q0; p0]: q0 a cubic bump at the left edge, p0 = -mu d_xi q0."""
-    xi = np.linspace(-0.5, 0.5, N + 2)   # wave_build's grid, without assembling K
+    xi = np.linspace(-0.5, 0.5, N + 2)   # wave_build's grid
     s = 28.0 * np.abs(xi + 0.5)
     q0 = _bump(s)
     sgn = np.sign(xi + 0.5)  # sign(0) = 0; harmless since h'(0) = 0
@@ -110,14 +158,9 @@ def wave_initial(N, mu):
 
 
 def wave_system(model):
-    A = wave_linear_matrix(model)
-    return OdeSystem(
-        dim=model.dim,
-        vector_field=wave_vector_field(model, A),
-        hamiltonian=wave_hamiltonian(model),
-        jacobian=lambda t, x, V: A @ V,
-        linear_matrix=A,
-    )
+    return OdeSystem(dim=model.dim, vector_field=wave_vector_field(model),
+                     hamiltonian=model.hamiltonian, jacobian=model.jacobian,
+                     linear_matrix=model.matrix())
 
 
 # -- sine-Gordon ------------------------------------------------------------
@@ -127,23 +170,34 @@ class SgKind(enum.Enum):
     Doublets = "doublets"
 
 
-@dataclass
-class SineGordonModel:
+@dataclass(eq=False)
+class SineGordonModel(SecondOrder):
+    """S = -L for L = tridiag(1, -2, 1)/h^2, V = 1 - cos q, and b(t) the
+    closed-form boundary values over h^2."""
     N: int
     nu: float
     a: float
     b: float
-    h: float
     bc: SgKind
+    xi: np.ndarray         # interior grid points
+    potential = (np.sin, np.cos)
 
-    @property
-    def dim(self):
-        return 2 * self.N
+    def boundary(self, t):
+        """([u(t, a), u(t, b)], [u_t(t, a), u_t(t, b)]) from one sg_exact call."""
+        return sg_exact(self.bc, self.nu, t, np.array([self.a, self.b]))
 
-    @property
-    def xi(self):
-        """Interior grid points."""
-        return self.a + self.h * np.arange(1, self.N + 1)
+    def ends(self, t):
+        return self.boundary(t)[0] / self.h ** 2
+
+    def hamiltonian(self, x, t=0.0):
+        """The discrete Hamiltonian, with the boundary contributions."""
+        q, h = x[:self.N], self.h
+        (phi, psi), (phi_t, psi_t) = self.boundary(t)
+        val = 0.5 * h * ((-2 * q[0] * phi + phi ** 2 - 2 * q[-1] * psi + psi ** 2) / h ** 2)
+        val += 0.25 * h * (phi_t ** 2 + psi_t ** 2)
+        val += 0.5 * h * ((1 - np.cos(phi)) + (1 - np.cos(psi)))
+        val += h * np.sum(1 - np.cos(q))
+        return super().hamiltonian(x) + float(val)
 
 
 def sg_build(N, nu, a, b, bc):
@@ -152,15 +206,8 @@ def sg_build(N, nu, a, b, bc):
     if N < 1 or b <= a:
         raise DimensionError("need N >= 1 and b > a")
     h = (b - a) / (N + 1)
-    return SineGordonModel(N=N, nu=nu, a=a, b=b, h=h, bc=bc)
-
-
-def sg_laplacian(q, h):
-    """Apply L = tridiag(1, -2, 1)/h^2 to q; the callers add the boundary terms."""
-    Lq = -2.0 * q
-    Lq[1:] += q[:-1]
-    Lq[:-1] += q[1:]
-    return Lq / h ** 2
+    return SineGordonModel(d=N, diag=2.0, off=-1.0, h=h,
+                           N=N, nu=nu, a=a, b=b, bc=bc, xi=a + h * np.arange(1, N + 1))
 
 
 def sg_exact(bc, nu, t, xi):
@@ -183,89 +230,8 @@ def sg_exact(bc, nu, t, xi):
     return u, u_t
 
 
-def sg_boundary_values(model):
-    """t -> ([u(t, a), u(t, b)], [u_t(t, a), u_t(t, b)]) from one sg_exact call."""
-    ends = np.array([model.a, model.b])
-
-    def boundary(t):
-        return sg_exact(model.bc, model.nu, t, ends)
-
-    return boundary
-
-
-def sg_vector_field(model):
-    boundary = sg_boundary_values(model)
-    h = model.h
-
-    def field(t, x):
-        if len(x) != model.dim:
-            raise DimensionError(f"state must have length {model.dim}")
-        q, p = x[:model.N], x[model.N:]
-        (phi, psi), _ = boundary(t)
-        f = np.sin(q)
-        f[0] -= phi / h ** 2
-        f[-1] -= psi / h ** 2
-        return np.concatenate([p, sg_laplacian(q, h) - f])
-
-    return field
-
-
 def sg_jacobian(model):
-    """(t, x, V) -> Df(x) V = [V_p; L V_q - cos(q) V_q] for a 2N x m block V, at O(N m)."""
-    N = model.N
-
-    def jac(t, x, V):
-        V_q = V[:N]
-        return np.concatenate([V[N:], sg_laplacian(V_q, model.h) - np.cos(x[:N])[:, None] * V_q])
-
-    return jac
-
-
-def sg_newton(model):
-    """Newton hook (t, x, tau) -> (f(t, x), banded solve of (I - tau/2 Df(x)) delta = r).
-
-    With Df = [[0, I], [S, 0]] and S = L - diag(cos q), eliminating delta_p
-    leaves the tridiagonal Schur complement (I - tau^2/4 S) delta_q =
-    r_q + tau/2 r_p; then delta_p = r_p + tau/2 S delta_q.  O(N) per solve.
-    """
-    N = model.N
-    off = 1.0 / model.h ** 2       # L's off-diagonal; its diagonal is -2 off
-    field = sg_vector_field(model)
-
-    def newton(t, x, tau):
-        c = np.cos(x[:N])
-        w = 0.25 * tau ** 2
-        ab = np.empty((3, N))
-        ab[0] = ab[2] = -w * off
-        ab[1] = 1.0 + w * (2.0 * off + c)
-
-        def solve(r):
-            r_q, r_p = r[:N], r[N:]
-            dq = scipy.linalg.solve_banded((1, 1), ab, r_q + 0.5 * tau * r_p, check_finite=False)
-            Sdq = sg_laplacian(dq, model.h) - c * dq
-            return np.concatenate([dq, r_p + 0.5 * tau * Sdq])
-
-        return field(t, x), solve
-
-    return newton
-
-
-def sg_hamiltonian(model):
-    """Discrete sine-Gordon Hamiltonian including the boundary contributions."""
-    boundary = sg_boundary_values(model)
-    h = model.h
-
-    def H(x, t=0.0):
-        q, p = x[:model.N], x[model.N:]
-        (phi, psi), (phi_t, psi_t) = boundary(t)
-        val = -0.5 * h * (q @ sg_laplacian(q, h)) + 0.5 * h * (p @ p)
-        val += 0.5 * h * ((-2 * q[0] * phi + phi ** 2 - 2 * q[-1] * psi + psi ** 2) / h ** 2)
-        val += 0.25 * h * (phi_t ** 2 + psi_t ** 2)
-        val += 0.5 * h * ((1 - np.cos(phi)) + (1 - np.cos(psi)))
-        val += h * np.sum(1 - np.cos(q))
-        return float(val)
-
-    return H
+    return model.jacobian
 
 
 def sg_initial(model, t=0.0):
@@ -274,19 +240,15 @@ def sg_initial(model, t=0.0):
 
 
 def sg_system(model):
-    return OdeSystem(
-        dim=model.dim,
-        vector_field=sg_vector_field(model),
-        hamiltonian=sg_hamiltonian(model),
-        jacobian=sg_jacobian(model),
-        newton=sg_newton(model),
-    )
+    field = sg_vector_field(model)
+    return OdeSystem(dim=model.dim, vector_field=field, hamiltonian=model.hamiltonian,
+                     jacobian=sg_jacobian(model), newton=model.banded_newton(field))
 
 
 @dataclass(frozen=True)
 class Testbed:
     build: Callable                     # (N, param, a, b) -> model
-    fom: Callable                       # model -> (FOM OdeSystem, x0)
+    fom: Callable                       # (model, t0) -> (FOM OdeSystem, state at t0)
     exact: Optional[Callable] = None    # (model, t) -> closed-form state; snapshots come from it
     span: Optional[tuple] = None        # the (t0, t1, a, b) the model fixes
 
@@ -294,8 +256,10 @@ class Testbed:
 # config model name -> testbed
 MODELS = {
     "wave": Testbed(lambda N, mu, a, b: wave_build(N, mu),
-                    lambda m: (wave_system(m), wave_initial(m.N, m.mu)), span=(0.0, 1.0, -0.5, 0.5)),
+                    lambda m, t0: (wave_system(m), wave_initial(m.N, m.mu)),
+                    span=(0.0, 1.0, -0.5, 0.5)),
     **{f"sg_{kind.value}": Testbed(functools.partial(sg_build, bc=kind),
-                                   lambda m: (sg_system(m), sg_initial(m)), exact=sg_initial)
+                                   lambda m, t0: (sg_system(m), sg_initial(m, t0)),
+                                   exact=sg_initial)
        for kind in SgKind},
 }

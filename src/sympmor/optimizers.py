@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import stiefel as st
+from . import blas, stiefel as st
 from .errors import ConfigError
 from .homogeneous import horizontal_pointwise, lift_to_global, retract_global, section_qr
 from .stiefel import MetricKind, TangentVector
@@ -133,11 +133,12 @@ def stiefel_adam_step(hyper, cache, X, Z):
 
 
 def stiefel_psd_update(hyper, cache, X, egrad, metric, transport_kind):
-    """One direct update: rgrad -> StiefelAdam -> Cayley retract -> transport the cache."""
-    Z = st.riemannian_gradient(metric, X, egrad)
-    V = stiefel_adam_step(hyper, cache, X, Z)
-    X_new = st.cayley_retract(X, V)
-    cache.B1 = st.transport(transport_kind, X, V, cache.B1, retracted=X_new)
+    """One direct update on one BLAS thread: rgrad -> StiefelAdam -> retract -> transport."""
+    with blas.single_thread():
+        Z = st.riemannian_gradient(metric, X, egrad)
+        V = stiefel_adam_step(hyper, cache, X, Z)
+        X_new = st.cayley_retract(X, V)
+        cache.B1 = st.transport(transport_kind, X, V, cache.B1, retracted=X_new)
     update_hyper(hyper)
     return X_new
 

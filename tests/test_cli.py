@@ -348,3 +348,15 @@ def test_every_variant_trains_through_train_run(variant, tiny_snapshots, tmp_pat
     for layer in load_network(tmp_path / "params_n1.npz").layers:
         if hasattr(layer, "weight"):
             assert layer.weight.ortho_residual() < 1e-12
+
+
+def test_sg_fom_starts_at_t0():
+    """A sine-Gordon FOM started at t0 = 2 begins at the first snapshot column."""
+    cfg = RunConfig(model="sg_single_soliton", N=64, a=-10.0, b=10.0, t0=2.0, t1=3.0,
+                    params=[0.5], time_steps=10).validate()
+    snaps = cli.generate_snapshots(cfg)
+    sys_fom, x0 = cli.fom_system_for(cfg, 0.5)
+    assert np.array_equal(x0, snaps.data[:, 0])
+    # the closed form at t = 0 is 17% away: a FOM that ignored t0 would start there
+    at_zero = cli.fom_system_for(RunConfig(**{**vars(cfg), "t0": 0.0}), 0.5)[1]
+    assert np.linalg.norm(at_zero - x0) > 0.1 * np.linalg.norm(x0)

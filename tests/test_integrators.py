@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from sympmor.errors import DimensionError, IntegrationFailureError
 from sympmor.integrators import OdeSystem, Trajectory, _fd_jacobian, implicit_midpoint
@@ -82,6 +83,10 @@ def test_linear_fast_path_matches_newton_path():
     a = implicit_midpoint(fast, x0, 0.0, 1.0, 50)
     b = implicit_midpoint(slow, x0, 0.0, 1.0, 50, tol=1e-14)
     assert np.max(np.abs(a.states - b.states)) < 1e-10
+    # a sparse A takes the same factor-once path as the dense one
+    sparse = OdeSystem(dim=4, vector_field=fast.vector_field,
+                       linear_matrix=scipy.sparse.csr_matrix(A))
+    assert np.array_equal(implicit_midpoint(sparse, x0, 0.0, 1.0, 50).states, a.states)
 
 
 def test_analytic_vs_fd_jacobian_paths():
@@ -140,12 +145,15 @@ def test_singular_newton_matrix_raises_integration_failure():
 
 
 def test_singular_linear_matrix_raises_integration_failure():
-    # the cached-LU path: I - h/2 A is exactly zero at h = 1/2
+    # the factor-once path: I - h/2 A is exactly singular at h = 1/2, dense or sparse
     h = 0.5
-    sys = OdeSystem(1, lambda t, x: 2.0 / h * x, linear_matrix=np.array([[2.0 / h]]))
-    with pytest.raises(IntegrationFailureError, match="singular Newton matrix at step 0") as exc:
-        implicit_midpoint(sys, np.array([1.0]), 0.0, 2 * h, 2)
-    assert exc.value.step_index == 0
+    A = np.array([[2.0 / h, 0.0], [0.0, 1.0]])
+    for linear_matrix in (A[:1, :1], A, scipy.sparse.csc_matrix(A)):
+        dim = linear_matrix.shape[0]
+        sys = OdeSystem(dim, lambda t, x: linear_matrix @ x, linear_matrix=linear_matrix)
+        with pytest.raises(IntegrationFailureError, match="singular Newton matrix at step 0") as exc:
+            implicit_midpoint(sys, np.ones(dim), 0.0, 2 * h, 2)
+        assert exc.value.step_index == 0
 
 
 def test_singular_banded_hook_raises_integration_failure():

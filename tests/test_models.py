@@ -5,26 +5,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sympmor.errors import DimensionError
-from sympmor.integrators import implicit_midpoint
+from sympmor.errors import DimensionError, IntegrationFailureError
+from sympmor.integrators import OdeSystem, implicit_midpoint
 from sympmor.models import (
+    SecondOrder,
     SgKind,
     _bump,
     _bump_prime,
-    sg_boundary_values,
     sg_build,
     sg_exact,
-    sg_hamiltonian,
     sg_initial,
     sg_jacobian,
-    sg_laplacian,
-    sg_newton,
     sg_system,
     wave_build,
-    wave_hamiltonian,
     wave_initial,
-    wave_linear_matrix,
     wave_system,
     wave_vector_field,
 )
@@ -53,14 +49,24 @@ def dense_laplacian(N, h):
             + np.diag(np.ones(N - 1), -1)) / h ** 2
 
 
+def dense_wave_matrix(N, mu):
+    """The wave's dense A = [[0, I], [-(K + K^T)/h, 0]], with the edge stencil K
+    of weight mu^2/h built entry by entry, independently of the model."""
+    m, h = N + 2, 1.0 / (N + 1)
+    K = np.diag(np.r_[0.25, np.full(N, 0.75), 0.25])
+    K += np.diag(np.r_[0.0, np.full(N, -0.5)], 1) + np.diag(np.r_[np.full(N, -0.5), 0.0], -1)
+    K *= mu ** 2 / h
+    return np.block([[np.zeros((m, m)), np.eye(m)], [-(K + K.T) / h, np.zeros((m, m))]])
+
+
 def test_wave_build_stencil():
     model = wave_build(3, mu=2.0)  # m = 5, h = 1/4
-    K = model.K_mat * model.h / model.mu ** 2  # strip the prefactor
-    assert np.allclose(np.diag(K), [0.25, 0.75, 0.75, 0.75, 0.25])
-    assert K[0, 1] == 0.0 and K[4, 3] == 0.0
-    assert K[1, 0] == -0.5 and K[1, 2] == -0.5
-    assert K[2, 1] == -0.5 and K[3, 4] == -0.5
-    assert np.count_nonzero(K) == 11 and np.count_nonzero(np.triu(K, 2) + np.tril(K, -2)) == 0
+    # half of S h^2 / mu^2 is sym(K) for the edge stencil K (weight stripped)
+    half = 0.5 / model.mu ** 2
+    assert np.allclose(half * model.diag, [0.25, 0.75, 0.75, 0.75, 0.25])
+    # K[0, 1] = K[4, 3] = 0 next to K[1, 0] = K[3, 4] = -0.5; K[1, 2] = K[2, 1] = -0.5
+    assert np.allclose(half * model.off, [0.5 * (0.0 - 0.5), -0.5, -0.5, 0.5 * (-0.5 + 0.0)])
+    assert model.potential is None
     assert model.h == pytest.approx(0.25)
     assert model.dim == 10
     assert np.allclose(model.xi, np.linspace(-0.5, 0.5, 5))
@@ -73,16 +79,58 @@ def test_wave_build_stencil():
 def test_wave_field_matches_linear_matrix():
     model = wave_build(6, mu=0.3)
     field = wave_vector_field(model)
-    A = wave_linear_matrix(model)
+    A = wave_system(model).linear_matrix
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(model.dim)
         assert np.linalg.norm(field(0.0, x) - A @ x) < 1e-12
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 32])
+def test_wave_bands_match_dense_matrix(N):
+    """Stencil, field, product Jacobian and sparse A all equal the dense A."""
+    model = wave_build(N, mu=0.7)
+    sys = wave_system(model)
+    A = dense_wave_matrix(N, 0.7)
+    m = N + 2
+    scale = np.linalg.norm(A)
+    assert np.linalg.norm(sys.linear_matrix.toarray() - A) <= 1e-15 * scale
+    V = np.random.default_rng(N).standard_normal((model.dim, 3))
+    tol = 1e-14 * scale * np.linalg.norm(V)
+    assert np.linalg.norm(model.S(V[:m]) + A[m:, :m] @ V[:m]) <= tol
+    assert np.linalg.norm(sys.jacobian(0.0, V[:, 0], V) - A @ V) <= tol
+    assert np.linalg.norm(sys.vector_field(0.0, V[:, 0]) - A @ V[:, 0]) <= tol
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 32])
+def test_wave_fom_matches_dense_lu_reference(N):
+    """The sparse factor-once FOM against a dense cached LU of I - h/2 A."""
+    model = wave_build(N, mu=0.25)
+    x0 = wave_initial(N, 0.25)
+    K, h = 100, 0.01
+    A = dense_wave_matrix(N, 0.25)
+    I = np.eye(model.dim)
+    lu = scipy.linalg.lu_factor(I - 0.5 * h * A)
+    ref = np.empty((model.dim, K + 1))
+    ref[:, 0] = x0
+    for k in range(K):
+        ref[:, k + 1] = scipy.linalg.lu_solve(lu, (I + 0.5 * h * A) @ ref[:, k])
+    traj = implicit_midpoint(wave_system(model), x0, 0.0, 1.0, K)
+    assert np.linalg.norm(traj.states - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_wave_fom_scales_to_large_n():
+    """At N = 100 000 a dense A would need 160 GB; the sparse one takes two steps."""
+    N = 100_000
+    model = wave_build(N, mu=0.25)
+    traj = implicit_midpoint(wave_system(model), wave_initial(N, 0.25), 0.0, 1e-3, 2)
+    assert np.all(np.isfinite(traj.states))
+    assert np.linalg.norm(traj.states[:, -1]) > 0.0
+
+
 def test_wave_hamiltonian_hand_value():
     model = wave_build(1, mu=1.0)  # m = 3, h = 1/2
-    H = wave_hamiltonian(model)
+    H = wave_system(model).hamiltonian
     q = np.array([1.0, 0.0, 0.0])
     p = np.array([2.0, 0.0, 0.0])
     # H = q^T K q + h/2 p^T p ; K[0,0] = mu^2/h * 1/4 = 1/2
@@ -94,7 +142,7 @@ def test_wave_field_is_hamiltonian_gradient():
     # gradient matches: check f against the J grad of the symmetrized energy
     model = wave_build(5, mu=0.4)
     field = wave_vector_field(model)
-    H = wave_hamiltonian(model)
+    H = wave_system(model).hamiltonian
     m = model.N + 2
     rng = np.random.default_rng(3)
     x = rng.standard_normal(2 * m)
@@ -154,8 +202,8 @@ def test_wave_hamiltonian_drift_small_mu():
 def test_sg_build():
     model = sg_build(4, nu=0.5, a=-1.0, b=1.0, bc=SgKind.SingleSoliton)
     assert model.h == pytest.approx(0.4)
-    # the stencil applied to the unit vectors gives the columns of L
-    L = np.column_stack([sg_laplacian(e, model.h) for e in np.eye(4)]) * model.h ** 2
+    # the stencil applied to the unit vectors gives the columns of S = -L
+    L = -model.S(np.eye(4)) * model.h ** 2
     assert np.allclose(np.diag(L), -2.0)
     assert L[0, 1] == 1.0 and L[1, 0] == 1.0 and L[0, 2] == 0.0
     assert np.array_equal(L, L.T) and np.count_nonzero(L) == 10
@@ -245,7 +293,7 @@ def test_sg_hamiltonian_nearly_conserved():
     model = sg_build(32, nu=0.5, a=-10.0, b=10.0, bc=SgKind.Doublets)
     sys = sg_system(model)
     traj = implicit_midpoint(sys, sg_initial(model), 0.0, 1.0, 200)
-    H = sg_hamiltonian(model)
+    H = model.hamiltonian
     vals = [H(traj.states[:, k], t=traj.times[k]) for k in range(0, 201, 20)]
     spread = max(vals) - min(vals)
     assert spread < 1e-3 * max(1.0, abs(vals[0]))
@@ -257,7 +305,7 @@ def test_sg_boundary_values_match_single_point_calls():
         for _ in range(50):
             nu, t = rng.uniform(-0.95, 0.95), rng.uniform(-3.0, 3.0)
             model = sg_build(4, nu, a=-10.0, b=10.0, bc=bc)
-            u, u_t = sg_boundary_values(model)(t)
+            u, u_t = model.boundary(t)
             single = [sg_exact(bc, nu, t, np.array([end])) for end in (model.a, model.b)]
             assert np.allclose(u, [s[0][0] for s in single], rtol=1e-15, atol=0.0)
             assert np.allclose(u_t, [s[1][0] for s in single], rtol=1e-15, atol=0.0)
@@ -277,13 +325,13 @@ def test_sg_hamiltonian_boundary_velocity_term():
                     + 0.5 * h * ((1 - np.cos(phi)) + (1 - np.cos(psi)))
                     + h * np.sum(1 - np.cos(q)))
         assert abs(phi_t) > 0.1 or abs(psi_t) > 0.1
-        assert sg_hamiltonian(model)(x, t=t) == pytest.approx(expected, rel=1e-14)
+        assert model.hamiltonian(x, t=t) == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 64])
 def test_sg_newton_solve_matches_dense_solve(N):
     model = sg_build(N, nu=0.4, a=-5.0, b=5.0, bc=SgKind.SingleSoliton)
-    newton = sg_newton(model)
+    newton = sg_system(model).newton
     jac = sg_jacobian(model)
     rng = np.random.default_rng(N)
     for tau in (1e-3, 0.02, 0.5):
@@ -313,3 +361,21 @@ def test_sg_banded_fom_matches_dense_fom(nu):
     b = implicit_midpoint(dense, sg_initial(model), 0.0, 1.0, 50)
     assert np.linalg.norm(a.states - b.states) <= 1e-12 * np.linalg.norm(b.states)
     assert calls["banded"] == calls["dense"]
+
+
+def test_banded_newton_singular_schur_complement():
+    """tau = 2, S = tridiag(0, -1, 0), V = 0: I + tau^2/4 S is exactly zero."""
+    class Flat(SecondOrder):
+        potential = (np.zeros_like, np.zeros_like)
+
+        def ends(self, t):
+            return 0.0, 0.0
+
+    model = Flat(d=2, diag=-1.0, off=0.0, h=1.0)
+    _, solve = model.banded_newton(model.field)(0.0, np.ones(4), 2.0)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        solve(np.ones(4))
+    sys = OdeSystem(4, model.field, newton=model.banded_newton(model.field))
+    with pytest.raises(IntegrationFailureError, match="singular Newton matrix") as exc:
+        implicit_midpoint(sys, np.ones(4), 0.0, 4.0, 2)
+    assert exc.value.step_index == 0
