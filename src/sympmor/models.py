@@ -26,20 +26,19 @@ from .integrators import OdeSystem
 class SecondOrder:
     """q' = p, p' = -S q - V'(q) + b(t) on d nodes, S = tridiag(off, diag, off) / h^2.
 
-    diag and off are S's bands: arrays of length d and d - 1, or numbers for a
-    uniform band.  A nonlinear testbed sets potential to the pointwise
-    (V', V'') and defines ends(t) -> (b_0, b_{d-1}), the forcing on the two
-    end nodes (b is zero elsewhere).
+    d is the N interior nodes unless a testbed overrides it.  diag and off are
+    S's bands: arrays of length d and d - 1, or numbers for a uniform band.  A
+    nonlinear testbed sets potential to the pointwise (V', V'') and defines
+    ends(t) -> (b_0, b_{d-1}), the forcing on the two end nodes (b is zero
+    elsewhere).
     """
-    d: int
+    N: int
     diag: object
     off: object
     h: float
     potential = None
-
-    @property
-    def dim(self):
-        return 2 * self.d
+    d = property(lambda self: self.N)
+    dim = property(lambda self: 2 * self.d)
 
     def S(self, Q, sign=1.0):
         """sign S Q for a d-vector or a d x m block Q, at O(d m); no matrix is stored."""
@@ -118,9 +117,9 @@ wave_vector_field = sg_vector_field = vector_field
 
 @dataclass(eq=False)
 class WaveModel(SecondOrder):
-    N: int
     mu: float
     xi: np.ndarray         # grid points including boundaries
+    d = property(lambda self: self.N + 2)       # the N interior nodes and both boundary nodes
 
 
 def wave_build(N, mu):
@@ -129,9 +128,9 @@ def wave_build(N, mu):
     its diagonal and K[0, 1] = K[N+1, N] = 0."""
     if N < 1 or mu <= 0:
         raise DimensionError("need N >= 1 and mu > 0")
-    return WaveModel(d=N + 2, diag=mu ** 2 * np.r_[0.5, np.full(N, 1.5), 0.5],
+    return WaveModel(N=N, diag=mu ** 2 * np.r_[0.5, np.full(N, 1.5), 0.5],
                      off=mu ** 2 * np.r_[-0.5, np.full(N - 1, -1.0), -0.5],
-                     h=1.0 / (N + 1), N=N, mu=mu, xi=np.linspace(-0.5, 0.5, N + 2))
+                     h=1.0 / (N + 1), mu=mu, xi=np.linspace(-0.5, 0.5, N + 2))
 
 
 def _bump(s):
@@ -174,13 +173,16 @@ class SgKind(enum.Enum):
 class SineGordonModel(SecondOrder):
     """S = -L for L = tridiag(1, -2, 1)/h^2, V = 1 - cos q, and b(t) the
     closed-form boundary values over h^2."""
-    N: int
     nu: float
     a: float
     b: float
     bc: SgKind
-    xi: np.ndarray         # interior grid points
     potential = (np.sin, np.cos)
+
+    @property
+    def xi(self):
+        """Interior grid points."""
+        return self.a + self.h * np.arange(1, self.N + 1)
 
     def boundary(self, t):
         """([u(t, a), u(t, b)], [u_t(t, a), u_t(t, b)]) from one sg_exact call."""
@@ -206,8 +208,7 @@ def sg_build(N, nu, a, b, bc):
     if N < 1 or b <= a:
         raise DimensionError("need N >= 1 and b > a")
     h = (b - a) / (N + 1)
-    return SineGordonModel(d=N, diag=2.0, off=-1.0, h=h,
-                           N=N, nu=nu, a=a, b=b, bc=bc, xi=a + h * np.arange(1, N + 1))
+    return SineGordonModel(N=N, diag=2.0, off=-1.0, h=h, nu=nu, a=a, b=b, bc=bc)
 
 
 def sg_exact(bc, nu, t, xi):

@@ -12,7 +12,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import blas
 from .errors import DimensionError, SympmorError
 from .integrators import OdeSystem, Trajectory, dense_newton, implicit_midpoint
 from .network import PSDLayer
@@ -170,13 +169,12 @@ def reduced_linearization(rom, fom_sys):
 
 
 def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
-    """Integrate the ROM on one BLAS thread (its solves are 2n x 2n); Newton falls
-    back to finite differences only when the FOM has no Jacobian."""
+    """Integrate the ROM; Newton falls back to finite differences only when
+    the FOM has no Jacobian."""
     field = reduced_vector_field(rom, fom_sys.vector_field)
     newton = dense_newton(reduced_linearization(rom, fom_sys)) if fom_sys.jacobian else None
     reduced_sys = OdeSystem(dim=rom.reduced_dim, vector_field=field, newton=newton)
-    with blas.single_thread():
-        return implicit_midpoint(reduced_sys, rom.x_r0, t0, t1, K, tol=tol)
+    return implicit_midpoint(reduced_sys, rom.x_r0, t0, t1, K, tol=tol)
 
 
 def reconstruct(rom, reduced_traj):

@@ -371,7 +371,7 @@ def test_banded_newton_singular_schur_complement():
         def ends(self, t):
             return 0.0, 0.0
 
-    model = Flat(d=2, diag=-1.0, off=0.0, h=1.0)
+    model = Flat(N=2, diag=-1.0, off=0.0, h=1.0)
     _, solve = model.banded_newton(model.field)(0.0, np.ones(4), 2.0)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         solve(np.ones(4))
