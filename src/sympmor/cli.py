@@ -20,7 +20,6 @@ from . import stiefel as st
 from .config import RunConfig, load_config
 from .errors import SympmorError
 from .integrators import implicit_midpoint
-from .network import LossKind
 from .snapshot_io import read_snapshot_file, write_snapshot_file
 from .stiefel import MetricKind, TransportKind
 
@@ -75,25 +74,19 @@ def train_run(cfg, snapshots, out_dir):
             for i, value in enumerate(losses, start=1):
                 writer.writerow([i, repr(float(value))])
         save_network(network, out_dir / f"params_n{n}.npz")
-        summaries[n] = {"final_loss": float(losses[-1]),
-                        "first_loss": float(losses[0]),
-                        "wall_seconds": wall}
+        first, final = float(losses[0]), float(losses[-1])
+        summaries[n] = {"final_loss": final, "first_loss": first,
+                        "stalled": final >= first, "wall_seconds": wall}
     manifest = {
-        "config": {k: _jsonable(v) for k, v in vars(cfg).items()},
+        "config": vars(cfg),
         "initialization": "K ~ U(+-sqrt(6/(L+fan_in))), a ~ same/L, b = 0; "
                           "PSD weights from seeded QR of normal samples",
         "summaries": {str(k): v for k, v in summaries.items()},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    # enums (the config's loss, metric and transport) are written as their values
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=1, sort_keys=True, default=lambda e: e.value))
     return summaries
-
-
-def _jsonable(v):
-    if isinstance(v, (LossKind, MetricKind, TransportKind)):
-        return v.value
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def save_network(network, path):

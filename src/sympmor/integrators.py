@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DimensionError, IntegrationFailureError
 
+MAX_NEWTON = 50   # Newton iterations per step before IntegrationFailureError
+
 
 @dataclass
 class OdeSystem:
@@ -38,9 +40,9 @@ class Trajectory:
         return np.linspace(self.t0, self.t1, self.K + 1)
 
 
-def _fd_jacobian(f, t, x, eps=1e-7):
+def _fd_jacobian(f, t, x):
     """Dense Df(x) by central differences, one column per coordinate step."""
-    steps = np.diag(np.maximum(np.abs(x), 1.0) * eps)
+    steps = np.diag(np.maximum(np.abs(x), 1.0) * 1e-7)
     return np.column_stack([(f(t, x + s) - f(t, x - s)) / (2 * s[j]) for j, s in enumerate(steps)])
 
 
@@ -55,7 +57,7 @@ def dense_newton(linearize):
     return newton
 
 
-def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12, max_newton=50):
+def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     """Integrate sys from x0 over [t0, t1] in K implicit midpoint steps."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,):
@@ -88,7 +90,7 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12, max_newton=50):
         t_mid = t0 + (k + 0.5) * h
         x_old = X[:, k]
         x_new = x_old + h * f(t0 + k * h, x_old)  # explicit Euler predictor
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             x_mid = 0.5 * (x_old + x_new)
             try:
                 f_mid, solve = newton(t_mid, x_mid, h)

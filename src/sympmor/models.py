@@ -118,8 +118,8 @@ wave_vector_field = sg_vector_field = vector_field
 @dataclass(eq=False)
 class WaveModel(SecondOrder):
     mu: float
-    xi: np.ndarray         # grid points including boundaries
     d = property(lambda self: self.N + 2)       # the N interior nodes and both boundary nodes
+    xi = property(lambda self: np.linspace(-0.5, 0.5, self.d))   # the grid of those d nodes
 
 
 def wave_build(N, mu):
@@ -130,7 +130,7 @@ def wave_build(N, mu):
         raise DimensionError("need N >= 1 and mu > 0")
     return WaveModel(N=N, diag=mu ** 2 * np.r_[0.5, np.full(N, 1.5), 0.5],
                      off=mu ** 2 * np.r_[-0.5, np.full(N - 1, -1.0), -0.5],
-                     h=1.0 / (N + 1), mu=mu, xi=np.linspace(-0.5, 0.5, N + 2))
+                     h=1.0 / (N + 1), mu=mu)
 
 
 def _bump(s):
@@ -191,8 +191,8 @@ class SineGordonModel(SecondOrder):
     def ends(self, t):
         return self.boundary(t)[0] / self.h ** 2
 
-    def hamiltonian(self, x, t=0.0):
-        """The discrete Hamiltonian, with the boundary contributions."""
+    def hamiltonian(self, x, t):
+        """The discrete Hamiltonian at time t, with the boundary contributions of t."""
         q, h = x[:self.N], self.h
         (phi, psi), (phi_t, psi_t) = self.boundary(t)
         val = 0.5 * h * ((-2 * q[0] * phi + phi ** 2 - 2 * q[-1] * psi + psi ** 2) / h ** 2)

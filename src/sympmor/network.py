@@ -220,7 +220,7 @@ def loss_backward(kind, Xb, Yb):
     return (Yb - Xb) / (diff * denom)
 
 
-def build_network(full_dim, reduced_dim, seed, activation=Activation.tanh):
+def build_network(full_dim, reduced_dim, seed):
     """Assemble the 9-layer autoencoder.
 
     Encoder: 4 GradientLayers at width 2d, then a PSD reduce to 2n.
@@ -241,7 +241,7 @@ def build_network(full_dim, reduced_dim, seed, activation=Activation.tanh):
         K = rng.uniform(-limit, limit, size=(L, half))
         a = rng.uniform(-limit, limit, size=L) / L
         b = np.zeros(L)
-        return GradientLayer("P", dim, L, K, a, b, activation)
+        return GradientLayer("P", dim, L, K, a, b)
 
     layers = []
     for _ in range(4):
@@ -270,8 +270,12 @@ class Trainer:
         self.cfg = cfg
         self.states = [self._state(layer) for layer in net.layers]   # rejects an unknown optimizer
         self.hyper = opt.AdamHyper(eta=cfg.eta, decay=opt.PSD_OPTIMIZERS[cfg.optimizer])
-        self.step_index = 0
         self.first_error = None
+
+    @property
+    def step_index(self):
+        """Updates taken so far: the shared hyper advances once per update from t = 1."""
+        return self.hyper.t - 1
 
     def _state(self, layer):
         """Adam caches of one layer: one per parameter array, or (hyper, cache) of a PSD weight."""
@@ -292,7 +296,6 @@ class Trainer:
                                               cfg.seed + self.step_index,
                                               cfg.metric, cfg.transport)
         opt.update_hyper(self.hyper)
-        self.step_index += 1
 
     def train_batch(self, loss_kind, batch):
         """One update; raise TrainingDivergedError instead of taking a diverged step."""

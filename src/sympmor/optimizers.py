@@ -19,6 +19,7 @@ Three update rules share the hyperparameter record:
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,20 +33,15 @@ ETA_DECAY = 0.9995   # per-step eta factor of the decaying optimizers (stiefel_d
 
 @dataclass
 class AdamHyper:
+    """Adam's step size and optional decay, and the step state t, beta1^t, beta2^t."""
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.99
+    delta: ClassVar[float] = 1e-8
     eta: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.99
-    delta: float = 1e-8
     decay: float | None = None  # ETA_DECAY when enabled
-    t: int = 1
-    beta1_t: float = field(default=None)
-    beta2_t: float = field(default=None)
-
-    def __post_init__(self):
-        if self.beta1_t is None:
-            self.beta1_t = self.beta1 ** self.t
-        if self.beta2_t is None:
-            self.beta2_t = self.beta2 ** self.t
+    t: int = field(default=1, init=False)
+    beta1_t: float = field(default=beta1, init=False)
+    beta2_t: float = field(default=beta2, init=False)
 
     def moment_coeffs(self):
         """(old, new) mixing weights for B1 and B2 with bias correction folded in."""

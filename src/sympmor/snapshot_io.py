@@ -20,7 +20,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIQQQQB")
 
 
-def write_snapshot_file(path, snapshots, model_id="", seed=None, extra=None):
+def write_snapshot_file(path, snapshots, model_id="", seed=None):
     path = Path(path)
     data = np.asarray(snapshots.data, dtype="<f8")
     rows, cols = data.shape
@@ -38,8 +38,6 @@ def write_snapshot_file(path, snapshots, model_id="", seed=None, extra=None):
     }
     if snapshots.initial_states is not None:
         meta["initial_states"] = snapshots.initial_states.tolist()
-    if extra:
-        meta.update(extra)
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
     return path

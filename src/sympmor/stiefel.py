@@ -47,7 +47,7 @@ def _qr_orthonormal(A):
 class StiefelPoint:
     """A point on St(n, N): an N x n matrix with orthonormal columns."""
 
-    __slots__ = ("data", "n_rows", "n_cols")
+    __slots__ = ("data",)
 
     def __init__(self, data, check=True):
         """check=False skips the orthonormality test; a retraction passes its
@@ -65,16 +65,13 @@ class StiefelPoint:
                     f"matrix is not orthonormal: residual {res:.3e} exceeds {REORTH_THRESHOLD:.0e}"
                 )
         self.data = data
-        self.n_rows = N
-        self.n_cols = n
 
     @property
     def shape(self):
         return self.data.shape
 
     def ortho_residual(self):
-        n = self.n_cols
-        return np.linalg.norm(self.data.T @ self.data - np.eye(n))
+        return np.linalg.norm(self.data.T @ self.data - np.eye(self.data.shape[1]))
 
     def renormalized(self):
         """Return self, or a thin-QR re-orthonormalized copy if drift exceeds 1e-8.
@@ -95,7 +92,7 @@ class StiefelPoint:
         return self.shape == other.shape and np.array_equal(self.data, other.data)
 
     def __repr__(self):
-        return f"StiefelPoint(N={self.n_rows}, n={self.n_cols})"
+        return "StiefelPoint(N={}, n={})".format(*self.shape)
 
 
 class TangentVector:
@@ -112,7 +109,7 @@ class TangentVector:
         if check:
             X = anchor.data
             res = np.linalg.norm(X.T @ data + data.T @ X)
-            if res > 1e-9 * np.sqrt(anchor.n_cols) * max(1.0, np.linalg.norm(data)):
+            if res > 1e-9 * np.sqrt(anchor.shape[1]) * max(1.0, np.linalg.norm(data)):
                 raise DimensionError(f"matrix is not tangent at the anchor (residual {res:.3e})")
         self.data = data
         # anchor stored by value; mismatches are caught exactly by comparing entries
@@ -123,7 +120,7 @@ class TangentVector:
             raise AnchorMismatchError("tangent vector anchored at a different point")
 
     def __repr__(self):
-        return f"TangentVector(N={self.anchor.n_rows}, n={self.anchor.n_cols})"
+        return "TangentVector(N={}, n={})".format(*self.anchor.shape)
 
 
 def random_stiefel(N, n, seed):
@@ -222,22 +219,21 @@ def cayley_retract(X, Z):
     return StiefelPoint(_cayley_apply(U, V, X.data), check=False).renormalized()
 
 
-def transport_submanifold(X, Z, Y, retracted=None):
-    """Projection-based transport of Y along Z: project Y onto the tangent space at R_X(Z)."""
+def transport_submanifold(X, Z, Y, retracted):
+    """Projection-based transport of Y along Z onto the tangent space at retracted = R_X(Z)."""
     Z.require_anchor(X)
     Y.require_anchor(X)
-    Phi = retracted if retracted is not None else cayley_retract(X, Z)
-    P = Phi.data
+    P = retracted.data
     PtY = P.T @ Y.data
     out = Y.data - 0.5 * P @ (PtY + Y.data.T @ P)
-    return TangentVector(out, Phi, check=False)
+    return TangentVector(out, retracted, check=False)
 
 
-def transport_differential(X, Z, Y, retracted=None):
+def transport_differential(X, Z, Y, retracted):
     """Differentiated-retraction transport of Y along Z.
 
     Evaluates (I - A_{X,Z}/2)^{-1} A_{X,Y} (I - A_{X,Z}/2)^{-1} X through the
-    SMW expansion; the result is tangent at R_X(Z).
+    SMW expansion and projects it onto the tangent space at retracted = R_X(Z).
     """
     Z.require_anchor(X)
     Y.require_anchor(X)
@@ -253,11 +249,10 @@ def transport_differential(X, Z, Y, retracted=None):
     # (I - A_{X,Z}/2)^{-1} (A_{X,Y} W)
     out = AW + 0.5 * U @ scipy.linalg.lu_solve((lu, piv), V @ AW)
 
-    Phi = retracted if retracted is not None else cayley_retract(X, Z)
-    return TangentVector(project_tangent(Phi, out).data, Phi, check=False)
+    return project_tangent(retracted, out)
 
 
-def transport(kind, X, Z, Y, retracted=None):
+def transport(kind, X, Z, Y, retracted):
     if kind is TransportKind.Submanifold:
         return transport_submanifold(X, Z, Y, retracted)
     if kind is TransportKind.Differential:

@@ -72,6 +72,7 @@ def test_pipeline_end_to_end(cfg_path, tmp_path, capsys):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["config"]["variant"] == "V3"
     assert "initialization" in manifest
+    assert manifest["summaries"]["2"]["stalled"] is False
     losses = read_csv(run_dir / "losses_n2.csv")
     assert losses[0] == ["epoch", "avg_loss"]
     assert len(losses) == 3  # header + 2 epochs
@@ -312,6 +313,8 @@ def test_desk_drift_is_renormalized(desk_data, tmp_path):
         rc, out = _train_desk(desk_data, tmp_path, "V1", 10, "snapshots.bin")
     assert rc == 0
     assert (out / "params_n4.npz").exists()
+    # the last loss is 1.8x the first: recorded, not an error
+    assert json.loads((out / "manifest.json").read_text())["summaries"]["4"]["stalled"]
 
 
 def test_speed_test_rows():

@@ -109,7 +109,7 @@ def test_newton_failure_raises_with_step_index():
     # an absurd step size on a stiff blow-up problem defeats Newton
     sys = OdeSystem(1, lambda t, x: x ** 2)
     with pytest.raises(IntegrationFailureError) as exc:
-        implicit_midpoint(sys, np.array([1.0]), 0.0, 10.0, 2, max_newton=4)
+        implicit_midpoint(sys, np.array([1.0]), 0.0, 10.0, 2)
     assert exc.value.step_index >= 0
 
 

@@ -373,13 +373,13 @@ def test_snapshot_file_roundtrip(tmp_path):
     s = SnapshotSet(data=data, params=[0.25, 0.5], K=2, t0=0.0, t1=1.0)
     norm = normalize_snapshots(s)
     p = tmp_path / "snaps.bin"
-    write_snapshot_file(p, norm, model_id="wave", seed=7, extra={"note": "test"})
+    write_snapshot_file(p, norm, model_id="wave", seed=7)
     back, meta = read_snapshot_file(p)
     assert np.array_equal(back.data, norm.data)  # bitwise
     assert back.params == [0.25, 0.5]
     assert back.K == 2 and back.normalized
     assert np.allclose(back.initial_states, norm.initial_states)
-    assert meta["model"] == "wave" and meta["seed"] == 7 and meta["note"] == "test"
+    assert meta["model"] == "wave" and meta["seed"] == 7
 
 
 def test_snapshot_file_rejects_garbage(tmp_path):
