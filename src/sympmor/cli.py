@@ -18,7 +18,7 @@ import numpy as np
 from . import models, network as net, optimizers as opt, reduction as red
 from . import stiefel as st
 from .config import RunConfig, load_config
-from .errors import SympmorError
+from .errors import DimensionError, SympmorError
 from .integrators import implicit_midpoint
 from .snapshot_io import read_snapshot_file, write_snapshot_file
 from .stiefel import MetricKind, TransportKind
@@ -93,8 +93,8 @@ def save_network(network, path):
     arrays, spec = {}, []
     for i, layer in enumerate(network.layers):
         if isinstance(layer, net.GradientLayer):
-            spec.append({"type": "gradient", "kind": layer.kind, "dim": layer.dim,
-                         "upscale": layer.upscale, "activation": layer.activation.value})
+            spec.append({"type": "gradient", "kind": layer.kind,
+                         "activation": layer.activation.value})
             arrays[f"K_{i}"] = layer.K
             arrays[f"a_{i}"] = layer.a
             arrays[f"b_{i}"] = layer.b
@@ -102,31 +102,37 @@ def save_network(network, path):
             spec.append({"type": "psd", "direction": layer.direction})
             arrays[f"X_{i}"] = layer.weight.data
     arrays["spec"] = np.frombuffer(json.dumps({
-        "layers": spec, "encoder_len": network.encoder_len,
-        "full_dim": network.full_dim, "reduced_dim": network.reduced_dim,
-    }).encode(), dtype=np.uint8)
+        "layers": spec, "encoder_len": network.encoder_len}).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 
 
 def load_network(path):
+    """The network of a params file.  Widths follow from the arrays (the width
+    keys of older files are ignored); layers that do not chain are an error."""
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["spec"].tobytes()).decode())
             layers = []
             for i, entry in enumerate(meta["layers"]):
-                if entry["type"] == "gradient":
+                if entry["type"] == "gradient" and entry["kind"] in ("P", "Q"):
                     layers.append(net.GradientLayer(
-                        entry["kind"], entry["dim"], entry["upscale"],
-                        data[f"K_{i}"], data[f"a_{i}"], data[f"b_{i}"],
+                        entry["kind"], data[f"K_{i}"], data[f"a_{i}"], data[f"b_{i}"],
                         net.Activation(entry["activation"])))
-                else:
+                elif entry["type"] == "psd" and entry["direction"] in ("reduce", "expand"):
                     layers.append(net.PSDLayer(st.StiefelPoint(data[f"X_{i}"]),
                                                entry["direction"]))
-        return net.Network(layers=layers, encoder_len=meta["encoder_len"],
-                           full_dim=meta["full_dim"], reduced_dim=meta["reduced_dim"])
+                else:
+                    raise ValueError(f"layer {i}: unknown layer {entry}")
+        if not 0 < meta["encoder_len"] < len(layers):
+            raise ValueError(f"encoder_len {meta['encoder_len']} of {len(layers)} layers")
+        network = net.Network(layers=layers, encoder_len=meta["encoder_len"])
+        network.forward(np.zeros((layers[0].in_dim, 0)))   # each layer fits the next
+        return network
     # OSError: missing file; BadZipFile/EOFError/ValueError: truncated or not an
-    # npz (ValueError also covers a bad spec); KeyError: a missing array or key
-    except (OSError, zipfile.BadZipFile, EOFError, ValueError, KeyError) as exc:
+    # npz, a bad spec, or arrays that do not chain; KeyError: a missing array or
+    # key; IndexError/TypeError/DimensionError: an array of the wrong rank or width
+    except (OSError, zipfile.BadZipFile, EOFError, ValueError, KeyError, IndexError,
+            TypeError, DimensionError) as exc:
         raise SympmorError(f"cannot load network {str(path)!r}: "
                            f"{type(exc).__name__}: {exc}") from exc
 

@@ -184,8 +184,10 @@ class SineGordonModel(SecondOrder):
         """Interior grid points."""
         return self.a + self.h * np.arange(1, self.N + 1)
 
+    @functools.lru_cache(maxsize=4)   # the field asks once per Newton iterate at one t
     def boundary(self, t):
-        """([u(t, a), u(t, b)], [u_t(t, a), u_t(t, b)]) from one sg_exact call."""
+        """([u(t, a), u(t, b)], [u_t(t, a), u_t(t, b)]) from one sg_exact call per
+        model and t; callers must not write into the arrays."""
         return sg_exact(self.bc, self.nu, t, np.array([self.a, self.b]))
 
     def ends(self, t):

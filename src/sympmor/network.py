@@ -57,16 +57,14 @@ class GradientLayer:
     differential evaluate no activation.
     """
 
-    def __init__(self, kind, dim, upscale, K, a, b, activation=Activation.tanh):
-        if dim % 2:
-            raise DimensionError("GradientLayer dim must be even")
+    def __init__(self, kind, K, a, b, activation=Activation.tanh):
         self.kind = kind
-        self.dim = dim
-        self.upscale = upscale
-        self.K = K          # L x (dim/2)
+        self.K = K          # L x d, for in_dim = 2d
         self.a = a          # L
         self.b = b          # L
         self.activation = activation
+
+    in_dim = property(lambda self: 2 * self.K.shape[1])
 
     def _swap(self, first, second):
         """[q-half, p-half] <-> [driver, driven]: q drives p for 'P', p drives q
@@ -74,9 +72,9 @@ class GradientLayer:
         return (first, second) if self.kind == "P" else (second, first)
 
     def forward(self, x):
-        if x.shape[0] != self.dim:
-            raise DimensionError(f"expected {self.dim} rows, got {x.shape[0]}")
-        half = self.dim // 2
+        half = self.K.shape[1]
+        if x.shape[0] != 2 * half:
+            raise DimensionError(f"expected {2 * half} rows, got {x.shape[0]}")
         driver, driven = self._swap(x[:half], x[half:])
         sigma, sigma_prime = _ACTIVATIONS[self.activation]
         u = self.K @ driver + self.b[:, None]
@@ -86,7 +84,7 @@ class GradientLayer:
 
     def backward(self, tape, upstream):
         driver, s, sp = tape
-        half = self.dim // 2
+        half = self.K.shape[1]
         # g flows into the nonlinear branch
         g_driver, g = self._swap(upstream[:half], upstream[half:])
         Kg = self.K @ g
@@ -98,57 +96,51 @@ class GradientLayer:
     def differential(self, tape, dx):
         """Forward-mode directional derivative at the taped input."""
         _, _, sp = tape
-        half = self.dim // 2
+        half = self.K.shape[1]
         d_driver, d_driven = self._swap(dx[:half], dx[half:])
         dadd = self.K.T @ (self.a[:, None] * sp * (self.K @ d_driver))
         return np.concatenate(self._swap(d_driver, d_driven + dadd))
 
 
 class PSDLayer:
-    """Linear symplectic reduce/expand layer with Stiefel weight X.
-
-    Expand (2n -> 2N): blockdiag(X, X); Reduce (2N -> 2n): blockdiag(X^T, X^T).
-    Applied blockwise; the 2N x 2n block matrix is never formed.
+    """Linear symplectic reduce/expand layer with Stiefel weight X: blockdiag(W, W),
+    W = X to expand (2n -> 2N) and X^T to reduce (2N -> 2n), applied blockwise;
+    the 2N x 2n block matrix is never formed.
     """
 
     def __init__(self, weight, direction):
         self.weight = weight            # StiefelPoint, N x n
         self.direction = direction      # 'reduce' or 'expand'
 
-    @property
-    def in_dim(self):
-        N, n = self.weight.shape
-        return 2 * N if self.direction == "reduce" else 2 * n
+    W = property(lambda self: self.weight.data if self.direction == "expand"
+                 else self.weight.data.T)
+    in_dim = property(lambda self: 2 * self.W.shape[1])
 
     def forward(self, x):
-        if x.shape[0] != self.in_dim:
-            raise DimensionError(f"expected {self.in_dim} rows, got {x.shape[0]}")
-        half = x.shape[0] // 2
-        q, p = x[:half], x[half:]
-        A = self.weight.data
-        if self.direction == "expand":
-            out = np.concatenate([A @ q, A @ p])
-        else:
-            out = np.concatenate([A.T @ q, A.T @ p])
-        return out, (x,)
+        W = self.W
+        if x.shape[0] != 2 * W.shape[1]:
+            raise DimensionError(f"expected {2 * W.shape[1]} rows, got {x.shape[0]}")
+        return _blockwise(W, x), (x,)
 
     def backward(self, tape, upstream):
         (x,) = tape
-        half = x.shape[0] // 2
-        q, p = x[:half], x[half:]
-        uhalf = upstream.shape[0] // 2
-        g_q, g_p = upstream[:uhalf], upstream[uhalf:]
-        A = self.weight.data
+        half, uhalf = x.shape[0] // 2, upstream.shape[0] // 2
+        q, p, g_q, g_p = x[:half], x[half:], upstream[:uhalf], upstream[uhalf:]
+        # dX: g x^T to expand, x g^T to reduce (transposing g x^T would round differently)
         if self.direction == "expand":
-            input_grad = np.concatenate([A.T @ g_q, A.T @ g_p])
             egrad = g_q @ q.T + g_p @ p.T
         else:
-            input_grad = np.concatenate([A @ g_q, A @ g_p])
             egrad = q @ g_q.T + p @ g_p.T
-        return input_grad, {"X": egrad}
+        return _blockwise(self.W.T, upstream), {"X": egrad}
 
     def differential(self, tape, dx):
         return self.forward(dx)[0]
+
+
+def _blockwise(W, x):
+    """blockdiag(W, W) x, one block per half of x."""
+    half = x.shape[0] // 2
+    return np.concatenate([W @ x[:half], W @ x[half:]])
 
 
 def _run_layers(layers, x):
@@ -165,12 +157,8 @@ def _run_layers(layers, x):
 class Network:
     layers: list
     encoder_len: int
-    full_dim: int
-    reduced_dim: int
 
     def forward(self, batch):
-        if batch.shape[0] != self.full_dim:
-            raise DimensionError(f"expected {self.full_dim} rows")
         tape = []
         x = batch
         for layer in self.layers:
@@ -188,7 +176,7 @@ class Network:
         """(d(x_r), Dd(x_r)): the decoded state and the exact decoder Jacobian,
         from one pass that propagates the identity basis in forward mode."""
         x = np.asarray(x_r, dtype=float)[:, None]
-        D = np.eye(self.reduced_dim)
+        D = np.eye(x.shape[0])
         for layer in self.layers[self.encoder_len:]:
             x, tape = layer.forward(x)
             D = layer.differential(tape, D)
@@ -234,26 +222,24 @@ def build_network(full_dim, reduced_dim, seed):
         raise DimensionError("reduced dim exceeds full dim")
     rng = np.random.default_rng(seed)
 
-    def make_gradient(dim):
-        half = dim // 2
+    def make_gradient(half):
         L = 5 * half
         limit = np.sqrt(6.0 / (L + half))
         K = rng.uniform(-limit, limit, size=(L, half))
         a = rng.uniform(-limit, limit, size=L) / L
         b = np.zeros(L)
-        return GradientLayer("P", dim, L, K, a, b)
+        return GradientLayer("P", K, a, b)
 
     layers = []
     for _ in range(4):
-        layers.append(make_gradient(full_dim))
+        layers.append(make_gradient(d))
     seed_enc, seed_dec = rng.integers(0, 2 ** 62, size=2)
     layers.append(PSDLayer(st.random_stiefel(d, n, int(seed_enc)), "reduce"))
     for _ in range(2):
-        layers.append(make_gradient(reduced_dim))
+        layers.append(make_gradient(n))
     layers.append(PSDLayer(st.random_stiefel(d, n, int(seed_dec)), "expand"))
-    layers.append(make_gradient(full_dim))
-    return Network(layers=layers, encoder_len=5, full_dim=full_dim,
-                   reduced_dim=reduced_dim)
+    layers.append(make_gradient(d))
+    return Network(layers=layers, encoder_len=5)
 
 
 class Trainer:

@@ -12,7 +12,7 @@ import pytest
 from sympmor import cli, reduction
 from sympmor.cli import load_network, main, save_network, speed_test
 from sympmor.config import VARIANTS, RunConfig
-from sympmor.errors import ConfigError, IntegrationFailureError
+from sympmor.errors import ConfigError, IntegrationFailureError, SympmorError
 from sympmor.network import build_network
 from sympmor.optimizers import PSD_OPTIMIZERS
 from sympmor.reduction import SnapshotSet
@@ -130,7 +130,73 @@ def test_network_save_load_roundtrip(tmp_path):
     out_a, _ = netw.forward(x)
     out_b, _ = back.forward(x)
     assert np.array_equal(out_a, out_b)
-    assert back.encoder_len == 5 and back.reduced_dim == 4
+    assert back.encoder_len == 5 and back.decoder_jacobian(np.zeros(4))[1].shape == (8, 4)
+    # the file stores no width: each follows from the arrays
+    with np.load(p) as data:
+        spec = json.loads(data["spec"].tobytes().decode())
+    assert set(spec) == {"layers", "encoder_len"}
+    assert all(set(entry) <= {"type", "kind", "activation", "direction"}
+               for entry in spec["layers"])
+
+
+def rewrite_params(src, dst, edit):
+    """Copy a params file through edit(arrays, spec), which changes both in place."""
+    with np.load(src) as data:
+        arrays = dict(data)
+    spec = json.loads(arrays["spec"].tobytes().decode())
+    edit(arrays, spec)
+    arrays["spec"] = np.frombuffer(json.dumps(spec).encode(), dtype=np.uint8)
+    np.savez(dst, **arrays)
+
+
+def with_width_keys(arrays, spec):
+    """The spec as files once held it: every width stored beside the arrays."""
+    for i, entry in enumerate(spec["layers"]):
+        if entry["type"] == "gradient":
+            L, half = arrays[f"K_{i}"].shape
+            entry.update(dim=2 * half, upscale=L)
+    spec.update(full_dim=8, reduced_dim=4)
+
+
+def test_load_network_ignores_stored_widths(tmp_path):
+    netw = build_network(8, 4, seed=2)
+    save_network(netw, tmp_path / "net.npz")
+    rewrite_params(tmp_path / "net.npz", tmp_path / "old.npz", with_width_keys)
+    back = load_network(tmp_path / "old.npz")
+    rng = np.random.default_rng(0)
+    x, xi = rng.standard_normal((8, 3)), 0.3 * rng.standard_normal(4)
+    assert np.array_equal(back.forward(x)[0], netw.forward(x)[0])
+    for got, want in zip(back.decoder_jacobian(xi), netw.decoder_jacobian(xi)):
+        assert np.array_equal(got, want)
+
+
+def short_a0(arrays, spec):
+    arrays["a_0"] = arrays["a_0"][:-1]
+
+
+# edit of a good params file -> a word of the SympmorError it must raise at load
+BAD_PARAMS = {
+    "short a_0": (short_a0, "ValueError"),
+    "wide K_5": (lambda arrays, spec: arrays.update(K_5=np.hstack([arrays["K_5"]] * 2)),
+                 "DimensionError"),
+    "kind R": (lambda arrays, spec: spec["layers"][0].update(kind="R"), "unknown layer"),
+    "direction lift": (lambda arrays, spec: spec["layers"][4].update(direction="lift"),
+                       "unknown layer"),
+    "encoder_len 0": (lambda arrays, spec: spec.update(encoder_len=0), "encoder_len"),
+    "encoder_len 9": (lambda arrays, spec: spec.update(encoder_len=9), "encoder_len"),
+}
+
+
+@pytest.mark.parametrize("edit, word", BAD_PARAMS.values(), ids=list(BAD_PARAMS))
+def test_load_network_rejects_layers_that_do_not_chain(edit, word, tmp_path):
+    save_network(build_network(8, 4, seed=2), tmp_path / "net.npz")
+    rewrite_params(tmp_path / "net.npz", tmp_path / "bad.npz", edit)
+    with pytest.raises(SympmorError, match=word):
+        load_network(tmp_path / "bad.npz")
+    # the same edit is caught in a file that still stores the widths
+    rewrite_params(tmp_path / "bad.npz", tmp_path / "bad_old.npz", with_width_keys)
+    with pytest.raises(SympmorError, match=word):
+        load_network(tmp_path / "bad_old.npz")
 
 
 def test_cli_errors_are_reported(tmp_path, capsys):
@@ -171,7 +237,7 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     for text in ("{not json", "[1, 2]"):
         meta.write_text(text)
         assert reports_error(["normalize", "--input", str(good), "--out", str(tmp_path)])
-    # evaluate on a run whose params file is missing, then truncated
+    # evaluate on a run whose params file is missing, then truncated, then has a short a_0
     cfg = tmp_path / "wave.cfg"
     cfg.write_text(WAVE_CFG)
     # non-positive sizes, V1's no-epoch batch count and a fractional n_range
@@ -194,6 +260,9 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     params = run / "params_n2.npz"
     save_network(build_network(16, 4, seed=2), params)
     params.write_bytes(params.read_bytes()[:200])
+    assert reports_error(evaluate)
+    save_network(build_network(16, 4, seed=2), params)
+    rewrite_params(params, params, short_a0)
     assert reports_error(evaluate)
     for pairs in ("abc", "2000", "10x20"):
         assert reports_error(["speed-test", "--pairs", pairs, "--out", str(tmp_path)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sympmor import models
 from sympmor.errors import DimensionError, IntegrationFailureError
 from sympmor.integrators import OdeSystem, implicit_midpoint
 from sympmor.models import (
@@ -309,6 +310,23 @@ def test_sg_boundary_values_match_single_point_calls():
             single = [sg_exact(bc, nu, t, np.array([end])) for end in (model.a, model.b)]
             assert np.allclose(u, [s[0][0] for s in single], rtol=1e-15, atol=0.0)
             assert np.allclose(u_t, [s[1][0] for s in single], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("bc", list(SgKind))
+def test_sg_fom_evaluates_the_closed_form_boundary_once_per_time(bc, monkeypatch):
+    # each Newton iterate asks for b(t) at the same t; without the memo a
+    # K = 50 solve made 150 closed-form calls for its 100 distinct times
+    model, K = sg_build(200, 0.35, a=-10.0, b=10.0, bc=bc), 50
+    x0 = sg_initial(model)
+    times = []
+
+    def counting(bc, nu, t, xi):
+        times.append(t)
+        return sg_exact(bc, nu, t, xi)
+
+    monkeypatch.setattr(models, "sg_exact", counting)
+    implicit_midpoint(sg_system(model), x0, 0.0, 1.0, K)
+    assert len(times) == len(set(times)) <= 2 * K
 
 
 def test_sg_hamiltonian_boundary_velocity_term():

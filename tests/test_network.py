@@ -45,7 +45,7 @@ def make_gradient_layer(kind, dim, seed, activation=Activation.tanh):
     rng = np.random.default_rng(seed)
     half = dim // 2
     L = 5 * half
-    return GradientLayer(kind, dim, L,
+    return GradientLayer(kind,
                          rng.standard_normal((L, half)) * 0.3,
                          rng.standard_normal(L) * 0.3,
                          rng.standard_normal(L) * 0.1,
@@ -68,7 +68,7 @@ def test_gradient_layer_symplectic(kind, activation):
 
 def test_gradient_layer_hand_oracle():
     # 1 degree of freedom, L = 1, tanh: [q; p] -> [q; p + k a tanh(k q + b)]
-    layer = GradientLayer("P", 2, 1, np.array([[2.0]]), np.array([0.5]),
+    layer = GradientLayer("P", np.array([[2.0]]), np.array([0.5]),
                           np.array([0.1]), Activation.tanh)
     out, _ = layer.forward(np.array([[0.3], [1.0]]))
     assert abs(out[0, 0] - 0.3) < 1e-15
