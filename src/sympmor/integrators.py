@@ -26,6 +26,7 @@ class OdeSystem:
     jacobian: Optional[Callable] = None     # (t, x, V) -> Df(x) @ V for a dim x m block V
     linear_matrix: Optional[object] = None  # A, dense or scipy.sparse, when f(t, x) = A x
     newton: Optional[Callable] = None  # (t, x, h) -> (f(t, x), r -> (I - h/2 Df(x))^{-1} r)
+    second_order: Optional[object] = None  # the FOM's models.SecondOrder, which a PSD ROM projects
 
 
 @dataclass

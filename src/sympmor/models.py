@@ -159,7 +159,7 @@ def wave_initial(N, mu):
 def wave_system(model):
     return OdeSystem(dim=model.dim, vector_field=wave_vector_field(model),
                      hamiltonian=model.hamiltonian, jacobian=model.jacobian,
-                     linear_matrix=model.matrix())
+                     linear_matrix=model.matrix(), second_order=model)
 
 
 # -- sine-Gordon ------------------------------------------------------------
@@ -245,7 +245,8 @@ def sg_initial(model, t=0.0):
 def sg_system(model):
     field = sg_vector_field(model)
     return OdeSystem(dim=model.dim, vector_field=field, hamiltonian=model.hamiltonian,
-                     jacobian=sg_jacobian(model), newton=model.banded_newton(field))
+                     jacobian=sg_jacobian(model), newton=model.banded_newton(field),
+                     second_order=model)
 
 
 @dataclass(frozen=True)

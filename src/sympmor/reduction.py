@@ -3,7 +3,8 @@
 The reduced system evolves xi' = J_{2n} grad H_r(xi) with
 H_r = H(x_ref + d(xi)); for a symplectic decoder this is evaluated through
 the Poisson-shaped product -J_{2n} (Dd)^T J_{2d} f without ever multiplying
-by a full J matrix.
+by a full J matrix.  A PSD ROM of a `models.SecondOrder` FOM skips the decoder
+altogether: `projected_system` projects the FOM's banded split once.
 """
 
 import warnings
@@ -71,7 +72,8 @@ def psd_cotangent_lift(M, n):
 def psd_maps(X):
     """(encode, decode, decode_jacobian) of the autoencoder's PSD layers with
     weight X: reduce by blockdiag(X, X)^T, expand by blockdiag(X, X).  The
-    decoder is linear, so its Jacobian blockdiag(X, X) is formed once."""
+    decoder is linear, so its Jacobian blockdiag(X, X) is formed once, and it
+    carries X as ``decode.basis`` for `build_rom`."""
     reduce, expand = PSDLayer(X, "reduce"), PSDLayer(X, "expand")
     J = expand.differential(None, np.eye(2 * X.shape[1]))
 
@@ -84,6 +86,7 @@ def psd_maps(X):
     def decode_jacobian(xr):
         return decode(xr), J
 
+    decode.basis = X.data
     return encode, decode, decode_jacobian
 
 
@@ -95,6 +98,7 @@ class RomSpec:
     x_r0: np.ndarray
     reduced_dim: int
     x_ref: Optional[np.ndarray] = None
+    basis: Optional[np.ndarray] = None     # X of a PSD decoder blockdiag(X, X), else None
 
     def _add_ref(self, out):
         if self.x_ref is None:
@@ -115,7 +119,8 @@ def build_rom(encode, decode, decode_jacobian, x0, use_ref, normalized):
 
     Normalized training (which implies a reference state): x_r0 = e(0) and
     x_ref = x0 - d(x_r0), so the initial value reconstructs exactly.
-    Unnormalized: x_r0 = e(x0), no reference state.
+    Unnormalized: x_r0 = e(x0), no reference state.  A decoder from `psd_maps`
+    hands its basis X on to the RomSpec.
     """
     x0 = np.asarray(x0, dtype=float)
     if normalized and not use_ref:
@@ -127,7 +132,8 @@ def build_rom(encode, decode, decode_jacobian, x0, use_ref, normalized):
         x_r0 = encode(x0)
         x_ref = None
     return RomSpec(encode=encode, decode=decode, decode_jacobian=decode_jacobian,
-                   x_r0=x_r0, reduced_dim=len(x_r0), x_ref=x_ref)
+                   x_r0=x_r0, reduced_dim=len(x_r0), x_ref=x_ref,
+                   basis=getattr(decode, "basis", None))
 
 
 def _poisson_product(D, V):
@@ -168,12 +174,66 @@ def reduced_linearization(rom, fom_sys):
     return linearize
 
 
+def projected_system(model, X, x_ref=None):
+    """The PSD ROM of a `models.SecondOrder` model as a reduced OdeSystem: the
+    symplectic Galerkin system (Peng & Mohseni 2016) for the decoder
+    x = x_ref + blockdiag(X, X) xi with orthonormal X (d x n),
+
+        xi_q' = X^T p_ref + xi_p,
+        xi_p' = -X^T S q_ref - X^T S X xi_q - X^T (V'(q) - b(t)),  q = q_ref + X xi_q.
+
+    X^T S X, -X^T S q_ref, X^T p_ref and the end rows of X are formed once; the
+    Galerkin matrix X^T S X is symmetric, so the midpoint rule keeps a quadratic
+    H(x_ref + Dd xi).  An iterate then costs X xi_q, X^T V'(q) and
+    T_r = X^T S X + X^T diag(V''(q)) X, O(d n^2), and one n x n solve of the
+    Schur complement (I + tau^2/4 T_r) delta_q = r_q + tau/2 r_p, then
+    delta_p = r_p - tau/2 T_r delta_q.  Without a potential T_r is constant.
+    No full-size state is formed.
+    """
+    d, n = X.shape
+    if d != model.d:
+        raise DimensionError(f"basis has {d} rows, the model {model.d} nodes")
+    x_ref = np.zeros(2 * d) if x_ref is None else x_ref
+    q_ref = x_ref[:d]
+    XtSX = X.T @ model.S(X)
+    c_q, c_p = X.T @ x_ref[d:], -(X.T @ model.S(q_ref))
+    ends = X[[0, -1]].T                     # the two end nodes' rows, as n x 2
+
+    def field_at(t, xi):
+        """(reduced field, q) at xi; q is None without a potential."""
+        if len(xi) != 2 * n:
+            raise DimensionError(f"reduced state must have length {2 * n}")
+        f_p, q = c_p - XtSX @ xi[:n], None
+        if model.potential is not None:
+            q = q_ref + X @ xi[:n]
+            f_p -= X.T @ model.potential[0](q) - ends @ model.ends(t)
+        return np.concatenate([c_q + xi[n:], f_p]), q
+
+    def newton(t, xi, tau):
+        f, q = field_at(t, xi)
+        T = XtSX if q is None else XtSX + X.T @ (model.potential[1](q)[:, None] * X)
+        schur = np.eye(n) + 0.25 * tau ** 2 * T
+
+        def solve(r):
+            dq = np.linalg.solve(schur, r[:n] + 0.5 * tau * r[n:])
+            return np.concatenate([dq, r[n:] - 0.5 * tau * (T @ dq)])
+
+        return f, solve
+
+    return OdeSystem(dim=2 * n, vector_field=lambda t, xi: field_at(t, xi)[0], newton=newton)
+
+
 def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
-    """Integrate the ROM; Newton falls back to finite differences only when
-    the FOM has no Jacobian."""
-    field = reduced_vector_field(rom, fom_sys.vector_field)
-    newton = dense_newton(reduced_linearization(rom, fom_sys)) if fom_sys.jacobian else None
-    reduced_sys = OdeSystem(dim=rom.reduced_dim, vector_field=field, newton=newton)
+    """Integrate the ROM.  A PSD ROM of a FOM that carries its `SecondOrder`
+    split runs `projected_system`; any other ROM decodes xi once per Newton
+    iterate, and Newton falls back to finite differences only when the FOM
+    has no Jacobian."""
+    if rom.basis is not None and fom_sys.second_order is not None:
+        reduced_sys = projected_system(fom_sys.second_order, rom.basis, rom.x_ref)
+    else:
+        field = reduced_vector_field(rom, fom_sys.vector_field)
+        newton = dense_newton(reduced_linearization(rom, fom_sys)) if fom_sys.jacobian else None
+        reduced_sys = OdeSystem(dim=rom.reduced_dim, vector_field=field, newton=newton)
     return implicit_midpoint(reduced_sys, rom.x_r0, t0, t1, K, tol=tol)
 
 

@@ -4,6 +4,7 @@ error metrics with hand-computed oracles, snapshot file round trip."""
 import dataclasses
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as hst
 
 from sympmor.config import RunConfig
 from sympmor.errors import DimensionError, SympmorError
-from sympmor.integrators import OdeSystem, Trajectory, _fd_jacobian, implicit_midpoint
+from sympmor.integrators import (OdeSystem, Trajectory, _fd_jacobian, dense_newton,
+                                 implicit_midpoint)
 from sympmor.models import (SgKind, sg_build, sg_initial, sg_system, wave_build,
                             wave_initial, wave_system)
 from sympmor.network import LossKind, Trainer, build_network, train_epochwise
@@ -22,6 +24,7 @@ from sympmor.reduction import (
     _poisson_product,
     build_rom,
     normalize_snapshots,
+    projected_system,
     projection_error,
     psd_cotangent_lift,
     psd_maps,
@@ -263,17 +266,49 @@ def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
     assert calls["decode"] == calls["field"]
 
 
+def _generic_system(rom, sys):
+    """The ROM as every decoder runs it: decode xi, call the FOM, project back."""
+    return OdeSystem(dim=rom.reduced_dim, vector_field=reduced_vector_field(rom, sys.vector_field),
+                     newton=dense_newton(reduced_linearization(rom, sys)))
+
+
+def _sg_psd_rom(kind, use_ref=False):
+    """PSD sine-Gordon ROM (N = 30, n = 3), with a reference state from
+    normalized snapshots if use_ref."""
+    model = sg_build(30, 0.35, -10.0, 10.0, kind)
+    sys, x0 = sg_system(model), sg_initial(model)
+    states = implicit_midpoint(sys, x0, 0.0, 1.0, 10).states
+    X = psd_cotangent_lift(states - x0[:, None] if use_ref else states, 3)
+    return sys, build_rom(*psd_maps(X), x0, use_ref=use_ref, normalized=use_ref)
+
+
+def _wave_psd_rom(n):
+    """PSD wave ROM with a reference state (mu = 0.25, N = 16) from normalized snapshots."""
+    sys, x0 = wave_system(wave_build(16, 0.25)), wave_initial(16, 0.25)
+    fom = implicit_midpoint(sys, x0, 0.0, 1.0, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # the square lift is below rank
+        X = psd_cotangent_lift(fom.states - x0[:, None], n)
+    return sys, build_rom(*psd_maps(X), x0, use_ref=True, normalized=True)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("learned", [False, True])
 def test_solve_rom_equals_default_dense_newton(learned, learned_wave_rom):
-    """solve_rom's one-pass Newton matches the integrator's default dense Newton
-    built from the reduced field and a reduced Jacobian written here."""
-    if learned:
-        sys, rom = learned_wave_rom
-    else:
-        model = sg_build(30, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
-        sys, x0 = sg_system(model), sg_initial(model)
-        X = psd_cotangent_lift(implicit_midpoint(sys, x0, 0.0, 1.0, 10).states, 3)
-        rom = build_rom(*psd_maps(X), x0, use_ref=False, normalized=False)
+    """solve_rom matches the integrator's default dense Newton built from the
+    reduced field and a reduced Jacobian written here, bitwise for the learned
+    ROM.  The PSD ROM runs the projected system, which agrees with the generic
+    decode-and-project system to rounding."""
+    if not learned:
+        sys, rom = _sg_psd_rom(SgKind.SingleSoliton)
+        a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
+        b = implicit_midpoint(_generic_system(rom, sys), rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
+        assert _rel(a.states, b.states) <= 1e-12
+        return
+    sys, rom = learned_wave_rom
 
     def reduced_jac(t, xi, V):
         x_full, D = rom.state_and_jacobian(xi)
@@ -284,6 +319,65 @@ def test_solve_rom_equals_default_dense_newton(learned, learned_wave_rom):
     a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
     b = implicit_midpoint(default, rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
     assert np.array_equal(a.states, b.states)
+
+
+PROJECTED_CASES = {"sg_single": lambda: _sg_psd_rom(SgKind.SingleSoliton),
+                   "sg_doublets": lambda: _sg_psd_rom(SgKind.Doublets),
+                   "sg_single_ref": lambda: _sg_psd_rom(SgKind.SingleSoliton, use_ref=True),
+                   "wave_ref": lambda: _wave_psd_rom(4),
+                   "wave_ref_square": lambda: _wave_psd_rom(18)}    # n = d = N + 2
+
+
+@pytest.mark.parametrize("case", list(PROJECTED_CASES))
+def test_projected_system_matches_generic_rom(case):
+    """The projected PSD system against the decode-and-project oracles: its field
+    is the reduced field, its Newton solve is the dense solve of I - h/2 M for
+    the Newton matrix M, and solve_rom's trajectory is the generic one."""
+    sys, rom = PROJECTED_CASES[case]()
+    assert rom.basis is not None and sys.second_order is not None
+    projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
+    field = reduced_vector_field(rom, sys.vector_field)
+    linearize = reduced_linearization(rom, sys)
+    rng = np.random.default_rng(15)
+    h, dim = 0.05, rom.reduced_dim
+    for _ in range(10):
+        t, r = rng.uniform(0.0, 1.0), rng.standard_normal(dim)
+        xi = rom.x_r0 + rng.standard_normal(dim)
+        assert _rel(projected.vector_field(t, xi), field(t, xi)) <= 1e-12
+        f, solve = projected.newton(t, xi, h)
+        f_gen, M = linearize(t, xi)
+        assert _rel(f, f_gen) <= 1e-12
+        assert _rel(solve(r), np.linalg.solve(np.eye(dim) - 0.5 * h * M, r)) <= 1e-12
+    with pytest.raises(DimensionError):
+        projected.vector_field(0.0, np.zeros(dim + 1))
+    a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
+    b = implicit_midpoint(_generic_system(rom, sys), rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
+    assert _rel(a.states, b.states) <= 1e-12
+
+
+def test_solve_rom_projects_a_fom_with_a_wrapped_field():
+    """A FOM whose field is swapped for a wrapper (as a tracer does) still runs the
+    projected PSD system: the FOM field is never called."""
+    sys, rom = _sg_psd_rom(SgKind.SingleSoliton)
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return sys.vector_field(t, x)
+
+    wrapped = dataclasses.replace(sys, vector_field=counted)
+    a = solve_rom(rom, wrapped, 0.0, 1.0, 20, tol=1e-10)
+    assert calls == []
+    assert np.array_equal(a.states, solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10).states)
+
+
+def test_projected_wave_rom_conserves_the_hamiltonian():
+    """Midpoint keeps a quadratic invariant: with the symmetric X^T S X, the
+    reconstructed wave states keep H to rounding over every step."""
+    sys, rom = _wave_psd_rom(4)
+    recon = reconstruct(rom, solve_rom(rom, sys, 0.0, 1.0, 60))
+    H = np.array([sys.hamiltonian(x) for x in recon.states.T])
+    assert np.max(np.abs(H - H[0])) <= 1e-12 * abs(H[0])
 
 
 def test_learned_rom_newton_matrix_matches_fd_path(learned_wave_rom):
