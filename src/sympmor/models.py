@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import DimensionError
 from .integrators import OdeSystem
@@ -87,6 +86,8 @@ class SecondOrder:
         complement (I + tau^2/4 T) delta_q = r_q + tau/2 r_p, solved by one LAPACK
         dgtsv at O(d); then delta_p = r_p - tau/2 T delta_q.
         """
+        from scipy.linalg.lapack import dgtsv   # only the banded FOM needs scipy.linalg
+
         def newton(t, x, tau):
             d, c = self.d, self.potential[1](x[:self.d])
             w = 0.25 * tau ** 2

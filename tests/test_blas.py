@@ -1,4 +1,4 @@
-"""blas.single_thread: each bundled OpenBLAS runs one thread inside the block and
+"""blas.single_thread: numpy's bundled OpenBLAS runs one thread inside the block and
 gets its own count back after it, also when the block raises."""
 
 import pytest

@@ -1,5 +1,11 @@
 """Optimizer updates: hand-computed Adam oracles and manifold invariants."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 
 from sympmor.homogeneous import section_qr
@@ -165,3 +171,26 @@ def test_homogeneous_first_step_oracle():
     ref = retract_global(sec, V)
     assert np.linalg.norm(out.data - ref.data) < 1e-12
 
+
+def test_manifold_path_imports_no_scipy():
+    """The CLI import, a direct step with each transport and a homogeneous step
+    load neither scipy.linalg nor scipy.sparse; only the FOM solvers do."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import sympmor.cli
+        from sympmor import optimizers as opt
+        from sympmor.stiefel import MetricKind, TransportKind, random_stiefel
+        X = random_stiefel(40, 4, 0)
+        egrad = np.random.default_rng(1).standard_normal((40, 4))
+        for kind in TransportKind:
+            hyper, cache = opt.psd_state("stiefel", X, 0.01)
+            opt.stiefel_psd_update(hyper, cache, X, egrad, MetricKind.Canonical, kind)
+        hyper, cache = opt.psd_state("homogeneous", X, 0.01)
+        opt.homogeneous_psd_update(hyper, cache, X, egrad, seed=0)
+        print(sorted(m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

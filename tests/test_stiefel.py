@@ -1,14 +1,14 @@
 """Stiefel geometry against dense N x N oracles written straight from the formulas."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as hst
 
 from sympmor.errors import AnchorMismatchError, DimensionError, RetractionSingularError
+from sympmor.homogeneous import retract_global, section_qr
 from sympmor.stiefel import (
+    COND_LIMIT,
     MetricKind,
     StiefelPoint,
     TangentVector,
@@ -18,6 +18,7 @@ from sympmor.stiefel import (
     project_tangent,
     random_stiefel,
     riemannian_gradient,
+    skew,
     transport_differential,
     transport_submanifold,
     _smw_core,
@@ -128,23 +129,30 @@ def test_nan_tangent_retraction_is_singular():
 
 
 def test_smw_condition_estimate():
-    """_smw_core factors I - VU/2 and judges its conditioning from that LU."""
+    """_smw_core returns S = I - VU/2 and rejects it when its exact 1-norm condition
+    ||S||_1 ||S^-1||_1 exceeds COND_LIMIT."""
     rng = np.random.default_rng(3)
     U, V = rng.standard_normal((9, 4)), 0.3 * rng.standard_normal((4, 9))
-    lu, piv = _smw_core(U, V)
     S = np.eye(4) - 0.5 * V @ U
+    S_core = _smw_core(U, V)
+    assert np.array_equal(S_core, S)
     b = rng.standard_normal(4)
-    assert np.allclose(scipy.linalg.lu_solve((lu, piv), b), np.linalg.solve(S, b))
-    # U = I, V = 2(I - S) gives back S: graded down to 1e-17 ...
+    assert np.allclose(S_core @ np.linalg.solve(S_core, b), b)
     Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    S = Q @ np.diag([1.0, 0.5, 0.2, 1e-17]) @ Q.T
+
+    def graded(s_min):   # U = I, V = 2(I - S) gives back S = Q diag(1, .5, .2, s_min) Q^T
+        return np.eye(4), 2.0 * (np.eye(4) - Q @ np.diag([1.0, 0.5, 0.2, s_min]) @ Q.T)
+
+    # graded down to 1e-17 ...
     with pytest.raises(RetractionSingularError, match="condition"):
-        _smw_core(np.eye(4), 2.0 * (np.eye(4) - S))
-    # ... and exactly singular, with a zero pivot in the LU (rcond == 0)
+        _smw_core(*graded(1e-17))
+    # ... exactly singular, which np.linalg.inv rejects ...
     with pytest.raises(RetractionSingularError, match="condition"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            _smw_core(np.eye(4), np.diag([0.0, 1.0, 1.6, 2.0]))
+        _smw_core(np.eye(4), np.diag([0.0, 1.0, 1.6, 2.0]))
+    # ... and a little below the limit, which passes: the condition grows as
+    # 1/s_min, so one rescale of s_min lands it near 0.9 COND_LIMIT
+    s_min = 1e-13 * np.linalg.cond(_smw_core(*graded(1e-13)), 1) / (0.9 * COND_LIMIT)
+    assert 0.8 * COND_LIMIT < np.linalg.cond(_smw_core(*graded(s_min)), 1) < COND_LIMIT
 
 
 def test_cayley_factors():
@@ -226,6 +234,50 @@ def test_transport_differential():
     oracle = inv @ Ay @ inv @ X2.data
     T2 = transport_differential(X2, Z2, Y2, cayley_retract(X2, Z2))
     assert np.linalg.norm(T2.data - oracle) < 1e-9
+
+
+def _lu_cayley_apply(U, V, M):
+    """The SMW apply with (I - VU/2) factored by scipy's LU (reference implementation)."""
+    lu = scipy.linalg.lu_factor(np.eye(U.shape[1]) - 0.5 * (V @ U))
+    VM = V @ M
+    first = M + 0.5 * U @ VM
+    return first + 0.5 * U @ scipy.linalg.lu_solve(lu, VM + 0.5 * (V @ U) @ VM)
+
+
+@pytest.mark.parametrize("N, n", [(34, 4), (1000, 10)])
+def test_smw_apply_matches_lu_reference(N, n):
+    """cayley_retract, transport_differential and retract_global agree to 1e-13
+    relative with the same SMW formulas solved through scipy's LU."""
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    X = rand_point(N, n, 50)
+    Z = rand_tangent(X, 51)
+    Z = TangentVector(Z.data / np.linalg.norm(Z.data), X)
+    Y = rand_tangent(X, 52)
+    U, V = cayley_factors(X, Z)
+    retracted = cayley_retract(X, Z)
+    assert rel(retracted.data, _lu_cayley_apply(U, V, X.data)) <= 1e-13
+
+    UY, VY = cayley_factors(X, Y)
+    lu = scipy.linalg.lu_factor(np.eye(2 * n) - 0.5 * (V @ U))
+    W = X.data + 0.5 * U @ scipy.linalg.lu_solve(lu, V @ X.data)
+    AW = UY @ (VY @ W)
+    ref = project_tangent(retracted, AW + 0.5 * U @ scipy.linalg.lu_solve(lu, V @ AW))
+    assert rel(transport_differential(X, Z, Y, retracted).data, ref.data) <= 1e-13
+
+    section = section_qr(X, 53)
+    B = 0.5 * np.random.default_rng(54).standard_normal((N, n)) / np.sqrt(N * n)
+    B[:n] = skew(B[:n])
+    Up = np.zeros((N, 2 * n))
+    Up[:, :n] = B
+    Up[:n, n:] = -np.eye(n)
+    Vp = np.zeros((2 * n, N))
+    Vp[:n, :n] = np.eye(n)
+    Vp[n:, n:] = B[n:].T
+    out = _lu_cayley_apply(Up, Vp, np.eye(N, n))
+    ref = X.data @ out[:n] + section.complement @ out[n:]
+    assert rel(retract_global(section, B).data, ref) <= 1e-13
 
 
 def test_transports_land_tangent():
