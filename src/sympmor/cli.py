@@ -93,8 +93,7 @@ def save_network(network, path):
     arrays, spec = {}, []
     for i, layer in enumerate(network.layers):
         if isinstance(layer, net.GradientLayer):
-            spec.append({"type": "gradient", "kind": layer.kind,
-                         "activation": layer.activation.value})
+            spec.append({"type": "gradient", "kind": layer.kind})
             arrays[f"K_{i}"] = layer.K
             arrays[f"a_{i}"] = layer.a
             arrays[f"b_{i}"] = layer.b
@@ -108,16 +107,19 @@ def save_network(network, path):
 
 def load_network(path):
     """The network of a params file.  Widths follow from the arrays (the width
-    keys of older files are ignored); layers that do not chain are an error."""
+    keys of older files are ignored); layers that do not chain are an error, and
+    so is an activation other than tanh, which older files name per layer."""
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["spec"].tobytes()).decode())
             layers = []
             for i, entry in enumerate(meta["layers"]):
                 if entry["type"] == "gradient" and entry["kind"] in ("P", "Q"):
+                    if entry.get("activation", "tanh") != "tanh":
+                        raise ValueError(f"layer {i}: activation {entry['activation']!r}, "
+                                         f"not tanh")
                     layers.append(net.GradientLayer(
-                        entry["kind"], data[f"K_{i}"], data[f"a_{i}"], data[f"b_{i}"],
-                        net.Activation(entry["activation"])))
+                        entry["kind"], data[f"K_{i}"], data[f"a_{i}"], data[f"b_{i}"]))
                 elif entry["type"] == "psd" and entry["direction"] in ("reduce", "expand"):
                     layers.append(net.PSDLayer(st.StiefelPoint(data[f"X_{i}"]),
                                                entry["direction"]))

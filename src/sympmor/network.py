@@ -1,7 +1,7 @@
 """Symplectic autoencoder: layers, losses, and training loops.
 
 The network is built from two symplectic layer types.  GradientLayers update one
-half of phase space through K^T diag(a) sigma(K . + b) and are
+half of phase space through K^T diag(a) tanh(K . + b) and are
 dimension-preserving; PSDLayers apply the cotangent-lift map blockdiag(X, X)
 (or its symplectic inverse) with a Stiefel weight and change the dimension.
 Backpropagation is written out analytically per layer; the manifold weight
@@ -19,26 +19,10 @@ from . import stiefel as st
 from .errors import DegenerateBatchError, DimensionError, TrainingDivergedError
 
 # A batch whose relative error ||Y - X|| / ||X|| exceeds this multiple of the
-# first batch's counts as divergence.  The relative error is compared rather
-# than the loss, because a scaled-MSE loss moves with the batch norm: on one
-# healthy desk run (V4) the fourth batch's loss is 16x the first's.
+# first nonzero-norm batch's counts as divergence.  The relative error is
+# compared rather than the loss, because a scaled-MSE loss moves with the batch
+# norm: on one healthy desk run (V4) the fourth batch's loss is 16x the first's.
 DIVERGENCE_FACTOR = 10.0
-
-
-class Activation(enum.Enum):
-    tanh = "tanh"
-    relu = "relu"
-    explu = "explu"
-
-
-# Activation -> (sigma, sigma'); sigma' takes u and the already evaluated s = sigma(u)
-_ACTIVATIONS = {
-    Activation.tanh: (np.tanh, lambda u, s: 1.0 - s ** 2),
-    Activation.relu: (lambda u: np.maximum(u, 0.0), lambda u, s: (u > 0.0).astype(float)),
-    # explu: exponential below zero, linear above
-    Activation.explu: (lambda u: np.where(u > 0.0, u, np.exp(u) - 1.0),
-                       lambda u, s: np.where(u > 0.0, 1.0, np.exp(u))),
-}
 
 
 class LossKind(enum.Enum):
@@ -53,16 +37,15 @@ class GradientLayer:
     kind 'P' (q drives p): [q; p] -> [q; p + K^T diag(a) sigma(K q + b)]
     kind 'Q' (p drives q): [q; p] -> [q + K^T diag(a) sigma(K p + b); p]
 
-    The forward tape is (driver, sigma(u), sigma'(u)), so backward and
-    differential evaluate no activation.
+    sigma is tanh.  The forward tape is (driver, sigma(u), sigma'(u)), so
+    backward and differential evaluate no activation.
     """
 
-    def __init__(self, kind, K, a, b, activation=Activation.tanh):
+    def __init__(self, kind, K, a, b):
         self.kind = kind
         self.K = K          # L x d, for in_dim = 2d
         self.a = a          # L
         self.b = b          # L
-        self.activation = activation
 
     in_dim = property(lambda self: 2 * self.K.shape[1])
 
@@ -76,11 +59,9 @@ class GradientLayer:
         if x.shape[0] != 2 * half:
             raise DimensionError(f"expected {2 * half} rows, got {x.shape[0]}")
         driver, driven = self._swap(x[:half], x[half:])
-        sigma, sigma_prime = _ACTIVATIONS[self.activation]
-        u = self.K @ driver + self.b[:, None]
-        s = sigma(u)
+        s = np.tanh(self.K @ driver + self.b[:, None])
         add = self.K.T @ (self.a[:, None] * s)
-        return np.concatenate(self._swap(driver, driven + add)), (driver, s, sigma_prime(u, s))
+        return np.concatenate(self._swap(driver, driven + add)), (driver, s, 1.0 - s ** 2)
 
     def backward(self, tape, upstream):
         driver, s, sp = tape
@@ -297,13 +278,14 @@ class Trainer:
         if not finite:
             raise TrainingDivergedError(self.step_index, f"non-finite loss or gradient ({value})")
         norm = np.linalg.norm(batch)
-        error = np.linalg.norm(out - batch) / norm if norm > 0.0 else 0.0
-        if self.first_error is None:
-            self.first_error = error
-        if error > DIVERGENCE_FACTOR * self.first_error:
-            raise TrainingDivergedError(
-                self.step_index, f"relative error {error:.4g} exceeds "
-                f"{DIVERGENCE_FACTOR:g}x the first batch's {self.first_error:.4g}")
+        if norm > 0.0:   # a zero-norm batch has no relative error to compare or keep
+            error = np.linalg.norm(out - batch) / norm
+            if self.first_error is None:
+                self.first_error = error
+            if error > DIVERGENCE_FACTOR * self.first_error:
+                raise TrainingDivergedError(
+                    self.step_index, f"relative error {error:.4g} exceeds "
+                    f"{DIVERGENCE_FACTOR:g}x the first batch's {self.first_error:.4g}")
         self.update(list(reversed(grads)))
         return value
 

@@ -27,7 +27,6 @@ class SnapshotSet:
     t0: float
     t1: float
     normalized: bool = False
-    initial_states: Optional[np.ndarray] = None  # 2d x n_params
 
     def __post_init__(self):
         if self.data.shape[1] != len(self.params) * (self.K + 1):
@@ -38,10 +37,10 @@ def normalize_snapshots(raw):
     """Subtract each parameter's initial state from its block of columns."""
     if raw.normalized:
         raise SympmorError("snapshot set is already normalized")
-    inits = raw.data[:, ::raw.K + 1].copy()     # column 0 of each parameter's block
+    inits = raw.data[:, ::raw.K + 1]     # column 0 of each parameter's block
     data = raw.data - np.repeat(inits, raw.K + 1, axis=1)
     return SnapshotSet(data=data, params=list(raw.params), K=raw.K, t0=raw.t0,
-                       t1=raw.t1, normalized=True, initial_states=inits)
+                       t1=raw.t1, normalized=True)
 
 
 def psd_cotangent_lift(M, n):

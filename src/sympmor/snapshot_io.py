@@ -3,7 +3,8 @@
 Header (little-endian): magic "SMOR", format version u32, rows u64, cols u64,
 n_params u64, K u64, normalized u8.  Payload: rows*cols float64 values in
 column-major order.  A JSON sidecar at <path>.meta.json carries parameter
-values, time bounds, model id, and seed.
+values, time bounds, model id, and seed; other keys, such as the
+initial_states of older files, are ignored.
 """
 
 import json
@@ -36,8 +37,6 @@ def write_snapshot_file(path, snapshots, model_id="", seed=None):
         "model": model_id,
         "seed": seed,
     }
-    if snapshots.initial_states is not None:
-        meta["initial_states"] = snapshots.initial_states.tolist()
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
     return path
@@ -82,13 +81,7 @@ def read_snapshot_file(path):
             raise TypeError(f"params must be a list, not {type(params).__name__}")
         params = [float(v) for v in params]
         t0, t1 = float(meta.get("t0", 0.0)), float(meta.get("t1", 1.0))
-        inits = None
-        if "initial_states" in meta:
-            inits = np.asarray(meta["initial_states"], dtype=float)
-            if inits.shape != (rows, n_params):
-                raise ValueError(f"initial_states has shape {inits.shape}, "
-                                 f"not {(rows, n_params)}")
     except (TypeError, ValueError) as exc:
         raise SympmorError(f"bad snapshot metadata {str(meta_path)!r}: {exc}") from exc
     return SnapshotSet(data=data, params=params, K=K, t0=t0, t1=t1,
-                       normalized=bool(normalized), initial_states=inits), meta
+                       normalized=bool(normalized)), meta

@@ -353,6 +353,43 @@ def test_acceptance_6_training(capsys, tmp_path):
            f"repeat bitwise identical: {bitwise}, {wall:.1f}s (< 600s)")
 
 
+def _sg_config(model, variant):
+    cfg = RunConfig().apply_variant(variant)
+    cfg.model = model
+    cfg.N = 64
+    cfg.a, cfg.b, cfg.t0, cfg.t1 = -10.0, 10.0, 0.0, 16.0
+    cfg.n_range = [2]
+    cfg.params = list(np.linspace(0.1, 0.6, 5))
+    cfg.testing_params = [0.225, 0.475]
+    cfg.time_steps = 50
+    cfg.n_epochs = 10
+    cfg.eta = 0.01
+    cfg.seed = 7
+    return cfg.validate()
+
+
+@pytest.mark.parametrize("model", ["sg_single_soliton", "sg_doublets"])
+def test_sine_gordon_training_orders_v3_v6(model, tmp_path):
+    """The thesis's second testbed beside the wave of acceptance 6: on
+    sine-Gordon (N = 64 on [-10, 10], t in [0, 16], K = 50, nu in
+    linspace(0.1, 0.6, 5), n = 2), Stiefel Adam (V6) trains further than the
+    homogeneous baseline (V3) and its network projects the FOM trajectory at
+    each test nu more closely."""
+    norm = red.normalize_snapshots(cli.generate_snapshots(_sg_config(model, "V3")))
+    ratios, e_proj = {}, {}
+    for variant in ("V3", "V6"):
+        cfg = _sg_config(model, variant)
+        summary = cli.train_run(cfg, norm, tmp_path / variant)[2]
+        ratios[variant] = summary["final_loss"] / summary["first_loss"]
+        network = cli.load_network(tmp_path / variant / "params_n2.npz")
+        rows = cli.evaluate(cfg, lambda n: (network.encode, network.decode,
+                                            network.decoder_jacobian),
+                            True, tmp_path / variant / "errors.csv")
+        e_proj[variant] = np.array([row[3] for row in rows])
+    assert ratios["V6"] < min(ratios["V3"], 0.5), ratios
+    assert np.all(e_proj["V6"] < e_proj["V3"]), e_proj
+
+
 # -- 7: optimizer speed contract --------------------------------------------
 
 def test_acceptance_7_speed(capsys):

@@ -135,8 +135,21 @@ def test_network_save_load_roundtrip(tmp_path):
     with np.load(p) as data:
         spec = json.loads(data["spec"].tobytes().decode())
     assert set(spec) == {"layers", "encoder_len"}
-    assert all(set(entry) <= {"type", "kind", "activation", "direction"}
-               for entry in spec["layers"])
+    assert all(set(entry) <= {"type", "kind", "direction"} for entry in spec["layers"])
+
+
+def test_load_network_reads_files_that_name_tanh():
+    """data/params_tanh_spec.npz is save_network(build_network(8, 4, seed=2))
+    as written when the spec named each gradient layer's activation, "tanh";
+    the outputs file holds its encode(x) and decode(xi) from then."""
+    path = Path(__file__).parent / "data" / "params_tanh_spec.npz"
+    with np.load(path) as data:
+        spec = json.loads(data["spec"].tobytes().decode())
+    assert {entry.get("activation") for entry in spec["layers"]} == {"tanh", None}
+    back = load_network(path)
+    with np.load(path.with_name("params_tanh_spec_outputs.npz")) as want:
+        assert np.array_equal(back.encode(want["x"]), want["encoded"])
+        assert np.array_equal(back.decode(want["xi"]), want["decoded"])
 
 
 def rewrite_params(src, dst, edit):
@@ -184,6 +197,8 @@ BAD_PARAMS = {
                        "unknown layer"),
     "encoder_len 0": (lambda arrays, spec: spec.update(encoder_len=0), "encoder_len"),
     "encoder_len 9": (lambda arrays, spec: spec.update(encoder_len=9), "encoder_len"),
+    "activation relu": (lambda arrays, spec: spec["layers"][5].update(activation="relu"),
+                        "layer 5: activation 'relu'"),
 }
 
 

@@ -44,17 +44,6 @@ def block(snaps, j):
     return snaps.data[:, j * w:(j + 1) * w]
 
 
-def denormalize_snapshots(norm):
-    if not norm.normalized:
-        raise SympmorError("snapshot set is not normalized")
-    w = norm.K + 1
-    data = norm.data.copy()
-    for j in range(len(norm.params)):
-        data[:, j * w:(j + 1) * w] += norm.initial_states[:, j][:, None]
-    return SnapshotSet(data=data, params=list(norm.params), K=norm.K, t0=norm.t0,
-                       t1=norm.t1, normalized=False, initial_states=None)
-
-
 def test_snapshot_set_block_and_validation():
     data = np.arange(24, dtype=float).reshape(4, 6)
     s = SnapshotSet(data=data, params=[0.1, 0.2], K=2, t0=0.0, t1=1.0)
@@ -72,13 +61,10 @@ def test_normalize_roundtrip():
     assert np.all(norm.data[:, 0] == 0.0)
     assert np.all(norm.data[:, 4] == 0.0)
     assert norm.normalized
-    assert np.array_equal(norm.initial_states[:, 0], data[:, 0])
-    back = denormalize_snapshots(norm)
-    assert np.allclose(back.data, data)
+    # adding back each block's raw initial state restores the raw data
+    assert np.allclose(norm.data + np.repeat(data[:, ::4], 4, axis=1), data)
     with pytest.raises(SympmorError):
         normalize_snapshots(norm)
-    with pytest.raises(SympmorError):
-        denormalize_snapshots(raw)
 
 
 @settings(max_examples=30, deadline=None)
@@ -472,8 +458,7 @@ def test_snapshot_file_roundtrip(tmp_path):
     assert np.array_equal(back.data, norm.data)  # bitwise
     assert back.params == [0.25, 0.5]
     assert back.K == 2 and back.normalized
-    assert np.allclose(back.initial_states, norm.initial_states)
-    assert meta["model"] == "wave" and meta["seed"] == 7
+    assert meta == {"params": [0.25, 0.5], "t0": 0.0, "t1": 1.0, "model": "wave", "seed": 7}
 
 
 def test_snapshot_file_rejects_garbage(tmp_path):
@@ -491,9 +476,23 @@ def test_snapshot_sidecar_values_are_typed(tmp_path):
     """Wrongly typed sidecar values raise SympmorError, not a raw ValueError/TypeError."""
     s = SnapshotSet(data=np.zeros((4, 6)), params=[0.25, 0.5], K=2, t0=0.0, t1=1.0)
     p = tmp_path / "snaps.bin"
-    for meta in ({"initial_states": "abc"}, {"params": 5}, {"params": ["x", 1]},
-                 {"t0": [1]}, {"initial_states": [[1.0, 2.0]]}):
+    for meta in ({"params": 5}, {"params": ["x", 1]}, {"t0": [1]}):
         write_snapshot_file(p, s)
         Path(str(p) + ".meta.json").write_text(json.dumps(meta))
         with pytest.raises(SympmorError, match="metadata"):
             read_snapshot_file(p)
+
+
+def test_snapshot_sidecar_ignores_initial_states(tmp_path):
+    """Older sidecars also carry initial_states; nothing reads it, whatever it holds."""
+    s = SnapshotSet(data=np.arange(24.0).reshape(4, 6), params=[0.25, 0.5], K=2,
+                    t0=0.0, t1=1.0, normalized=True)
+    p = tmp_path / "snaps.bin"
+    write_snapshot_file(p, s, model_id="wave", seed=7)
+    side = Path(str(p) + ".meta.json")
+    meta = json.loads(side.read_text())
+    for inits in ([[0.0, 1.0]] * 4, [[1.0, 2.0]], "abc"):
+        side.write_text(json.dumps(dict(meta, initial_states=inits)))
+        back, _ = read_snapshot_file(p)
+        assert np.array_equal(back.data, s.data)
+        assert (back.params, back.t0, back.t1, back.normalized) == ([0.25, 0.5], 0.0, 1.0, True)
