@@ -75,8 +75,10 @@ def train_run(cfg, snapshots, out_dir):
                 writer.writerow([i, repr(float(value))])
         save_network(network, out_dir / f"params_n{n}.npz")
         first, final = float(losses[0]), float(losses[-1])
+        # one recorded loss has nothing to stall against: null in the manifest
+        stalled = final >= first if len(losses) > 1 else None
         summaries[n] = {"final_loss": final, "first_loss": first,
-                        "stalled": final >= first, "wall_seconds": wall}
+                        "stalled": stalled, "wall_seconds": wall}
     manifest = {
         "config": vars(cfg),
         "initialization": "K ~ U(+-sqrt(6/(L+fan_in))), a ~ same/L, b = 0; "

@@ -6,6 +6,14 @@ returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r.  A structured FOM
 supplies its own (O(dim) per solve), otherwise it is dense.  For linear
 autonomous systems (vector field A x) the iteration matrix is step-invariant,
 and SuperLU factors it once.
+
+Newton starts step 0 from explicit Euler and every later step from the linear
+extrapolation 2 x_k - x_{k-1}, which costs no field call.  A step is accepted
+when ||delta|| < tol max(1, ||x||), or, from the second iterate on, when the
+contraction estimate of the remaining error, theta / (1 - theta) ||delta|| with
+theta = ||delta_j|| / ||delta_{j-1}|| < 1, is below the same bound (the
+simplified-Newton stop of Hairer & Wanner, Solving ODEs II, IV.8).  That
+saves the iterate that would only confirm convergence.
 """
 
 from dataclasses import dataclass
@@ -52,7 +60,8 @@ def dense_newton(linearize):
 
     def newton(t, x, h):
         f, Jf = linearize(t, x)
-        M = np.eye(len(x)) - 0.5 * h * Jf
+        M = (-0.5 * h) * Jf
+        M.flat[::len(x) + 1] += 1.0      # I - h/2 Df without an identity matrix
         return f, lambda r: np.linalg.solve(M, r)
 
     return newton
@@ -90,7 +99,11 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     for k in range(K):
         t_mid = t0 + (k + 0.5) * h
         x_old = X[:, k]
-        x_new = x_old + h * f(t0 + k * h, x_old)  # explicit Euler predictor
+        if k == 0:
+            x_new = x_old + h * f(t0, x_old)    # explicit Euler start
+        else:
+            x_new = 2.0 * x_old - X[:, k - 1]   # linear extrapolation, no field call
+        prev = None
         for _ in range(MAX_NEWTON):
             x_mid = 0.5 * (x_old + x_new)
             try:
@@ -100,8 +113,15 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
                 raise IntegrationFailureError(k, f"singular Newton matrix at step {k}") from None
             x_new = x_new - delta
             # scale-aware: an absolute 1e-12 is unattainable for large states
-            if np.linalg.norm(delta) < tol * max(1.0, np.linalg.norm(x_new)):
+            bound = tol * max(1.0, np.linalg.norm(x_new))
+            step = np.linalg.norm(delta)
+            if step < bound:
                 break
+            # contraction estimate: with theta = step / prev < 1 the remaining
+            # error is at most theta / (1 - theta) * step = step^2 / (prev - step)
+            if prev is not None and step < prev and step * step < bound * (prev - step):
+                break
+            prev = step
         else:
             raise IntegrationFailureError(k)
         X[:, k + 1] = x_new

@@ -49,38 +49,41 @@ class GradientLayer:
 
     in_dim = property(lambda self: 2 * self.K.shape[1])
 
-    def _swap(self, first, second):
-        """[q-half, p-half] <-> [driver, driven]: q drives p for 'P', p drives q
-        for 'Q'.  The map is its own inverse, so it both splits and joins."""
-        return (first, second) if self.kind == "P" else (second, first)
+    def _halves(self):
+        """(driver, driven) row slices: q drives p for 'P', p drives q for 'Q'."""
+        half = self.K.shape[1]
+        q, p = slice(None, half), slice(half, None)
+        return (q, p) if self.kind == "P" else (p, q)
 
     def forward(self, x):
         half = self.K.shape[1]
         if x.shape[0] != 2 * half:
             raise DimensionError(f"expected {2 * half} rows, got {x.shape[0]}")
-        driver, driven = self._swap(x[:half], x[half:])
+        drives, driven = self._halves()
+        driver = x[drives]
         s = np.tanh(self.K @ driver + self.b[:, None])
-        add = self.K.T @ (self.a[:, None] * s)
-        return np.concatenate(self._swap(driver, driven + add)), (driver, s, 1.0 - s ** 2)
+        out = x.copy()
+        out[driven] += self.K.T @ (self.a[:, None] * s)
+        return out, (driver, s, 1.0 - s ** 2)
 
     def backward(self, tape, upstream):
         driver, s, sp = tape
-        half = self.K.shape[1]
-        # g flows into the nonlinear branch
-        g_driver, g = self._swap(upstream[:half], upstream[half:])
+        drives, driven = self._halves()
+        g = upstream[driven]      # flows into the nonlinear branch
         Kg = self.K @ g
         inner = self.a[:, None] * sp * Kg
         dK = (self.a[:, None] * s) @ g.T + inner @ driver.T
-        input_grad = np.concatenate(self._swap(g_driver + self.K.T @ inner, g))
+        input_grad = upstream.copy()
+        input_grad[drives] += self.K.T @ inner
         return input_grad, {"K": dK, "a": np.sum(s * Kg, axis=1), "b": np.sum(inner, axis=1)}
 
     def differential(self, tape, dx):
         """Forward-mode directional derivative at the taped input."""
         _, _, sp = tape
-        half = self.K.shape[1]
-        d_driver, d_driven = self._swap(dx[:half], dx[half:])
-        dadd = self.K.T @ (self.a[:, None] * sp * (self.K @ d_driver))
-        return np.concatenate(self._swap(d_driver, d_driven + dadd))
+        drives, driven = self._halves()
+        out = dx.copy()
+        out[driven] += self.K.T @ (self.a[:, None] * sp * (self.K @ dx[drives]))
+        return out
 
 
 class PSDLayer:

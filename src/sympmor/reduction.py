@@ -135,13 +135,22 @@ def build_rom(encode, decode, decode_jacobian, x0, use_ref, normalized):
                    basis=getattr(decode, "basis", None))
 
 
+def _poisson_rows(D):
+    """-J_{2n} D^T for D of shape 2d x 2n, without a J product."""
+    n = D.shape[1] // 2
+    return np.vstack([-D[:, n:].T, D[:, :n].T])
+
+
+def _apply_j(V):
+    """J_{2d} V for a 2d-vector or 2d-row matrix V."""
+    d = V.shape[0] // 2
+    return np.concatenate([V[d:], -V[:d]])
+
+
 def _poisson_product(D, V):
     """-J_{2n} D^T J_{2d} V for D of shape 2d x 2n and a 2d-vector or 2d-row
     matrix V, without J products."""
-    d, n = D.shape[0] // 2, D.shape[1] // 2
-    rhs = np.concatenate([V[d:], -V[:d]])           # J_{2d} V
-    rows = np.vstack([-D[:, n:].T, D[:, :n].T])     # -J_{2n} D^T
-    return rows @ rhs
+    return _poisson_rows(D) @ _apply_j(V)
 
 
 def reduced_vector_field(rom, fom_field):
@@ -167,8 +176,9 @@ def reduced_linearization(rom, fom_sys):
 
     def linearize(t, xi):
         x_full, D = rom.state_and_jacobian(xi)
-        return (_poisson_product(D, fom_sys.vector_field(t, x_full)),
-                _poisson_product(D, fom_sys.jacobian(t, x_full, D)))
+        rows = _poisson_rows(D)     # formed once for both products
+        return (rows @ _apply_j(fom_sys.vector_field(t, x_full)),
+                rows @ _apply_j(fom_sys.jacobian(t, x_full, D)))
 
     return linearize
 

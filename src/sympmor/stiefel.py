@@ -202,19 +202,33 @@ def _smw_core(U, V):
     return S
 
 
-def _cayley_apply(U, V, M):
-    """Apply cay(A/2) = (I - UV/2)^{-1}(I + UV/2) to the N x m matrix M via SMW."""
-    S = _smw_core(U, V)
+def cayley_system(X, Z):
+    """(U, V, S) of one Cayley step along Z: the factors of A_{X,Z} and their
+    SMW system, for a retraction and a differential transport to share."""
+    U, V = cayley_factors(X, Z)
+    return U, V, _smw_core(U, V)
+
+
+def _cayley_apply(U, V, M, S=None):
+    """Apply cay(A/2) = (I - UV/2)^{-1}(I + UV/2) to the N x m matrix M via SMW;
+    S = _smw_core(U, V) unless the caller has built it."""
+    if S is None:
+        S = _smw_core(U, V)
     VM = V @ M
     first = M + 0.5 * U @ VM
     rhs = VM + 0.5 * (V @ U) @ VM
     return first + 0.5 * U @ np.linalg.solve(S, rhs)
 
 
-def cayley_retract(X, Z):
-    """Cayley retraction R_X(Z) = cay(A_{X,Z}/2) X through the factored SMW form."""
-    U, V = cayley_factors(X, Z)
-    return StiefelPoint(_cayley_apply(U, V, X.data), check=False).renormalized()
+def cayley_retract(X, Z, system=None):
+    """Cayley retraction R_X(Z) = cay(A_{X,Z}/2) X through the factored SMW form;
+    system is cayley_system(X, Z) when the caller has built it."""
+    if system is None:
+        out = _cayley_apply(*cayley_factors(X, Z), X.data)
+    else:
+        U, V, S = system
+        out = _cayley_apply(U, V, X.data, S)
+    return StiefelPoint(out, check=False).renormalized()
 
 
 def transport_submanifold(X, Z, Y, retracted):
@@ -227,17 +241,17 @@ def transport_submanifold(X, Z, Y, retracted):
     return TangentVector(out, retracted, check=False)
 
 
-def transport_differential(X, Z, Y, retracted):
+def transport_differential(X, Z, Y, retracted, system=None):
     """Differentiated-retraction transport of Y along Z.
 
     Evaluates (I - A_{X,Z}/2)^{-1} A_{X,Y} (I - A_{X,Z}/2)^{-1} X through the
     SMW expansion and projects it onto the tangent space at retracted = R_X(Z).
+    system is the retraction's cayley_system(X, Z), rebuilt here if not given.
     """
     Z.require_anchor(X)
     Y.require_anchor(X)
-    U, V = cayley_factors(X, Z)
+    U, V, S = cayley_system(X, Z) if system is None else system
     UY, VY = cayley_factors(X, Y)
-    S = _smw_core(U, V)
 
     # W = (I - A_{X,Z}/2)^{-1} X
     VX = V @ X.data
@@ -250,9 +264,10 @@ def transport_differential(X, Z, Y, retracted):
     return project_tangent(retracted, out)
 
 
-def transport(kind, X, Z, Y, retracted):
+def transport(kind, X, Z, Y, retracted, system=None):
+    """Transport Y along Z; system, if given, is passed on to the differential transport."""
     if kind is TransportKind.Submanifold:
         return transport_submanifold(X, Z, Y, retracted)
     if kind is TransportKind.Differential:
-        return transport_differential(X, Z, Y, retracted)
+        return transport_differential(X, Z, Y, retracted, system)
     raise DimensionError(f"unknown transport {kind!r}")

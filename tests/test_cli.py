@@ -437,6 +437,21 @@ def test_every_variant_trains_through_train_run(variant, tiny_snapshots, tmp_pat
             assert layer.weight.ortho_residual() < 1e-12
 
 
+@pytest.mark.parametrize("n_epochs", [1, 2])
+def test_stalled_is_null_for_a_single_loss(n_epochs, tiny_snapshots, tmp_path):
+    """One epoch loss is both first and final, so it cannot stall: the manifest
+    writes null.  Two epochs give a boolean."""
+    cfg = RunConfig(N=4, n_range=[1], time_steps=7, n_epochs=n_epochs, batch_size=4,
+                    eta=0.01, params=[0.25], seed=3).apply_variant("V3").validate()
+    summary = cli.train_run(cfg, reduction.normalize_snapshots(tiny_snapshots), tmp_path)[1]
+    written = json.loads((tmp_path / "manifest.json").read_text())["summaries"]["1"]
+    if n_epochs == 1:
+        assert summary["stalled"] is None
+    else:
+        assert summary["stalled"] == (summary["final_loss"] >= summary["first_loss"])
+    assert written["stalled"] is summary["stalled"]
+
+
 def test_sg_fom_starts_at_t0():
     """A sine-Gordon FOM started at t0 = 2 begins at the first snapshot column."""
     cfg = RunConfig(model="sg_single_soliton", N=64, a=-10.0, b=10.0, t0=2.0, t1=3.0,

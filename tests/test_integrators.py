@@ -89,6 +89,30 @@ def test_linear_fast_path_matches_newton_path():
     assert np.array_equal(implicit_midpoint(sparse, x0, 0.0, 1.0, 50).states, a.states)
 
 
+@pytest.mark.parametrize("K", [1, 3])
+def test_only_the_first_step_starts_from_explicit_euler(K):
+    """Step 0 starts from x0 + h f(t0, x0); later steps extrapolate 2 x_k - x_{k-1},
+    so the field is called outside the Newton hook once per solve.  K = 1 runs
+    on the Euler start alone and lands on the closed-form midpoint step."""
+    A = np.array([[0.0, 1.0], [-4.0, 0.0]])
+    starts = []
+
+    def field(t, x):
+        starts.append(t)
+        return A @ x
+
+    def newton(t, x, h):
+        M = np.eye(2) - 0.5 * h * A
+        return A @ x, lambda r: np.linalg.solve(M, r)
+
+    x0 = np.array([0.3, -1.1])
+    traj = implicit_midpoint(OdeSystem(2, field, newton=newton), x0, 0.0, 0.6, K)
+    assert starts == [0.0]
+    h = 0.6 / K
+    step = np.linalg.solve(np.eye(2) - 0.5 * h * A, (np.eye(2) + 0.5 * h * A) @ x0)
+    assert np.linalg.norm(traj.states[:, 1] - step) <= 1e-12 * np.linalg.norm(step)
+
+
 def test_analytic_vs_fd_jacobian_paths():
     field = lambda t, x: np.array([x[1], -np.sin(x[0])])
     jac = lambda t, x, V: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]]) @ V

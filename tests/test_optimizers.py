@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sympmor import blas, stiefel
 from sympmor.homogeneous import section_qr
 from sympmor.optimizers import (
     AdamHyper,
@@ -134,6 +135,32 @@ def test_stiefel_psd_update_descends_and_stays_feasible():
                 res = np.linalg.norm(X.data.T @ cache.B1.data + cache.B1.data.T @ X.data)
                 assert res < 1e-9
             assert vals[-1] < vals[0] - 0.05 * abs(vals[0])
+
+
+def test_differential_step_builds_one_smw_system(monkeypatch):
+    """A direct step with differential transport builds the SMW system once and
+    hands it to the retraction and the transport, bitwise the step that
+    rebuilds it in the transport."""
+    _, egrad = quad_target(10, 3, 7)
+    X0 = random_stiefel(10, 3, 3)
+    X, h, cache = X0, AdamHyper(eta=0.05), StiefelAdamCache(X0)
+    with blas.single_thread():
+        for _ in range(3):
+            Z = riemannian_gradient(MetricKind.Canonical, X, egrad(X))
+            V = stiefel_adam_step(h, cache, X, Z)
+            X_new = stiefel.cayley_retract(X, V)
+            cache.B1 = stiefel.transport_differential(X, V, cache.B1, X_new)
+            X = X_new
+            update_hyper(h)
+    cores = []
+    core = stiefel._smw_core
+    monkeypatch.setattr(stiefel, "_smw_core", lambda U, V: cores.append(1) or core(U, V))
+    Y, h, shared = X0, AdamHyper(eta=0.05), StiefelAdamCache(X0)
+    for _ in range(3):
+        Y = stiefel_psd_update(h, shared, Y, egrad(Y), MetricKind.Canonical,
+                               TransportKind.Differential)
+    assert len(cores) == 3
+    assert np.array_equal(Y.data, X.data) and np.array_equal(shared.B1.data, cache.B1.data)
 
 
 def test_homogeneous_psd_update_descends_and_stays_feasible():

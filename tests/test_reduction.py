@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as hst
 
 from sympmor.config import RunConfig
 from sympmor.errors import DimensionError, SympmorError
-from sympmor.integrators import (OdeSystem, Trajectory, _fd_jacobian, dense_newton,
-                                 implicit_midpoint)
+from sympmor.integrators import (MAX_NEWTON, OdeSystem, Trajectory, _fd_jacobian,
+                                 dense_newton, implicit_midpoint)
 from sympmor.models import (SgKind, sg_build, sg_initial, sg_system, wave_build,
                             wave_initial, wave_system)
 from sympmor.network import LossKind, Trainer, build_network, train_epochwise
@@ -250,6 +250,72 @@ def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
     solve_rom(rom, fom, 0.0, 1.0, 20, tol=1e-10)
     assert calls["field"] > 2 * 20
     assert calls["decode"] == calls["field"]
+
+
+def test_learned_rom_decoder_passes_per_solve(learned_wave_rom):
+    """At K = 50 a learned-ROM solve makes at most 2.5 decoder passes per step:
+    the extrapolated start costs none, and the contraction stop skips the
+    confirming iterate (a start from explicit Euler and a stop on ||delta||
+    alone made about 4 per step here)."""
+    sys, rom = learned_wave_rom
+    passes = []
+
+    def counted(xi):
+        passes.append(xi)
+        return rom.decode_jacobian(xi)
+
+    K = 50
+    solve_rom(dataclasses.replace(rom, decode_jacobian=counted), sys, 0.0, 1.0, K, tol=1e-10)
+    assert len(passes) <= 2.5 * K
+
+
+def _sg_fom():
+    model = sg_build(40, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
+    return sg_system(model), sg_initial(model)
+
+
+def _learned_rom_system(learned_wave_rom):
+    """The learned ROM as solve_rom runs it, with its Newton hook exposed."""
+    sys, rom = learned_wave_rom
+    return _generic_system(rom, sys), rom.x_r0
+
+
+def _plain_iterates(sys, X, k, t0, h, tol):
+    """Newton iterates step k takes from the integrator's start when it stops
+    on ||delta|| < tol max(1, ||x||) alone."""
+    x_old = X[:, k]
+    x = x_old + h * sys.vector_field(t0, x_old) if k == 0 else 2.0 * x_old - X[:, k - 1]
+    for it in range(1, MAX_NEWTON + 1):
+        f_mid, solve = sys.newton(t0 + (k + 0.5) * h, 0.5 * (x_old + x), h)
+        delta = solve(x - x_old - h * f_mid)
+        x = x - delta
+        if np.linalg.norm(delta) < tol * max(1.0, np.linalg.norm(x)):
+            return it
+    raise AssertionError(f"step {k} did not converge")
+
+
+STOP_CASES = {"sg_fom": lambda fixture: _sg_fom(), "learned_rom": _learned_rom_system}
+
+
+@pytest.mark.parametrize("case", list(STOP_CASES))
+def test_contraction_stop_takes_no_more_iterates(case, learned_wave_rom):
+    """Each step, from the same start, takes no more Newton iterates than the
+    plain ||delta|| test would, and the trajectory agrees with a solve at
+    tol = 1e-13 to 1e-9."""
+    sys, x0 = STOP_CASES[case](learned_wave_rom)
+    t0, t1, K, tol = 0.0, 1.0, 30, 1e-10
+    h = (t1 - t0) / K
+    per_step = np.zeros(K, dtype=int)
+
+    def counted(t, x, tau):
+        per_step[int(round((t - t0) / h - 0.5))] += 1
+        return sys.newton(t, x, tau)
+
+    traj = implicit_midpoint(dataclasses.replace(sys, newton=counted), x0, t0, t1, K, tol=tol)
+    plain = [_plain_iterates(sys, traj.states, k, t0, h, tol) for k in range(K)]
+    assert np.all(per_step >= 1) and np.all(per_step <= plain), (per_step, plain)
+    tight = implicit_midpoint(sys, x0, t0, t1, K, tol=1e-13)
+    assert _rel(traj.states, tight.states) <= 1e-9
 
 
 def _generic_system(rom, sys):
