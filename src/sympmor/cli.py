@@ -280,7 +280,7 @@ def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    return cfg
+    return cfg.validate()
 
 
 def main(argv=None):
@@ -340,7 +340,6 @@ def main(argv=None):
                 network = load_network(run / f"params_n{n}.npz")
                 return network.encode, network.decode, network.decoder_jacobian
 
-            out.mkdir(parents=True, exist_ok=True)
             evaluate(cfg, network_maps, cfg.normalized, run / "errors.csv")
             print(run / "errors.csv")
         elif args.command == "psd":
@@ -353,6 +352,8 @@ def main(argv=None):
                      False, out / "psd_errors.csv")
             print(out / "psd_errors.csv")
         elif args.command == "speed-test":
+            if args.seed is not None and args.seed < 0:
+                raise SympmorError(f"--seed {args.seed} must be non-negative")
             rows = speed_test(_parse_pairs(args.pairs), seed=args.seed or 0)
             out.mkdir(parents=True, exist_ok=True)
             with open(out / "speed.csv", "w", newline="") as fh:

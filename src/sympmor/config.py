@@ -64,8 +64,14 @@ class RunConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if (span := MODELS[self.model].span) and (self.t0, self.t1, self.a, self.b) != span:
             raise ConfigError(f"{self.model} model fixes (t0, t1, a, b) = {span}")
+        if self.t1 <= self.t0:
+            raise ConfigError(f"t1 = {self.t1} must exceed t0 = {self.t0}")
         if self.optimizer not in PSD_OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.eta <= 0:
+            raise ConfigError(f"eta = {self.eta} must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed = {self.seed} must be non-negative")
         sizes = {"n_epochs": self.n_epochs, "batch_size": self.batch_size,
                  "time_steps": self.time_steps, "n_range": min(self.n_range, default=0)}
         for key, size in sizes.items():

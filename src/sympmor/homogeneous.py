@@ -5,8 +5,8 @@ and lambda in O(N).  A section lambda_E(X) = [X, lambda_bar] maps a point into
 the group; tangent vectors lift to the fixed horizontal space g^{hor,E} of
 skew N x N matrices [[W, -C^T], [C, 0]], stored compactly as the one N x n
 array [W; C] = [X | lambda_bar]^T Z.  Retraction back to the manifold goes
-through the Cayley transform of the horizontal element, evaluated by the
-same SMW kernel (``stiefel._cayley_apply``) the manifold retraction uses.
+through the Cayley transform of the horizontal element: the manifold's
+``stiefel._smw_core`` builds its SMW system and ``_cayley_apply`` applies it.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SectionDegenerateError
-from .stiefel import StiefelPoint, _cayley_apply, skew
+from .stiefel import StiefelPoint, _cayley_apply, _smw_core, skew
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def retract_global(section, V):
     Vp[:n, :n] = np.eye(n)
     Vp[n:, n:] = V[n:].T
 
-    out = _cayley_apply(Up, Vp, np.eye(N, n))
+    out = _cayley_apply(_smw_core(Up, Vp), np.eye(N, n))
     # left-multiply by lambda = [X | lambda_bar] without assembling it
     full = X.data @ out[:n] + section.complement @ out[n:]
     return StiefelPoint(full, check=False).renormalized()

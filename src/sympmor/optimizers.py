@@ -133,9 +133,7 @@ def stiefel_psd_update(hyper, cache, X, egrad, metric, transport_kind):
     with blas.single_thread():
         Z = st.riemannian_gradient(metric, X, egrad)
         V = stiefel_adam_step(hyper, cache, X, Z)
-        # the differential transport solves with the retraction's SMW system again
-        system = (st.cayley_system(X, V) if transport_kind is st.TransportKind.Differential
-                  else None)
+        system = st.cayley_system(X, V)
         X_new = st.cayley_retract(X, V, system)
         cache.B1 = st.transport(transport_kind, X, V, cache.B1, retracted=X_new, system=system)
     update_hyper(hyper)

@@ -5,8 +5,9 @@ tangent space at X consists of all Z with X^T Z + Z^T X = 0.  This module
 provides the tangent projection, Riemannian gradients for the Euclidean and
 canonical metrics, the Cayley retraction in its factored SMW form, and the
 two vector transports associated with it.  No operation materializes an
-N x N matrix; everything is O(N n^2).  The one dense solve is the 2n x 2n SMW
-system, rejected when its exact 1-norm condition exceeds COND_LIMIT.
+N x N matrix; everything is O(N n^2).  Every direct step builds its system
+(U, V, S = I - VU/2, VU) once, in _smw_core; the one dense solve is with the
+2n x 2n SMW matrix S, rejected when its exact 1-norm condition exceeds COND_LIMIT.
 """
 
 import enum
@@ -189,8 +190,9 @@ def cayley_factors(X, Z):
 
 
 def _smw_core(U, V):
-    """The 2n x 2n SMW system S = I - V U / 2; raise if near-singular."""
-    S = np.eye(U.shape[1]) - 0.5 * (V @ U)
+    """The Cayley system (U, V, S, VU), S = I - VU/2; raise if S is near-singular."""
+    VU = V @ U
+    S = np.eye(U.shape[1]) - 0.5 * VU
     if not np.all(np.isfinite(S)):
         raise RetractionSingularError("SMW system has non-finite entries")
     try:   # exact 1-norm condition ||S||_1 ||S^-1||_1; inv raises if S is exactly singular
@@ -199,35 +201,27 @@ def _smw_core(U, V):
         cond = np.inf
     if not cond <= COND_LIMIT:
         raise RetractionSingularError(f"SMW system condition exceeds {COND_LIMIT:.0e}")
-    return S
+    return U, V, S, VU
 
 
 def cayley_system(X, Z):
-    """(U, V, S) of one Cayley step along Z: the factors of A_{X,Z} and their
-    SMW system, for a retraction and a differential transport to share."""
-    U, V = cayley_factors(X, Z)
-    return U, V, _smw_core(U, V)
+    """The Cayley system of one step along Z, for the retraction and a transport to share."""
+    return _smw_core(*cayley_factors(X, Z))
 
 
-def _cayley_apply(U, V, M, S=None):
-    """Apply cay(A/2) = (I - UV/2)^{-1}(I + UV/2) to the N x m matrix M via SMW;
-    S = _smw_core(U, V) unless the caller has built it."""
-    if S is None:
-        S = _smw_core(U, V)
+def _cayley_apply(system, M):
+    """Apply cay(A/2) = (I - UV/2)^{-1}(I + UV/2) to the N x m matrix M via SMW."""
+    U, V, S, VU = system
     VM = V @ M
     first = M + 0.5 * U @ VM
-    rhs = VM + 0.5 * (V @ U) @ VM
+    rhs = VM + 0.5 * VU @ VM
     return first + 0.5 * U @ np.linalg.solve(S, rhs)
 
 
 def cayley_retract(X, Z, system=None):
     """Cayley retraction R_X(Z) = cay(A_{X,Z}/2) X through the factored SMW form;
     system is cayley_system(X, Z) when the caller has built it."""
-    if system is None:
-        out = _cayley_apply(*cayley_factors(X, Z), X.data)
-    else:
-        U, V, S = system
-        out = _cayley_apply(U, V, X.data, S)
+    out = _cayley_apply(system or cayley_system(X, Z), X.data)
     return StiefelPoint(out, check=False).renormalized()
 
 
@@ -250,7 +244,7 @@ def transport_differential(X, Z, Y, retracted, system=None):
     """
     Z.require_anchor(X)
     Y.require_anchor(X)
-    U, V, S = cayley_system(X, Z) if system is None else system
+    U, V, S, _ = system or cayley_system(X, Z)
     UY, VY = cayley_factors(X, Y)
 
     # W = (I - A_{X,Z}/2)^{-1} X

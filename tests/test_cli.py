@@ -291,6 +291,57 @@ def test_cli_errors_are_reported(tmp_path, capsys):
         assert reports_error(report)
 
 
+SG_CFG = """
+model = sg_single_soliton
+N = 16
+n_range = 2
+nu_list = 0.5
+time_steps = 5
+a = -10
+b = 10
+"""
+
+
+@pytest.mark.parametrize("command, text, extra", [
+    ("train", WAVE_CFG, ["--seed", "-1"]),
+    ("train", cfg_with(WAVE_CFG, "seed = -3"), []),
+    ("train", cfg_with(WAVE_CFG, "eta = -1"), []),
+    ("train", cfg_with(WAVE_CFG, "eta = 0"), []),
+    ("generate-data", cfg_with(SG_CFG, "t0 = 1\nt1 = 0"), []),
+    ("speed-test", None, ["--seed", "-1"]),
+], ids=["seed-flag", "seed-key", "eta-negative", "eta-zero", "t1-before-t0", "speed-test-seed"])
+def test_bad_seed_eta_and_span_end_in_one_error_line(command, text, extra, tmp_path, capsys):
+    """A negative seed, a non-positive eta and t1 <= t0 exit 1 with one error: line
+    and no traceback, before anything is written."""
+    if command == "train":
+        ok, data = tmp_path / "ok.cfg", tmp_path / "data"
+        ok.write_text(WAVE_CFG)
+        assert main(["generate-data", "--config", str(ok), "--out", str(data)]) == 0
+        extra = extra + ["--data", str(data / "snapshots.bin")]
+    if text is not None:
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        extra = extra + ["--config", str(bad)]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_evaluate_leaves_out_alone(cfg_path, tmp_path):
+    """evaluate writes errors.csv into --run and creates nothing at --out."""
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    assert main(["generate-data", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir / "snapshots.bin"),
+                 "--out", str(run_dir)]) == 0
+    unused = tmp_path / "unused"
+    assert main(["evaluate", "--config", str(cfg_path), "--run", str(run_dir),
+                 "--out", str(unused)]) == 0
+    assert (run_dir / "errors.csv").exists() and not unused.exists()
+
+
 def test_report_sorts_n_and_param_as_numbers(tmp_path, capsys):
     header = "n,param,e_red,e_proj,integration_seconds\n"
     run = tmp_path / "V3"

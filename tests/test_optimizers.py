@@ -7,6 +7,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sympmor import blas, stiefel
 from sympmor.homogeneous import section_qr
@@ -137,10 +138,12 @@ def test_stiefel_psd_update_descends_and_stays_feasible():
             assert vals[-1] < vals[0] - 0.05 * abs(vals[0])
 
 
-def test_differential_step_builds_one_smw_system(monkeypatch):
-    """A direct step with differential transport builds the SMW system once and
+@pytest.mark.parametrize("kind", [TransportKind.Submanifold, TransportKind.Differential],
+                         ids=["submanifold", "differential"])
+def test_differential_step_builds_one_smw_system(monkeypatch, kind):
+    """A direct step builds the SMW system once, whichever the transport, and
     hands it to the retraction and the transport, bitwise the step that
-    rebuilds it in the transport."""
+    builds it inside each."""
     _, egrad = quad_target(10, 3, 7)
     X0 = random_stiefel(10, 3, 3)
     X, h, cache = X0, AdamHyper(eta=0.05), StiefelAdamCache(X0)
@@ -149,7 +152,7 @@ def test_differential_step_builds_one_smw_system(monkeypatch):
             Z = riemannian_gradient(MetricKind.Canonical, X, egrad(X))
             V = stiefel_adam_step(h, cache, X, Z)
             X_new = stiefel.cayley_retract(X, V)
-            cache.B1 = stiefel.transport_differential(X, V, cache.B1, X_new)
+            cache.B1 = stiefel.transport(kind, X, V, cache.B1, X_new)
             X = X_new
             update_hyper(h)
     cores = []
@@ -157,8 +160,7 @@ def test_differential_step_builds_one_smw_system(monkeypatch):
     monkeypatch.setattr(stiefel, "_smw_core", lambda U, V: cores.append(1) or core(U, V))
     Y, h, shared = X0, AdamHyper(eta=0.05), StiefelAdamCache(X0)
     for _ in range(3):
-        Y = stiefel_psd_update(h, shared, Y, egrad(Y), MetricKind.Canonical,
-                               TransportKind.Differential)
+        Y = stiefel_psd_update(h, shared, Y, egrad(Y), MetricKind.Canonical, kind)
     assert len(cores) == 3
     assert np.array_equal(Y.data, X.data) and np.array_equal(shared.B1.data, cache.B1.data)
 

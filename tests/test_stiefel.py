@@ -14,6 +14,7 @@ from sympmor.stiefel import (
     TangentVector,
     cayley_factors,
     cayley_retract,
+    cayley_system,
     metric_inner,
     project_tangent,
     random_stiefel,
@@ -134,7 +135,7 @@ def test_smw_condition_estimate():
     rng = np.random.default_rng(3)
     U, V = rng.standard_normal((9, 4)), 0.3 * rng.standard_normal((4, 9))
     S = np.eye(4) - 0.5 * V @ U
-    S_core = _smw_core(U, V)
+    S_core = _smw_core(U, V)[2]
     assert np.array_equal(S_core, S)
     b = rng.standard_normal(4)
     assert np.allclose(S_core @ np.linalg.solve(S_core, b), b)
@@ -151,8 +152,30 @@ def test_smw_condition_estimate():
         _smw_core(np.eye(4), np.diag([0.0, 1.0, 1.6, 2.0]))
     # ... and a little below the limit, which passes: the condition grows as
     # 1/s_min, so one rescale of s_min lands it near 0.9 COND_LIMIT
-    s_min = 1e-13 * np.linalg.cond(_smw_core(*graded(1e-13)), 1) / (0.9 * COND_LIMIT)
-    assert 0.8 * COND_LIMIT < np.linalg.cond(_smw_core(*graded(s_min)), 1) < COND_LIMIT
+    s_min = 1e-13 * np.linalg.cond(_smw_core(*graded(1e-13))[2], 1) / (0.9 * COND_LIMIT)
+    assert 0.8 * COND_LIMIT < np.linalg.cond(_smw_core(*graded(s_min))[2], 1) < COND_LIMIT
+
+
+def test_smw_core_returns_the_system():
+    """_smw_core(U, V) returns (U, V, S, VU) with VU = V @ U and S = I - VU/2, bitwise."""
+    rng = np.random.default_rng(4)
+    U, V = rng.standard_normal((11, 6)), 0.3 * rng.standard_normal((6, 11))
+    U_out, V_out, S, VU = _smw_core(U, V)
+    assert U_out is U and V_out is V
+    assert np.array_equal(VU, V @ U)
+    assert np.array_equal(S, np.eye(6) - 0.5 * VU)
+
+
+def test_prebuilt_system_gives_the_same_bits():
+    """A retraction and a differential transport give the same bits whether they
+    build the Cayley system themselves or are handed cayley_system(X, Z)."""
+    X = rand_point(12, 3, 60)
+    Z, Y = rand_tangent(X, 61), rand_tangent(X, 62)
+    system = cayley_system(X, Z)
+    retracted = cayley_retract(X, Z)
+    assert np.array_equal(retracted.data, cayley_retract(X, Z, system).data)
+    assert np.array_equal(transport_differential(X, Z, Y, retracted).data,
+                          transport_differential(X, Z, Y, retracted, system).data)
 
 
 def test_cayley_factors():
