@@ -60,13 +60,14 @@ def train_run(cfg, snapshots, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     data = snapshots.data
     full_dim = data.shape[0]
-    train = net.train_epochwise if cfg.epochwise else net.train_noepoch
+    setup = cfg.setup
+    train = net.train_epochwise if setup.epochwise else net.train_noepoch
     summaries = {}
     for n in cfg.n_range:
         t_start = time.perf_counter()
         network = net.build_network(full_dim, 2 * n, seed=cfg.seed)
         losses = train(net.Trainer(network, cfg), data, cfg.batch_size, cfg.n_epochs,
-                       cfg.loss, seed=cfg.seed + 1)
+                       setup.loss, seed=cfg.seed + 1)
         wall = time.perf_counter() - t_start
         with open(out_dir / f"losses_n{n}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -80,12 +81,12 @@ def train_run(cfg, snapshots, out_dir):
         summaries[n] = {"final_loss": final, "first_loss": first,
                         "stalled": stalled, "wall_seconds": wall}
     manifest = {
-        "config": vars(cfg),
+        "config": {**vars(cfg), **setup._asdict()},
         "initialization": "K ~ U(+-sqrt(6/(L+fan_in))), a ~ same/L, b = 0; "
                           "PSD weights from seeded QR of normal samples",
         "summaries": {str(k): v for k, v in summaries.items()},
     }
-    # enums (the config's loss, metric and transport) are written as their values
+    # enums (the setup's loss, metric and transport) are written as their values
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True, default=lambda e: e.value))
     return summaries
@@ -227,17 +228,18 @@ def speed_test(pairs, optimizers=("homogeneous", "stiefel_decay"), seed=0):
 # -- report -----------------------------------------------------------------
 
 def _run_variant(run_dir):
-    """The variant named in run_dir/manifest.json, else the directory name."""
+    """The variant named in run_dir/manifest.json, else the directory name (also
+    for the empty name that older manifests record)."""
     mpath = run_dir / "manifest.json"
     if not mpath.exists():
         return run_dir.name
     try:
-        variant = json.loads(mpath.read_text()).get("config", {}).get("variant", run_dir.name)
+        variant = json.loads(mpath.read_text()).get("config", {}).get("variant", "")
     except (ValueError, AttributeError) as exc:   # JSONDecodeError is a ValueError
         raise SympmorError(f"malformed manifest {str(mpath)!r}: {exc}") from exc
     if not isinstance(variant, str):
         raise SympmorError(f"malformed manifest {str(mpath)!r}: variant {variant!r}")
-    return variant
+    return variant or run_dir.name
 
 
 def _report_key(row):
@@ -278,39 +280,37 @@ def merge_reports(run_dirs, out_path):
 
 def _load(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     return cfg.validate()
+
+
+# the options several subcommands share
+_SHARED = {"--config": {"required": True}, "--seed": {"type": int}, "--out": {"default": "."}}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="sympmor")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name):
+    def add(name, *shared):
+        """A subcommand with the shared options it reads."""
         p = sub.add_parser(name)
-        p.add_argument("--config", required=name not in ("speed-test", "report", "normalize"))
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=".")
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
         return p
 
-    add("generate-data")
-    p = add("normalize")
-    p.add_argument("--input", required=True)
-    p = add("train")
-    p.add_argument("--data", required=True)
-    p = add("evaluate")
-    p.add_argument("--run", required=True)
-    p = add("psd")
-    p.add_argument("--data", required=True)
-    p = add("speed-test")
-    p.add_argument("--pairs", default="2000x10,4000x10")
-    p = add("report")
-    p.add_argument("runs", nargs="+")
+    add("generate-data", "--config", "--seed", "--out")
+    add("normalize", "--out").add_argument("--input", required=True)
+    add("train", "--config", "--seed", "--out").add_argument("--data", required=True)
+    add("evaluate", "--config").add_argument("--run", required=True)
+    add("psd", "--config", "--out").add_argument("--data", required=True)
+    add("speed-test", "--seed", "--out").add_argument("--pairs", default="2000x10,4000x10")
+    add("report", "--out").add_argument("runs", nargs="+")
 
     args = parser.parse_args(argv)
     try:
-        out = Path(args.out)
+        out = Path(args.out) if "out" in args else None
         if args.command == "generate-data":
             cfg = _load(args)
             snaps = generate_snapshots(cfg)
@@ -328,7 +328,10 @@ def main(argv=None):
         elif args.command == "train":
             cfg = _load(args)
             snaps, _ = read_snapshot_file(args.data)
-            if cfg.normalized and not snaps.normalized:
+            if snaps.normalized and not cfg.setup.normalized:
+                raise SympmorError(f"variant {cfg.variant} trains on unnormalized data; "
+                                   f"{args.data} is normalized")
+            if cfg.setup.normalized and not snaps.normalized:
                 snaps = red.normalize_snapshots(snaps)
             train_run(cfg, snaps, out)
             print(out)
@@ -340,7 +343,7 @@ def main(argv=None):
                 network = load_network(run / f"params_n{n}.npz")
                 return network.encode, network.decode, network.decoder_jacobian
 
-            evaluate(cfg, network_maps, cfg.normalized, run / "errors.csv")
+            evaluate(cfg, network_maps, cfg.setup.normalized, run / "errors.csv")
             print(run / "errors.csv")
         elif args.command == "psd":
             cfg = _load(args)

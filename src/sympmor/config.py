@@ -3,36 +3,52 @@
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .models import MODELS
 from .network import LossKind
-from .optimizers import PSD_OPTIMIZERS
 from .stiefel import MetricKind, TransportKind
 
 # Upper bound on n_params: each training parameter costs one full-order solve.
 MAX_PARAMS = 10_000
 
-# variant -> (epochwise, normalized, loss, optimizer, metric, transport)
-# optimizer: a key of optimizers.PSD_OPTIMIZERS
+
+class Setup(NamedTuple):
+    """The training setup of one variant."""
+    epochwise: bool               # epochwise sampling, else batches drawn with replacement
+    normalized: bool              # trains on normalized snapshots
+    loss: LossKind
+    optimizer: str                # a key of optimizers.PSD_OPTIMIZERS
+    metric: MetricKind | None     # None: the homogeneous optimizer takes no metric
+    transport: TransportKind | None
+
+
 VARIANTS = {
-    "V1": (False, False, LossKind.Relative, "homogeneous", None, None),
-    "V2": (True, False, LossKind.Relative, "homogeneous", None, None),
-    "V3": (True, True, LossKind.Relative, "homogeneous", None, None),
-    "V4": (True, True, LossKind.ScaledMSE, "homogeneous", None, None),
-    "V5": (True, True, LossKind.Relative, "stiefel",
-           MetricKind.Canonical, TransportKind.Submanifold),
-    "V6": (True, True, LossKind.Relative, "stiefel_decay",
-           MetricKind.Canonical, TransportKind.Submanifold),
-    "V7": (True, True, LossKind.Relative, "stiefel_decay",
-           MetricKind.Canonical, TransportKind.Differential),
-    "V8": (True, True, LossKind.Relative, "stiefel_decay",
-           MetricKind.Euclidean, TransportKind.Submanifold),
-    "V9": (True, True, LossKind.Relative, "stiefel_decay",
-           MetricKind.Euclidean, TransportKind.Differential),
-    "V10": (True, True, LossKind.ScaledMSE, "stiefel_decay",
-            MetricKind.Canonical, TransportKind.Submanifold),
+    "V1": Setup(False, False, LossKind.Relative, "homogeneous", None, None),
+    "V2": Setup(True, False, LossKind.Relative, "homogeneous", None, None),
+    "V3": Setup(True, True, LossKind.Relative, "homogeneous", None, None),
+    "V4": Setup(True, True, LossKind.ScaledMSE, "homogeneous", None, None),
+    "V5": Setup(True, True, LossKind.Relative, "stiefel",
+                MetricKind.Canonical, TransportKind.Submanifold),
+    "V6": Setup(True, True, LossKind.Relative, "stiefel_decay",
+                MetricKind.Canonical, TransportKind.Submanifold),
+    "V7": Setup(True, True, LossKind.Relative, "stiefel_decay",
+                MetricKind.Canonical, TransportKind.Differential),
+    "V8": Setup(True, True, LossKind.Relative, "stiefel_decay",
+                MetricKind.Euclidean, TransportKind.Submanifold),
+    "V9": Setup(True, True, LossKind.Relative, "stiefel_decay",
+                MetricKind.Euclidean, TransportKind.Differential),
+    "V10": Setup(True, True, LossKind.ScaledMSE, "stiefel_decay",
+                 MetricKind.Canonical, TransportKind.Submanifold),
 }
+
+
+def _variant_setup(name):
+    """The Setup of the named variant; an unknown name is a ConfigError."""
+    if name not in VARIANTS:
+        raise ConfigError(f"unknown variant {name!r}")
+    return VARIANTS[name]
 
 
 @dataclass
@@ -45,19 +61,18 @@ class RunConfig:
     time_steps: int = 50
     params: list = field(default_factory=list)      # training mu / nu values
     testing_params: list = field(default_factory=list)
-    loss: LossKind = LossKind.Relative
-    epochwise: bool = True
-    normalized: bool = True
-    optimizer: str = "homogeneous"     # a key of optimizers.PSD_OPTIMIZERS
-    metric: MetricKind = MetricKind.Canonical
-    transport: TransportKind = TransportKind.Submanifold
     t0: float = 0.0
     t1: float = 1.0
     a: float = -0.5
     b: float = 0.5
     eta: float = 0.001
     seed: int = 0
-    variant: str = ""
+    variant: str = "V3"                # a key of VARIANTS: the training setup
+
+    @property
+    def setup(self):
+        """The variant's row of VARIANTS; an unknown variant is a ConfigError."""
+        return _variant_setup(self.variant)
 
     def validate(self):
         if self.model not in MODELS:
@@ -66,8 +81,7 @@ class RunConfig:
             raise ConfigError(f"{self.model} model fixes (t0, t1, a, b) = {span}")
         if self.t1 <= self.t0:
             raise ConfigError(f"t1 = {self.t1} must exceed t0 = {self.t0}")
-        if self.optimizer not in PSD_OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        _variant_setup(self.variant)
         if self.eta <= 0:
             raise ConfigError(f"eta = {self.eta} must be positive")
         if self.seed < 0:
@@ -82,13 +96,7 @@ class RunConfig:
         return self
 
     def apply_variant(self, name):
-        if name not in VARIANTS:
-            raise ConfigError(f"unknown variant {name!r}")
-        (self.epochwise, self.normalized, self.loss, self.optimizer,
-         metric, transport) = VARIANTS[name]
-        if metric is not None:
-            self.metric = metric
-            self.transport = transport
+        _variant_setup(name)
         self.variant = name
         return self
 
@@ -107,8 +115,6 @@ def _parse_list(text, parse=_float):
 # config key -> the RunConfig field it sets, where the two names differ
 _ALIASES = {"mu_list": "params", "nu_list": "params", "testing": "testing_params"}
 _SPAN = ("mu_left", "mu_right", "n_params")   # training parameters as a linspace
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_ENUMS = {"loss": LossKind, "metric": MetricKind, "transport": TransportKind}
 
 
 def load_config(path):
@@ -141,14 +147,11 @@ def load_config(path):
         raise ConfigError(f"config key {missing!r} is missing from the "
                           f"{'/'.join(_SPAN)} span")
 
-    if "variant" in pairs:
-        cfg.apply_variant(pairs.pop("variant")[1])
-
     span = {}
     try:
         for name, (key, value) in pairs.items():
-            if name == "model":
-                cfg.model = value
+            if name in ("model", "variant"):
+                setattr(cfg, name, value)
             elif name in ("N", "n_epochs", "batch_size", "time_steps", "seed"):
                 setattr(cfg, name, int(value))
             elif name == "n_range":
@@ -159,17 +162,11 @@ def load_config(path):
                 span[name] = _float(value)
             elif name == "n_params":
                 span[name] = int(value)
-            elif name in _ENUMS:
-                setattr(cfg, name, _ENUMS[name](value.lower()))
-            elif name in ("epochwise", "normalized"):
-                setattr(cfg, name, _BOOLS[value.lower()])
-            elif name == "optimizer":
-                cfg.optimizer = value
             elif name in ("t0", "t1", "a", "b", "eta"):
                 setattr(cfg, name, _float(value))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-    except (KeyError, ValueError) as exc:   # KeyError: not a key of _BOOLS
+    except ValueError as exc:
         raise ConfigError(f"invalid value {value!r} for config key {key!r}") from exc
 
     if span:

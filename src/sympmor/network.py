@@ -229,17 +229,18 @@ def build_network(full_dim, reduced_dim, seed):
 class Trainer:
     """Owns the optimizer state of every layer and performs batch updates.
 
-    cfg is a config.RunConfig; the trainer reads its optimizer, metric,
-    transport, eta and seed.  All GradientLayers share one AdamHyper, advanced
-    once per step; each PSD weight has its own, which its manifold update
-    advances.
+    cfg is a config.RunConfig; the trainer reads its eta and seed, and the
+    optimizer, metric and transport of its variant's setup.  All GradientLayers
+    share one AdamHyper, advanced once per step; each PSD weight has its own,
+    which its manifold update advances.
     """
 
     def __init__(self, net, cfg):
         self.net = net
         self.cfg = cfg
-        self.states = [self._state(layer) for layer in net.layers]   # rejects an unknown optimizer
-        self.hyper = opt.AdamHyper(eta=cfg.eta, decay=opt.PSD_OPTIMIZERS[cfg.optimizer])
+        decay = opt.PSD_OPTIMIZERS[cfg.setup.optimizer]   # rejects an unknown variant
+        self.states = [self._state(layer) for layer in net.layers]
+        self.hyper = opt.AdamHyper(eta=cfg.eta, decay=decay)
         self.first_error = None
 
     @property
@@ -252,10 +253,11 @@ class Trainer:
         if isinstance(layer, GradientLayer):
             return {name: opt.EuclideanAdamCache(getattr(layer, name).shape)
                     for name in ("K", "a", "b")}
-        return opt.psd_state(self.cfg.optimizer, layer.weight, self.cfg.eta)
+        return opt.psd_state(self.cfg.setup.optimizer, layer.weight, self.cfg.eta)
 
     def update(self, grads_per_layer):
         cfg = self.cfg
+        setup = cfg.setup
         for layer, state, grads in zip(self.net.layers, self.states, grads_per_layer):
             if isinstance(layer, GradientLayer):
                 for name, cache in state.items():
@@ -264,7 +266,7 @@ class Trainer:
             else:
                 layer.weight = opt.psd_update(*state, layer.weight, grads["X"],
                                               cfg.seed + self.step_index,
-                                              cfg.metric, cfg.transport)
+                                              setup.metric, setup.transport)
         opt.update_hyper(self.hyper)
 
     def train_batch(self, loss_kind, batch):

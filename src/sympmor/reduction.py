@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, SympmorError
-from .integrators import OdeSystem, Trajectory, dense_newton, implicit_midpoint
+from .integrators import OdeSystem, dense_newton, implicit_midpoint
 from .network import PSDLayer
 from .stiefel import StiefelPoint
 
@@ -244,12 +244,6 @@ def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
         newton = dense_newton(reduced_linearization(rom, fom_sys)) if fom_sys.jacobian else None
         reduced_sys = OdeSystem(dim=rom.reduced_dim, vector_field=field, newton=newton)
     return implicit_midpoint(reduced_sys, rom.x_r0, t0, t1, K, tol=tol)
-
-
-def reconstruct(rom, reduced_traj):
-    states = rom.reconstruct_state(reduced_traj.states)
-    return Trajectory(states=states, t0=reduced_traj.t0, t1=reduced_traj.t1,
-                      K=reduced_traj.K)
 
 
 def reduction_error(variant, exact, rom, reduced):

@@ -282,8 +282,8 @@ def test_acceptance_5_reduction_identities(capsys):
     en, de, ja = red.psd_maps(Xsq)
     rom_sq = red.build_rom(en, de, ja, x0, use_ref=True, normalized=True)
     reduced = red.solve_rom(rom_sq, sys_w, 0.0, 1.0, 60)
-    recon = red.reconstruct(rom_sq, reduced)
-    sq_err = np.max(np.abs(recon.states - fom.states)) / max(1.0, np.max(np.abs(fom.states)))
+    recon = rom_sq.reconstruct_state(reduced.states)
+    sq_err = np.max(np.abs(recon - fom.states)) / max(1.0, np.max(np.abs(fom.states)))
 
     field = red.reduced_vector_field(rom, sys_w.vector_field)
     n = 4
@@ -336,7 +336,7 @@ def test_acceptance_6_training(capsys, tmp_path):
     ratios = {}
     for variant in ("V3", "V6"):
         cfg = _desk_config(variant)
-        data = norm if cfg.normalized else raw
+        data = norm if cfg.setup.normalized else raw
         out = tmp_path / variant
         summary = cli.train_run(cfg, data, out)[4]
         ratios[variant] = summary["final_loss"] / summary["first_loss"]

@@ -78,8 +78,7 @@ def test_pipeline_end_to_end(cfg_path, tmp_path, capsys):
     assert len(losses) == 3  # header + 2 epochs
     assert float(losses[1][1]) > 0
 
-    assert main(["evaluate", "--config", str(cfg_path), "--run", str(run_dir),
-                 "--out", str(run_dir)]) == 0
+    assert main(["evaluate", "--config", str(cfg_path), "--run", str(run_dir)]) == 0
     errors = read_csv(run_dir / "errors.csv")
     assert errors[0] == ["n", "param", "e_red", "e_proj", "integration_seconds"]
     assert len(errors) == 2  # one testing parameter, one n
@@ -270,7 +269,7 @@ def test_cli_errors_are_reported(tmp_path, capsys):
     assert not (tmp_path / "sizes").exists()
     run = tmp_path / "run"
     run.mkdir()
-    evaluate = ["evaluate", "--config", str(cfg), "--run", str(run), "--out", str(run)]
+    evaluate = ["evaluate", "--config", str(cfg), "--run", str(run)]
     assert reports_error(evaluate)
     params = run / "params_n2.npz"
     save_network(build_network(16, 4, seed=2), params)
@@ -330,16 +329,79 @@ def test_bad_seed_eta_and_span_end_in_one_error_line(command, text, extra, tmp_p
     assert not out.exists()
 
 
-def test_evaluate_leaves_out_alone(cfg_path, tmp_path):
-    """evaluate writes errors.csv into --run and creates nothing at --out."""
+def test_evaluate_leaves_out_alone(cfg_path, tmp_path, capsys):
+    """evaluate writes errors.csv into --run; it takes no --out, and given one
+    it exits nonzero and writes nothing."""
     data_dir, run_dir = tmp_path / "data", tmp_path / "run"
     assert main(["generate-data", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
     assert main(["train", "--config", str(cfg_path), "--data", str(data_dir / "snapshots.bin"),
                  "--out", str(run_dir)]) == 0
     unused = tmp_path / "unused"
-    assert main(["evaluate", "--config", str(cfg_path), "--run", str(run_dir),
-                 "--out", str(unused)]) == 0
-    assert (run_dir / "errors.csv").exists() and not unused.exists()
+    with pytest.raises(SystemExit) as info:
+        main(["evaluate", "--config", str(cfg_path), "--run", str(run_dir),
+              "--out", str(unused)])
+    assert info.value.code != 0
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (run_dir / "errors.csv").exists() and not unused.exists()
+
+
+# subcommand -> its own arguments, to which each unread shared flag is added
+UNREAD_FLAGS = {
+    "normalize": (["--input", "snapshots.bin"], ["--config", "--seed"]),
+    "report": (["run"], ["--config", "--seed"]),
+    "speed-test": (["--pairs", "8x2"], ["--config"]),
+    "evaluate": (["--config", "run.cfg", "--run", "run"], ["--out", "--seed"]),
+    "psd": (["--config", "run.cfg", "--data", "snapshots.bin"], ["--seed"]),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, (_, flags) in UNREAD_FLAGS.items() for flag in flags])
+def test_subcommands_reject_flags_they_do_not_read(command, flag, tmp_path, capsys):
+    """Each subcommand accepts only the flags it reads: the rest are usage errors,
+    raised before any file is opened or written."""
+    args = [str(tmp_path / a) if a in ("snapshots.bin", "run", "run.cfg") else a
+            for a in UNREAD_FLAGS[command][0]]
+    with pytest.raises(SystemExit) as info:
+        main([command, *args, flag, "7"])
+    assert info.value.code != 0
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("variant", ["V1", "V2"])
+def test_train_rejects_normalized_data_under_a_raw_variant(variant, cfg_path, tmp_path, capsys):
+    """V1 and V2 train on raw snapshots; a normalized file is an error, not a
+    network that evaluate would then score through the no-reference ROM."""
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    assert main(["generate-data", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
+    assert main(["normalize", "--input", str(data_dir / "snapshots.bin"),
+                 "--out", str(data_dir)]) == 0
+    cfg_path.write_text(cfg_with(WAVE_CFG, f"variant = {variant}"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path),
+                 "--data", str(data_dir / "snapshots_normalized.bin"),
+                 "--out", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SympmorError: variant {variant} trains on unnormalized")
+    assert err.count("\n") == 1 and not run_dir.exists()
+    # the raw file still trains
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir / "snapshots.bin"),
+                 "--out", str(run_dir)]) == 0
+
+
+def test_report_labels_an_unnamed_variant_with_its_directory(tmp_path):
+    """Manifests written before every run named a variant record "": such a run's
+    rows carry its directory name, so two of them stay apart."""
+    for name in ("a", "b"):
+        run = tmp_path / name
+        run.mkdir()
+        (run / "errors.csv").write_text("n,param,e_red,e_proj,integration_seconds\n"
+                                        "4,0.5,1,1,1\n")
+        (run / "manifest.json").write_text(json.dumps({"config": {"variant": ""}}))
+    assert main(["report", str(tmp_path / "a"), str(tmp_path / "b"),
+                 "--out", str(tmp_path)]) == 0
+    assert [row[0] for row in read_csv(tmp_path / "report.csv")[1:]] == ["a", "b"]
 
 
 def test_report_sorts_n_and_param_as_numbers(tmp_path, capsys):
@@ -365,8 +427,7 @@ def test_evaluate_and_psd_share_one_loop(cfg_path, tmp_path, monkeypatch):
     main(["normalize", "--input", str(data_dir / "snapshots.bin"), "--out", str(data_dir)])
     main(["train", "--config", str(cfg_path),
           "--data", str(data_dir / "snapshots_normalized.bin"), "--out", str(run_dir)])
-    evaluate = ["evaluate", "--config", str(cfg_path), "--run", str(run_dir),
-                "--out", str(run_dir)]
+    evaluate = ["evaluate", "--config", str(cfg_path), "--run", str(run_dir)]
     psd = ["psd", "--config", str(cfg_path), "--data", str(data_dir / "snapshots.bin"),
            "--out", str(run_dir)]
 
@@ -477,11 +538,17 @@ def test_every_variant_trains_through_train_run(variant, tiny_snapshots, tmp_pat
     """Each row's optimizer, metric, transport, loss and sampling mode trains."""
     cfg = RunConfig(N=4, n_range=[1], time_steps=7, n_epochs=1, batch_size=4, eta=0.01,
                     params=[0.25], seed=3).apply_variant(variant).validate()
-    snaps = reduction.normalize_snapshots(tiny_snapshots) if cfg.normalized else tiny_snapshots
+    setup = cfg.setup
+    snaps = reduction.normalize_snapshots(tiny_snapshots) if setup.normalized else tiny_snapshots
     cli.train_run(cfg, snaps, tmp_path)
     losses = [float(row[1]) for row in read_csv(tmp_path / "losses_n1.csv")[1:]]
     # one epoch-mean row, or one row per batch without epochs
-    assert len(losses) == (1 if cfg.epochwise else 2)
+    assert len(losses) == (1 if setup.epochwise else 2)
+    # the manifest spells out the variant's setup
+    written = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert written["variant"] == variant
+    assert [written[key] for key in setup._fields] == [
+        getattr(value, "value", value) for value in setup]
     assert np.all(np.isfinite(losses))
     for layer in load_network(tmp_path / "params_n1.npz").layers:
         if hasattr(layer, "weight"):

@@ -1,10 +1,14 @@
 """Config parsing and the variant table."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from sympmor.config import VARIANTS, RunConfig, load_config
 from sympmor.errors import ConfigError
 from sympmor.network import LossKind
+from sympmor.optimizers import PSD_OPTIMIZERS
 from sympmor.stiefel import MetricKind, TransportKind
 
 
@@ -25,20 +29,30 @@ def test_variant_table_shape():
         assert VARIANTS[k][3] == "stiefel_decay"
 
 
+def test_every_variant_names_a_psd_optimizer():
+    assert {setup.optimizer for setup in VARIANTS.values()} <= set(PSD_OPTIMIZERS)
+
+
 def test_apply_variant():
     cfg = RunConfig(params=[0.5]).apply_variant("V9")
-    assert cfg.metric is MetricKind.Euclidean
-    assert cfg.transport is TransportKind.Differential
-    assert cfg.optimizer == "stiefel_decay"
-    assert cfg.loss is LossKind.Relative
-    assert cfg.epochwise and cfg.normalized
+    assert cfg.setup.metric is MetricKind.Euclidean
+    assert cfg.setup.transport is TransportKind.Differential
+    assert cfg.setup.optimizer == "stiefel_decay"
+    assert cfg.setup.loss is LossKind.Relative
+    assert cfg.setup.epochwise and cfg.setup.normalized
     assert cfg.variant == "V9"
     cfg.apply_variant("V1")
-    assert not cfg.epochwise and not cfg.normalized
-    # V1 leaves metric/transport untouched (baseline optimizer ignores them)
-    assert cfg.metric is MetricKind.Euclidean
+    assert not cfg.setup.epochwise and not cfg.setup.normalized
+    # the homogeneous baseline takes no metric or transport
+    assert cfg.setup.metric is None and cfg.setup.transport is None
     with pytest.raises(ConfigError):
         cfg.apply_variant("V11")
+    assert cfg.variant == "V1"
+
+
+def test_default_config_is_v3():
+    cfg = RunConfig(params=[0.5]).validate()
+    assert cfg.variant == "V3" and cfg.setup is VARIANTS["V3"]
 
 
 def test_validate():
@@ -48,8 +62,10 @@ def test_validate():
         RunConfig(model="heat", params=[1.0]).validate()
     with pytest.raises(ConfigError):
         RunConfig(model="wave", params=[1.0], t1=2.0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(params=[1.0], optimizer="sgd").validate()
+    with pytest.raises(ConfigError, match="unknown variant 'V11'"):
+        RunConfig(params=[1.0], variant="V11").validate()
+    with pytest.raises(ConfigError, match="unknown variant 'V11'"):
+        RunConfig(variant="V11").setup
     cfg = RunConfig(model="sg_single_soliton", params=[0.5],
                     a=-10.0, b=10.0).validate()
     assert cfg.model == "sg_single_soliton"
@@ -67,10 +83,7 @@ def test_load_config_full(tmp_path):
         "n_epochs = 5\n"
         "batch_size = 16\n"
         "time_steps = 25\n"
-        "loss = relative\n"
-        "optimizer = stiefel_decay\n"
-        "metric = euclidean\n"
-        "transport = differential\n"
+        "variant = V9\n"
         "eta = 0.01\n"
         "seed = 3\n"
     )
@@ -78,9 +91,9 @@ def test_load_config_full(tmp_path):
     assert cfg.N == 16 and cfg.n_range == [2, 4]
     assert cfg.params == pytest.approx([0.4166666, 0.5, 0.6])
     assert cfg.testing_params == [0.45]
-    assert cfg.loss is LossKind.Relative
-    assert cfg.metric is MetricKind.Euclidean
-    assert cfg.transport is TransportKind.Differential
+    assert cfg.setup.loss is LossKind.Relative
+    assert cfg.setup.metric is MetricKind.Euclidean
+    assert cfg.setup.transport is TransportKind.Differential
     assert cfg.eta == 0.01 and cfg.seed == 3
 
 
@@ -95,7 +108,7 @@ def test_load_config_variant_and_linspace(tmp_path):
     )
     cfg = load_config(p)
     assert cfg.variant == "V6"
-    assert cfg.optimizer == "stiefel_decay"
+    assert cfg.setup.optimizer == "stiefel_decay"
     assert len(cfg.params) == 5
     assert cfg.params[0] == pytest.approx(0.4)
     assert cfg.params[-1] == pytest.approx(0.6)
@@ -115,22 +128,42 @@ def test_load_config_rejects_bad_lines(tmp_path):
                                   "epochwise = maybe", "normalized = maybe",
                                   "loss = rel", "metric = can", "transport = sub"])
 def test_load_config_rejects_misspelt_names(tmp_path, line):
-    """A misspelt or abbreviated value is an error, not the other option."""
+    """A misspelt or abbreviated setup value is an error, not the other option:
+    the variant sets these keys, so each is an unknown key."""
     p = tmp_path / "run.cfg"
     p.write_text(f"mu_list = 0.5\n{line}\n")
     with pytest.raises(ConfigError, match=line.split()[0]):
         load_config(p)
 
 
-def test_load_config_enum_values_and_booleans(tmp_path):
+@pytest.mark.parametrize("line", ["epochwise = true", "normalized = false",
+                                  "loss = scaled_mse", "optimizer = stiefel",
+                                  "metric = canonical", "transport = differential"])
+def test_setup_keys_are_unknown(tmp_path, line):
+    """The variant is the whole training setup: no key sets one part of it."""
+    key = line.split()[0]
     p = tmp_path / "run.cfg"
-    p.write_text("mu_list = 0.5\nloss = Scaled_MSE\nmetric = CANONICAL\n"
-                 "transport = submanifold\nepochwise = no\nnormalized = 1\n")
-    cfg = load_config(p)
-    assert cfg.loss is LossKind.ScaledMSE
-    assert cfg.metric is MetricKind.Canonical
-    assert cfg.transport is TransportKind.Submanifold
-    assert cfg.epochwise is False and cfg.normalized is True
+    p.write_text(f"variant = V6\nmu_list = 0.5\n{line}\n")
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        load_config(p)
+
+
+def _readme_variant_rows():
+    """The rows of the README's variant table: name -> its six cells."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| (V\d+) \|(.*)\|$", text, re.M)
+    return {name: [cell.strip() for cell in cells.split("|")] for name, cells in rows}
+
+
+def test_readme_variant_table_matches_variants():
+    def cells(setup):
+        return ["epochwise" if setup.epochwise else "no-epoch",
+                "normalized" if setup.normalized else "raw",
+                setup.loss.value, setup.optimizer,
+                setup.metric.value if setup.metric else "-",
+                setup.transport.value if setup.transport else "-"]
+
+    assert _readme_variant_rows() == {name: cells(s) for name, s in VARIANTS.items()}
 
 
 @pytest.mark.parametrize("text, keys", [

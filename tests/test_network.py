@@ -226,19 +226,20 @@ def test_loss_backward_directional_fd():
         assert abs(fd - np.tensordot(g, dY)) < 1e-6 * max(1.0, abs(fd))
 
 
-@pytest.mark.parametrize("opt_kind", ["homogeneous", "stiefel"])
-def test_training_reduces_loss(opt_kind):
+@pytest.mark.parametrize("variant", [pytest.param("V3", id="homogeneous"),
+                                     pytest.param("V5", id="stiefel")])
+def test_training_reduces_loss(variant):
     rng = np.random.default_rng(0)
     # low-dimensional synthetic data with structure
     t = np.linspace(0, 1, 40)
     data = np.vstack([np.sin(2 * np.pi * k * t) for k in range(1, 9)]) * 0.5
     net = build_network(8, 2, seed=1)
-    cfg = RunConfig(optimizer=opt_kind, eta=0.01, seed=5)
+    cfg = RunConfig(variant=variant, eta=0.01, seed=5)
     trainer = Trainer(net, cfg)
     losses = train_epochwise(trainer, data, batch_size=10, n_epochs=15,
                              loss_kind=LossKind.ScaledMSE, seed=2)
     # the baseline optimizer converges more slowly than the direct one
-    factor = 0.8 if opt_kind == "homogeneous" else 0.6
+    factor = 0.8 if cfg.setup.optimizer == "homogeneous" else 0.6
     assert losses[-1] < factor * losses[0]
     # PSD weights stayed on the manifold throughout
     for layer in net.layers:
@@ -252,7 +253,7 @@ def test_training_deterministic():
 
     def run():
         net = build_network(6, 2, seed=4)
-        trainer = Trainer(net, RunConfig(optimizer="homogeneous", seed=17))
+        trainer = Trainer(net, RunConfig(variant="V3", seed=17))
         return train_epochwise(trainer, data, batch_size=8, n_epochs=3,
                                loss_kind=LossKind.ScaledMSE, seed=7)
 
@@ -263,7 +264,7 @@ def test_train_noepoch_iteration_count():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((6, 25)) * 0.3
     net = build_network(6, 2, seed=0)
-    trainer = Trainer(net, RunConfig(optimizer="stiefel", seed=0))
+    trainer = Trainer(net, RunConfig(variant="V5", seed=0))
     losses = train_noepoch(trainer, data, batch_size=8, n_epochs=2,
                            loss_kind=LossKind.ScaledMSE, seed=3)
     assert len(losses) == int(np.ceil(2 * 25 / 8))
@@ -273,7 +274,7 @@ def test_training_continues_after_renormalization(monkeypatch):
     """Drift inside a retraction is fixed there; the cache is transported to the QR copy."""
     data = np.random.default_rng(1).standard_normal((6, 25)) * 0.3
     net = build_network(6, 2, seed=0)
-    trainer = Trainer(net, RunConfig(optimizer="stiefel", seed=0))
+    trainer = Trainer(net, RunConfig(variant="V5", seed=0))
     apply = stiefel._cayley_apply
     drifted = []
 
@@ -301,7 +302,7 @@ def test_training_continues_after_renormalization(monkeypatch):
 def test_non_finite_batch_stops_training_before_the_update():
     data = np.random.default_rng(2).standard_normal((6, 16)) * 0.3
     net = build_network(6, 2, seed=0)
-    trainer = Trainer(net, RunConfig(optimizer="stiefel_decay", seed=0))
+    trainer = Trainer(net, RunConfig(variant="V6", seed=0))
     trainer.train_batch(LossKind.Relative, data[:, :8])
     before = [layer.K.copy() for layer in net.layers if isinstance(layer, GradientLayer)]
     bad = data[:, 8:].copy()
@@ -319,7 +320,7 @@ def test_zero_norm_batch_is_never_the_divergence_baseline():
     counted as diverged; the first nonzero-norm batch is the baseline."""
     data = np.random.default_rng(3).standard_normal((6, 8)) * 0.3
     net = build_network(6, 2, seed=0)
-    trainer = Trainer(net, RunConfig(optimizer="homogeneous", seed=0))
+    trainer = Trainer(net, RunConfig(variant="V3", seed=0))
     trainer.train_batch(LossKind.ScaledMSE, np.zeros((6, 1)))
     first = data[:, :4]
     baseline = np.linalg.norm(net.forward(first)[0] - first) / np.linalg.norm(first)
@@ -328,6 +329,6 @@ def test_zero_norm_batch_is_never_the_divergence_baseline():
     assert trainer.step_index == 4 and trainer.first_error == baseline > 0.0
 
 
-def test_unknown_optimizer_name_rejected():
-    with pytest.raises(ConfigError):
-        Trainer(build_network(6, 2, seed=0), RunConfig(optimizer="homogeneous_decay"))
+def test_unknown_variant_rejected():
+    with pytest.raises(ConfigError, match="unknown variant 'V11'"):
+        Trainer(build_network(6, 2, seed=0), RunConfig(variant="V11"))
