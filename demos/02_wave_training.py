@@ -2,14 +2,20 @@
 
 Generates snapshots for five wave speeds, normalizes them, and trains two
 variants side by side: the homogeneous-space baseline (V3) and the direct
-Stiefel optimizer with learning-rate decay (V6).
+Stiefel optimizer with learning-rate decay (V6).  Then solves the V6
+network's learned ROM at a held-out speed against the full-order model.
 """
+
+import time
 
 import numpy as np
 
-from sympmor.cli import generate_snapshots, train_run
+from sympmor.cli import fom_system_for, generate_snapshots, load_network, train_run
 from sympmor.config import RunConfig
-from sympmor.reduction import normalize_snapshots
+from sympmor.integrators import implicit_midpoint
+from sympmor.reduction import build_rom, normalize_snapshots, reduction_error, solve_rom
+
+HELD_OUT_MU = 0.55   # between the training speeds 0.542 and 0.604
 
 
 def make_config(variant):
@@ -26,6 +32,27 @@ def make_config(variant):
     return cfg.validate()
 
 
+def learned_rom(cfg, params_path, mu):
+    """FOM and learned-ROM solves at speed mu: (e_red, FOM s, ROM s, decoder passes per step)."""
+    network = load_network(params_path)
+    sys_fom, x0 = fom_system_for(cfg, mu)
+    K = cfg.time_steps
+    t_start = time.perf_counter()
+    exact = implicit_midpoint(sys_fom, x0, cfg.t0, cfg.t1, K)
+    fom_s = time.perf_counter() - t_start
+    passes = []
+
+    def counted(xi):
+        passes.append(xi)
+        return network.decoder_jacobian(xi)
+
+    t_start = time.perf_counter()
+    rom = build_rom(network.encode, network.decode, counted, x0, use_ref=True, normalized=True)
+    reduced = solve_rom(rom, sys_fom, cfg.t0, cfg.t1, K, tol=1e-10)
+    rom_s = time.perf_counter() - t_start
+    return reduction_error("with_ref", exact, rom, reduced), fom_s, rom_s, len(passes) / K
+
+
 def main():
     raw = generate_snapshots(make_config("V3"))
     norm = normalize_snapshots(raw)
@@ -37,6 +64,11 @@ def main():
         print(f"{variant}: first-epoch loss {summary['first_loss']:.4f} -> "
               f"final {summary['final_loss']:.4f} "
               f"({summary['wall_seconds']:.2f}s)")
+
+    e_red, fom_s, rom_s, per_step = learned_rom(make_config("V6"), "out/wave_V6/params_n4.npz",
+                                                HELD_OUT_MU)
+    print(f"V6 learned ROM at mu = {HELD_OUT_MU}: e_red {e_red:.4f}, FOM {fom_s:.4f} s, "
+          f"ROM {rom_s:.4f} s, {per_step:.2f} decoder passes per step")
 
 
 if __name__ == "__main__":

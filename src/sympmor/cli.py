@@ -227,19 +227,39 @@ def speed_test(pairs, optimizers=("homogeneous", "stiefel_decay"), seed=0):
 
 # -- report -----------------------------------------------------------------
 
-def _run_variant(run_dir):
-    """The variant named in run_dir/manifest.json, else the directory name (also
-    for the empty name that older manifests record)."""
+def _run_config(run_dir):
+    """The config that run_dir/manifest.json records, {} without a manifest; its
+    variant is a string ("" in older manifests) where it names one."""
     mpath = run_dir / "manifest.json"
     if not mpath.exists():
-        return run_dir.name
+        return {}
     try:
-        variant = json.loads(mpath.read_text()).get("config", {}).get("variant", "")
+        config = json.loads(mpath.read_text()).get("config", {})
+        variant = config.get("variant", "")
     except (ValueError, AttributeError) as exc:   # JSONDecodeError is a ValueError
         raise SympmorError(f"malformed manifest {str(mpath)!r}: {exc}") from exc
     if not isinstance(variant, str):
         raise SympmorError(f"malformed manifest {str(mpath)!r}: variant {variant!r}")
-    return variant or run_dir.name
+    return config
+
+
+def _run_variant(run_dir):
+    """The variant named in run_dir/manifest.json, else the directory name."""
+    return _run_config(run_dir).get("variant") or run_dir.name
+
+
+def _run_normalized(run_dir, cfg):
+    """Whether the run in run_dir trained on normalized snapshots, as its manifest
+    records, else as the config's variant sets it.  A config naming another
+    variant than the manifest is an error."""
+    recorded = _run_config(run_dir)
+    if recorded.get("variant") not in (None, "", cfg.variant):
+        raise SympmorError(f"run {str(run_dir)!r} was trained with variant "
+                           f"{recorded['variant']}; the config names {cfg.variant}")
+    normalized = recorded.get("normalized", cfg.setup.normalized)
+    if not isinstance(normalized, bool):
+        raise SympmorError(f"malformed manifest in {str(run_dir)!r}: normalized {normalized!r}")
+    return normalized
 
 
 def _report_key(row):
@@ -343,7 +363,7 @@ def main(argv=None):
                 network = load_network(run / f"params_n{n}.npz")
                 return network.encode, network.decode, network.decoder_jacobian
 
-            evaluate(cfg, network_maps, cfg.setup.normalized, run / "errors.csv")
+            evaluate(cfg, network_maps, _run_normalized(run, cfg), run / "errors.csv")
             print(run / "errors.csv")
         elif args.command == "psd":
             cfg = _load(args)

@@ -16,6 +16,7 @@ simplified-Newton stop of Hairer & Wanner, Solving ODEs II, IV.8).  That
 saves the iterate that would only confirm convergence.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -60,8 +61,8 @@ def dense_newton(linearize):
 
     def newton(t, x, h):
         f, Jf = linearize(t, x)
-        M = (-0.5 * h) * Jf
-        M.flat[::len(x) + 1] += 1.0      # I - h/2 Df without an identity matrix
+        M = (-0.5 * h) * np.ascontiguousarray(Jf)   # C order: reshape(-1) is a view
+        M.reshape(-1)[::len(x) + 1] += 1.0          # I - h/2 Df without an identity matrix
         return f, lambda r: np.linalg.solve(M, r)
 
     return newton
@@ -112,9 +113,10 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
             except np.linalg.LinAlgError:
                 raise IntegrationFailureError(k, f"singular Newton matrix at step {k}") from None
             x_new = x_new - delta
-            # scale-aware: an absolute 1e-12 is unattainable for large states
-            bound = tol * max(1.0, np.linalg.norm(x_new))
-            step = np.linalg.norm(delta)
+            # scale-aware: an absolute 1e-12 is unattainable for large states;
+            # sqrt(v @ v) is np.linalg.norm's arithmetic without its dispatch
+            bound = tol * max(1.0, math.sqrt(x_new @ x_new))
+            step = math.sqrt(delta @ delta)
             if step < bound:
                 break
             # contraction estimate: with theta = step / prev < 1 the remaining

@@ -49,17 +49,21 @@ class SecondOrder:
         SQ[:-1] += off * Q[1:]
         return SQ / (sign * self.h ** 2)    # dividing by -h^2 negates exactly
 
+    def _force(self, t, q):
+        """V'(q) - b(t)."""
+        force = self.potential[0](q)
+        b0, b1 = self.ends(t)
+        force[0] -= b0
+        force[-1] -= b1
+        return force
+
     def field(self, t, x):
         if len(x) != self.dim:
             raise DimensionError(f"state must have length {self.dim}")
         q, p = x[:self.d], x[self.d:]
         if self.potential is None:
             return np.concatenate([p, self.S(q, -1.0)])
-        force = self.potential[0](q)        # V'(q) - b(t)
-        b0, b1 = self.ends(t)
-        force[0] -= b0
-        force[-1] -= b1
-        return np.concatenate([p, self.S(q, -1.0) - force])
+        return np.concatenate([p, self.S(q, -1.0) - self._force(t, q)])
 
     def jacobian(self, t, x, V):
         """Df(x) V = [V_p; -(S + diag V''(q)) V_q] for a dim x m block V, at O(dim m)."""
@@ -67,6 +71,21 @@ class SecondOrder:
         if self.potential is not None:
             DfV -= self.potential[1](x[:self.d])[:, None] * V[:self.d]
         return np.concatenate([V[self.d:], DfV])
+
+    def linearization(self, t, x, V):
+        """[f(t, x) | Df(x) V] for a dim x m block V from one stencil pass over
+        [q | V_q]: column by column the arithmetic of `field` and `jacobian`, so
+        the block equals theirs bitwise."""
+        if len(x) != self.dim:
+            raise DimensionError(f"state must have length {self.dim}")
+        d = self.d
+        xV = np.column_stack([x, V])
+        F = np.concatenate([xV[d:], self.S(xV[:d], -1.0)])
+        if self.potential is not None:
+            q = x[:d]
+            F[d:, 0] -= self._force(t, q)
+            F[d:, 1:] -= self.potential[1](q)[:, None] * V[:d]
+        return F
 
     def hamiltonian(self, x):
         """h (q.S q + p.p) / 2: H without V and b."""

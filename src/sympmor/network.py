@@ -38,7 +38,7 @@ class GradientLayer:
     kind 'Q' (p drives q): [q; p] -> [q + K^T diag(a) sigma(K p + b); p]
 
     sigma is tanh.  The forward tape is (driver, sigma(u), sigma'(u)), so
-    backward and differential evaluate no activation.
+    backward evaluates no activation.
     """
 
     def __init__(self, kind, K, a, b):
@@ -77,12 +77,19 @@ class GradientLayer:
         input_grad[drives] += self.K.T @ inner
         return input_grad, {"K": dK, "a": np.sum(s * Kg, axis=1), "b": np.sum(inner, axis=1)}
 
-    def differential(self, tape, dx):
-        """Forward-mode directional derivative at the taped input."""
-        _, _, sp = tape
+    def differential(self, jet):
+        """The jet [y | Dy V] of the layer at jet = [x | V] (in_dim x (1 + m)):
+        the layer's output at x and its derivative along the m columns of V,
+        from one K product, one K^T product and one tanh for all columns."""
+        if jet.shape[0] != self.in_dim:
+            raise DimensionError(f"expected {self.in_dim} rows, got {jet.shape[0]}")
         drives, driven = self._halves()
-        out = dx.copy()
-        out[driven] += self.K.T @ (self.a[:, None] * sp * (self.K @ dx[drives]))
+        Z = self.K @ jet[drives]
+        s = np.tanh(Z[:, 0] + self.b)
+        Z *= (self.a * (1.0 - s ** 2))[:, None]    # tangents: diag(a sigma'(u)) K V
+        Z[:, 0] = self.a * s                        # state: a sigma(u)
+        out = jet.copy()
+        out[driven] += self.K.T @ Z
         return out
 
 
@@ -117,8 +124,9 @@ class PSDLayer:
             egrad = q @ g_q.T + p @ g_p.T
         return _blockwise(self.W.T, upstream), {"X": egrad}
 
-    def differential(self, tape, dx):
-        return self.forward(dx)[0]
+    def differential(self, jet):
+        """The jet of a linear layer is the layer applied to every column."""
+        return self.forward(jet)[0]
 
 
 def _blockwise(W, x):
@@ -154,17 +162,21 @@ class Network:
         return _run_layers(self.layers[: self.encoder_len], x)
 
     def decode(self, xr):
+        """d(xr) of the columns of a block; a single state is the state column of
+        its jet, so it rounds as `decoder_jacobian` does."""
+        if np.ndim(xr) == 1:
+            return self.decoder_jacobian(xr)[0]
         return _run_layers(self.layers[self.encoder_len:], xr)
 
     def decoder_jacobian(self, x_r):
         """(d(x_r), Dd(x_r)): the decoded state and the exact decoder Jacobian,
-        from one pass that propagates the identity basis in forward mode."""
-        x = np.asarray(x_r, dtype=float)[:, None]
-        D = np.eye(x.shape[0])
+        from one forward-mode pass of the jet [x_r | I] through the decoder."""
+        x_r = np.asarray(x_r, dtype=float)
+        jet = np.eye(len(x_r), len(x_r) + 1, 1)     # [0 | I]
+        jet[:, 0] = x_r
         for layer in self.layers[self.encoder_len:]:
-            x, tape = layer.forward(x)
-            D = layer.differential(tape, D)
-        return x[:, 0], D
+            jet = layer.differential(jet)
+        return jet[:, 0], jet[:, 1:]
 
 
 def loss(kind, Xb, Yb):

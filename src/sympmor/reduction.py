@@ -74,7 +74,7 @@ def psd_maps(X):
     decoder is linear, so its Jacobian blockdiag(X, X) is formed once, and it
     carries X as ``decode.basis`` for `build_rom`."""
     reduce, expand = PSDLayer(X, "reduce"), PSDLayer(X, "expand")
-    J = expand.differential(None, np.eye(2 * X.shape[1]))
+    J = expand.differential(np.eye(2 * X.shape[1]))
 
     def encode(x):
         return reduce.forward(x)[0]
@@ -169,14 +169,23 @@ def reduced_linearization(rom, fom_sys):
     """(t, xi) -> (f_r, M) from one decoder pass at x = x_ref + d(xi): the reduced
     field f_r = -J_{2n} Dd^T J_{2d} f(x) and its Newton matrix M = -J_{2n} Dd^T J_{2d} Df(x) Dd.
 
+    A FOM that carries its `SecondOrder` split gives [f | Df Dd] from one
+    stencil pass (`SecondOrder.linearization`); any other is called twice,
+    field then Jacobian.  Either way f_r and M are two products with the same
+    operands, so both paths give the same bits.
+
     M is exact for a linear decoder.  For a nonlinear one it drops the
     curvature term (d Dd^T / d xi) J_{2d} f (a Gauss-Newton matrix); the
     residual the Newton loop drives to zero is still the exact reduced field.
     """
+    model = fom_sys.second_order
 
     def linearize(t, xi):
         x_full, D = rom.state_and_jacobian(xi)
         rows = _poisson_rows(D)     # formed once for both products
+        if model is not None:
+            JF = _apply_j(model.linearization(t, x_full, D))
+            return rows @ JF[:, 0], rows @ JF[:, 1:]
         return (rows @ _apply_j(fom_sys.vector_field(t, x_full)),
                 rows @ _apply_j(fom_sys.jacobian(t, x_full, D)))
 

@@ -345,6 +345,42 @@ def test_evaluate_leaves_out_alone(cfg_path, tmp_path, capsys):
     assert not (run_dir / "errors.csv").exists() and not unused.exists()
 
 
+def test_evaluate_scores_a_run_with_its_trained_variant(cfg_path, tmp_path, capsys):
+    """evaluate takes the reference-state choice from the run's manifest: a config
+    that names another variant is one error line and leaves errors.csv as it was;
+    a manifest that records no variant still records normalized; without a
+    manifest the config's variant decides."""
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    assert main(["generate-data", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
+    v2_cfg, v3_cfg = tmp_path / "v2.cfg", cfg_path
+    v2_cfg.write_text(cfg_with(WAVE_CFG, "variant = V2"))
+    assert main(["train", "--config", str(v2_cfg), "--data", str(data_dir / "snapshots.bin"),
+                 "--out", str(run_dir)]) == 0
+
+    def errors(cfg):
+        """(n, param, e_red, e_proj) of each row evaluate writes under cfg."""
+        assert main(["evaluate", "--config", str(cfg), "--run", str(run_dir)]) == 0
+        return [row[:4] for row in read_csv(run_dir / "errors.csv")[1:]]
+
+    no_ref = errors(v2_cfg)
+    written = (run_dir / "errors.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(v3_cfg), "--run", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SympmorError: run ") and "variant V2" in err
+    assert err.count("\n") == 1
+    assert (run_dir / "errors.csv").read_bytes() == written
+
+    mpath = run_dir / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    assert manifest["config"]["normalized"] is False
+    manifest["config"]["variant"] = ""
+    mpath.write_text(json.dumps(manifest))
+    assert errors(v3_cfg) == no_ref
+    mpath.unlink()
+    assert errors(v3_cfg) != no_ref     # the config's V3 scores the with-reference ROM
+
+
 # subcommand -> its own arguments, to which each unread shared flag is added
 UNREAD_FLAGS = {
     "normalize": (["--input", "snapshots.bin"], ["--config", "--seed"]),

@@ -280,6 +280,28 @@ def test_sg_jacobian_product_matches_dense_df(N):
         assert np.linalg.norm(JV - Df @ V) <= 1e-14 * np.linalg.norm(Df) * np.linalg.norm(V)
 
 
+TESTBEDS = {"wave": lambda N: wave_build(N, 0.4),
+            **{f"sg_{kind.value}": (lambda N, kind=kind: sg_build(N, 0.3, -4.0, 4.0, kind))
+               for kind in SgKind}}
+
+
+@pytest.mark.parametrize("N", [1, 3, 32])
+@pytest.mark.parametrize("testbed", list(TESTBEDS))
+def test_linearization_is_field_and_jacobian_bitwise(testbed, N):
+    """[f(t, x) | Df(x) V] from one stencil pass equals [field | jacobian] bitwise,
+    the sine-Gordon potential and end forcing included."""
+    model = TESTBEDS[testbed](N)
+    rng = np.random.default_rng(40 + N)
+    for m in (1, 2, 9):
+        x, V = 2.0 * rng.standard_normal(model.dim), rng.standard_normal((model.dim, m))
+        F = model.linearization(0.7, x, V)
+        assert F.shape == (model.dim, 1 + m)
+        assert np.array_equal(F[:, 0], model.field(0.7, x))
+        assert np.array_equal(F[:, 1:], model.jacobian(0.7, x, V))
+    with pytest.raises(DimensionError):
+        model.linearization(0.7, np.zeros(model.dim + 1), V)
+
+
 def test_sg_integration_tracks_exact_solution():
     model = sg_build(64, nu=0.5, a=-10.0, b=10.0, bc=SgKind.SingleSoliton)
     sys = sg_system(model)

@@ -107,10 +107,9 @@ def test_gradient_layer_differential_matches_fd(kind):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((6, 1))
     dx = rng.standard_normal((6, 1))
-    _, tape = layer.forward(x)
     eps = 1e-6
     fd = (layer.forward(x + eps * dx)[0] - layer.forward(x - eps * dx)[0]) / (2 * eps)
-    assert np.linalg.norm(layer.differential(tape, dx) - fd) < 1e-7
+    assert np.linalg.norm(layer.differential(np.hstack([x, dx]))[:, 1:] - fd) < 1e-7
 
 
 def test_psd_layer_forward_and_backward():
@@ -140,9 +139,8 @@ def test_psd_layer_forward_and_backward():
 
 def test_psd_layer_differential_rejects_wrong_size():
     layer = PSDLayer(random_stiefel(4, 2, 0), "expand")
-    _, tape = layer.forward(np.ones((4, 1)))
     with pytest.raises(DimensionError):
-        layer.differential(tape, np.eye(6))
+        layer.differential(np.eye(6))
 
 
 def test_psd_expand_is_symplectic_lift():
@@ -194,6 +192,34 @@ def test_decoder_jacobian_fd_and_symplectic():
     fd = fd_jacobian(lambda v: net.decode(v), xr)
     assert np.linalg.norm(D - fd) < 1e-6
     assert np.linalg.norm(D.T @ symplectic_j(10) @ D - symplectic_j(4)) < 1e-11
+
+
+def test_decoder_jet_with_p_and_q_layers():
+    """The jet [d(xi) | Dd(xi)] of a decoder with 'Q' and 'P' gradient layers:
+    each layer's jet is its forward output and forward-mode derivative, the
+    decoder's state column is the decoded block column, its Jacobian matches
+    central differences and is symplectic."""
+    rng = np.random.default_rng(21)
+    X = random_stiefel(5, 2, 4)
+    decoder = [make_gradient_layer("Q", 4, 1), make_gradient_layer("P", 4, 2),
+               PSDLayer(X, "expand"), make_gradient_layer("Q", 10, 3)]
+    net = Network(layers=[PSDLayer(X, "reduce")] + decoder, encoder_len=1)
+    for layer in decoder:
+        x, V = rng.standard_normal((layer.in_dim, 1)), rng.standard_normal((layer.in_dim, 3))
+        jet = layer.differential(np.hstack([x, V]))
+        assert np.linalg.norm(jet[:, :1] - layer.forward(x)[0]) < 1e-14
+        eps = 1e-6
+        fd = (layer.forward(x + eps * V)[0] - layer.forward(x - eps * V)[0]) / (2 * eps)
+        assert np.linalg.norm(jet[:, 1:] - fd) < 1e-7
+    for _ in range(3):
+        xi = 0.5 * rng.standard_normal(4)
+        out, D = net.decoder_jacobian(xi)
+        assert np.array_equal(out, net.decode(xi))
+        assert np.linalg.norm(out - net.decode(xi[:, None])[:, 0]) < 1e-14
+        assert np.linalg.norm(D - fd_jacobian(net.decode, xi)) < 1e-6
+        assert np.linalg.norm(D.T @ symplectic_j(10) @ D - symplectic_j(4)) < 1e-12
+    with pytest.raises(DimensionError):
+        decoder[0].differential(np.eye(6))
 
 
 def test_loss_hand_oracles():

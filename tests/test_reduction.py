@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from sympmor import reduction
 from sympmor.config import RunConfig
 from sympmor.errors import DimensionError, SympmorError
 from sympmor.integrators import (MAX_NEWTON, OdeSystem, Trajectory, _fd_jacobian,
@@ -233,10 +234,12 @@ def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
         assert np.linalg.norm(linearize(0.0, xi)[1] - oracle) < 1e-12 * np.linalg.norm(oracle)
 
 
-def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
-    """Each Newton iterate linearizes the ROM with one decoder pass."""
+def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom, monkeypatch):
+    """One decoder pass per FOM field evaluation: one per Newton linearization,
+    which evaluates the FOM once ([f | Df Dd] in one stencil pass), and one for
+    the explicit Euler start.  Nothing bounds the number of iterates."""
     sys, rom = learned_wave_rom
-    calls = {"decode": 0, "field": 0}
+    calls = {"decode": 0, "newton": 0, "fom": 0}
 
     def counted(key, fn):
         def wrapped(*args):
@@ -245,10 +248,35 @@ def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
         return wrapped
 
     rom = dataclasses.replace(rom, decode_jacobian=counted("decode", rom.decode_jacobian))
-    fom = dataclasses.replace(sys, vector_field=counted("field", sys.vector_field))
+    model = dataclasses.replace(sys.second_order)
+    model.linearization = counted("fom", model.linearization)
+    fom = dataclasses.replace(sys, vector_field=counted("fom", sys.vector_field),
+                              second_order=model)
+    monkeypatch.setattr(reduction, "dense_newton",
+                        lambda linearize: counted("newton", dense_newton(linearize)))
     solve_rom(rom, fom, 0.0, 1.0, 20, tol=1e-10)
-    assert calls["field"] > 2 * 20
-    assert calls["decode"] == calls["field"]
+    assert calls["decode"] == calls["newton"] + 1 == calls["fom"]
+
+
+def test_learned_sine_gordon_rom_fused_path_is_bitwise_two_call_path():
+    """A learned (V6) sine-Gordon ROM gives the same trajectory bitwise whether
+    each iterate evaluates the FOM in one stencil pass or as field and Jacobian."""
+    model = sg_build(16, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
+    sys, x0 = sg_system(model), sg_initial(model)
+    states = implicit_midpoint(sys, x0, 0.0, 4.0, 20).states
+    network = build_network(sys.dim, 4, seed=5)
+    trainer = Trainer(network, RunConfig(variant="V6", eta=0.01, seed=5))
+    train_epochwise(trainer, states - x0[:, None], batch_size=8, n_epochs=3,
+                    loss_kind=LossKind.Relative, seed=6)
+    rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
+                    use_ref=True, normalized=True)
+    fused = dataclasses.replace(model)
+    passes = []
+    fused.linearization = lambda *args: passes.append(1) or model.linearization(*args)
+    a = solve_rom(rom, dataclasses.replace(sys, second_order=fused), 0.0, 4.0, 20, tol=1e-10)
+    b = solve_rom(rom, dataclasses.replace(sys, second_order=None), 0.0, 4.0, 20, tol=1e-10)
+    assert len(passes) >= 20
+    assert np.array_equal(a.states, b.states)
 
 
 def test_learned_rom_decoder_passes_per_solve(learned_wave_rom):
