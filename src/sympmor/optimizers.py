@@ -9,7 +9,8 @@ Three update rules share the hyperparameter record:
   Adam runs pointwise on its N x n block array [W; C], and the result
   retracts back.
   Caches persist across steps without transport (the global space is fixed),
-  but the section is recomputed every step.
+  but the section is recomputed every step: one Householder QR of the
+  N x (N-n) sample per step, applied in WY blocks; no Q formed.
 * ``stiefel_psd_update``: the direct St(n,N) update. One first-moment cache
   lives in the tangent space at the current iterate and is carried along by a
   vector transport after each Cayley retraction.

@@ -1,17 +1,21 @@
 """Homogeneous-space lift/retract against dense N x N oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sympmor.errors import DimensionError
+from sympmor.errors import DimensionError, SectionDegenerateError
 from sympmor.homogeneous import (
-    OrthoSection,
+    _WY_BLOCK,
+    _complement,
+    _wy,
     horizontal_pointwise,
     lift_to_global,
     retract_global,
     section_qr,
 )
-from sympmor.optimizers import AdamHyper, HomogeneousAdamCache
+from sympmor.optimizers import AdamHyper, HomogeneousAdamCache, homogeneous_psd_update
 from sympmor.stiefel import StiefelPoint, cayley_retract, project_tangent, random_stiefel, skew
 
 
@@ -29,6 +33,12 @@ def lift_omega(X, Z):
     return M - M.T
 
 
+def complement(sec):
+    """lambda_bar, formed by applying the implicit section to I_{N-n} (test-only)."""
+    N, n = sec.base.shape
+    return _complement(sec, np.eye(N - n))
+
+
 def dense(V):
     """Dense N x N horizontal element [[W, -C^T], [C, 0]] of the blocks V = [W; C]."""
     N, n = V.shape
@@ -41,16 +51,66 @@ def dense(V):
 def test_section_qr_orthogonal_completion():
     X = random_stiefel(9, 3, 0)
     sec = section_qr(X, seed=5)
-    lam = np.hstack([X.data, sec.complement])
+    lam = np.hstack([X.data, complement(sec)])
     assert lam.shape == (9, 9)
     assert np.linalg.norm(lam.T @ lam - np.eye(9)) < 1e-12
     # deterministic in the seed
     sec2 = section_qr(X, seed=5)
-    assert np.array_equal(sec.complement, sec2.complement)
+    assert np.array_equal(complement(sec), complement(sec2))
     sec3 = section_qr(X, seed=6)
-    assert not np.array_equal(sec.complement, sec3.complement)
+    assert not np.array_equal(complement(sec), complement(sec3))
     with pytest.raises(DimensionError):
         section_qr(random_stiefel(3, 3, 0), seed=0)
+
+
+@pytest.mark.parametrize("N, n", [(5, 4), (9, 3), (34, 4), (37, 4), (150, 4)])
+def test_section_qr_matches_explicit_qr(N, n):
+    """The implicit section is the thin Q that np.linalg.qr forms from the same
+    seeded, deflated sample; (37, 4) ends in a one-reflector WY block and
+    (150, 4) spans five blocks."""
+    X = random_stiefel(N, n, 2)
+    sec = section_qr(X, seed=8)
+    assert len(sec.blocks) == -(-(N - n) // _WY_BLOCK)
+    lam_bar = complement(sec)
+    lam = np.hstack([X.data, lam_bar])
+    assert np.abs(lam.T @ lam - np.eye(N)).max() <= 1e-12
+    A = np.random.default_rng(8).standard_normal((N, N - n))
+    A -= X.data @ (X.data.T @ A)
+    assert np.abs(lam_bar - np.linalg.qr(A)[0]).max() <= 1e-12
+
+
+def test_wy_identity_reflector_stays_finite():
+    """A hand-built factor with tau = 0 (LAPACK's identity reflector) gives a
+    finite W, and I - W V^T is the product of the reflectors."""
+    rng = np.random.default_rng(3)
+    V = np.tril(rng.standard_normal((7, 4)), -1) + np.eye(7, 4)
+    tau = np.array([1.3, 0.0, 0.8, 0.0])
+    W = _wy(V, tau)
+    assert np.all(np.isfinite(W))
+    assert not W[:, 1].any() and not W[:, 3].any()
+    H = np.eye(7)
+    for j in range(4):
+        H = H @ (np.eye(7) - tau[j] * np.outer(V[:, j], V[:, j]))
+    assert np.abs(np.eye(7) - W @ V.T - H).max() <= 1e-14
+
+
+class _RepeatedColumns:
+    """Generator stand-in whose sample repeats its first column."""
+
+    def standard_normal(self, shape):
+        A = np.random.Generator(np.random.PCG64(0)).standard_normal(shape)
+        A[:, 1] = A[:, 0]
+        return A
+
+
+def test_section_qr_degenerate_sample_raises(monkeypatch):
+    X = random_stiefel(12, 3, 0)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RepeatedColumns())
+    with pytest.raises(SectionDegenerateError, match="rank-deficient"):
+        section_qr(X, seed=0)
+    egrad = np.random.Generator(np.random.PCG64(1)).standard_normal((12, 3))
+    with pytest.raises(SectionDegenerateError):
+        homogeneous_psd_update(AdamHyper(), HomogeneousAdamCache(12, 3), X, egrad, seed=0)
 
 
 def test_lift_omega_dense():
@@ -67,7 +127,7 @@ def test_lift_to_global_matches_conjugation():
     Z = rand_tangent(X, 4)
     sec = section_qr(X, seed=11)
     H = lift_to_global(sec, Z)
-    lam = np.hstack([X.data, sec.complement])
+    lam = np.hstack([X.data, complement(sec)])
     oracle = lam.T @ lift_omega(X, Z) @ lam
     assert np.linalg.norm(dense(H) - oracle) < 1e-10
     # one compact N x n array whose top n x n block is skew
@@ -117,7 +177,7 @@ def test_retract_global_dense_cayley_oracle():
     H = lift_to_global(sec, Z)
     out = retract_global(sec, H)
     # dense oracle: lambda cay(M/2) E with M the dense horizontal element
-    lam = np.hstack([X.data, sec.complement])
+    lam = np.hstack([X.data, complement(sec)])
     M = dense(H)
     I = np.eye(8)
     cay = np.linalg.solve(I - 0.5 * M, I + 0.5 * M)
@@ -144,7 +204,7 @@ def test_retract_global_renormalizes_drift():
     X = random_stiefel(8, 3, 13)
     sec = section_qr(X, seed=21)
     H = lift_to_global(sec, rand_tangent(X, 14))
-    drifted = OrthoSection(StiefelPoint(X.data * (1.0 + 5e-8), check=False), sec.complement)
+    drifted = replace(sec, base=StiefelPoint(X.data * (1.0 + 5e-8), check=False))
     with pytest.warns(RuntimeWarning, match="re-orthonormalizing"):
         out = retract_global(drifted, H)
     assert out.ortho_residual() < 1e-12

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sympmor import blas, stiefel
-from sympmor.homogeneous import section_qr
+from sympmor.homogeneous import horizontal_pointwise, section_qr
 from sympmor.optimizers import (
     AdamHyper,
     EuclideanAdamCache,
@@ -24,6 +24,7 @@ from sympmor.optimizers import (
 )
 from sympmor.stiefel import (
     MetricKind,
+    StiefelPoint,
     TransportKind,
     project_tangent,
     random_stiefel,
@@ -201,9 +202,43 @@ def test_homogeneous_first_step_oracle():
     assert np.linalg.norm(out.data - ref.data) < 1e-12
 
 
+def _explicit_q_homogeneous_step(hyper, cache, X, egrad, seed):
+    """Reference homogeneous update that forms the thin Q of the section's sample
+    with np.linalg.qr and multiplies by it, as the implementation once did."""
+    N, n = X.shape
+    Z = riemannian_gradient(MetricKind.Canonical, X, egrad).data
+    A = np.random.default_rng(seed).standard_normal((N, N - n))
+    A -= X.data @ (X.data.T @ A)
+    Q = np.linalg.qr(A)[0]
+    V = horizontal_pointwise(hyper, cache, np.vstack([X.data.T @ Z, Q.T @ Z]))
+    Up = np.zeros((N, 2 * n))
+    Up[:, :n] = V
+    Up[:n, n:] = -np.eye(n)
+    Vp = np.zeros((2 * n, N))
+    Vp[:n, :n] = np.eye(n)
+    Vp[n:, n:] = V[n:].T
+    out = stiefel._cayley_apply(stiefel._smw_core(Up, Vp), np.eye(N, n))
+    update_hyper(hyper)
+    return StiefelPoint(X.data @ out[:n] + Q @ out[n:], check=False).renormalized()
+
+
+def test_homogeneous_trajectory_matches_explicit_q():
+    """Eight steps at (200, 6), seven WY blocks, against the explicit-Q reference."""
+    _, egrad = quad_target(200, 6, 23)
+    X = Y = random_stiefel(200, 6, 24)
+    h, cache = AdamHyper(), HomogeneousAdamCache(200, 6)
+    h_ref, cache_ref = AdamHyper(), HomogeneousAdamCache(200, 6)
+    for step in range(8):
+        X = homogeneous_psd_update(h, cache, X, egrad(X), seed=300 + step)
+        Y = _explicit_q_homogeneous_step(h_ref, cache_ref, Y, egrad(Y), seed=300 + step)
+        assert np.abs(X.data - Y.data).max() <= 1e-12
+    assert np.linalg.norm(cache.B1 - cache_ref.B1) <= 1e-12 * np.linalg.norm(cache_ref.B1)
+
+
 def test_manifold_path_imports_no_scipy():
-    """The CLI import, a direct step with each transport and a homogeneous step
-    load neither scipy.linalg nor scipy.sparse; only the FOM solvers do."""
+    """The CLI import, a direct step with each transport and homogeneous steps
+    with one and with several WY blocks load neither scipy.linalg nor
+    scipy.sparse; only the FOM solvers do."""
     code = textwrap.dedent("""
         import sys
         import numpy as np
@@ -215,8 +250,10 @@ def test_manifold_path_imports_no_scipy():
         for kind in TransportKind:
             hyper, cache = opt.psd_state("stiefel", X, 0.01)
             opt.stiefel_psd_update(hyper, cache, X, egrad, MetricKind.Canonical, kind)
-        hyper, cache = opt.psd_state("homogeneous", X, 0.01)
-        opt.homogeneous_psd_update(hyper, cache, X, egrad, seed=0)
+        for N in (40, 160):
+            Y = random_stiefel(N, 4, 0)
+            hyper, cache = opt.psd_state("homogeneous", Y, 0.01)
+            opt.homogeneous_psd_update(hyper, cache, Y, np.ones((N, 4)), seed=0)
         print(sorted(m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules))
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

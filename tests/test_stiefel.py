@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as hst
 
 from sympmor.errors import AnchorMismatchError, DimensionError, RetractionSingularError
-from sympmor.homogeneous import retract_global, section_qr
+from sympmor.homogeneous import _complement, retract_global, section_qr
 from sympmor.stiefel import (
     COND_LIMIT,
     MetricKind,
@@ -299,7 +299,8 @@ def test_smw_apply_matches_lu_reference(N, n):
     Vp[:n, :n] = np.eye(n)
     Vp[n:, n:] = B[n:].T
     out = _lu_cayley_apply(Up, Vp, np.eye(N, n))
-    ref = X.data @ out[:n] + section.complement @ out[n:]
+    lam_bar = _complement(section, np.eye(N - n))  # the section applied to I_{N-n}
+    ref = X.data @ out[:n] + lam_bar @ out[n:]
     assert rel(retract_global(section, B).data, ref) <= 1e-13
 
 
