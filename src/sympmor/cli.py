@@ -71,7 +71,8 @@ def train_run(cfg, snapshots, out_dir):
         wall = time.perf_counter() - t_start
         with open(out_dir / f"losses_n{n}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "avg_loss"])
+            # epochwise: one mean loss per epoch; no-epoch: one loss per batch
+            writer.writerow(["epoch", "avg_loss"] if setup.epochwise else ["batch", "loss"])
             for i, value in enumerate(losses, start=1):
                 writer.writerow([i, repr(float(value))])
         save_network(network, out_dir / f"params_n{n}.npz")

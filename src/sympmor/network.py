@@ -6,7 +6,8 @@ dimension-preserving; PSDLayers apply the cotangent-lift map blockdiag(X, X)
 (or its symplectic inverse) with a Stiefel weight and change the dimension.
 Backpropagation is written out analytically per layer; the manifold weight
 receives its Euclidean gradient, which the optimizer module converts into a
-Riemannian update.
+Riemannian update.  During training the GradientLayers' weights are views of
+one parameter vector, which the Trainer updates with one Adam step per batch.
 """
 
 import enum
@@ -242,16 +243,34 @@ class Trainer:
     """Owns the optimizer state of every layer and performs batch updates.
 
     cfg is a config.RunConfig; the trainer reads its eta and seed, and the
-    optimizer, metric and transport of its variant's setup.  All GradientLayers
-    share one AdamHyper, advanced once per step; each PSD weight has its own,
-    which its manifold update advances.
+    optimizer, metric and transport of its variant's setup.
+
+    The weights of all GradientLayers (K, a and b of each, layer after layer)
+    are one parameter vector, `theta`, which the trainer owns: it copies them
+    in and leaves each layer views of theta.  Their gradients go into one flat
+    buffer, `grad`, laid out alike, so every batch takes one Adam step with one
+    moment pair over theta; that step's AdamHyper advances once per batch.
+    Each PSD weight has its own hyper and cache, which its manifold update
+    advances.  `states` has one entry per layer: a GradientLayer's views of
+    `grad`, or a PSD weight's (hyper, cache).
     """
 
     def __init__(self, net, cfg):
         self.net = net
         self.cfg = cfg
         decay = opt.PSD_OPTIMIZERS[cfg.setup.optimizer]   # rejects an unknown variant
-        self.states = [self._state(layer) for layer in net.layers]
+        gradient_layers = [layer for layer in net.layers if isinstance(layer, GradientLayer)]
+        size = sum(getattr(layer, name).size for layer in gradient_layers for name in "Kab")
+        self.theta, self.grad = np.empty(size), np.empty(size)
+        for layer, views in zip(gradient_layers, _flat_views(self.theta, gradient_layers)):
+            for name, view in views.items():
+                view[...] = getattr(layer, name)
+                setattr(layer, name, view)
+        grad_views = iter(_flat_views(self.grad, gradient_layers))
+        self.states = [next(grad_views) if isinstance(layer, GradientLayer)
+                       else opt.psd_state(cfg.setup.optimizer, layer.weight, cfg.eta)
+                       for layer in net.layers]
+        self.cache = opt.EuclideanAdamCache(size)
         self.hyper = opt.AdamHyper(eta=cfg.eta, decay=decay)
         self.first_error = None
 
@@ -260,23 +279,16 @@ class Trainer:
         """Updates taken so far: the shared hyper advances once per update from t = 1."""
         return self.hyper.t - 1
 
-    def _state(self, layer):
-        """Adam caches of one layer: one per parameter array, or (hyper, cache) of a PSD weight."""
-        if isinstance(layer, GradientLayer):
-            return {name: opt.EuclideanAdamCache(getattr(layer, name).shape)
-                    for name in ("K", "a", "b")}
-        return opt.psd_state(self.cfg.setup.optimizer, layer.weight, self.cfg.eta)
-
-    def update(self, grads_per_layer):
+    def update(self, egrads):
+        """One Adam step on theta from `grad`, and one manifold update of each PSD
+        weight from its Euclidean gradient (egrads, in layer order)."""
         cfg = self.cfg
         setup = cfg.setup
-        for layer, state, grads in zip(self.net.layers, self.states, grads_per_layer):
-            if isinstance(layer, GradientLayer):
-                for name, cache in state.items():
-                    param = getattr(layer, name)
-                    param += opt.adam_step(self.hyper, cache, grads[name])
-            else:
-                layer.weight = opt.psd_update(*state, layer.weight, grads["X"],
+        self.theta += opt.adam_step(self.hyper, self.cache, self.grad)
+        egrads = iter(egrads)
+        for layer, state in zip(self.net.layers, self.states):
+            if isinstance(layer, PSDLayer):
+                layer.weight = opt.psd_update(*state, layer.weight, next(egrads),
                                               cfg.seed + self.step_index,
                                               setup.metric, setup.transport)
         opt.update_hyper(self.hyper)
@@ -286,13 +298,17 @@ class Trainer:
         out, tape = self.net.forward(batch)
         value = loss(loss_kind, batch, out)
         upstream = loss_backward(loss_kind, batch, out)
-        grads = []
-        for layer, entry in zip(reversed(self.net.layers), reversed(tape)):
+        egrads = []
+        for layer, state, entry in zip(reversed(self.net.layers), reversed(self.states),
+                                       reversed(tape)):
             upstream, g = layer.backward(entry, upstream)
-            grads.append(g)
-        finite = np.isfinite(value) and all(
-            np.all(np.isfinite(a)) for g in grads for a in g.values())
-        if not finite:
+            if isinstance(layer, GradientLayer):
+                for name, view in state.items():
+                    view[...] = g[name]
+            else:
+                egrads.append(g["X"])
+        egrads.reverse()
+        if not (np.isfinite(value) and all(np.isfinite(g).all() for g in (self.grad, *egrads))):
             raise TrainingDivergedError(self.step_index, f"non-finite loss or gradient ({value})")
         norm = np.linalg.norm(batch)
         if norm > 0.0:   # a zero-norm batch has no relative error to compare or keep
@@ -303,8 +319,21 @@ class Trainer:
                 raise TrainingDivergedError(
                     self.step_index, f"relative error {error:.4g} exceeds "
                     f"{DIVERGENCE_FACTOR:g}x the first batch's {self.first_error:.4g}")
-        self.update(list(reversed(grads)))
+        self.update(egrads)
         return value
+
+
+def _flat_views(flat, layers):
+    """Per GradientLayer of layers, {name: view of flat shaped like its K, a, b},
+    packed layer after layer in that order."""
+    views, start = [], 0
+    for layer in layers:
+        views.append({})
+        for name in "Kab":
+            param = getattr(layer, name)
+            views[-1][name] = flat[start:start + param.size].reshape(param.shape)
+            start += param.size
+    return views
 
 
 def train_epoch(trainer, data, batch_size, loss_kind, rng):

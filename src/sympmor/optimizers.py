@@ -2,8 +2,10 @@
 
 Three update rules share the hyperparameter record:
 
-* ``adam_step``: classic Euclidean Adam (used for GradientLayer parameters),
-  with the bias correction folded into the moment updates.
+* ``adam_step``: classic Euclidean Adam, with the bias correction folded into
+  the moment updates.  The trainer takes one step per batch over the one
+  parameter vector of all GradientLayers; the step works in the cache's
+  buffers and allocates no parameter-sized array.
 * ``homogeneous_psd_update``: the baseline manifold optimizer. The gradient is
   lifted into the fixed global tangent space g^{hor,E} through a QR section,
   Adam runs pointwise on its N x n block array [W; C], and the result
@@ -64,26 +66,44 @@ def update_hyper(hyper):
 
 
 class EuclideanAdamCache:
-    """First/second moment arrays shaped like the parameter tensor."""
+    """First/second moment arrays shaped like the parameter tensor, and the
+    buffers adam_step writes its update V and its denominator into."""
 
     def __init__(self, shape):
         self.B1 = np.zeros(shape)
         self.B2 = np.zeros(shape)
+        self.V = np.empty(shape)
+        self.root = np.empty(shape)
 
 
 def adam_step(hyper, cache, Y):
-    """Classic Adam: mutate the caches and return the update V = -eta B1 / sqrt(B2 + delta)."""
+    """Classic Adam: update the moments in place and return the update
+    V = -eta B1 / sqrt(B2 + delta), in cache.V until the next step.
+
+    Each entry rounds as (c1 B1 + c1n Y, c2 B2 + c2n (Y Y), (-eta) B1 / sqrt(B2 + delta)).
+    """
     c1, c1n, c2, c2n = hyper.moment_coeffs()
-    cache.B1 = c1 * cache.B1 + c1n * Y
-    cache.B2 = c2 * cache.B2 + c2n * (Y * Y)
-    return -hyper.eta * cache.B1 / np.sqrt(cache.B2 + hyper.delta)
+    B1, B2, V, root = cache.B1, cache.B2, cache.V, cache.root
+    np.multiply(Y, c1n, out=V)
+    B1 *= c1
+    B1 += V
+    np.multiply(Y, Y, out=V)
+    V *= c2n
+    B2 *= c2
+    B2 += V
+    np.add(B2, hyper.delta, out=root)
+    np.sqrt(root, out=root)
+    np.multiply(B1, -hyper.eta, out=V)
+    V /= root
+    return V
 
 
-class HomogeneousAdamCache(EuclideanAdamCache):
+class HomogeneousAdamCache:
     """Moments over g^{hor,E}, stored like the lifted gradients as N x n arrays [W; C]."""
 
     def __init__(self, N, n):
-        super().__init__((N, n))
+        self.B1 = np.zeros((N, n))
+        self.B2 = np.zeros((N, n))
 
 
 def homogeneous_psd_update(hyper, cache, X, egrad, seed):

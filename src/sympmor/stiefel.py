@@ -90,7 +90,8 @@ class StiefelPoint:
         return StiefelPoint(_qr_orthonormal(self.data))
 
     def same_point(self, other):
-        return self.shape == other.shape and np.array_equal(self.data, other.data)
+        return other is self or (self.shape == other.shape
+                                  and np.array_equal(self.data, other.data))
 
     def __repr__(self):
         return "StiefelPoint(N={}, n={})".format(*self.shape)

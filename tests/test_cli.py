@@ -109,6 +109,20 @@ def test_training_csv_bitwise_deterministic(cfg_path, tmp_path):
     assert a == b
 
 
+def test_noepoch_csv_has_one_row_per_batch(cfg_path, tmp_path):
+    """V1 samples batches without epochs: its CSV says so in the header and
+    holds ceil(n_epochs * columns / batch_size) batch losses."""
+    cfg_path.write_text(cfg_with(WAVE_CFG, "variant = V1"))
+    data_dir = tmp_path / "data"
+    assert main(["generate-data", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
+    assert main(["train", "--config", str(cfg_path), "--data", str(data_dir / "snapshots.bin"),
+                 "--out", str(tmp_path / "run")]) == 0
+    rows = read_csv(tmp_path / "run" / "losses_n2.csv")
+    assert rows[0] == ["batch", "loss"]
+    cols = 2 * (10 + 1)   # two speeds, K + 1 snapshots each
+    assert [int(row[0]) for row in rows[1:]] == list(range(1, -(-2 * cols // 8) + 1))
+
+
 def test_seed_flag_overrides_config(cfg_path, tmp_path):
     data_dir = tmp_path / "data"
     main(["generate-data", "--config", str(cfg_path), "--out", str(data_dir)])

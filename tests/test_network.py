@@ -4,7 +4,8 @@ hand-computed loss oracles, and training-loop behavior."""
 import numpy as np
 import pytest
 
-from sympmor import stiefel
+from sympmor import optimizers as opt, stiefel
+from sympmor.cli import load_network, save_network
 from sympmor.config import RunConfig
 from sympmor.errors import ConfigError, DegenerateBatchError, DimensionError, TrainingDivergedError
 from sympmor.network import (
@@ -338,6 +339,106 @@ def test_non_finite_batch_stops_training_before_the_update():
     assert info.value.batch_index == 1
     after = [layer.K for layer in net.layers if isinstance(layer, GradientLayer)]
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_non_finite_gradient_in_one_block_stops_training_before_the_update(monkeypatch):
+    """A NaN in one layer's b gradient alone is caught by the one finiteness
+    check of the flat gradient: theta, both moments, the PSD weights and the
+    step counts stay as the previous batch left them."""
+    data = np.random.default_rng(4).standard_normal((6, 16)) * 0.3
+    net = build_network(6, 2, seed=0)
+    trainer = Trainer(net, RunConfig(variant="V6", seed=0))
+    trainer.train_batch(LossKind.Relative, data[:, :8])
+    layer = net.layers[5]
+    backward = layer.backward
+
+    def nan_in_b(tape, upstream):
+        upstream, grads = backward(tape, upstream)
+        grads["b"][1] = np.nan
+        return upstream, grads
+
+    monkeypatch.setattr(layer, "backward", nan_in_b)
+    psd = [(layer, state) for layer, state in zip(net.layers, trainer.states)
+           if isinstance(layer, PSDLayer)]
+
+    def snapshot():
+        return [trainer.theta, trainer.cache.B1, trainer.cache.B2,
+                *(layer.weight.data for layer, _ in psd)]
+
+    before = [a.copy() for a in snapshot()]
+    with pytest.raises(TrainingDivergedError, match="batch 1") as info:
+        trainer.train_batch(LossKind.Relative, data[:, 8:])
+    assert info.value.batch_index == 1
+    assert all(np.array_equal(a, b) for a, b in zip(before, snapshot()))
+    assert trainer.hyper.t == 2 and all(hyper.t == 2 for _, (hyper, _) in psd)
+
+
+def _reference_training(net, cfg, batches):
+    """The per-array trainer: one EuclideanAdamCache and one adam_step for each
+    K, a and b of each GradientLayer; returns the batch losses."""
+    setup = cfg.setup
+    hyper = opt.AdamHyper(eta=cfg.eta, decay=opt.PSD_OPTIMIZERS[setup.optimizer])
+    states = [{name: opt.EuclideanAdamCache(getattr(layer, name).shape) for name in "Kab"}
+              if isinstance(layer, GradientLayer)
+              else opt.psd_state(setup.optimizer, layer.weight, cfg.eta)
+              for layer in net.layers]
+    losses = []
+    for batch in batches:
+        out, tape = net.forward(batch)
+        losses.append(loss(setup.loss, batch, out))
+        upstream = loss_backward(setup.loss, batch, out)
+        grads = []
+        for layer, entry in zip(reversed(net.layers), reversed(tape)):
+            upstream, g = layer.backward(entry, upstream)
+            grads.insert(0, g)
+        for layer, state, g in zip(net.layers, states, grads):
+            if isinstance(layer, GradientLayer):
+                for name, cache in state.items():
+                    param = getattr(layer, name)
+                    param += opt.adam_step(hyper, cache, g[name])
+            else:
+                layer.weight = opt.psd_update(*state, layer.weight, g["X"],
+                                              cfg.seed + hyper.t - 1,
+                                              setup.metric, setup.transport)
+        opt.update_hyper(hyper)
+    return losses
+
+
+def _q_network():
+    """A hand-built 6 -> 2 -> 6 autoencoder whose first layer is a 'Q' layer."""
+    return Network(layers=[make_gradient_layer("Q", 6, 0),
+                           PSDLayer(random_stiefel(3, 1, 1), "reduce"),
+                           make_gradient_layer("P", 2, 2),
+                           PSDLayer(random_stiefel(3, 1, 3), "expand"),
+                           make_gradient_layer("P", 6, 4)], encoder_len=2)
+
+
+@pytest.mark.parametrize("variant, make_net", [
+    pytest.param("V3", lambda: build_network(6, 2, seed=0), id="V3"),
+    pytest.param("V6", lambda: build_network(6, 2, seed=0), id="V6"),
+    pytest.param("V6", _q_network, id="Q-layer")])
+def test_one_adam_step_over_theta_is_bitwise_the_per_array_steps(variant, make_net, tmp_path):
+    """Training through theta gives bitwise the losses and weights of the
+    per-array trainer, and the view-backed network saves and loads bitwise."""
+    data = np.random.default_rng(6).standard_normal((6, 24)) * 0.3
+    batches = [data[:, :8], data[:, 8:16], data[:, 16:], data[:, 4:12], data[:, ::3]]
+    net, ref = make_net(), make_net()
+    cfg = RunConfig(variant=variant, eta=0.01, seed=5)
+    trainer = Trainer(net, cfg)
+    losses = [trainer.train_batch(cfg.setup.loss, batch) for batch in batches]
+    assert np.array_equal(losses, _reference_training(ref, cfg, batches))
+    assert not np.array_equal(net.layers[0].K, make_net().layers[0].K)
+    save_network(net, tmp_path / "params.npz")
+    loaded = load_network(tmp_path / "params.npz")
+    for layer, ref_layer, loaded_layer in zip(net.layers, ref.layers, loaded.layers):
+        if isinstance(layer, GradientLayer):
+            assert np.shares_memory(layer.K, trainer.theta)
+            for name in "Kab":
+                assert np.array_equal(getattr(layer, name), getattr(ref_layer, name))
+                assert np.array_equal(getattr(loaded_layer, name), getattr(layer, name))
+        else:
+            assert np.array_equal(layer.weight.data, ref_layer.weight.data)
+            assert np.array_equal(loaded_layer.weight.data, layer.weight.data)
 
 
 def test_zero_norm_batch_is_never_the_divergence_baseline():

@@ -84,6 +84,25 @@ def test_adam_step_matches_reference_formulation():
         update_hyper(h)
 
 
+def test_adam_step_works_in_place_and_rounds_as_the_expressions():
+    """Each entry rounds as c1 B1 + c1n Y, c2 B2 + c2n (Y Y) and
+    (-eta) B1 / sqrt(B2 + delta), and the step writes only the cache's buffers."""
+    rng = np.random.default_rng(3)
+    h = AdamHyper(eta=0.01, decay=0.9995)
+    cache = EuclideanAdamCache(40)
+    buffers = (cache.B1, cache.B2, cache.V)
+    B1 = B2 = np.zeros(40)
+    for _ in range(6):
+        g = rng.standard_normal(40) * 10.0 ** rng.integers(-6, 6, size=40)
+        c1, c1n, c2, c2n = h.moment_coeffs()
+        B1, B2 = c1 * B1 + c1n * g, c2 * B2 + c2n * (g * g)
+        V = adam_step(h, cache, g)
+        assert all(a is b for a, b in zip((cache.B1, cache.B2, V), buffers))
+        assert np.array_equal(cache.B1, B1) and np.array_equal(cache.B2, B2)
+        assert np.array_equal(V, -h.eta * B1 / np.sqrt(B2 + h.delta))
+        update_hyper(h)
+
+
 def test_adam_first_step_direction():
     h = AdamHyper()
     cache = EuclideanAdamCache((2, 2))

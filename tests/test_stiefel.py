@@ -117,6 +117,17 @@ def test_anchor_mismatch_detected():
         metric_inner(MetricKind.Euclidean, Y, Z, Z)
 
 
+def test_anchor_check_compares_values_not_identity():
+    """A tangent vector anchored at an equal-valued copy of X passes the anchor
+    check; one anchored at another point still fails it."""
+    X = rand_point(6, 2, 0)
+    copy = StiefelPoint(X.data.copy())
+    assert copy is not X and X.same_point(X) and X.same_point(copy)
+    rand_tangent(copy, 1).require_anchor(X)
+    with pytest.raises(AnchorMismatchError):
+        rand_tangent(rand_point(6, 2, 1), 1).require_anchor(X)
+
+
 def test_nan_point_rejected():
     with pytest.raises(DimensionError):
         StiefelPoint(np.full((4, 2), np.nan))
