@@ -150,7 +150,8 @@ def evaluate(cfg, maps, normalized, out_path):
 
     maps(n) gives the (encode, decode, decoder Jacobian) triple of the reduced
     size n.  Each FOM is solved once per parameter and shared by every n; a
-    ROM solver failure is recorded as a "failed" row.
+    ROM solver failure is recorded as a "failed" row.  integration_seconds
+    times `build_rom` and `solve_rom` together.
     """
     variant = "with_ref" if normalized else "no_ref"
     foms = []
@@ -162,9 +163,9 @@ def evaluate(cfg, maps, normalized, out_path):
     for n in cfg.n_range:
         encode, decode, jacobian = maps(n)
         for param, sys_fom, x0, exact in foms:
+            t_start = time.perf_counter()
             rom = red.build_rom(encode, decode, jacobian, x0,
                                 use_ref=normalized, normalized=normalized)
-            t_start = time.perf_counter()
             try:
                 reduced = red.solve_rom(rom, sys_fom, cfg.t0, cfg.t1, cfg.time_steps,
                                         tol=1e-10)

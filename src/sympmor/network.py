@@ -8,6 +8,9 @@ Backpropagation is written out analytically per layer; the manifold weight
 receives its Euclidean gradient, which the optimizer module converts into a
 Riemannian update.  During training the GradientLayers' weights are views of
 one parameter vector, which the Trainer updates with one Adam step per batch.
+A ROM evaluates the decoder through `Network.fold_decoder`: a decoder of 'P'
+layers around one PSD expand is folded once into one stacked gradient term, and
+any other decoder runs the per-layer jet of `decoder_jacobian`.
 """
 
 import enum
@@ -178,6 +181,65 @@ class Network:
         for layer in self.layers[self.encoder_len:]:
             jet = layer.differential(jet)
         return jet[:, 0], jet[:, 1:]
+
+    def fold_decoder(self):
+        """(decode, decode_jacobian) of the decoder as it is now, folded once.
+
+        A decoder of 'P' GradientLayers around one PSD expand X never changes q.
+        With the layers before the expand (K_i, a_i, b_i) and after it
+        (K_j, a_j, b_j) it is exactly
+
+            q = X xi_q,    p = X xi_p + E (a * tanh(Kh xi_q + b)),
+
+        where Kh stacks each K_i and K_j X, E = [X K_i^T ... | K_j^T ...], and
+        a, b stack the layers' a and b.  So Dd = [[X, 0], [E diag(a sigma') Kh, X]],
+        whose lower-left block alone depends on xi.  The folded maps hold copies
+        of the weights: training the network afterwards does not move them.  Any
+        other decoder ('Q' layers, a reduce, not exactly one expand) gets the
+        network's own `decode` and `decoder_jacobian`, the per-layer jet.
+        """
+        decoder = self.layers[self.encoder_len:]
+        psd = [i for i, layer in enumerate(decoder) if isinstance(layer, PSDLayer)]
+        if (len(psd) != 1 or decoder[psd[0]].direction != "expand"
+                or any(layer.kind != "P" for layer in decoder
+                       if isinstance(layer, GradientLayer))):
+            return self.decode, self.decoder_jacobian
+        X = decoder[psd[0]].weight.data.copy()
+        before, after = decoder[:psd[0]], decoder[psd[0] + 1:]
+        d, n = X.shape
+        Kh = np.vstack([np.empty((0, n)), *(layer.K for layer in before),
+                        *(layer.K @ X for layer in after)])
+        E = np.hstack([np.empty((d, 0)), *(X @ layer.K.T for layer in before),
+                       *(layer.K.T for layer in after)])
+        Ea = E * np.concatenate([np.empty(0), *(layer.a for layer in before + after)])
+        b = np.concatenate([np.empty(0), *(layer.b for layer in before + after)])
+        D0 = np.zeros((2 * d, 2 * n))
+        D0[:d, :n] = D0[d:, n:] = X
+
+        def linear_part(xi):
+            """blockdiag(X, X) xi, after checking xi's rows."""
+            if len(xi) != 2 * n:
+                raise DimensionError(f"expected {2 * n} rows, got {len(xi)}")
+            return D0 @ xi
+
+        def decode_jacobian(xi):
+            out = linear_part(xi)
+            s = np.tanh(Kh @ xi[:n] + b)
+            out[d:] += Ea @ s
+            D = D0.copy()
+            D[d:, :n] = Ea @ ((1.0 - s * s)[:, None] * Kh)
+            return out, D
+
+        def decode(xr):
+            """A single state is the state column of `decode_jacobian`, as in
+            `Network.decode`; a block is decoded column by column at once."""
+            if np.ndim(xr) == 1:
+                return decode_jacobian(xr)[0]
+            out = linear_part(xr)
+            out[d:] += Ea @ np.tanh(Kh @ xr[:n] + b[:, None])
+            return out
+
+        return decode, decode_jacobian
 
 
 def loss(kind, Xb, Yb):

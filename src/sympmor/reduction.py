@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, SympmorError
 from .integrators import OdeSystem, dense_newton, implicit_midpoint
-from .network import PSDLayer
+from .network import Network, PSDLayer
 from .stiefel import StiefelPoint
 
 
@@ -119,11 +119,16 @@ def build_rom(encode, decode, decode_jacobian, x0, use_ref, normalized):
     Normalized training (which implies a reference state): x_r0 = e(0) and
     x_ref = x0 - d(x_r0), so the initial value reconstructs exactly.
     Unnormalized: x_r0 = e(x0), no reference state.  A decoder from `psd_maps`
-    hands its basis X on to the RomSpec.
+    hands its basis X on to the RomSpec.  When decode and decode_jacobian are
+    one `Network`'s bound methods, the RomSpec takes its `fold_decoder()` pair
+    instead, which binds the decoder's weights now, as x_ref is bound.
     """
     x0 = np.asarray(x0, dtype=float)
     if normalized and not use_ref:
         raise SympmorError("normalized data requires the reference-state ROM")
+    owner = getattr(decode_jacobian, "__self__", None)
+    if isinstance(owner, Network) and getattr(decode, "__self__", None) is owner:
+        decode, decode_jacobian = owner.fold_decoder()
     if use_ref:
         x_r0 = encode(np.zeros_like(x0))
         x_ref = x0 - decode(x_r0)

@@ -4,6 +4,7 @@ network save/load, error handling."""
 import csv
 import json
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +507,24 @@ def test_evaluate_and_psd_share_one_loop(cfg_path, tmp_path, monkeypatch):
         assert [(r[0], r[1]) for r in rows] == [("2", "0.25"), ("2", "0.3"),
                                                 ("3", "0.25"), ("3", "0.3")]
         assert all(r[2] == r[3] == "failed" for r in rows)
+
+
+def test_integration_seconds_include_build_rom(cfg_path, tmp_path, monkeypatch):
+    """integration_seconds times the ROM's set-up with its solve: a build_rom
+    that takes 0.1 s more shows in every row."""
+    data_dir = tmp_path / "data"
+    assert main(["generate-data", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
+    build = reduction.build_rom
+
+    def slow(*args, **kwargs):
+        time.sleep(0.1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "build_rom", slow)
+    assert main(["psd", "--config", str(cfg_path), "--data", str(data_dir / "snapshots.bin"),
+                 "--out", str(tmp_path / "psd")]) == 0
+    rows = read_csv(tmp_path / "psd" / "psd_errors.csv")[1:]
+    assert rows and all(float(row[4]) >= 0.1 for row in rows)
 
 
 # The benchmark's desk training: N = 32, n = 4, five speeds, K = 50, 10 epochs.

@@ -195,16 +195,22 @@ def test_decoder_jacobian_fd_and_symplectic():
     assert np.linalg.norm(D.T @ symplectic_j(10) @ D - symplectic_j(4)) < 1e-11
 
 
+def _pq_decoder_network():
+    """A hand-built 10 -> 4 -> 10 network whose decoder has 'Q' and 'P' layers."""
+    X = random_stiefel(5, 2, 4)
+    decoder = [make_gradient_layer("Q", 4, 1), make_gradient_layer("P", 4, 2),
+               PSDLayer(X, "expand"), make_gradient_layer("Q", 10, 3)]
+    return Network(layers=[PSDLayer(X, "reduce")] + decoder, encoder_len=1)
+
+
 def test_decoder_jet_with_p_and_q_layers():
     """The jet [d(xi) | Dd(xi)] of a decoder with 'Q' and 'P' gradient layers:
     each layer's jet is its forward output and forward-mode derivative, the
     decoder's state column is the decoded block column, its Jacobian matches
     central differences and is symplectic."""
     rng = np.random.default_rng(21)
-    X = random_stiefel(5, 2, 4)
-    decoder = [make_gradient_layer("Q", 4, 1), make_gradient_layer("P", 4, 2),
-               PSDLayer(X, "expand"), make_gradient_layer("Q", 10, 3)]
-    net = Network(layers=[PSDLayer(X, "reduce")] + decoder, encoder_len=1)
+    net = _pq_decoder_network()
+    decoder = net.layers[1:]
     for layer in decoder:
         x, V = rng.standard_normal((layer.in_dim, 1)), rng.standard_normal((layer.in_dim, 3))
         jet = layer.differential(np.hstack([x, V]))
@@ -221,6 +227,80 @@ def test_decoder_jet_with_p_and_q_layers():
         assert np.linalg.norm(D.T @ symplectic_j(10) @ D - symplectic_j(4)) < 1e-12
     with pytest.raises(DimensionError):
         decoder[0].differential(np.eye(6))
+
+
+def _desk_trained(full_dim, reduced_dim):
+    """build_network(full_dim, reduced_dim) after two V6 epochs on smooth data."""
+    net = build_network(full_dim, reduced_dim, seed=8)
+    t = np.linspace(0.0, 1.0, 24)
+    data = 0.3 * np.vstack([np.sin(np.pi * (k + 1) * t + k) for k in range(full_dim)])
+    train_epochwise(Trainer(net, RunConfig(variant="V6", eta=0.01, seed=8)), data,
+                    batch_size=8, n_epochs=2, loss_kind=LossKind.Relative, seed=9)
+    return net
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
+@pytest.mark.parametrize("full_dim, reduced_dim", [(12, 4), (68, 8), (260, 8)])
+def test_folded_decoder_matches_per_layer_jet(full_dim, reduced_dim, trained):
+    """The folded decoder of build_network's 'P'-layer decoder against the
+    per-layer jet: the same state and Jacobian to 1e-14, a symplectic Jacobian,
+    block decodes that match Network.decode, and a single-state decode that is
+    the Jacobian's state column bitwise."""
+    net = _desk_trained(full_dim, reduced_dim) if trained else build_network(
+        full_dim, reduced_dim, seed=8)
+    decode, decode_jacobian = net.fold_decoder()
+    assert decode_jacobian != net.decoder_jacobian
+    rng = np.random.default_rng(22)
+    J2d, J2n = symplectic_j(full_dim), symplectic_j(reduced_dim)
+    for _ in range(5):
+        xi = rng.standard_normal(reduced_dim)
+        out, D = decode_jacobian(xi)
+        want, D_want = net.decoder_jacobian(xi)
+        assert _rel(out, want) <= 1e-14 and _rel(D, D_want) <= 1e-14
+        assert np.linalg.norm(D.T @ J2d @ D - J2n) <= 1e-12
+        assert np.array_equal(decode(xi), out)
+    block = rng.standard_normal((reduced_dim, 7))
+    assert _rel(decode(block), net.decode(block)) <= 1e-14
+    with pytest.raises(DimensionError):
+        decode_jacobian(np.zeros(reduced_dim + 2))
+    with pytest.raises(DimensionError):
+        decode(np.zeros((reduced_dim + 2, 3)))
+
+
+def test_folded_expand_only_decoder_is_the_psd_map():
+    """A decoder with no gradient layers folds to blockdiag(X, X)."""
+    X = random_stiefel(5, 2, 6)
+    net = Network(layers=[PSDLayer(X, "reduce"), PSDLayer(X, "expand")], encoder_len=1)
+    decode, decode_jacobian = net.fold_decoder()
+    B = np.zeros((10, 4))
+    B[:5, :2] = B[5:, 2:] = X.data
+    xi = np.random.default_rng(23).standard_normal(4)
+    out, D = decode_jacobian(xi)
+    assert np.array_equal(D, B)
+    assert np.linalg.norm(out - B @ xi) <= 1e-15
+    assert np.array_equal(decode(xi), out)
+
+
+def test_fold_keeps_the_jet_for_other_decoders():
+    """'Q' layers, a reduce layer or no expand in the decoder: the fold is the
+    network's own decode and decoder_jacobian.  A 'Q' layer in the encoder does
+    not stop the fold."""
+    X = random_stiefel(5, 2, 7)
+    reduce_after = Network(layers=[PSDLayer(X, "reduce"), PSDLayer(X, "expand"),
+                                   PSDLayer(X, "reduce")], encoder_len=1)
+    no_expand = Network(layers=[PSDLayer(X, "reduce"), make_gradient_layer("P", 4, 5)],
+                        encoder_len=1)
+    for net in (_pq_decoder_network(), reduce_after, no_expand):
+        assert net.fold_decoder() == (net.decode, net.decoder_jacobian)
+    net = _q_network()
+    decode_jacobian = net.fold_decoder()[1]
+    xi = np.random.default_rng(24).standard_normal(2)
+    assert decode_jacobian != net.decoder_jacobian
+    assert _rel(decode_jacobian(xi)[1], net.decoder_jacobian(xi)[1]) <= 1e-14
 
 
 def test_loss_hand_oracles():

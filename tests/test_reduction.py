@@ -1,6 +1,7 @@
 """Snapshots, PSD cotangent lift (eigenvector oracle), ROM assembly,
 error metrics with hand-computed oracles, snapshot file round trip."""
 
+import copy
 import dataclasses
 import json
 import struct
@@ -190,15 +191,23 @@ def test_reduced_field_matches_dense_j_products():
 
 
 @pytest.fixture(scope="module")
-def learned_wave_rom():
-    """A desk-trained wave decoder (N = 6, n = 2) bound as a reference-state ROM."""
+def learned_wave_network():
+    """A desk-trained wave network (N = 6, n = 2) with its FOM, initial state
+    and normalized training data.  Tests that train it further take a copy."""
     sys = wave_system(wave_build(6, 0.3))
     x0 = wave_initial(6, 0.3)
-    fom = implicit_midpoint(sys, x0, 0.0, 1.0, 20)
+    data = implicit_midpoint(sys, x0, 0.0, 1.0, 20).states - x0[:, None]
     network = build_network(sys.dim, 4, seed=3)
     trainer = Trainer(network, RunConfig(variant="V5", eta=0.01, seed=3))
-    train_epochwise(trainer, fom.states - x0[:, None], batch_size=8, n_epochs=5,
+    train_epochwise(trainer, data, batch_size=8, n_epochs=5,
                     loss_kind=LossKind.ScaledMSE, seed=4)
+    return sys, x0, network, data
+
+
+@pytest.fixture(scope="module")
+def learned_wave_rom(learned_wave_network):
+    """The desk-trained wave decoder bound as a reference-state ROM."""
+    sys, x0, network, _ = learned_wave_network
     rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
                     use_ref=True, normalized=True)
     return sys, rom
@@ -294,6 +303,64 @@ def test_learned_rom_decoder_passes_per_solve(learned_wave_rom):
     K = 50
     solve_rom(dataclasses.replace(rom, decode_jacobian=counted), sys, 0.0, 1.0, K, tol=1e-10)
     assert len(passes) <= 2.5 * K
+
+
+def _learned_sine_gordon_network():
+    """A V6 network trained on a sine-Gordon soliton (N = 16, n = 2), with its
+    FOM, initial state and normalized training data."""
+    model = sg_build(16, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
+    sys, x0 = sg_system(model), sg_initial(model)
+    data = implicit_midpoint(sys, x0, 0.0, 4.0, 20).states - x0[:, None]
+    network = build_network(sys.dim, 4, seed=5)
+    trainer = Trainer(network, RunConfig(variant="V6", eta=0.01, seed=5))
+    train_epochwise(trainer, data, batch_size=8, n_epochs=3,
+                    loss_kind=LossKind.Relative, seed=6)
+    return sys, x0, network, data
+
+
+@pytest.mark.parametrize("case", ["wave", "sine_gordon"])
+def test_folded_learned_rom_matches_the_per_layer_jet_rom(case, learned_wave_network):
+    """build_rom folds a Network's decoder; a decoder Jacobian that is not a
+    Network's bound method keeps the per-layer jet.  Both ROMs give the same
+    trajectory to 1e-12 with the same number of decoder passes."""
+    sys, x0, network, _ = (learned_wave_network if case == "wave"
+                           else _learned_sine_gordon_network())
+    folded = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
+                       use_ref=True, normalized=True)
+    generic = build_rom(network.encode, network.decode,
+                        lambda xi: network.decoder_jacobian(xi), x0,
+                        use_ref=True, normalized=True)
+    assert generic.decode == network.decode and folded.decode != network.decode
+    assert _rel(folded.x_ref, generic.x_ref) <= 1e-14
+    trajectories, passes = [], []
+    for rom in (folded, generic):
+        counted = []
+
+        def decode_jacobian(xi, inner=rom.decode_jacobian):
+            counted.append(xi)
+            return inner(xi)
+
+        rom = dataclasses.replace(rom, decode_jacobian=decode_jacobian)
+        trajectories.append(solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10).states)
+        passes.append(len(counted))
+    assert passes[0] == passes[1] >= 20
+    assert _rel(trajectories[0], trajectories[1]) <= 1e-12
+
+
+def test_learned_rom_binds_the_decoder_weights_at_build(learned_wave_network):
+    """Training the network after build_rom moves the network's decoder, not the ROM's."""
+    sys, x0, network, data = learned_wave_network
+    network = copy.deepcopy(network)
+    rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
+                    use_ref=True, normalized=True)
+    xi = rom.x_r0 + 0.1
+    before = rom.decode_jacobian(xi)
+    trainer = Trainer(network, RunConfig(variant="V5", eta=0.01, seed=3))
+    for start in (0, 8):
+        trainer.train_batch(LossKind.ScaledMSE, data[:, start:start + 8])
+    after = rom.decode_jacobian(xi)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert not np.array_equal(network.decoder_jacobian(xi)[1], before[1])
 
 
 def _sg_fom():
