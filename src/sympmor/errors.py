@@ -25,6 +25,10 @@ class DegenerateBatchError(SympmorError):
     """Relative loss requested on a batch with zero Frobenius norm."""
 
 
+class UnsplitSystemError(SympmorError):
+    """A ROM was asked of a FOM that carries no `SecondOrder` split."""
+
+
 class IntegrationFailureError(SympmorError):
     """Newton iteration failed to converge inside the implicit midpoint rule."""
 

@@ -3,10 +3,10 @@
 One step solves x_{k+1} = x_k + h f(t_k + h/2, (x_k + x_{k+1})/2) by Newton
 iteration.  Each Newton iterate linearizes the system once: ``newton(t, x, h)``
 returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r.  A structured FOM
-supplies its own (O(dim) per solve), otherwise it is dense.  An affine
-autonomous system may instead supply the whole step, ``step(h) -> (x_k ->
-x_{k+1})``, set up once per solve and taken without Newton: the wave factors its
-tridiagonal Schur matrix once.
+supplies its own (O(dim) per solve); without one the solve is dense, with a
+finite-difference Df.  An affine autonomous system may instead supply the
+whole step, ``step(h) -> (x_k -> x_{k+1})``, set up once per solve and taken
+without Newton: the wave factors its tridiagonal Schur matrix once.
 
 Newton starts step 0 from explicit Euler and every later step from the linear
 extrapolation 2 x_k - x_{k-1}, which costs no field call.  A step is accepted
@@ -33,9 +33,8 @@ class OdeSystem:
     dim: int
     vector_field: Callable          # (t, x) -> dx/dt
     hamiltonian: Optional[Callable] = None
-    jacobian: Optional[Callable] = None     # (t, x, V) -> Df(x) @ V for a dim x m block V
     newton: Optional[Callable] = None  # (t, x, h) -> (f(t, x), r -> (I - h/2 Df(x))^{-1} r)
-    second_order: Optional[object] = None  # the FOM's models.SecondOrder, which a PSD ROM projects
+    second_order: Optional[object] = None  # the FOM's models.SecondOrder, which every ROM needs
     step: Optional[Callable] = None    # h -> (x_k -> x_{k+1}): an affine system's whole midpoint step
     linear_matrix = None   # not a field: the benchmark's step counter still reads it
 
@@ -91,9 +90,7 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
         return Trajectory(states=X, t0=t0, t1=t1, K=K)
 
     f = sys.vector_field
-    # default: dense Df = jacobian(t, x, I), or finite differences (always at V = I)
-    jac = sys.jacobian or (lambda t, x, V: _fd_jacobian(f, t, x))
-    newton = sys.newton or dense_newton(lambda t, x: (f(t, x), jac(t, x, np.eye(len(x)))))
+    newton = sys.newton or dense_newton(lambda t, x: (f(t, x), _fd_jacobian(f, t, x)))
     for k in range(K):
         t_mid = t0 + (k + 0.5) * h
         x_old = X[:, k]

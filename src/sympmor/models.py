@@ -147,7 +147,9 @@ def _band_product(diag, off, Q):
 
 
 def vector_field(model):
-    """The FOM field of a testbed, built through one factory that perfbench traces."""
+    """The FOM field of a testbed, `model.field`.  This factory and its aliases
+    exist only so that the names perfbench traces resolve; ROADMAP item 5
+    deletes them."""
     return model.field
 
 
@@ -199,8 +201,8 @@ def wave_initial(N, mu):
 
 def wave_system(model):
     return OdeSystem(dim=model.dim, vector_field=wave_vector_field(model),
-                     hamiltonian=model.hamiltonian, jacobian=model.jacobian,
-                     step=model.midpoint_step, second_order=model)
+                     hamiltonian=model.hamiltonian, step=model.midpoint_step,
+                     second_order=model)
 
 
 # -- sine-Gordon ------------------------------------------------------------
@@ -275,6 +277,8 @@ def sg_exact(bc, nu, t, xi):
 
 
 def sg_jacobian(model):
+    """`model.jacobian`; nothing in the package calls it.  It exists only so that
+    the name perfbench traces resolves; ROADMAP item 5 deletes it."""
     return model.jacobian
 
 
@@ -286,8 +290,7 @@ def sg_initial(model, t=0.0):
 def sg_system(model):
     field = sg_vector_field(model)
     return OdeSystem(dim=model.dim, vector_field=field, hamiltonian=model.hamiltonian,
-                     jacobian=sg_jacobian(model), newton=model.banded_newton(field),
-                     second_order=model)
+                     newton=model.banded_newton(field), second_order=model)
 
 
 @dataclass(frozen=True)

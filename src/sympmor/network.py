@@ -194,9 +194,11 @@ class Network:
         where Kh stacks each K_i and K_j X, E = [X K_i^T ... | K_j^T ...], and
         a, b stack the layers' a and b.  So Dd = [[X, 0], [E diag(a sigma') Kh, X]],
         whose lower-left block alone depends on xi.  The folded maps hold copies
-        of the weights: training the network afterwards does not move them.  Any
-        other decoder ('Q' layers, a reduce, not exactly one expand) gets the
-        network's own `decode` and `decoder_jacobian`, the per-layer jet.
+        of the weights: training the network afterwards does not move them.  A
+        decoder without gradient layers is the PSD decoder blockdiag(X, X), and
+        its decode carries X as ``decode.basis``.  Any other decoder ('Q' layers,
+        a reduce, not exactly one expand) gets the network's own `decode` and
+        `decoder_jacobian`, the per-layer jet.
         """
         decoder = self.layers[self.encoder_len:]
         psd = [i for i, layer in enumerate(decoder) if isinstance(layer, PSDLayer)]
@@ -239,6 +241,10 @@ class Network:
             out[d:] += Ea @ np.tanh(Kh @ xr[:n] + b[:, None])
             return out
 
+        if len(decoder) == 1:
+            # the weight's own (Fortran) layout: on a C-order copy the products
+            # of `reduction.projected_system` round differently
+            decode.basis = decoder[0].weight.data.copy(order="K")
         return decode, decode_jacobian
 
 

@@ -3,8 +3,9 @@
 The reduced system evolves xi' = J_{2n} grad H_r(xi) with
 H_r = H(x_ref + d(xi)); for a symplectic decoder this is evaluated through
 the Poisson-shaped product -J_{2n} (Dd)^T J_{2d} f without ever multiplying
-by a full J matrix.  A PSD ROM of a `models.SecondOrder` FOM skips the decoder
-altogether: `projected_system` projects the FOM's banded split once.
+by a full J matrix.  Every ROM needs a FOM that carries its
+`models.SecondOrder` split.  A PSD ROM skips the decoder altogether:
+`projected_system` projects the split once.
 """
 
 import warnings
@@ -13,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError, SympmorError
+from .errors import DimensionError, SympmorError, UnsplitSystemError
 from .integrators import OdeSystem, dense_newton, implicit_midpoint
 from .network import Network, PSDLayer
 from .stiefel import StiefelPoint
@@ -69,24 +70,11 @@ def psd_cotangent_lift(M, n):
 
 
 def psd_maps(X):
-    """(encode, decode, decode_jacobian) of the autoencoder's PSD layers with
-    weight X: reduce by blockdiag(X, X)^T, expand by blockdiag(X, X).  The
-    decoder is linear, so its Jacobian blockdiag(X, X) is formed once, and it
-    carries X as ``decode.basis`` for `build_rom`."""
-    reduce, expand = PSDLayer(X, "reduce"), PSDLayer(X, "expand")
-    J = expand.differential(np.eye(2 * X.shape[1]))
-
-    def encode(x):
-        return reduce.forward(x)[0]
-
-    def decode(xr):
-        return expand.forward(xr)[0]
-
-    def decode_jacobian(xr):
-        return decode(xr), J
-
-    decode.basis = X.data
-    return encode, decode, decode_jacobian
+    """(encode, decode, decoder_jacobian) of the PSD baseline: the bound maps of
+    the autoencoder's reduce and expand layers with weight X and no gradient
+    layers, blockdiag(X, X)^T to reduce and blockdiag(X, X) to expand."""
+    network = Network([PSDLayer(X, "reduce"), PSDLayer(X, "expand")], encoder_len=1)
+    return network.encode, network.decode, network.decoder_jacobian
 
 
 @dataclass
@@ -118,10 +106,11 @@ def build_rom(encode, decode, decode_jacobian, x0, use_ref, normalized):
 
     Normalized training (which implies a reference state): x_r0 = e(0) and
     x_ref = x0 - d(x_r0), so the initial value reconstructs exactly.
-    Unnormalized: x_r0 = e(x0), no reference state.  A decoder from `psd_maps`
-    hands its basis X on to the RomSpec.  When decode and decode_jacobian are
-    one `Network`'s bound methods, the RomSpec takes its `fold_decoder()` pair
-    instead, which binds the decoder's weights now, as x_ref is bound.
+    Unnormalized: x_r0 = e(x0), no reference state.  When decode and
+    decode_jacobian are one `Network`'s bound methods, the RomSpec takes its
+    `fold_decoder()` pair instead, which binds the decoder's weights now, as
+    x_ref is bound; a PSD decoder (no gradient layers, as from `psd_maps`)
+    hands its basis X on as ``decode.basis``.
     """
     x0 = np.asarray(x0, dtype=float)
     if normalized and not use_ref:
@@ -171,13 +160,10 @@ def reduced_vector_field(rom, fom_field):
 
 
 def reduced_linearization(rom, fom_sys):
-    """(t, xi) -> (f_r, M) from one decoder pass at x = x_ref + d(xi): the reduced
-    field f_r = -J_{2n} Dd^T J_{2d} f(x) and its Newton matrix M = -J_{2n} Dd^T J_{2d} Df(x) Dd.
-
-    A FOM that carries its `SecondOrder` split gives [f | Df Dd] from one
-    stencil pass (`SecondOrder.linearization`); any other is called twice,
-    field then Jacobian.  Either way f_r and M are two products with the same
-    operands, so both paths give the same bits.
+    """(t, xi) -> (f_r, M) from one decoder pass at x = x_ref + d(xi) and one
+    stencil pass of the FOM's `SecondOrder` split for [f | Df Dd]
+    (`SecondOrder.linearization`): the reduced field f_r = -J_{2n} Dd^T J_{2d} f(x)
+    and its Newton matrix M = -J_{2n} Dd^T J_{2d} Df(x) Dd.
 
     M is exact for a linear decoder.  For a nonlinear one it drops the
     curvature term (d Dd^T / d xi) J_{2d} f (a Gauss-Newton matrix); the
@@ -188,11 +174,8 @@ def reduced_linearization(rom, fom_sys):
     def linearize(t, xi):
         x_full, D = rom.state_and_jacobian(xi)
         rows = _poisson_rows(D)     # formed once for both products
-        if model is not None:
-            JF = _apply_j(model.linearization(t, x_full, D))
-            return rows @ JF[:, 0], rows @ JF[:, 1:]
-        return (rows @ _apply_j(fom_sys.vector_field(t, x_full)),
-                rows @ _apply_j(fom_sys.jacobian(t, x_full, D)))
+        JF = _apply_j(model.linearization(t, x_full, D))
+        return rows @ JF[:, 0], rows @ JF[:, 1:]
 
     return linearize
 
@@ -247,15 +230,18 @@ def projected_system(model, X, x_ref=None):
 
 
 def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
-    """Integrate the ROM.  A PSD ROM of a FOM that carries its `SecondOrder`
-    split runs `projected_system`; any other ROM decodes xi once per Newton
-    iterate, and Newton falls back to finite differences only when the FOM
-    has no Jacobian."""
-    if rom.basis is not None and fom_sys.second_order is not None:
-        reduced_sys = projected_system(fom_sys.second_order, rom.basis, rom.x_ref)
+    """Integrate the ROM of a FOM that carries its `SecondOrder` split.  A PSD
+    ROM runs `projected_system`; any other ROM decodes xi once per Newton
+    iterate (`reduced_linearization`).  A FOM without the split is an
+    UnsplitSystemError before any step."""
+    model = fom_sys.second_order
+    if model is None:
+        raise UnsplitSystemError("a ROM needs a FOM with a SecondOrder split")
+    if rom.basis is not None:
+        reduced_sys = projected_system(model, rom.basis, rom.x_ref)
     else:
         field = reduced_vector_field(rom, fom_sys.vector_field)
-        newton = dense_newton(reduced_linearization(rom, fom_sys)) if fom_sys.jacobian else None
+        newton = dense_newton(reduced_linearization(rom, fom_sys))
         reduced_sys = OdeSystem(dim=rom.reduced_dim, vector_field=field, newton=newton)
     return implicit_midpoint(reduced_sys, rom.x_r0, t0, t1, K, tol=tol)
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sympmor import blas
+from sympmor import blas, integrators
 from sympmor.errors import DimensionError, IntegrationFailureError
-from sympmor.integrators import OdeSystem, Trajectory, _fd_jacobian, implicit_midpoint
+from sympmor.integrators import (OdeSystem, Trajectory, _fd_jacobian, dense_newton,
+                                 implicit_midpoint)
 from sympmor.models import SecondOrder, wave_build, wave_initial, wave_system
 
 
@@ -112,9 +113,10 @@ def test_only_the_first_step_starts_from_explicit_euler(K):
 
 def test_analytic_vs_fd_jacobian_paths():
     field = lambda t, x: np.array([x[1], -np.sin(x[0])])
-    jac = lambda t, x, V: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]]) @ V
+    jac = lambda t, x: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]])
     x0 = np.array([2.0, 0.0])
-    a = implicit_midpoint(OdeSystem(2, field, jacobian=jac), x0, 0.0, 5.0, 200)
+    analytic = dense_newton(lambda t, x: (field(t, x), jac(t, x)))
+    a = implicit_midpoint(OdeSystem(2, field, newton=analytic), x0, 0.0, 5.0, 200)
     b = implicit_midpoint(OdeSystem(2, field), x0, 0.0, 5.0, 200)
     assert np.max(np.abs(a.states - b.states)) < 1e-9
 
@@ -134,23 +136,24 @@ def test_newton_failure_raises_with_step_index():
     assert exc.value.step_index >= 0
 
 
-def test_newton_solve_hook_replaces_dense_solve():
+def test_newton_solve_hook_replaces_dense_solve(monkeypatch):
     field = lambda t, x: np.array([x[1], -np.sin(x[0])])
-    jac = lambda t, x, V: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]]) @ V
+    jac = lambda t, x: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]])
     calls = []
 
     def newton(t, x, h):
         calls.append(t)
-        M = np.eye(2) - 0.5 * h * jac(t, x, np.eye(2))
+        M = np.eye(2) - 0.5 * h * jac(t, x)
         return field(t, x), lambda r: np.linalg.solve(M, r)
 
-    def no_jacobian(t, x, V):
+    def no_jacobian(f, t, x):
         raise AssertionError("the hook must replace the Jacobian")
 
     x0 = np.array([2.0, 0.0])
-    hooked = implicit_midpoint(OdeSystem(2, field, jacobian=no_jacobian, newton=newton),
-                               x0, 0.0, 5.0, 200)
-    dense = implicit_midpoint(OdeSystem(2, field, jacobian=jac), x0, 0.0, 5.0, 200)
+    dense = implicit_midpoint(OdeSystem(2, field, newton=dense_newton(
+        lambda t, x: (field(t, x), jac(t, x)))), x0, 0.0, 5.0, 200)
+    monkeypatch.setattr(integrators, "_fd_jacobian", no_jacobian)
+    hooked = implicit_midpoint(OdeSystem(2, field, newton=newton), x0, 0.0, 5.0, 200)
     assert len(calls) >= 200
     assert np.array_equal(hooked.states, dense.states)
 
@@ -158,8 +161,9 @@ def test_newton_solve_hook_replaces_dense_solve():
 def test_singular_newton_matrix_raises_integration_failure():
     # f = (2/h) x makes I - h/2 Df exactly zero at the step size h = 1/2
     h = 0.5
-    sys = OdeSystem(1, lambda t, x: 2.0 / h * x,
-                    jacobian=lambda t, x, V: np.array([[2.0 / h]]) @ V)
+    field = lambda t, x: 2.0 / h * x
+    newton = dense_newton(lambda t, x: (field(t, x), np.array([[2.0 / h]])))
+    sys = OdeSystem(1, field, newton=newton)
     with pytest.raises(IntegrationFailureError, match="singular Newton matrix") as exc:
         implicit_midpoint(sys, np.array([1.0]), 0.0, 2 * h, 2)
     assert exc.value.step_index == 0

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import json
 import struct
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -12,14 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from sympmor import reduction
+from sympmor import cli, reduction
 from sympmor.config import RunConfig
-from sympmor.errors import DimensionError, SympmorError
+from sympmor.errors import DimensionError, SympmorError, UnsplitSystemError
 from sympmor.integrators import (MAX_NEWTON, OdeSystem, Trajectory, _fd_jacobian,
                                  dense_newton, implicit_midpoint)
 from sympmor.models import (SgKind, sg_build, sg_initial, sg_system, wave_build,
                             wave_initial, wave_system)
-from sympmor.network import LossKind, Trainer, build_network, train_epochwise
+from sympmor.network import LossKind, Network, PSDLayer, Trainer, build_network, train_epochwise
 from sympmor.reduction import (
     RomSpec,
     SnapshotSet,
@@ -233,7 +234,7 @@ def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
     sys, rom = learned_wave_rom
     d, n = sys.dim // 2, 2
     J2d, J2n = _dense_j(d), _dense_j(n)
-    Df = sys.jacobian(0.0, np.zeros(sys.dim), np.eye(sys.dim))
+    Df = sys.second_order.jacobian(0.0, np.zeros(sys.dim), np.eye(sys.dim))
     linearize = reduced_linearization(rom, sys)
     rng = np.random.default_rng(14)
     for _ in range(5):
@@ -283,7 +284,17 @@ def test_learned_sine_gordon_rom_fused_path_is_bitwise_two_call_path():
     passes = []
     fused.linearization = lambda *args: passes.append(1) or model.linearization(*args)
     a = solve_rom(rom, dataclasses.replace(sys, second_order=fused), 0.0, 4.0, 20, tol=1e-10)
-    b = solve_rom(rom, dataclasses.replace(sys, second_order=None), 0.0, 4.0, 20, tol=1e-10)
+
+    def two_call(t, xi):
+        """Field, then Jacobian: the same two products as the fused pass."""
+        x_full, D = rom.state_and_jacobian(xi)
+        return (_poisson_product(D, model.field(t, x_full)),
+                _poisson_product(D, model.jacobian(t, x_full, D)))
+
+    two_call_sys = OdeSystem(dim=rom.reduced_dim,
+                             vector_field=reduced_vector_field(rom, sys.vector_field),
+                             newton=dense_newton(two_call))
+    b = implicit_midpoint(two_call_sys, rom.x_r0, 0.0, 4.0, 20, tol=1e-10)
     assert len(passes) >= 20
     assert np.array_equal(a.states, b.states)
 
@@ -438,6 +449,20 @@ def _wave_psd_rom(n):
     return sys, build_rom(*psd_maps(X), x0, use_ref=True, normalized=True)
 
 
+def _sg_network_psd_rom():
+    """The PSD ROM of _sg_psd_rom(SingleSoliton) as a reduce + expand Network that
+    went through a params file, bound by its own encode, decode and Jacobian."""
+    model = sg_build(30, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
+    sys, x0 = sg_system(model), sg_initial(model)
+    X = psd_cotangent_lift(implicit_midpoint(sys, x0, 0.0, 1.0, 10).states, 3)
+    network = Network([PSDLayer(X, "reduce"), PSDLayer(X, "expand")], encoder_len=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli.save_network(network, Path(tmp) / "params.npz")
+        network = cli.load_network(Path(tmp) / "params.npz")
+    return sys, build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
+                          use_ref=False, normalized=False)
+
+
 def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -458,10 +483,11 @@ def test_solve_rom_equals_default_dense_newton(learned, learned_wave_rom):
 
     def reduced_jac(t, xi, V):
         x_full, D = rom.state_and_jacobian(xi)
-        return _poisson_product(D, sys.jacobian(t, x_full, D)) @ V
+        return _poisson_product(D, sys.second_order.jacobian(t, x_full, D)) @ V
 
     field = reduced_vector_field(rom, sys.vector_field)
-    default = OdeSystem(dim=rom.reduced_dim, vector_field=field, jacobian=reduced_jac)
+    default = OdeSystem(dim=rom.reduced_dim, vector_field=field, newton=dense_newton(
+        lambda t, xi: (field(t, xi), reduced_jac(t, xi, np.eye(len(xi))))))
     a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
     b = implicit_midpoint(default, rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
     assert np.array_equal(a.states, b.states)
@@ -471,7 +497,8 @@ PROJECTED_CASES = {"sg_single": lambda: _sg_psd_rom(SgKind.SingleSoliton),
                    "sg_doublets": lambda: _sg_psd_rom(SgKind.Doublets),
                    "sg_single_ref": lambda: _sg_psd_rom(SgKind.SingleSoliton, use_ref=True),
                    "wave_ref": lambda: _wave_psd_rom(4),
-                   "wave_ref_square": lambda: _wave_psd_rom(18)}    # n = d = N + 2
+                   "wave_ref_square": lambda: _wave_psd_rom(18),    # n = d = N + 2
+                   "sg_network": _sg_network_psd_rom}
 
 
 @pytest.mark.parametrize("case", list(PROJECTED_CASES))
@@ -517,6 +544,26 @@ def test_solve_rom_projects_a_fom_with_a_wrapped_field():
     assert np.array_equal(a.states, solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10).states)
 
 
+def test_solve_rom_rejects_a_fom_without_a_split(learned_wave_rom):
+    """Every ROM linearizes through the FOM's SecondOrder split: without it
+    solve_rom raises before any step, and neither decodes nor calls the FOM."""
+    sys, rom = learned_wave_rom
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapped
+
+    rom = dataclasses.replace(rom, decode=counted(rom.decode),
+                              decode_jacobian=counted(rom.decode_jacobian))
+    unsplit = dataclasses.replace(sys, vector_field=counted(sys.vector_field), second_order=None)
+    with pytest.raises(UnsplitSystemError):
+        solve_rom(rom, unsplit, 0.0, 1.0, 20, tol=1e-10)
+    assert calls == []
+
+
 def test_projected_wave_rom_conserves_the_hamiltonian():
     """Midpoint keeps a quadratic invariant: with the symmetric X^T S X, the
     reconstructed wave states keep H to rounding over every step."""
@@ -530,8 +577,9 @@ def test_learned_rom_newton_matrix_matches_fd_path(learned_wave_rom):
     """Dropping the decoder curvature changes the Newton matrix, not the solution."""
     sys, rom = learned_wave_rom
     analytic = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
-    no_jacobian = OdeSystem(dim=sys.dim, vector_field=sys.vector_field)
-    fd = solve_rom(rom, no_jacobian, 0.0, 1.0, 20, tol=1e-10)
+    field = reduced_vector_field(rom, sys.vector_field)
+    fd = implicit_midpoint(OdeSystem(dim=rom.reduced_dim, vector_field=field), rom.x_r0,
+                           0.0, 1.0, 20, tol=1e-10)
     scale = np.max(np.abs(fd.states))
     assert np.max(np.abs(analytic.states - fd.states)) <= 1e-8 * scale
 
