@@ -30,7 +30,8 @@ class UnsplitSystemError(SympmorError):
 
 
 class IntegrationFailureError(SympmorError):
-    """Newton iteration failed to converge inside the implicit midpoint rule."""
+    """A step failed: its Newton iteration did not converge or met a singular
+    matrix, or an explicit step left a non-finite state."""
 
     def __init__(self, step_index, message=None):
         self.step_index = step_index

@@ -1,12 +1,14 @@
-"""Implicit midpoint rule for (Hamiltonian) ODEs.
+"""Implicit midpoint rule for (Hamiltonian) ODEs, and the explicit
+Störmer–Verlet step a system may take in its place.
 
-One step solves x_{k+1} = x_k + h f(t_k + h/2, (x_k + x_{k+1})/2) by Newton
+One midpoint step solves x_{k+1} = x_k + h f(t_k + h/2, (x_k + x_{k+1})/2) by Newton
 iteration.  Each Newton iterate linearizes the system once: ``newton(t, x, h)``
 returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r.  A structured FOM
 supplies its own (O(dim) per solve); without one the solve is dense, with a
-finite-difference Df.  An affine autonomous system may instead supply the
-whole step, ``step(h) -> (x_k -> x_{k+1})``, set up once per solve and taken
-without Newton: the wave factors its tridiagonal Schur matrix once.
+finite-difference Df.  A system may instead supply the whole step,
+``step(t0, h) -> (x_k -> x_{k+1})``, set up once per solve and taken without
+Newton, or decline it by returning None.  The wave factors its tridiagonal
+Schur matrix once; the non-stiff sine-Gordon PSD ROM takes `kick_drift_kick`.
 
 Newton starts step 0 from explicit Euler and every later step from the linear
 extrapolation 2 x_k - x_{k-1}, which costs no field call.  A step is accepted
@@ -35,7 +37,7 @@ class OdeSystem:
     hamiltonian: Optional[Callable] = None
     newton: Optional[Callable] = None  # (t, x, h) -> (f(t, x), r -> (I - h/2 Df(x))^{-1} r)
     second_order: Optional[object] = None  # the FOM's models.SecondOrder, which every ROM needs
-    step: Optional[Callable] = None    # h -> (x_k -> x_{k+1}): an affine system's whole midpoint step
+    step: Optional[Callable] = None    # (t0, h) -> (x_k -> x_{k+1}), or None for Newton
     linear_matrix = None   # not a field: the benchmark's step counter still reads it
 
 
@@ -69,8 +71,43 @@ def dense_newton(linearize):
     return newton
 
 
+def kick_drift_kick(c, force, t0, h):
+    """The Störmer–Verlet step x_k -> x_{k+1} at step size h of the separable
+    system q' = c + p, p' = force(t, q) on x = [q; p], t_k = t0 + k h:
+
+        p_{k+1/2} = p_k + h/2 force(t_k, q_k),
+        q_{k+1} = q_k + h (c + p_{k+1/2}),
+        p_{k+1} = p_{k+1/2} + h/2 force(t_{k+1}, q_{k+1}).
+
+    Explicit, second order and symplectic (Hairer, Lubich & Wanner, Geometric
+    Numerical Integration, 2006, I.3 and VI.3).  The end-of-step force is the
+    next step's first kick, so a step costs one force call.  The advance must
+    be called on the states it returned, in step order from x_0.  A non-finite
+    state is an IntegrationFailureError naming the step.
+    """
+    n, half = len(c), 0.5 * h
+    k, a = 0, None      # the step about to be taken and force(t_k, q_k)
+
+    def advance(x):
+        nonlocal k, a
+        q, p = x[:n], x[n:]
+        if k == 0:
+            a = force(t0, q)
+        p_half = p + half * a
+        q_new = q + h * (c + p_half)
+        a = force(t0 + (k + 1) * h, q_new)
+        x_new = np.concatenate([q_new, p_half + half * a])
+        if not np.isfinite(x_new).all():
+            raise IntegrationFailureError(k, f"non-finite state at step {k}")
+        k += 1
+        return x_new
+
+    return advance
+
+
 def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
-    """Integrate sys from x0 over [t0, t1] in K implicit midpoint steps."""
+    """Integrate sys from x0 over [t0, t1] in K steps: the system's own step
+    where `sys.step` supplies one, else implicit midpoint by Newton."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,):
         raise DimensionError(f"initial state must have length {sys.dim}")
@@ -80,11 +117,11 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     X = np.empty((sys.dim, K + 1))
     X[:, 0] = x0
 
-    if sys.step is not None:
-        try:
-            advance = sys.step(h)   # set up once for the whole solve
-        except np.linalg.LinAlgError:
-            raise IntegrationFailureError(0, "singular Newton matrix at step 0") from None
+    try:
+        advance = sys.step and sys.step(t0, h)   # set up once for the whole solve
+    except np.linalg.LinAlgError:
+        raise IntegrationFailureError(0, "singular Newton matrix at step 0") from None
+    if advance is not None:
         for k in range(K):
             X[:, k + 1] = advance(X[:, k])
         return Trajectory(states=X, t0=t0, t1=t1, K=K)

@@ -28,15 +28,16 @@ class SecondOrder:
 
     d is the N interior nodes unless a testbed overrides it.  diag and off are
     S's bands: arrays of length d and d - 1, or numbers for a uniform band.  A
-    nonlinear testbed sets potential to the pointwise (V', V'') and defines
-    ends(t) -> (b_0, b_{d-1}), the forcing on the two end nodes (b is zero
-    elsewhere).
+    nonlinear testbed sets potential to the pointwise (V', V''), curvature to
+    sup |V''| where it is bounded, and defines ends(t) -> (b_0, b_{d-1}), the
+    forcing on the two end nodes (b is zero elsewhere).
     """
     N: int
     diag: object
     off: object
     h: float
     potential = None
+    curvature = None
     d = property(lambda self: self.N)
     dim = property(lambda self: 2 * self.d)
 
@@ -87,9 +88,9 @@ class SecondOrder:
         q, p = x[:self.d], x[self.d:]
         return float(0.5 * self.h * (q @ self.S(q)) + 0.5 * self.h * (p @ p))
 
-    def midpoint_step(self, tau):
+    def midpoint_step(self, t0, tau):
         """The implicit midpoint step x_k -> x_{k+1} at step size tau of a model
-        without a potential, q' = p, p' = -S q.
+        without a potential, q' = p, p' = -S q, for a solve from any t0.
 
         With sigma = tau/2 S, eliminating p_{k+1} leaves the Schur system
         (I/tau + sigma/2) dq = p_k - sigma q_k for the increment dq = q_{k+1} - q_k,
@@ -221,6 +222,7 @@ class SineGordonModel(SecondOrder):
     b: float
     bc: SgKind
     potential = (np.sin, np.cos)
+    curvature = 1.0     # sup |V''| = sup |cos q|
 
     @property
     def xi(self):

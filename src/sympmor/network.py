@@ -206,15 +206,17 @@ class Network:
                 or any(layer.kind != "P" for layer in decoder
                        if isinstance(layer, GradientLayer))):
             return self.decode, self.decoder_jacobian
+        if len(decoder) == 1:
+            # the weight's own (Fortran) layout: on a C-order copy the products
+            # of `reduction.projected_system` round differently
+            return _psd_decoder(decoder[0].weight.data.copy(order="K"))
         X = decoder[psd[0]].weight.data.copy()
         before, after = decoder[:psd[0]], decoder[psd[0] + 1:]
         d, n = X.shape
-        Kh = np.vstack([np.empty((0, n)), *(layer.K for layer in before),
-                        *(layer.K @ X for layer in after)])
-        E = np.hstack([np.empty((d, 0)), *(X @ layer.K.T for layer in before),
-                       *(layer.K.T for layer in after)])
-        Ea = E * np.concatenate([np.empty(0), *(layer.a for layer in before + after)])
-        b = np.concatenate([np.empty(0), *(layer.b for layer in before + after)])
+        Kh = np.vstack([*(layer.K for layer in before), *(layer.K @ X for layer in after)])
+        E = np.hstack([*(X @ layer.K.T for layer in before), *(layer.K.T for layer in after)])
+        Ea = E * np.concatenate([layer.a for layer in before + after])
+        b = np.concatenate([layer.b for layer in before + after])
         D0 = np.zeros((2 * d, 2 * n))
         D0[:d, :n] = D0[d:, n:] = X
 
@@ -241,11 +243,26 @@ class Network:
             out[d:] += Ea @ np.tanh(Kh @ xr[:n] + b[:, None])
             return out
 
-        if len(decoder) == 1:
-            # the weight's own (Fortran) layout: on a C-order copy the products
-            # of `reduction.projected_system` round differently
-            decode.basis = decoder[0].weight.data.copy(order="K")
         return decode, decode_jacobian
+
+
+def _psd_decoder(X):
+    """(decode, decode_jacobian) of the PSD decoder blockdiag(X, X), for a single
+    state or a block of states; decode carries X as ``decode.basis``."""
+    d, n = X.shape
+
+    def decode(xr):
+        if len(xr) != 2 * n:
+            raise DimensionError(f"expected {2 * n} rows, got {len(xr)}")
+        return np.concatenate([X @ xr[:n], X @ xr[n:]])
+
+    def decode_jacobian(xi):
+        D = np.zeros((2 * d, 2 * n))
+        D[:d, :n] = D[d:, n:] = X
+        return decode(xi), D
+
+    decode.basis = X
+    return decode, decode_jacobian
 
 
 def loss(kind, Xb, Yb):

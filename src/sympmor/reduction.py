@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, SympmorError, UnsplitSystemError
-from .integrators import OdeSystem, dense_newton, implicit_midpoint
+from .integrators import OdeSystem, dense_newton, implicit_midpoint, kick_drift_kick
 from .network import Network, PSDLayer
 from .stiefel import StiefelPoint
 
@@ -180,6 +180,25 @@ def reduced_linearization(rom, fom_sys):
     return linearize
 
 
+# The PSD ROM of a model with a potential takes Störmer–Verlet where
+# omega_max tau is at most this, a quarter of the step's stability limit 2.
+VERLET_BOUND = 0.5
+
+
+def max_frequency(model, X):
+    """omega_max of the PSD ROM of a `models.SecondOrder` model with basis X:
+    sqrt(lambda_max(X^T S X) + sup |V''|), which bounds the frequencies of the
+    reduced linearization at every state; None for a potential without a
+    curvature bound."""
+    return _max_frequency(model, X.T @ model.S(X))
+
+
+def _max_frequency(model, XtSX):
+    if model.potential is not None and model.curvature is None:
+        return None
+    return float(np.sqrt(np.linalg.eigvalsh(XtSX)[-1] + (model.curvature or 0.0)))
+
+
 def projected_system(model, X, x_ref=None):
     """The PSD ROM of a `models.SecondOrder` model as a reduced OdeSystem: the
     symplectic Galerkin system (Peng & Mohseni 2016) for the decoder
@@ -190,11 +209,18 @@ def projected_system(model, X, x_ref=None):
 
     X^T S X, -X^T S q_ref, X^T p_ref and the end rows of X are formed once; the
     Galerkin matrix X^T S X is symmetric, so the midpoint rule keeps a quadratic
-    H(x_ref + Dd xi).  An iterate then costs X xi_q, X^T V'(q) and
+    H(x_ref + Dd xi).  A Newton iterate then costs X xi_q, X^T V'(q) and
     T_r = X^T S X + X^T diag(V''(q)) X, O(d n^2), and one n x n solve of the
     Schur complement (I + tau^2/4 T_r) delta_q = r_q + tau/2 r_p, then
     delta_p = r_p - tau/2 T_r delta_q.  Without a potential T_r is constant.
     No full-size state is formed.
+
+    The system is separable, so a model with a potential supplies the explicit
+    `integrators.kick_drift_kick` as its step wherever omega_max tau <=
+    VERLET_BOUND (`max_frequency`, checked once per solve): a step is one
+    X xi_q, one V' and one X^T product, with no Newton and no solve.  Above
+    the bound, and for every model without a potential, the step hook declines
+    and the solve takes the Newton midpoint.
     """
     d, n = X.shape
     if d != model.d:
@@ -205,14 +231,19 @@ def projected_system(model, X, x_ref=None):
     c_q, c_p = X.T @ x_ref[d:], -(X.T @ model.S(q_ref))
     ends = X[[0, -1]].T                     # the two end nodes' rows, as n x 2
 
+    def force(t, xi_q):
+        """(xi_p', q) at xi_q; q = q_ref + X xi_q is None without a potential."""
+        f_p, q = c_p - XtSX @ xi_q, None
+        if model.potential is not None:
+            q = q_ref + X @ xi_q
+            f_p -= X.T @ model.potential[0](q) - ends @ model.ends(t)
+        return f_p, q
+
     def field_at(t, xi):
-        """(reduced field, q) at xi; q is None without a potential."""
+        """(reduced field, q) at xi."""
         if len(xi) != 2 * n:
             raise DimensionError(f"reduced state must have length {2 * n}")
-        f_p, q = c_p - XtSX @ xi[:n], None
-        if model.potential is not None:
-            q = q_ref + X @ xi[:n]
-            f_p -= X.T @ model.potential[0](q) - ends @ model.ends(t)
+        f_p, q = force(t, xi[:n])
         return np.concatenate([c_q + xi[n:], f_p]), q
 
     def newton(t, xi, tau):
@@ -226,13 +257,21 @@ def projected_system(model, X, x_ref=None):
 
         return f, solve
 
-    return OdeSystem(dim=2 * n, vector_field=lambda t, xi: field_at(t, xi)[0], newton=newton)
+    def verlet(t0, tau):
+        omega = _max_frequency(model, XtSX)
+        if omega is None or omega * tau > VERLET_BOUND:
+            return None
+        return kick_drift_kick(c_q, lambda t, xi_q: force(t, xi_q)[0], t0, tau)
+
+    return OdeSystem(dim=2 * n, vector_field=lambda t, xi: field_at(t, xi)[0], newton=newton,
+                     step=None if model.potential is None else verlet)
 
 
 def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
     """Integrate the ROM of a FOM that carries its `SecondOrder` split.  A PSD
-    ROM runs `projected_system`; any other ROM decodes xi once per Newton
-    iterate (`reduced_linearization`).  A FOM without the split is an
+    ROM runs `projected_system`, by Störmer–Verlet where it has a potential
+    and is not stiff; any other ROM decodes xi once per Newton iterate
+    (`reduced_linearization`).  A FOM without the split is an
     UnsplitSystemError before any step."""
     model = fom_sys.second_order
     if model is None:

@@ -9,7 +9,7 @@ import scipy.linalg
 from sympmor import blas, integrators
 from sympmor.errors import DimensionError, IntegrationFailureError
 from sympmor.integrators import (OdeSystem, Trajectory, _fd_jacobian, dense_newton,
-                                 implicit_midpoint)
+                                 implicit_midpoint, kick_drift_kick)
 from sympmor.models import SecondOrder, wave_build, wave_initial, wave_system
 
 
@@ -191,3 +191,22 @@ def test_singular_banded_hook_raises_integration_failure():
     with pytest.raises(IntegrationFailureError, match="singular Newton matrix") as exc:
         implicit_midpoint(sys, np.ones(2), 0.0, 1.0, 4)
     assert exc.value.step_index == 0
+
+
+def test_kick_drift_kick_names_the_non_finite_step():
+    """A force that turns NaN at t = 0.4 fails the step that ends there (k = 3),
+    through the step hook of implicit_midpoint."""
+    force = lambda t, q: np.full(1, np.nan) if t > 0.35 else -q
+    step = lambda t0, h: kick_drift_kick(np.zeros(1), force, t0, h)
+    sys = OdeSystem(2, lambda t, x: x, step=step)
+    with pytest.raises(IntegrationFailureError, match="non-finite state at step 3") as exc:
+        implicit_midpoint(sys, np.array([1.0, 0.0]), 0.0, 1.0, 10)
+    assert exc.value.step_index == 3
+
+
+def test_declined_step_takes_the_newton_midpoint():
+    """A step hook that returns None leaves the solve to Newton, bitwise."""
+    sys = oscillator()
+    declined = dataclasses.replace(sys, step=lambda t0, h: None)
+    assert np.array_equal(implicit_midpoint(declined, np.array([1.0, 0.0]), 0.0, 1.0, 10).states,
+                          implicit_midpoint(sys, np.array([1.0, 0.0]), 0.0, 1.0, 10).states)

@@ -15,17 +15,20 @@ from hypothesis import given, settings, strategies as hst
 
 from sympmor import cli, reduction
 from sympmor.config import RunConfig
-from sympmor.errors import DimensionError, SympmorError, UnsplitSystemError
+from sympmor.errors import (DimensionError, IntegrationFailureError, SympmorError,
+                            UnsplitSystemError)
 from sympmor.integrators import (MAX_NEWTON, OdeSystem, Trajectory, _fd_jacobian,
                                  dense_newton, implicit_midpoint)
-from sympmor.models import (SgKind, sg_build, sg_initial, sg_system, wave_build,
-                            wave_initial, wave_system)
+from sympmor.models import (SgKind, SineGordonModel, sg_build, sg_initial, sg_system,
+                            wave_build, wave_initial, wave_system)
 from sympmor.network import LossKind, Network, PSDLayer, Trainer, build_network, train_epochwise
 from sympmor.reduction import (
+    VERLET_BOUND,
     RomSpec,
     SnapshotSet,
     _poisson_product,
     build_rom,
+    max_frequency,
     normalize_snapshots,
     projected_system,
     projection_error,
@@ -471,11 +474,14 @@ def _rel(a, b):
 def test_solve_rom_equals_default_dense_newton(learned, learned_wave_rom):
     """solve_rom matches the integrator's default dense Newton built from the
     reduced field and a reduced Jacobian written here, bitwise for the learned
-    ROM.  The PSD ROM runs the projected system, which agrees with the generic
+    ROM.  The PSD ROM's projected system, through its Newton midpoint path
+    (solve_rom takes Störmer–Verlet here), agrees with the generic
     decode-and-project system to rounding."""
     if not learned:
         sys, rom = _sg_psd_rom(SgKind.SingleSoliton)
-        a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
+        projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
+        a = implicit_midpoint(dataclasses.replace(projected, step=None), rom.x_r0, 0.0, 1.0, 20,
+                              tol=1e-10)
         b = implicit_midpoint(_generic_system(rom, sys), rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
         assert _rel(a.states, b.states) <= 1e-12
         return
@@ -505,7 +511,9 @@ PROJECTED_CASES = {"sg_single": lambda: _sg_psd_rom(SgKind.SingleSoliton),
 def test_projected_system_matches_generic_rom(case):
     """The projected PSD system against the decode-and-project oracles: its field
     is the reduced field, its Newton solve is the dense solve of I - h/2 M for
-    the Newton matrix M, and solve_rom's trajectory is the generic one."""
+    the Newton matrix M, and its midpoint trajectory is the generic one (through
+    solve_rom for the wave; the sine-Gordon ROMs, which solve_rom runs by
+    Störmer–Verlet, through the Newton path)."""
     sys, rom = PROJECTED_CASES[case]()
     assert rom.basis is not None and sys.second_order is not None
     projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
@@ -523,7 +531,11 @@ def test_projected_system_matches_generic_rom(case):
         assert _rel(solve(r), np.linalg.solve(np.eye(dim) - 0.5 * h * M, r)) <= 1e-12
     with pytest.raises(DimensionError):
         projected.vector_field(0.0, np.zeros(dim + 1))
-    a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
+    if projected.step is None:
+        a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
+    else:
+        a = implicit_midpoint(dataclasses.replace(projected, step=None), rom.x_r0, 0.0, 1.0, 20,
+                              tol=1e-10)
     b = implicit_midpoint(_generic_system(rom, sys), rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
     assert _rel(a.states, b.states) <= 1e-12
 
@@ -571,6 +583,143 @@ def test_projected_wave_rom_conserves_the_hamiltonian():
     recon = rom.reconstruct_state(solve_rom(rom, sys, 0.0, 1.0, 60).states)
     H = np.array([sys.hamiltonian(x) for x in recon.T])
     assert np.max(np.abs(H - H[0])) <= 1e-12 * abs(H[0])
+
+
+def _kick_drift_kick_loop(model, X, x_ref, x0, t0, t1, K):
+    """The PSD ROM's Störmer–Verlet solve written out: the Galerkin terms of
+    projected_system, one force per step, the end-of-step force reused."""
+    d, n = X.shape
+    x_ref = np.zeros(2 * d) if x_ref is None else x_ref
+    XtSX = X.T @ model.S(X)
+    c_q, c_p = X.T @ x_ref[d:], -(X.T @ model.S(x_ref[:d]))
+    ends = X[[0, -1]].T
+
+    def force(t, xi_q):
+        f_p = c_p - XtSX @ xi_q
+        f_p -= X.T @ np.sin(x_ref[:d] + X @ xi_q) - ends @ model.ends(t)
+        return f_p
+
+    h = (t1 - t0) / K
+    states = np.empty((2 * n, K + 1))
+    states[:, 0] = x0
+    a = force(t0, states[:n, 0])
+    for k in range(K):
+        q, p = states[:n, k], states[n:, k]
+        p_half = p + 0.5 * h * a
+        q_new = q + h * (c_q + p_half)
+        a = force(t0 + (k + 1) * h, q_new)
+        states[:, k + 1] = np.concatenate([q_new, p_half + 0.5 * h * a])
+    return states
+
+
+@pytest.mark.parametrize("case", ["sg_single", "sg_doublets", "sg_single_ref", "sg_network"])
+def test_sine_gordon_psd_rom_takes_kick_drift_kick(case):
+    """Below the bound solve_rom is the kick-drift-kick loop written here, bitwise."""
+    sys, rom = PROJECTED_CASES[case]()
+    model = sys.second_order
+    assert max_frequency(model, rom.basis) / 20 <= VERLET_BOUND
+    want = _kick_drift_kick_loop(model, rom.basis, rom.x_ref, rom.x_r0, 0.0, 1.0, 20)
+    assert np.array_equal(solve_rom(rom, sys, 0.0, 1.0, 20).states, want)
+
+
+def test_kick_drift_kick_is_second_order():
+    """Halving tau divides the end-state error by 3 to 5, against a reference
+    solve at tau / 64."""
+    sys, rom = _sg_psd_rom(SgKind.Doublets)
+    ref = solve_rom(rom, sys, 0.0, 1.0, 1280).states[:, -1]
+    errors = [np.linalg.norm(solve_rom(rom, sys, 0.0, 1.0, K).states[:, -1] - ref)
+              for K in (20, 40, 80)]
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(3.0 <= r <= 5.0 for r in ratios), (errors, ratios)
+
+
+def _sg64_rom(kind, n, nu):
+    """A row of the README's sine-Gordon table: N = 64 on [-10, 10], t in [0, 16],
+    K = 50, the reference-state PSD ROM of normalized snapshots at five nu."""
+    snaps = []
+    for train_nu in np.linspace(0.1, 0.6, 5):
+        model = sg_build(64, train_nu, -10.0, 10.0, kind)
+        x0 = sg_initial(model)
+        snaps.append(implicit_midpoint(sg_system(model), x0, 0.0, 16.0, 50).states - x0[:, None])
+    model = sg_build(64, nu, -10.0, 10.0, kind)
+    sys, x0 = sg_system(model), sg_initial(model)
+    rom = build_rom(*psd_maps(psd_cotangent_lift(np.hstack(snaps), n)), x0,
+                    use_ref=True, normalized=True)
+    return sys, x0, rom
+
+
+@pytest.mark.parametrize("nu", [0.225, 0.475])
+def test_kick_drift_kick_error_matches_midpoint(nu):
+    """Störmer–Verlet's e_red is within 1.1x of the same ROM's midpoint e_red."""
+    sys, x0, rom = _sg64_rom(SgKind.SingleSoliton, 4, nu)
+    projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
+    assert projected.step(0.0, 16.0 / 50) is not None
+    fom = implicit_midpoint(sys, x0, 0.0, 16.0, 50)
+    verlet = reduction_error("with_ref", fom, rom, solve_rom(rom, sys, 0.0, 16.0, 50))
+    midpoint = reduction_error("with_ref", fom, rom, implicit_midpoint(
+        dataclasses.replace(projected, step=None), rom.x_r0, 0.0, 16.0, 50))
+    assert verlet <= 1.1 * midpoint, (verlet, midpoint)
+
+
+@dataclasses.dataclass(eq=False)
+class _FrozenEndsModel(SineGordonModel):
+    """Sine-Gordon with its boundary forcing and boundary energy held at t = 0,
+    so the flow is autonomous and conserves H."""
+
+    def ends(self, t):
+        return super().ends(0.0)
+
+    def hamiltonian(self, x, t):
+        return super().hamiltonian(x, 0.0)
+
+
+@pytest.mark.parametrize("kind", list(SgKind))
+def test_kick_drift_kick_hamiltonian_does_not_drift(kind):
+    """At a fixed tau the reconstructed H spreads over 10x the horizon by at most
+    2x its spread over the horizon: the error oscillates, it does not grow."""
+    base = sg_build(64, 0.35, -10.0, 10.0, kind)
+    model = _FrozenEndsModel(**{f.name: getattr(base, f.name) for f in dataclasses.fields(base)})
+    sys, x0 = sg_system(model), sg_initial(model)
+    X = psd_cotangent_lift(implicit_midpoint(sys, x0, 0.0, 1.0, 20).states, 4)
+    rom = build_rom(*psd_maps(X), x0, use_ref=False, normalized=False)
+
+    def spread(t1, K):
+        traj = solve_rom(rom, sys, 0.0, t1, K)
+        recon = rom.reconstruct_state(traj.states)
+        H = np.array([model.hamiltonian(x, 0.0) for x in recon.T])
+        return (H.max() - H.min()) / abs(H.mean())
+
+    assert max_frequency(model, rom.basis) * 0.05 <= VERLET_BOUND
+    one, ten = spread(10.0, 200), spread(100.0, 2000)
+    assert 0 < ten <= 2.0 * one, (one, ten)
+
+
+def test_psd_rom_falls_back_to_newton_midpoint():
+    """Above the bound (omega_max tau > 1/2) and for every wave PSD ROM the step
+    hook declines, and solve_rom is the Newton midpoint bitwise."""
+    sys, x0, rom = _sg64_rom(SgKind.SingleSoliton, 4, 0.475)
+    projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
+    assert max_frequency(sys.second_order, rom.basis) * 16.0 / 20 > VERLET_BOUND
+    assert projected.step(0.0, 16.0 / 20) is None
+    newton = dataclasses.replace(projected, step=None)
+    assert np.array_equal(solve_rom(rom, sys, 0.0, 16.0, 20).states,
+                          implicit_midpoint(newton, rom.x_r0, 0.0, 16.0, 20).states)
+    for n in (4, 18):
+        sys, rom = _wave_psd_rom(n)
+        projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
+        assert projected.step is None
+        assert np.array_equal(solve_rom(rom, sys, 0.0, 1.0, 20).states,
+                              implicit_midpoint(projected, rom.x_r0, 0.0, 1.0, 20).states)
+
+
+def test_kick_drift_kick_non_finite_state_raises():
+    """A non-finite state on the explicit path is an IntegrationFailureError at its step."""
+    sys, rom = _sg_psd_rom(SgKind.SingleSoliton)
+    x_r0 = rom.x_r0.copy()
+    x_r0[-1] = np.nan
+    with pytest.raises(IntegrationFailureError, match="non-finite state at step 0") as exc:
+        solve_rom(dataclasses.replace(rom, x_r0=x_r0), sys, 0.0, 1.0, 20)
+    assert exc.value.step_index == 0
 
 
 def test_learned_rom_newton_matrix_matches_fd_path(learned_wave_rom):
