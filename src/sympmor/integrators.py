@@ -8,7 +8,8 @@ supplies its own (O(dim) per solve); without one the solve is dense, with a
 finite-difference Df.  A system may instead supply the whole step,
 ``step(t0, h) -> (x_k -> x_{k+1})``, set up once per solve and taken without
 Newton, or decline it by returning None.  The wave factors its tridiagonal
-Schur matrix once; the non-stiff sine-Gordon PSD ROM takes `kick_drift_kick`.
+Schur matrix once; a non-stiff separable ROM (the sine-Gordon PSD ROM, a
+learned ROM) takes `kick_drift_kick`.
 
 Newton starts step 0 from explicit Euler and every later step from the linear
 extrapolation 2 x_k - x_{k-1}, which costs no field call.  A step is accepted

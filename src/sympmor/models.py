@@ -45,21 +45,18 @@ class SecondOrder:
         """sign S Q for a d-vector or a d x m block Q, at O(d m); no matrix is stored."""
         return _band_product(self.diag, self.off, Q) / (sign * self.h ** 2)   # -h^2 negates exactly
 
-    def _force(self, t, q):
-        """V'(q) - b(t)."""
-        force = self.potential[0](q)
-        b0, b1 = self.ends(t)
-        force[0] -= b0
-        force[-1] -= b1
-        return force
-
     def field(self, t, x):
         if len(x) != self.dim:
             raise DimensionError(f"state must have length {self.dim}")
         q, p = x[:self.d], x[self.d:]
-        if self.potential is None:
-            return np.concatenate([p, self.S(q, -1.0)])
-        return np.concatenate([p, self.S(q, -1.0) - self._force(t, q)])
+        f_p = self.S(q, -1.0)
+        if self.potential is not None:
+            force = self.potential[0](q)        # V'(q) - b(t), b on the two end nodes
+            b0, b1 = self.ends(t)
+            force[0] -= b0
+            force[-1] -= b1
+            f_p -= force
+        return np.concatenate([p, f_p])
 
     def jacobian(self, t, x, V):
         """Df(x) V = [V_p; -(S + diag V''(q)) V_q] for a dim x m block V, at O(dim m)."""
@@ -67,21 +64,6 @@ class SecondOrder:
         if self.potential is not None:
             DfV -= self.potential[1](x[:self.d])[:, None] * V[:self.d]
         return np.concatenate([V[self.d:], DfV])
-
-    def linearization(self, t, x, V):
-        """[f(t, x) | Df(x) V] for a dim x m block V from one stencil pass over
-        [q | V_q]: column by column the arithmetic of `field` and `jacobian`, so
-        the block equals theirs bitwise."""
-        if len(x) != self.dim:
-            raise DimensionError(f"state must have length {self.dim}")
-        d = self.d
-        xV = np.column_stack([x, V])
-        F = np.concatenate([xV[d:], self.S(xV[:d], -1.0)])
-        if self.potential is not None:
-            q = x[:d]
-            F[d:, 0] -= self._force(t, q)
-            F[d:, 1:] -= self.potential[1](q)[:, None] * V[:d]
-        return F
 
     def hamiltonian(self, x):
         """h (q.S q + p.p) / 2: H without V and b."""

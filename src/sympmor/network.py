@@ -8,13 +8,15 @@ Backpropagation is written out analytically per layer; the manifold weight
 receives its Euclidean gradient, which the optimizer module converts into a
 Riemannian update.  During training the GradientLayers' weights are views of
 one parameter vector, which the Trainer updates with one Adam step per batch.
-A ROM evaluates the decoder through `Network.fold_decoder`: a decoder of 'P'
-layers around one PSD expand is folded once into one stacked gradient term, and
-any other decoder runs the per-layer jet of `decoder_jacobian`.
+A ROM reads the decoder through `Network.fold_decoder`: a decoder of 'P' layers
+around one PSD expand is copied once as a `FoldedDecoder`, whose gradient terms
+`reduction.projected_system` uses without decoding, and any other decoder runs
+the per-layer jet of `decoder_jacobian`.
 """
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -183,72 +185,60 @@ class Network:
         return jet[:, 0], jet[:, 1:]
 
     def fold_decoder(self):
-        """(decode, decode_jacobian) of the decoder as it is now, folded once.
-
-        A decoder of 'P' GradientLayers around one PSD expand X never changes q.
-        With the layers before the expand (K_i, a_i, b_i) and after it
-        (K_j, a_j, b_j) it is exactly
-
-            q = X xi_q,    p = X xi_p + E (a * tanh(Kh xi_q + b)),
-
-        where Kh stacks each K_i and K_j X, E = [X K_i^T ... | K_j^T ...], and
-        a, b stack the layers' a and b.  So Dd = [[X, 0], [E diag(a sigma') Kh, X]],
-        whose lower-left block alone depends on xi.  The folded maps hold copies
-        of the weights: training the network afterwards does not move them.  A
-        decoder without gradient layers is the PSD decoder blockdiag(X, X), and
-        its decode carries X as ``decode.basis``.  Any other decoder ('Q' layers,
-        a reduce, not exactly one expand) gets the network's own `decode` and
-        `decoder_jacobian`, the per-layer jet.
-        """
+        """The decoder as it is now, copied once as a `FoldedDecoder`, when it
+        keeps q = X xi_q: 'P' GradientLayers around one PSD expand X, or the
+        expand alone (the PSD decoder).  Any other decoder ('Q' layers, a
+        reduce, not exactly one expand) gives None and keeps the network's own
+        per-layer `decode` and `decoder_jacobian`."""
         decoder = self.layers[self.encoder_len:]
         psd = [i for i, layer in enumerate(decoder) if isinstance(layer, PSDLayer)]
         if (len(psd) != 1 or decoder[psd[0]].direction != "expand"
                 or any(layer.kind != "P" for layer in decoder
                        if isinstance(layer, GradientLayer))):
-            return self.decode, self.decoder_jacobian
+            return None
+        # the weight's own (Fortran) layout: on a C-order copy the products of
+        # `reduction.projected_system` round differently
+        X = decoder[psd[0]].weight.data.copy(order="K")
         if len(decoder) == 1:
-            # the weight's own (Fortran) layout: on a C-order copy the products
-            # of `reduction.projected_system` round differently
-            return _psd_decoder(decoder[0].weight.data.copy(order="K"))
-        X = decoder[psd[0]].weight.data.copy()
-        before, after = decoder[:psd[0]], decoder[psd[0] + 1:]
-        d, n = X.shape
-        Kh = np.vstack([*(layer.K for layer in before), *(layer.K @ X for layer in after)])
-        E = np.hstack([*(X @ layer.K.T for layer in before), *(layer.K.T for layer in after)])
-        Ea = E * np.concatenate([layer.a for layer in before + after])
-        b = np.concatenate([layer.b for layer in before + after])
-        D0 = np.zeros((2 * d, 2 * n))
-        D0[:d, :n] = D0[d:, n:] = X
+            return FoldedDecoder(X, *_psd_decoder(X))
+        before = [_stacked([layer]) for layer in decoder[:psd[0]]]
+        post = [_stacked(decoder[psd[0] + 1:])] if psd[0] + 1 < len(decoder) else []
+        shift = _stacked(before, [(layer.K @ X, layer.a, layer.b) for layer in post])
+        frozen = Network([*before, PSDLayer(st.StiefelPoint(X, check=False), "expand"), *post],
+                         encoder_len=0)
+        return FoldedDecoder(X, frozen.decode, frozen.decoder_jacobian, shift, *post)
 
-        def linear_part(xi):
-            """blockdiag(X, X) xi, after checking xi's rows."""
-            if len(xi) != 2 * n:
-                raise DimensionError(f"expected {2 * n} rows, got {len(xi)}")
-            return D0 @ xi
 
-        def decode_jacobian(xi):
-            out = linear_part(xi)
-            s = np.tanh(Kh @ xi[:n] + b)
-            out[d:] += Ea @ s
-            D = D0.copy()
-            D[d:, :n] = Ea @ ((1.0 - s * s)[:, None] * Kh)
-            return out, D
+@dataclass(frozen=True)
+class FoldedDecoder:
+    """A decoder that keeps q = X xi_q, copied by `Network.fold_decoder`: training
+    the network afterwards does not move it.
 
-        def decode(xr):
-            """A single state is the state column of `decode_jacobian`, as in
-            `Network.decode`; a block is decoded column by column at once."""
-            if np.ndim(xr) == 1:
-                return decode_jacobian(xr)[0]
-            out = linear_part(xr)
-            out[d:] += Ea @ np.tanh(Kh @ xr[:n] + b[:, None])
-            return out
+    Its 'P' layers before the expand add X K_i^T (a_i tanh(K_i xi_q + b_i)) to
+    p, and those after it g_post(xi_q) = K_j^T (a_j tanh(K_j X xi_q + b_j)); with
+    eta = shift(xi), p = X eta_p + (I - X X^T) g_post(xi_q).  `shift` is one 'P'
+    layer on the reduced state whose rows stack each K_i and each K_j X: it adds
+    X^T g(xi_q), a gradient, so eta is a symplectic change of variables.
+    `post` stacks the layers after the expand into one 'P' layer.  A PSD
+    decoder has neither.  decode and decode_jacobian are the copy's own maps.
+    """
+    basis: np.ndarray
+    decode: Callable
+    decode_jacobian: Callable
+    shift: Optional[GradientLayer] = None
+    post: Optional[GradientLayer] = None
 
-        return decode, decode_jacobian
+
+def _stacked(layers, extra=()):
+    """One 'P' GradientLayer of new arrays whose rows stack the layers' (K, a, b)
+    and then extra's: its increment is the sum of theirs."""
+    parts = [(layer.K, layer.a, layer.b) for layer in layers] + list(extra)
+    return GradientLayer("P", *(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 def _psd_decoder(X):
     """(decode, decode_jacobian) of the PSD decoder blockdiag(X, X), for a single
-    state or a block of states; decode carries X as ``decode.basis``."""
+    state or a block of states."""
     d, n = X.shape
 
     def decode(xr):
@@ -261,7 +251,6 @@ def _psd_decoder(X):
         D[:d, :n] = D[d:, n:] = X
         return decode(xi), D
 
-    decode.basis = X
     return decode, decode_jacobian
 
 

@@ -4,10 +4,12 @@ The reduced system evolves xi' = J_{2n} grad H_r(xi) with
 H_r = H(x_ref + d(xi)); for a symplectic decoder this is evaluated through
 the Poisson-shaped product -J_{2n} (Dd)^T J_{2d} f without ever multiplying
 by a full J matrix.  Every ROM needs a FOM that carries its
-`models.SecondOrder` split.  A PSD ROM skips the decoder altogether:
-`projected_system` projects the split once.
+`models.SecondOrder` split.  A ROM whose decoder keeps q = q_ref + X xi_q (PSD,
+or any `network.build_network` decoder) skips the decoder: `projected_system`
+projects the split once, and a learned decoder adds one potential.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -15,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionError, SympmorError, UnsplitSystemError
-from .integrators import OdeSystem, dense_newton, implicit_midpoint, kick_drift_kick
-from .network import Network, PSDLayer
+from .integrators import OdeSystem, implicit_midpoint, kick_drift_kick
+from .network import FoldedDecoder, GradientLayer, Network, PSDLayer
 from .stiefel import StiefelPoint
 
 
@@ -85,7 +87,9 @@ class RomSpec:
     x_r0: np.ndarray
     reduced_dim: int
     x_ref: Optional[np.ndarray] = None
-    basis: Optional[np.ndarray] = None     # X of a PSD decoder blockdiag(X, X), else None
+    fold: Optional[FoldedDecoder] = None   # a decoder that keeps q = q_ref + X xi_q, else None
+
+    basis = property(lambda self: None if self.fold is None else self.fold.basis)
 
     def _add_ref(self, out):
         if self.x_ref is None:
@@ -107,17 +111,19 @@ def build_rom(encode, decode, decode_jacobian, x0, use_ref, normalized):
     Normalized training (which implies a reference state): x_r0 = e(0) and
     x_ref = x0 - d(x_r0), so the initial value reconstructs exactly.
     Unnormalized: x_r0 = e(x0), no reference state.  When decode and
-    decode_jacobian are one `Network`'s bound methods, the RomSpec takes its
-    `fold_decoder()` pair instead, which binds the decoder's weights now, as
-    x_ref is bound; a PSD decoder (no gradient layers, as from `psd_maps`)
-    hands its basis X on as ``decode.basis``.
+    decode_jacobian are one `Network`'s bound methods and its decoder keeps
+    q = X xi_q (the PSD decoder of `psd_maps`, or 'P' layers around one
+    expand), the RomSpec takes its `fold_decoder()` copy and that copy's maps,
+    which binds the decoder's weights now, as x_ref is bound.
     """
     x0 = np.asarray(x0, dtype=float)
     if normalized and not use_ref:
         raise SympmorError("normalized data requires the reference-state ROM")
-    owner = getattr(decode_jacobian, "__self__", None)
+    owner, fold = getattr(decode_jacobian, "__self__", None), None
     if isinstance(owner, Network) and getattr(decode, "__self__", None) is owner:
-        decode, decode_jacobian = owner.fold_decoder()
+        fold = owner.fold_decoder()
+    if fold is not None:
+        decode, decode_jacobian = fold.decode, fold.decode_jacobian
     if use_ref:
         x_r0 = encode(np.zeros_like(x0))
         x_ref = x0 - decode(x_r0)
@@ -125,26 +131,15 @@ def build_rom(encode, decode, decode_jacobian, x0, use_ref, normalized):
         x_r0 = encode(x0)
         x_ref = None
     return RomSpec(encode=encode, decode=decode, decode_jacobian=decode_jacobian,
-                   x_r0=x_r0, reduced_dim=len(x_r0), x_ref=x_ref,
-                   basis=getattr(decode, "basis", None))
-
-
-def _poisson_rows(D):
-    """-J_{2n} D^T for D of shape 2d x 2n, without a J product."""
-    n = D.shape[1] // 2
-    return np.vstack([-D[:, n:].T, D[:, :n].T])
-
-
-def _apply_j(V):
-    """J_{2d} V for a 2d-vector or 2d-row matrix V."""
-    d = V.shape[0] // 2
-    return np.concatenate([V[d:], -V[:d]])
+                   x_r0=x_r0, reduced_dim=len(x_r0), x_ref=x_ref, fold=fold)
 
 
 def _poisson_product(D, V):
     """-J_{2n} D^T J_{2d} V for D of shape 2d x 2n and a 2d-vector or 2d-row
     matrix V, without J products."""
-    return _poisson_rows(D) @ _apply_j(V)
+    d, n = D.shape[0] // 2, D.shape[1] // 2
+    W = D[:d].T @ V[d:] - D[d:].T @ V[:d]      # D^T J_{2d} V
+    return np.concatenate([-W[n:], W[:n]])
 
 
 def reduced_vector_field(rom, fom_field):
@@ -159,68 +154,65 @@ def reduced_vector_field(rom, fom_field):
     return field
 
 
-def reduced_linearization(rom, fom_sys):
-    """(t, xi) -> (f_r, M) from one decoder pass at x = x_ref + d(xi) and one
-    stencil pass of the FOM's `SecondOrder` split for [f | Df Dd]
-    (`SecondOrder.linearization`): the reduced field f_r = -J_{2n} Dd^T J_{2d} f(x)
-    and its Newton matrix M = -J_{2n} Dd^T J_{2d} Df(x) Dd.
-
-    M is exact for a linear decoder.  For a nonlinear one it drops the
-    curvature term (d Dd^T / d xi) J_{2d} f (a Gauss-Newton matrix); the
-    residual the Newton loop drives to zero is still the exact reduced field.
-    """
-    model = fom_sys.second_order
-
-    def linearize(t, xi):
-        x_full, D = rom.state_and_jacobian(xi)
-        rows = _poisson_rows(D)     # formed once for both products
-        JF = _apply_j(model.linearization(t, x_full, D))
-        return rows @ JF[:, 0], rows @ JF[:, 1:]
-
-    return linearize
-
-
-# The PSD ROM of a model with a potential takes Störmer–Verlet where
-# omega_max tau is at most this, a quarter of the step's stability limit 2.
+# A separable ROM takes Störmer–Verlet where omega_max tau is at most this, a
+# quarter of the step's stability limit 2.
 VERLET_BOUND = 0.5
 
 
-def max_frequency(model, X):
-    """omega_max of the PSD ROM of a `models.SecondOrder` model with basis X:
-    sqrt(lambda_max(X^T S X) + sup |V''|), which bounds the frequencies of the
-    reduced linearization at every state; None for a potential without a
-    curvature bound."""
-    return _max_frequency(model, X.T @ model.S(X))
+def max_frequency(model, X, x_ref=None, post=None):
+    """omega_max of `projected_system(model, X, x_ref, post)`, bounding its
+    linearization's frequencies at every state: sqrt(rho + sup |V''| + h), rho
+    the spectral radius of X^T S X; None for a potential without a curvature
+    bound.  h bounds ||Hess V_post|| = ||J^T J + sum_l (K_l r) a_l sigma''_l
+    B_l^T B_l|| (B = K X, J = (I - X X^T) K^T diag(a sigma') B): with
+    k_l = ||(I - X X^T) K_l^T||, |tanh|, |tanh'| <= 1 and |tanh''| <= 4 / (3 sqrt 3),
+    J^T J <= (sum_l |a_l| k_l^2) B^T diag(|a|) B and |K_l r| <= k_l R,
+    R = ||(I - X X^T) p_ref|| + sum_l |a_l| k_l; h is lambda_max(B^T diag(w) B)."""
+    return _max_frequency(model, X, X.T @ model.S(X), x_ref, post)
 
 
-def _max_frequency(model, XtSX):
+def _max_frequency(model, X, XtSX, x_ref, post):
     if model.potential is not None and model.curvature is None:
         return None
-    return float(np.sqrt(np.linalg.eigvalsh(XtSX)[-1] + (model.curvature or 0.0)))
+    lam = np.linalg.eigvalsh(XtSX)
+    omega2 = max(-lam[0], lam[-1]) + (model.curvature or 0.0)
+    if post is not None:
+        d = X.shape[0]
+        p_ref = np.zeros(d) if x_ref is None else x_ref[d:]
+        a, B = np.abs(post.a), post.K @ X
+        k2 = np.maximum(np.einsum("ij,ij->i", post.K, post.K) - np.einsum("ij,ij->i", B, B), 0.0)
+        k = np.sqrt(k2)
+        R = np.linalg.norm(p_ref - X @ (X.T @ p_ref)) + a @ k
+        w = a * (a @ k2 + 4.0 / (3.0 * np.sqrt(3.0)) * R * k)
+        omega2 += np.linalg.eigvalsh(B.T @ (w[:, None] * B))[-1]
+    return float(np.sqrt(omega2))
 
 
-def projected_system(model, X, x_ref=None):
-    """The PSD ROM of a `models.SecondOrder` model as a reduced OdeSystem: the
-    symplectic Galerkin system (Peng & Mohseni 2016) for the decoder
-    x = x_ref + blockdiag(X, X) xi with orthonormal X (d x n),
+def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
+    """The ROM of a `models.SecondOrder` model whose decoder keeps
+    q = q_ref + X xi_q (orthonormal X, d x n), as a reduced OdeSystem:
 
         xi_q' = X^T p_ref + xi_p,
-        xi_p' = -X^T S q_ref - X^T S X xi_q - X^T (V'(q) - b(t)),  q = q_ref + X xi_q.
+        xi_p' = -X^T S q_ref - X^T S X xi_q - X^T (V'(q) - b(t)) - grad V_post(xi_q).
 
-    X^T S X, -X^T S q_ref, X^T p_ref and the end rows of X are formed once; the
-    Galerkin matrix X^T S X is symmetric, so the midpoint rule keeps a quadratic
-    H(x_ref + Dd xi).  A Newton iterate then costs X xi_q, X^T V'(q) and
-    T_r = X^T S X + X^T diag(V''(q)) X, O(d n^2), and one n x n solve of the
-    Schur complement (I + tau^2/4 T_r) delta_q = r_q + tau/2 r_p, then
-    delta_p = r_p - tau/2 T_r delta_q.  Without a potential T_r is constant.
-    No full-size state is formed.
+    For the PSD decoder x_ref + blockdiag(X, X) xi this is the symplectic
+    Galerkin ROM (Peng & Mohseni 2016), V_post = 0.  A learned decoder's
+    post-expand layer g_post(xi_q) = K^T (a tanh(K X xi_q + b)) (`post`, from
+    `network.FoldedDecoder`) adds, in its coordinates eta, V_post = 1/2 ||r||^2,
+    r = (I - X X^T)(p_ref + g_post) (symplectic manifold Galerkin, Buchfink,
+    Glas & Haasdonk 2023), whose force (K X)^T [a sigma' K r] is one pass
+    through the layer and back, O(d L), with no decoder Jacobian.
 
-    The system is separable, so a model with a potential supplies the explicit
-    `integrators.kick_drift_kick` as its step wherever omega_max tau <=
-    VERLET_BOUND (`max_frequency`, checked once per solve): a step is one
-    X xi_q, one V' and one X^T product, with no Newton and no solve.  Above
-    the bound, and for every model without a potential, the step hook declines
-    and the solve takes the Newton midpoint.
+    A Newton iterate solves the n x n Schur complement (I + tau^2/4 T) delta_q
+    = r_q + tau/2 r_p, then delta_p = r_p - tau/2 T delta_q, with T = X^T S X +
+    X^T diag(V''(q)) X (symmetric: midpoint keeps a quadratic H) plus the
+    Gauss-Newton Hessian J^T J of V_post at xi_q0, formed once (a simplified
+    Newton; the residual stays exact).  Without a potential T and its Schur
+    matrix are formed once per step size.  The system is separable, so with a
+    potential or a learned term its step hook supplies
+    `integrators.kick_drift_kick`, one force per step and no Newton, where
+    omega_max tau <= VERLET_BOUND (`max_frequency`, once per solve); above
+    the bound, and for a PSD ROM without a potential, it declines.
     """
     d, n = X.shape
     if d != model.d:
@@ -230,6 +222,22 @@ def projected_system(model, X, x_ref=None):
     XtSX = X.T @ model.S(X)
     c_q, c_p = X.T @ x_ref[d:], -(X.T @ model.S(q_ref))
     ends = X[[0, -1]].T                     # the two end nodes' rows, as n x 2
+    T0 = XtSX
+    if post is not None:
+        K, a, b = post.K, post.a, post.b
+        B = K @ X
+        r_ref = x_ref[d:] - X @ c_q         # (I - X X^T) p_ref
+
+        def post_force(xi_q):
+            s = np.tanh(B @ xi_q + b)
+            g = K.T @ (a * s)
+            r = r_ref + (g - X @ (X.T @ g))
+            return B.T @ (a * (1.0 - s * s) * (K @ r))
+
+        s = np.tanh(B @ (np.zeros(n) if xi_q0 is None else xi_q0) + b)
+        J = K.T @ ((a * (1.0 - s * s))[:, None] * B)
+        J -= X @ (X.T @ J)
+        T0 = XtSX + J.T @ J
 
     def force(t, xi_q):
         """(xi_p', q) at xi_q; q = q_ref + X xi_q is None without a potential."""
@@ -237,6 +245,8 @@ def projected_system(model, X, x_ref=None):
         if model.potential is not None:
             q = q_ref + X @ xi_q
             f_p -= X.T @ model.potential[0](q) - ends @ model.ends(t)
+        if post is not None:
+            f_p -= post_force(xi_q)
         return f_p, q
 
     def field_at(t, xi):
@@ -246,10 +256,17 @@ def projected_system(model, X, x_ref=None):
         f_p, q = force(t, xi[:n])
         return np.concatenate([c_q + xi[n:], f_p]), q
 
+    @functools.lru_cache(maxsize=1)
+    def constant_schur(tau):
+        return np.eye(n) + 0.25 * tau ** 2 * T0
+
     def newton(t, xi, tau):
         f, q = field_at(t, xi)
-        T = XtSX if q is None else XtSX + X.T @ (model.potential[1](q)[:, None] * X)
-        schur = np.eye(n) + 0.25 * tau ** 2 * T
+        if q is None:
+            T, schur = T0, constant_schur(tau)
+        else:
+            T = T0 + X.T @ (model.potential[1](q)[:, None] * X)
+            schur = np.eye(n) + 0.25 * tau ** 2 * T
 
         def solve(r):
             dq = np.linalg.solve(schur, r[:n] + 0.5 * tau * r[n:])
@@ -258,31 +275,39 @@ def projected_system(model, X, x_ref=None):
         return f, solve
 
     def verlet(t0, tau):
-        omega = _max_frequency(model, XtSX)
+        omega = _max_frequency(model, X, XtSX, x_ref, post)
         if omega is None or omega * tau > VERLET_BOUND:
             return None
         return kick_drift_kick(c_q, lambda t, xi_q: force(t, xi_q)[0], t0, tau)
 
     return OdeSystem(dim=2 * n, vector_field=lambda t, xi: field_at(t, xi)[0], newton=newton,
-                     step=None if model.potential is None else verlet)
+                     step=None if model.potential is None and post is None else verlet)
 
 
 def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
-    """Integrate the ROM of a FOM that carries its `SecondOrder` split.  A PSD
-    ROM runs `projected_system`, by Störmer–Verlet where it has a potential
-    and is not stiff; any other ROM decodes xi once per Newton iterate
-    (`reduced_linearization`).  A FOM without the split is an
-    UnsplitSystemError before any step."""
+    """Integrate the ROM of a FOM that carries its `SecondOrder` split (else an
+    UnsplitSystemError before any step).  A decoder that keeps
+    q = q_ref + X xi_q runs `projected_system`; a learned one runs it in
+    eta = shift(xi), and its trajectory goes back to xi by one block pass of
+    the shift layer with -a, so it neither decodes nor calls the FOM.  Any
+    other decoder decodes and projects on every field call
+    (`reduced_vector_field`), by finite-difference Newton."""
     model = fom_sys.second_order
     if model is None:
         raise UnsplitSystemError("a ROM needs a FOM with a SecondOrder split")
-    if rom.basis is not None:
-        reduced_sys = projected_system(model, rom.basis, rom.x_ref)
+    fold, x0 = rom.fold, rom.x_r0
+    shift = None if fold is None else fold.shift
+    if fold is None:
+        reduced_sys = OdeSystem(dim=rom.reduced_dim,
+                                vector_field=reduced_vector_field(rom, fom_sys.vector_field))
     else:
-        field = reduced_vector_field(rom, fom_sys.vector_field)
-        newton = dense_newton(reduced_linearization(rom, fom_sys))
-        reduced_sys = OdeSystem(dim=rom.reduced_dim, vector_field=field, newton=newton)
-    return implicit_midpoint(reduced_sys, rom.x_r0, t0, t1, K, tol=tol)
+        if shift is not None:
+            x0 = shift.forward(x0[:, None])[0][:, 0]
+        reduced_sys = projected_system(model, fold.basis, rom.x_ref, fold.post, x0[:len(x0) // 2])
+    traj = implicit_midpoint(reduced_sys, x0, t0, t1, K, tol=tol)
+    if shift is not None:
+        traj.states[:] = GradientLayer("P", shift.K, -shift.a, shift.b).forward(traj.states)[0]
+    return traj
 
 
 def reduction_error(variant, exact, rom, reduced):

@@ -289,18 +289,28 @@ TESTBEDS = {"wave": lambda N: wave_build(N, 0.4),
 @pytest.mark.parametrize("N", [1, 3, 32])
 @pytest.mark.parametrize("testbed", list(TESTBEDS))
 def test_linearization_is_field_and_jacobian_bitwise(testbed, N):
-    """[f(t, x) | Df(x) V] from one stencil pass equals [field | jacobian] bitwise,
-    the sine-Gordon potential and end forcing included."""
+    """The ROM reads the FOM through its split (S, V', V'' and the end forcing b)
+    and never calls the field: f(t, x) = [p; -S q - (V'(q) - b(t))] and
+    Df(x) V = [V_p; -S V_q - V''(q) V_q], built here from the split's parts,
+    equal `field` and `jacobian` bitwise."""
     model = TESTBEDS[testbed](N)
+    d = model.d
     rng = np.random.default_rng(40 + N)
     for m in (1, 2, 9):
         x, V = 2.0 * rng.standard_normal(model.dim), rng.standard_normal((model.dim, m))
-        F = model.linearization(0.7, x, V)
-        assert F.shape == (model.dim, 1 + m)
-        assert np.array_equal(F[:, 0], model.field(0.7, x))
-        assert np.array_equal(F[:, 1:], model.jacobian(0.7, x, V))
+        q, p = x[:d], x[d:]
+        force, DfV = model.S(q, -1.0), model.S(V[:d], -1.0)
+        if model.potential is not None:
+            applied = model.potential[0](q)
+            b0, b1 = model.ends(0.7)
+            applied[0] -= b0
+            applied[-1] -= b1
+            force -= applied
+            DfV -= model.potential[1](q)[:, None] * V[:d]
+        assert np.array_equal(model.field(0.7, x), np.concatenate([p, force]))
+        assert np.array_equal(model.jacobian(0.7, x, V), np.concatenate([V[d:], DfV]))
     with pytest.raises(DimensionError):
-        model.linearization(0.7, np.zeros(model.dim + 1), V)
+        model.field(0.7, np.zeros(model.dim + 1))
 
 
 def test_sg_integration_tracks_exact_solution():

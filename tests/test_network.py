@@ -247,13 +247,18 @@ def _rel(a, b):
 @pytest.mark.parametrize("full_dim, reduced_dim", [(12, 4), (68, 8), (260, 8)])
 def test_folded_decoder_matches_per_layer_jet(full_dim, reduced_dim, trained):
     """The folded decoder of build_network's 'P'-layer decoder against the
-    per-layer jet: the same state and Jacobian to 1e-14, a symplectic Jacobian,
-    block decodes that match Network.decode, and a single-state decode that is
-    the Jacobian's state column bitwise."""
+    network's per-layer jet: the copy's jet gives the same state and Jacobian
+    to 1e-14, a symplectic Jacobian, block decodes that match Network.decode,
+    and a single-state decode that is the Jacobian's state column bitwise.
+    Its terms rebuild the decoder: q = X xi_q and
+    p = X eta_p + (I - X X^T) g_post(X xi_q), eta = shift(xi), to 1e-14."""
     net = _desk_trained(full_dim, reduced_dim) if trained else build_network(
         full_dim, reduced_dim, seed=8)
-    decode, decode_jacobian = net.fold_decoder()
+    fold = net.fold_decoder()
+    decode, decode_jacobian = fold.decode, fold.decode_jacobian
     assert decode_jacobian != net.decoder_jacobian
+    X, d, n = fold.basis, full_dim // 2, reduced_dim // 2
+    assert np.array_equal(X, net.layers[-2].weight.data)
     rng = np.random.default_rng(22)
     J2d, J2n = symplectic_j(full_dim), symplectic_j(reduced_dim)
     for _ in range(5):
@@ -263,6 +268,11 @@ def test_folded_decoder_matches_per_layer_jet(full_dim, reduced_dim, trained):
         assert _rel(out, want) <= 1e-14 and _rel(D, D_want) <= 1e-14
         assert np.linalg.norm(D.T @ J2d @ D - J2n) <= 1e-12
         assert np.array_equal(decode(xi), out)
+        eta = fold.shift.forward(xi[:, None])[0][:, 0]
+        g_post = fold.post.forward(np.concatenate([X @ xi[:n], np.zeros(d)])[:, None])[0][d:, 0]
+        rebuilt = np.concatenate([X @ eta[:n],
+                                  X @ eta[n:] + g_post - X @ (X.T @ g_post)])
+        assert _rel(rebuilt, want) <= 1e-14
     block = rng.standard_normal((reduced_dim, 7))
     assert _rel(decode(block), net.decode(block)) <= 1e-14
     with pytest.raises(DimensionError):
@@ -272,32 +282,35 @@ def test_folded_decoder_matches_per_layer_jet(full_dim, reduced_dim, trained):
 
 
 def test_folded_expand_only_decoder_is_the_psd_map():
-    """A decoder with no gradient layers folds to blockdiag(X, X)."""
+    """A decoder with no gradient layers folds to blockdiag(X, X), with no shift
+    and no post-expand term."""
     X = random_stiefel(5, 2, 6)
     net = Network(layers=[PSDLayer(X, "reduce"), PSDLayer(X, "expand")], encoder_len=1)
-    decode, decode_jacobian = net.fold_decoder()
+    fold = net.fold_decoder()
+    assert fold.shift is None and fold.post is None
+    assert np.array_equal(fold.basis, X.data)
     B = np.zeros((10, 4))
     B[:5, :2] = B[5:, 2:] = X.data
     xi = np.random.default_rng(23).standard_normal(4)
-    out, D = decode_jacobian(xi)
+    out, D = fold.decode_jacobian(xi)
     assert np.array_equal(D, B)
     assert np.linalg.norm(out - B @ xi) <= 1e-15
-    assert np.array_equal(decode(xi), out)
+    assert np.array_equal(fold.decode(xi), out)
 
 
 def test_fold_keeps_the_jet_for_other_decoders():
-    """'Q' layers, a reduce layer or no expand in the decoder: the fold is the
-    network's own decode and decoder_jacobian.  A 'Q' layer in the encoder does
-    not stop the fold."""
+    """'Q' layers, a reduce layer or no expand in the decoder: nothing folds,
+    and a ROM keeps the network's own decode and decoder_jacobian.  A 'Q'
+    layer in the encoder does not stop the fold."""
     X = random_stiefel(5, 2, 7)
     reduce_after = Network(layers=[PSDLayer(X, "reduce"), PSDLayer(X, "expand"),
                                    PSDLayer(X, "reduce")], encoder_len=1)
     no_expand = Network(layers=[PSDLayer(X, "reduce"), make_gradient_layer("P", 4, 5)],
                         encoder_len=1)
     for net in (_pq_decoder_network(), reduce_after, no_expand):
-        assert net.fold_decoder() == (net.decode, net.decoder_jacobian)
+        assert net.fold_decoder() is None
     net = _q_network()
-    decode_jacobian = net.fold_decoder()[1]
+    decode_jacobian = net.fold_decoder().decode_jacobian
     xi = np.random.default_rng(24).standard_normal(2)
     assert decode_jacobian != net.decoder_jacobian
     assert _rel(decode_jacobian(xi)[1], net.decoder_jacobian(xi)[1]) <= 1e-14

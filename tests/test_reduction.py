@@ -21,12 +21,12 @@ from sympmor.integrators import (MAX_NEWTON, OdeSystem, Trajectory, _fd_jacobian
                                  dense_newton, implicit_midpoint)
 from sympmor.models import (SgKind, SineGordonModel, sg_build, sg_initial, sg_system,
                             wave_build, wave_initial, wave_system)
-from sympmor.network import LossKind, Network, PSDLayer, Trainer, build_network, train_epochwise
+from sympmor.network import (GradientLayer, LossKind, Network, PSDLayer, Trainer, build_network,
+                             train_epochwise)
 from sympmor.reduction import (
     VERLET_BOUND,
     RomSpec,
     SnapshotSet,
-    _poisson_product,
     build_rom,
     max_frequency,
     normalize_snapshots,
@@ -34,7 +34,6 @@ from sympmor.reduction import (
     projection_error,
     psd_cotangent_lift,
     psd_maps,
-    reduced_linearization,
     reduced_vector_field,
     reduction_error,
     solve_rom,
@@ -210,116 +209,17 @@ def learned_wave_network():
 
 @pytest.fixture(scope="module")
 def learned_wave_rom(learned_wave_network):
-    """The desk-trained wave decoder bound as a reference-state ROM."""
+    """The desk-trained wave decoder bound as a reference-state ROM.  Its
+    omega_max is 3.2: solves over [0, 1] at K = 20 take Störmer–Verlet, over
+    [0, 4] at K = 20 the Newton midpoint."""
     sys, x0, network, _ = learned_wave_network
     rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
                     use_ref=True, normalized=True)
     return sys, rom
 
 
-def test_reduced_jacobian_psd_matches_fd():
-    """Linear PSD decoder on sine-Gordon: the Newton matrix is the exact Jacobian."""
-    model = sg_build(20, 0.3, -10.0, 10.0, SgKind.SingleSoliton)
-    sys, x0 = sg_system(model), sg_initial(model)
-    fom = implicit_midpoint(sys, x0, 0.0, 1.0, 10)
-    encode, decode, jacobian = psd_maps(psd_cotangent_lift(fom.states, 3))
-    rom = build_rom(encode, decode, jacobian, x0, use_ref=False, normalized=False)
-    field = reduced_vector_field(rom, sys.vector_field)
-    linearize = reduced_linearization(rom, sys)
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        xi = rom.x_r0 + 0.5 * rng.standard_normal(6)
-        fd = _fd_jacobian(field, 0.3, xi)
-        assert np.linalg.norm(linearize(0.3, xi)[1] - fd) < 1e-6 * np.linalg.norm(fd)
-
-
-def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
-    sys, rom = learned_wave_rom
-    d, n = sys.dim // 2, 2
-    J2d, J2n = _dense_j(d), _dense_j(n)
-    Df = sys.second_order.jacobian(0.0, np.zeros(sys.dim), np.eye(sys.dim))
-    linearize = reduced_linearization(rom, sys)
-    rng = np.random.default_rng(14)
-    for _ in range(5):
-        xi = rom.x_r0 + rng.standard_normal(2 * n)
-        _, Dd = rom.decode_jacobian(xi)
-        oracle = -J2n @ Dd.T @ J2d @ Df @ Dd
-        assert np.linalg.norm(linearize(0.0, xi)[1] - oracle) < 1e-12 * np.linalg.norm(oracle)
-
-
-def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom, monkeypatch):
-    """One decoder pass per FOM field evaluation: one per Newton linearization,
-    which evaluates the FOM once ([f | Df Dd] in one stencil pass), and one for
-    the explicit Euler start.  Nothing bounds the number of iterates."""
-    sys, rom = learned_wave_rom
-    calls = {"decode": 0, "newton": 0, "fom": 0}
-
-    def counted(key, fn):
-        def wrapped(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapped
-
-    rom = dataclasses.replace(rom, decode_jacobian=counted("decode", rom.decode_jacobian))
-    model = dataclasses.replace(sys.second_order)
-    model.linearization = counted("fom", model.linearization)
-    fom = dataclasses.replace(sys, vector_field=counted("fom", sys.vector_field),
-                              second_order=model)
-    monkeypatch.setattr(reduction, "dense_newton",
-                        lambda linearize: counted("newton", dense_newton(linearize)))
-    solve_rom(rom, fom, 0.0, 1.0, 20, tol=1e-10)
-    assert calls["decode"] == calls["newton"] + 1 == calls["fom"]
-
-
-def test_learned_sine_gordon_rom_fused_path_is_bitwise_two_call_path():
-    """A learned (V6) sine-Gordon ROM gives the same trajectory bitwise whether
-    each iterate evaluates the FOM in one stencil pass or as field and Jacobian."""
-    model = sg_build(16, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
-    sys, x0 = sg_system(model), sg_initial(model)
-    states = implicit_midpoint(sys, x0, 0.0, 4.0, 20).states
-    network = build_network(sys.dim, 4, seed=5)
-    trainer = Trainer(network, RunConfig(variant="V6", eta=0.01, seed=5))
-    train_epochwise(trainer, states - x0[:, None], batch_size=8, n_epochs=3,
-                    loss_kind=LossKind.Relative, seed=6)
-    rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
-                    use_ref=True, normalized=True)
-    fused = dataclasses.replace(model)
-    passes = []
-    fused.linearization = lambda *args: passes.append(1) or model.linearization(*args)
-    a = solve_rom(rom, dataclasses.replace(sys, second_order=fused), 0.0, 4.0, 20, tol=1e-10)
-
-    def two_call(t, xi):
-        """Field, then Jacobian: the same two products as the fused pass."""
-        x_full, D = rom.state_and_jacobian(xi)
-        return (_poisson_product(D, model.field(t, x_full)),
-                _poisson_product(D, model.jacobian(t, x_full, D)))
-
-    two_call_sys = OdeSystem(dim=rom.reduced_dim,
-                             vector_field=reduced_vector_field(rom, sys.vector_field),
-                             newton=dense_newton(two_call))
-    b = implicit_midpoint(two_call_sys, rom.x_r0, 0.0, 4.0, 20, tol=1e-10)
-    assert len(passes) >= 20
-    assert np.array_equal(a.states, b.states)
-
-
-def test_learned_rom_decoder_passes_per_solve(learned_wave_rom):
-    """At K = 50 a learned-ROM solve makes at most 2.5 decoder passes per step:
-    the extrapolated start costs none, and the contraction stop skips the
-    confirming iterate (a start from explicit Euler and a stop on ||delta||
-    alone made about 4 per step here)."""
-    sys, rom = learned_wave_rom
-    passes = []
-
-    def counted(xi):
-        passes.append(xi)
-        return rom.decode_jacobian(xi)
-
-    K = 50
-    solve_rom(dataclasses.replace(rom, decode_jacobian=counted), sys, 0.0, 1.0, K, tol=1e-10)
-    assert len(passes) <= 2.5 * K
-
-
-def _learned_sine_gordon_network():
+@pytest.fixture(scope="module")
+def learned_sine_gordon_network():
     """A V6 network trained on a sine-Gordon soliton (N = 16, n = 2), with its
     FOM, initial state and normalized training data."""
     model = sg_build(16, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
@@ -332,33 +232,324 @@ def _learned_sine_gordon_network():
     return sys, x0, network, data
 
 
+def _decode_and_project(rom, sys):
+    """The decode-and-project midpoint that every ROM ran before the projected
+    system, kept as an oracle: at x = x_ref + d(xi) the reduced field
+    -J_2n Dd^T J_2d f(x) and its Gauss-Newton matrix -J_2n Dd^T J_2d Df(x) Dd,
+    from dense J products, solved by dense Newton.  Returns the system and its
+    linearization (t, xi) -> (field, matrix)."""
+    model = sys.second_order
+    J2d, J2n = _dense_j(model.d), _dense_j(rom.reduced_dim // 2)
+
+    def linearize(t, xi):
+        x, D = rom.state_and_jacobian(xi)
+        rows = -J2n @ D.T @ J2d
+        return rows @ model.field(t, x), rows @ model.jacobian(t, x, D)
+
+    system = OdeSystem(dim=rom.reduced_dim, vector_field=lambda t, xi: linearize(t, xi)[0],
+                       newton=dense_newton(linearize))
+    return system, linearize
+
+
+def _separable_force(model, X, x_ref, post=None):
+    """(c_q, X^T S X, force) of the separable ROM written out:
+    eta_q' = c_q + eta_p with c_q = X^T p_ref, and eta_p' = force(t, xi_q) =
+    -X^T S (q_ref + X xi_q) - X^T (V'(q) - b(t)) - grad V_post(xi_q), where
+    V_post = 1/2 ||r||^2, r = (I - X X^T)(p_ref + K^T (a tanh(K X xi_q + b))) for
+    a learned decoder's post-expand layer (K, a, b)."""
+    d = X.shape[0]
+    x_ref = np.zeros(2 * d) if x_ref is None else x_ref
+    XtSX = X.T @ model.S(X)
+    c_q, c_p = X.T @ x_ref[d:], -(X.T @ model.S(x_ref[:d]))
+    ends = X[[0, -1]].T
+
+    def force(t, xi_q):
+        f_p = c_p - XtSX @ xi_q
+        if model.potential is not None:
+            f_p -= X.T @ model.potential[0](x_ref[:d] + X @ xi_q) - ends @ model.ends(t)
+        if post is not None:
+            B = post.K @ X
+            s = np.tanh(B @ xi_q + post.b)
+            g = post.K.T @ (post.a * s)
+            r = (x_ref[d:] - X @ c_q) + (g - X @ (X.T @ g))
+            f_p -= B.T @ (post.a * (1.0 - s * s) * (post.K @ r))
+        return f_p
+
+    return c_q, XtSX, force
+
+
+def _shift(layer, states, sign=1.0):
+    """The (2n, m) block of states with sign X^T g(xi_q) added to its p half,
+    X^T g(xi_q) = K^T (a tanh(K xi_q + b)) for the fold's shift layer: eta from
+    xi (sign 1), and xi from eta (sign -1)."""
+    n = states.shape[0] // 2
+    out = states.copy()
+    out[n:] += layer.K.T @ ((sign * layer.a)[:, None]
+                            * np.tanh(layer.K @ states[:n] + layer.b[:, None]))
+    return out
+
+
+def _separable_midpoint(model, rom, t0, t1, K, tol):
+    """The learned ROM's midpoint solve written out, as xi states: eta(0) from
+    xi(0), the separable system of _separable_force with the Newton solve of
+    its Schur complement (I + tau^2/4 T) delta_q = r_q + tau/2 r_p,
+    T = X^T S X + J^T J (+ X^T diag(V''(q)) X) for the Gauss-Newton
+    J = (I - X X^T) K^T diag(a sigma') K X of V_post at xi_q(0), stepped by
+    implicit_midpoint, and xi from eta."""
+    X, post = rom.basis, rom.fold.post
+    d, n = X.shape
+    x_ref = np.zeros(2 * d) if rom.x_ref is None else rom.x_ref
+    eta0 = _shift(rom.fold.shift, rom.x_r0[:, None])[:, 0]
+    c_q, XtSX, force = _separable_force(model, X, x_ref, post)
+    B = post.K @ X
+    s = np.tanh(B @ eta0[:n] + post.b)
+    J = post.K.T @ ((post.a * (1.0 - s * s))[:, None] * B)
+    J -= X @ (X.T @ J)
+    T0 = XtSX + J.T @ J
+
+    def field(t, eta):
+        return np.concatenate([c_q + eta[n:], force(t, eta[:n])])
+
+    def newton(t, eta, tau):
+        T = T0
+        if model.potential is not None:
+            T = T0 + X.T @ (model.potential[1](x_ref[:d] + X @ eta[:n])[:, None] * X)
+        schur = np.eye(n) + 0.25 * tau ** 2 * T
+
+        def solve(r):
+            dq = np.linalg.solve(schur, r[:n] + 0.5 * tau * r[n:])
+            return np.concatenate([dq, r[n:] - 0.5 * tau * (T @ dq)])
+
+        return field(t, eta), solve
+
+    eta = implicit_midpoint(OdeSystem(dim=2 * n, vector_field=field, newton=newton),
+                            eta0, t0, t1, K, tol=tol)
+    return _shift(rom.fold.shift, eta.states, -1.0)
+
+
+def _learned_system(rom, sys):
+    """The learned ROM's separable system in eta, as solve_rom builds it, and eta(0)."""
+    n = rom.reduced_dim // 2
+    eta0 = rom.fold.shift.forward(rom.x_r0[:, None])[0][:, 0]
+    return projected_system(sys.second_order, rom.basis, rom.x_ref, rom.fold.post, eta0[:n]), eta0
+
+
+def _newton_matrix(system, t, x, h):
+    """M of a Newton hook whose solve applies (I - h/2 M)^{-1}, from its solves."""
+    solve = system.newton(t, x, h)[1]
+    inverse = np.column_stack([solve(e) for e in np.eye(len(x))])
+    return (2.0 / h) * (np.eye(len(x)) - np.linalg.inv(inverse))
+
+
+def test_reduced_jacobian_psd_matches_fd():
+    """Linear PSD decoder on sine-Gordon: the projected system's Newton matrix
+    is the exact Jacobian of the reduced field."""
+    model = sg_build(20, 0.3, -10.0, 10.0, SgKind.SingleSoliton)
+    sys, x0 = sg_system(model), sg_initial(model)
+    fom = implicit_midpoint(sys, x0, 0.0, 1.0, 10)
+    encode, decode, jacobian = psd_maps(psd_cotangent_lift(fom.states, 3))
+    rom = build_rom(encode, decode, jacobian, x0, use_ref=False, normalized=False)
+    field = reduced_vector_field(rom, sys.vector_field)
+    projected = projected_system(model, rom.basis, rom.x_ref)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        xi = rom.x_r0 + 0.5 * rng.standard_normal(6)
+        fd = _fd_jacobian(field, 0.3, xi)
+        M = _newton_matrix(projected, 0.3, xi, 0.05)
+        assert np.linalg.norm(M - fd) < 1e-6 * np.linalg.norm(fd)
+
+
+def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
+    """The learned ROM's Newton matrix in eta is J_2n blockdiag(T_0, I) with
+    T_0 = X^T S X + G^T (I - X X^T) G from dense products: S from the FOM's
+    dense Jacobian and G = dp/dxi_q, the lower-left block of the decoder
+    Jacobian at xi_q(0), so G^T (I - X X^T) G is V_post's Gauss-Newton Hessian."""
+    sys, rom = learned_wave_rom
+    model, X, n = sys.second_order, rom.basis, 2
+    d = model.d
+    S = -model.jacobian(0.0, np.zeros(sys.dim), np.eye(sys.dim))[d:, :d]
+    G = rom.decode_jacobian(rom.x_r0)[1][d:, :n]
+    T0 = X.T @ S @ X + G.T @ (np.eye(d) - X @ X.T) @ G
+    oracle = _dense_j(n) @ np.block([[T0, np.zeros((n, n))], [np.zeros((n, n)), np.eye(n)]])
+    projected, eta0 = _learned_system(rom, sys)
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        eta = eta0 + rng.standard_normal(2 * n)
+        M = _newton_matrix(projected, 0.0, eta, 0.05)
+        assert np.linalg.norm(M - oracle) < 1e-12 * np.linalg.norm(oracle)
+
+
+def test_learned_rom_decoder_passes_per_solve(learned_wave_rom):
+    """A learned ROM of 'P' layers makes no decoder pass and no FOM call: by
+    Störmer–Verlet and by the Newton midpoint, solve_rom never calls decode,
+    decode_jacobian, the FOM field or its Jacobian.  At K = 50 the midpoint
+    makes at most 2.5 Newton iterates per step: the extrapolated start costs
+    none, and the contraction stop skips the confirming iterate."""
+    sys, rom = learned_wave_rom
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapped
+
+    counted_rom = dataclasses.replace(rom, decode=counted(rom.decode),
+                                      decode_jacobian=counted(rom.decode_jacobian))
+    model = dataclasses.replace(sys.second_order)
+    model.field, model.jacobian = counted(model.field), counted(model.jacobian)
+    fom = dataclasses.replace(sys, vector_field=counted(sys.vector_field), second_order=model)
+    projected, eta0 = _learned_system(rom, sys)
+    for t1, explicit in ((1.0, True), (4.0, False)):
+        assert (projected.step(0.0, t1 / 20) is not None) == explicit
+        solve_rom(counted_rom, fom, 0.0, t1, 20, tol=1e-10)
+    assert calls == []
+    K = 50
+    newton = counted(projected.newton)
+    implicit_midpoint(dataclasses.replace(projected, step=None, newton=newton), eta0,
+                      0.0, 1.0, K, tol=1e-10)
+    assert K <= len(calls) <= 2.5 * K
+
+
+def _untrained_wave_rom():
+    """An untrained build_network decoder (N = 16, n = 4) as a reference-state wave ROM."""
+    sys, x0 = wave_system(wave_build(16, 0.5)), wave_initial(16, 0.5)
+    network = build_network(sys.dim, 8, seed=7)
+    return sys, build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
+                          use_ref=True, normalized=True)
+
+
+def _learned_case(case, sg_network):
+    """(FOM, learned ROM, t1) of an untrained wave decoder or the V6 sine-Gordon one."""
+    if case == "untrained_wave":
+        return (*_untrained_wave_rom(), 1.0)
+    sys, x0, network, _ = sg_network
+    return sys, build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
+                          use_ref=True, normalized=True), 4.0
+
+
+LEARNED_CASES = ["untrained_wave", "v6_sine_gordon"]
+
+
+@pytest.mark.parametrize("case", LEARNED_CASES)
+def test_learned_hamiltonian_is_separable_in_eta(case, learned_sine_gordon_network):
+    """H(x_ref + d(xi)) = 1/2 ||c_q + eta_p||^2 + U(q_ref + X xi_q) + V_post(xi_q)
+    with U(q) = 1/2 q.S q + sum V(q) - b(t).q, and p = X (c_q + eta_p) +
+    (I - X X^T)(p_ref + g_post); the learned system's field is J grad_eta of
+    H(x_ref + d(xi(eta))), by central differences."""
+    sys, rom, _ = _learned_case(case, learned_sine_gordon_network)
+    model, X, x_ref, fold = sys.second_order, rom.basis, rom.x_ref, rom.fold
+    d, n = X.shape
+    t = 0.3
+
+    def energy(x):
+        q, p = x[:d], x[d:]
+        H = 0.5 * p @ p + 0.5 * q @ model.S(q)
+        if model.potential is not None:     # sine-Gordon: V = 1 - cos q
+            b0, b1 = model.ends(t)
+            H += np.sum(1.0 - np.cos(q)) - b0 * q[0] - b1 * q[-1]
+        return H
+
+    c_q = X.T @ x_ref[d:]
+    projected = projected_system(model, X, x_ref, fold.post)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        xi = rom.x_r0 + 0.3 * rng.standard_normal(2 * n)
+        eta = _shift(fold.shift, xi[:, None])[:, 0]
+        q = x_ref[:d] + X @ xi[:n]
+        g_post = fold.post.K.T @ (fold.post.a * np.tanh(fold.post.K @ (X @ xi[:n]) + fold.post.b))
+        r = x_ref[d:] + g_post
+        r -= X @ (X.T @ r)
+        x = x_ref + rom.decode(xi)
+        assert _rel(x, np.concatenate([q, X @ (c_q + eta[n:]) + r])) <= 1e-12
+        H = energy(x)
+        separable = (0.5 * np.sum((c_q + eta[n:]) ** 2)
+                     + energy(np.concatenate([q, np.zeros(d)])) + 0.5 * r @ r)
+        assert abs(H - separable) <= 1e-12 * max(1.0, abs(H))
+
+        def H_eta(e):
+            return energy(x_ref + rom.decode(_shift(fold.shift, e[:, None], -1.0)[:, 0]))
+
+        eps = 1e-6
+        grad = np.array([(H_eta(eta + eps * e) - H_eta(eta - eps * e)) / (2 * eps)
+                         for e in np.eye(2 * n)])
+        assert _rel(projected.vector_field(t, eta),
+                    np.concatenate([grad[n:], -grad[:n]])) <= 1e-6
+
+
+@pytest.mark.parametrize("case", LEARNED_CASES)
+def test_eta_is_a_symplectic_change_of_variables(case, learned_sine_gordon_network):
+    """The Jacobian M of xi -> (xi_q, eta_p), the shift layer's jet, satisfies
+    M^T J M = J to 1e-12 and matches central differences; xi -> eta -> xi
+    round-trips to rounding."""
+    sys, rom, _ = _learned_case(case, learned_sine_gordon_network)
+    shift, dim = rom.fold.shift, rom.reduced_dim
+    J = _dense_j(dim // 2)
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        xi = rom.x_r0 + rng.standard_normal(dim)
+        M = shift.differential(np.hstack([xi[:, None], np.eye(dim)]))[:, 1:]
+        assert np.linalg.norm(M.T @ J @ M - J) <= 1e-12
+        fd = _fd_jacobian(lambda t, v: _shift(shift, v[:, None])[:, 0], 0.0, xi)
+        assert np.linalg.norm(M - fd) <= 1e-6 * np.linalg.norm(M)
+    block = rom.x_r0[:, None] + rng.standard_normal((dim, 7))
+    assert _rel(_shift(shift, _shift(shift, block), -1.0), block) <= 1e-15
+
+
+STEPS = {"midpoint": 10, "verlet": 50}
+
+
+@pytest.mark.parametrize("path", list(STEPS))
+@pytest.mark.parametrize("case", LEARNED_CASES)
+def test_learned_solve_is_the_separable_loop(case, path, learned_sine_gordon_network):
+    """solve_rom of a learned ROM is, bitwise, the separable solve written out
+    here: the Newton midpoint of _separable_midpoint above the bound, and below
+    it the kick-drift-kick loop in eta, both converted back to xi."""
+    sys, rom, t1 = _learned_case(case, learned_sine_gordon_network)
+    model, K = sys.second_order, STEPS[path]
+    omega = max_frequency(model, rom.basis, rom.x_ref, rom.fold.post)
+    assert (omega * t1 / K <= VERLET_BOUND) == (path == "verlet")
+    got = solve_rom(rom, sys, 0.0, t1, K, tol=1e-10).states
+    if path == "midpoint":
+        want = _separable_midpoint(model, rom, 0.0, t1, K, 1e-10)
+    else:
+        eta0 = _shift(rom.fold.shift, rom.x_r0[:, None])[:, 0]
+        eta = _kick_drift_kick_loop(model, rom.basis, rom.x_ref, eta0, 0.0, t1, K, rom.fold.post)
+        want = _shift(rom.fold.shift, eta, -1.0)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("case", ["wave", "sine_gordon"])
-def test_folded_learned_rom_matches_the_per_layer_jet_rom(case, learned_wave_network):
+def test_folded_learned_rom_matches_the_per_layer_jet_rom(case, learned_wave_network,
+                                                         learned_sine_gordon_network):
     """build_rom folds a Network's decoder; a decoder Jacobian that is not a
-    Network's bound method keeps the per-layer jet.  Both ROMs give the same
-    trajectory to 1e-12 with the same number of decoder passes."""
+    Network's bound method keeps the per-layer jet, and solve_rom decodes and
+    projects it on every field call.  Both reconstruct x_ref to 1e-14.  Over a
+    horizon where the folded ROM keeps the Newton midpoint, its e_red is within
+    1e-5 of the decode-and-project midpoint's (midpoint is not invariant under
+    the change to eta), and the generic ROM is that midpoint to 1e-8."""
     sys, x0, network, _ = (learned_wave_network if case == "wave"
-                           else _learned_sine_gordon_network())
+                           else learned_sine_gordon_network)
+    t1, K = {"wave": 4.0, "sine_gordon": 8.0}[case], 20
     folded = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
                        use_ref=True, normalized=True)
     generic = build_rom(network.encode, network.decode,
                         lambda xi: network.decoder_jacobian(xi), x0,
                         use_ref=True, normalized=True)
     assert generic.decode == network.decode and folded.decode != network.decode
+    assert generic.fold is None and folded.fold.post is not None
     assert _rel(folded.x_ref, generic.x_ref) <= 1e-14
-    trajectories, passes = [], []
-    for rom in (folded, generic):
-        counted = []
-
-        def decode_jacobian(xi, inner=rom.decode_jacobian):
-            counted.append(xi)
-            return inner(xi)
-
-        rom = dataclasses.replace(rom, decode_jacobian=decode_jacobian)
-        trajectories.append(solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10).states)
-        passes.append(len(counted))
-    assert passes[0] == passes[1] >= 20
-    assert _rel(trajectories[0], trajectories[1]) <= 1e-12
+    omega = max_frequency(sys.second_order, folded.basis, folded.x_ref, folded.fold.post)
+    assert omega * t1 / K > VERLET_BOUND
+    fom = implicit_midpoint(sys, x0, 0.0, t1, K)
+    oracle = implicit_midpoint(_decode_and_project(generic, sys)[0], generic.x_r0, 0.0, t1, K,
+                               tol=1e-10)
+    a = solve_rom(folded, sys, 0.0, t1, K, tol=1e-10)
+    b = solve_rom(generic, sys, 0.0, t1, K, tol=1e-10)
+    e_folded, e_oracle = (reduction_error("with_ref", fom, rom, traj)
+                          for rom, traj in ((folded, a), (generic, oracle)))
+    assert abs(e_folded - e_oracle) <= 1e-5, (e_folded, e_oracle)
+    assert _rel(b.states, oracle.states) <= 1e-8
 
 
 def test_learned_rom_binds_the_decoder_weights_at_build(learned_wave_network):
@@ -369,11 +560,13 @@ def test_learned_rom_binds_the_decoder_weights_at_build(learned_wave_network):
                     use_ref=True, normalized=True)
     xi = rom.x_r0 + 0.1
     before = rom.decode_jacobian(xi)
+    post, shift = rom.fold.post.K.copy(), rom.fold.shift.K.copy()
     trainer = Trainer(network, RunConfig(variant="V5", eta=0.01, seed=3))
     for start in (0, 8):
         trainer.train_batch(LossKind.ScaledMSE, data[:, start:start + 8])
     after = rom.decode_jacobian(xi)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert np.array_equal(rom.fold.post.K, post) and np.array_equal(rom.fold.shift.K, shift)
     assert not np.array_equal(network.decoder_jacobian(xi)[1], before[1])
 
 
@@ -383,9 +576,10 @@ def _sg_fom():
 
 
 def _learned_rom_system(learned_wave_rom):
-    """The learned ROM as solve_rom runs it, with its Newton hook exposed."""
+    """The learned ROM's Newton midpoint as solve_rom runs it, in eta."""
     sys, rom = learned_wave_rom
-    return _generic_system(rom, sys), rom.x_r0
+    projected, eta0 = _learned_system(rom, sys)
+    return dataclasses.replace(projected, step=None), eta0
 
 
 def _plain_iterates(sys, X, k, t0, h, tol):
@@ -424,12 +618,6 @@ def test_contraction_stop_takes_no_more_iterates(case, learned_wave_rom):
     assert np.all(per_step >= 1) and np.all(per_step <= plain), (per_step, plain)
     tight = implicit_midpoint(sys, x0, t0, t1, K, tol=1e-13)
     assert _rel(traj.states, tight.states) <= 1e-9
-
-
-def _generic_system(rom, sys):
-    """The ROM as every decoder runs it: decode xi, call the FOM, project back."""
-    return OdeSystem(dim=rom.reduced_dim, vector_field=reduced_vector_field(rom, sys.vector_field),
-                     newton=dense_newton(reduced_linearization(rom, sys)))
 
 
 def _sg_psd_rom(kind, use_ref=False):
@@ -472,31 +660,31 @@ def _rel(a, b):
 
 @pytest.mark.parametrize("learned", [False, True])
 def test_solve_rom_equals_default_dense_newton(learned, learned_wave_rom):
-    """solve_rom matches the integrator's default dense Newton built from the
-    reduced field and a reduced Jacobian written here, bitwise for the learned
-    ROM.  The PSD ROM's projected system, through its Newton midpoint path
-    (solve_rom takes Störmer–Verlet here), agrees with the generic
-    decode-and-project system to rounding."""
+    """The projected system, through its Newton midpoint path (solve_rom takes
+    Störmer–Verlet for these ROMs at K = 20 over [0, 1]), agrees to rounding
+    with the integrator's default dense Newton: for the PSD ROM on the generic
+    decode-and-project system, for the learned ROM on its own separable field
+    in eta with the dense Newton matrix J_2n blockdiag(T_0, I).  Over [0, 4]
+    the learned ROM keeps the midpoint, and solve_rom is the separable
+    midpoint written out here, bitwise."""
     if not learned:
         sys, rom = _sg_psd_rom(SgKind.SingleSoliton)
         projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
         a = implicit_midpoint(dataclasses.replace(projected, step=None), rom.x_r0, 0.0, 1.0, 20,
                               tol=1e-10)
-        b = implicit_midpoint(_generic_system(rom, sys), rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
+        b = implicit_midpoint(_decode_and_project(rom, sys)[0], rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
         assert _rel(a.states, b.states) <= 1e-12
         return
     sys, rom = learned_wave_rom
-
-    def reduced_jac(t, xi, V):
-        x_full, D = rom.state_and_jacobian(xi)
-        return _poisson_product(D, sys.second_order.jacobian(t, x_full, D)) @ V
-
-    field = reduced_vector_field(rom, sys.vector_field)
-    default = OdeSystem(dim=rom.reduced_dim, vector_field=field, newton=dense_newton(
-        lambda t, xi: (field(t, xi), reduced_jac(t, xi, np.eye(len(xi))))))
-    a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
-    b = implicit_midpoint(default, rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
-    assert np.array_equal(a.states, b.states)
+    projected, eta0 = _learned_system(rom, sys)
+    M = _newton_matrix(projected, 0.0, eta0, 0.05)
+    default = OdeSystem(dim=rom.reduced_dim, vector_field=projected.vector_field,
+                        newton=dense_newton(lambda t, eta: (projected.vector_field(t, eta), M)))
+    a = implicit_midpoint(dataclasses.replace(projected, step=None), eta0, 0.0, 1.0, 20, tol=1e-10)
+    b = implicit_midpoint(default, eta0, 0.0, 1.0, 20, tol=1e-10)
+    assert _rel(a.states, b.states) <= 1e-12
+    assert np.array_equal(solve_rom(rom, sys, 0.0, 4.0, 20, tol=1e-10).states,
+                          _separable_midpoint(sys.second_order, rom, 0.0, 4.0, 20, 1e-10))
 
 
 PROJECTED_CASES = {"sg_single": lambda: _sg_psd_rom(SgKind.SingleSoliton),
@@ -518,7 +706,7 @@ def test_projected_system_matches_generic_rom(case):
     assert rom.basis is not None and sys.second_order is not None
     projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
     field = reduced_vector_field(rom, sys.vector_field)
-    linearize = reduced_linearization(rom, sys)
+    generic, linearize = _decode_and_project(rom, sys)
     rng = np.random.default_rng(15)
     h, dim = 0.05, rom.reduced_dim
     for _ in range(10):
@@ -536,7 +724,7 @@ def test_projected_system_matches_generic_rom(case):
     else:
         a = implicit_midpoint(dataclasses.replace(projected, step=None), rom.x_r0, 0.0, 1.0, 20,
                               tol=1e-10)
-    b = implicit_midpoint(_generic_system(rom, sys), rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
+    b = implicit_midpoint(generic, rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
     assert _rel(a.states, b.states) <= 1e-12
 
 
@@ -585,20 +773,11 @@ def test_projected_wave_rom_conserves_the_hamiltonian():
     assert np.max(np.abs(H - H[0])) <= 1e-12 * abs(H[0])
 
 
-def _kick_drift_kick_loop(model, X, x_ref, x0, t0, t1, K):
-    """The PSD ROM's Störmer–Verlet solve written out: the Galerkin terms of
-    projected_system, one force per step, the end-of-step force reused."""
-    d, n = X.shape
-    x_ref = np.zeros(2 * d) if x_ref is None else x_ref
-    XtSX = X.T @ model.S(X)
-    c_q, c_p = X.T @ x_ref[d:], -(X.T @ model.S(x_ref[:d]))
-    ends = X[[0, -1]].T
-
-    def force(t, xi_q):
-        f_p = c_p - XtSX @ xi_q
-        f_p -= X.T @ np.sin(x_ref[:d] + X @ xi_q) - ends @ model.ends(t)
-        return f_p
-
+def _kick_drift_kick_loop(model, X, x_ref, x0, t0, t1, K, post=None):
+    """The separable ROM's Störmer–Verlet solve written out: the force of
+    _separable_force, one per step, the end-of-step force reused."""
+    n = X.shape[1]
+    c_q, _, force = _separable_force(model, X, x_ref, post)
     h = (t1 - t0) / K
     states = np.empty((2 * n, K + 1))
     states[:, 0] = x0
@@ -722,15 +901,131 @@ def test_kick_drift_kick_non_finite_state_raises():
     assert exc.value.step_index == 0
 
 
+def test_max_frequency_is_the_spectral_radius():
+    """omega_max takes the spectral radius of X^T S X.  With a negative definite
+    X^T S X, sqrt(lambda_max + sup |V''|) would be nan, nan * tau > VERLET_BOUND
+    is False, and Verlet would be taken; the hook declines."""
+    base = sg_build(30, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
+    model = dataclasses.replace(base, diag=-200.0, off=100.0)   # S = -100 tridiag(-1, 2, -1) / h^2
+    X = psd_cotangent_lift(np.random.default_rng(16).standard_normal((60, 12)), 3).data
+    lam = np.linalg.eigvalsh(X.T @ model.S(X))
+    assert lam[-1] < -model.curvature
+    omega = max_frequency(model, X)
+    assert omega == pytest.approx(np.sqrt(-lam[0] + model.curvature), rel=1e-12)
+    assert omega * 0.05 > VERLET_BOUND
+    assert projected_system(model, X).step(0.0, 0.05) is None
+
+
 def test_learned_rom_newton_matrix_matches_fd_path(learned_wave_rom):
-    """Dropping the decoder curvature changes the Newton matrix, not the solution."""
+    """Freezing V_post's Gauss-Newton Hessian at xi_q(0) changes the Newton
+    matrix, not the solution: the learned midpoint matches its separable field
+    solved by finite-difference Newton."""
     sys, rom = learned_wave_rom
-    analytic = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
-    field = reduced_vector_field(rom, sys.vector_field)
-    fd = implicit_midpoint(OdeSystem(dim=rom.reduced_dim, vector_field=field), rom.x_r0,
-                           0.0, 1.0, 20, tol=1e-10)
+    projected, eta0 = _learned_system(rom, sys)
+    analytic = implicit_midpoint(dataclasses.replace(projected, step=None), eta0, 0.0, 1.0, 20,
+                                 tol=1e-10)
+    fd = implicit_midpoint(OdeSystem(dim=rom.reduced_dim, vector_field=projected.vector_field),
+                           eta0, 0.0, 1.0, 20, tol=1e-10)
     scale = np.max(np.abs(fd.states))
     assert np.max(np.abs(analytic.states - fd.states)) <= 1e-8 * scale
+
+
+@pytest.fixture(scope="module")
+def desk_wave_v6(tmp_path_factory):
+    """The desk V6 wave network of the benchmark and demo 02 (N = 32, n = 4,
+    five speeds in [5/12, 2/3], K = 50, 10 epochs, seed 7) and its config."""
+    cfg = RunConfig().apply_variant("V6")
+    cfg.N, cfg.n_range, cfg.params = 32, [4], list(np.linspace(5.0 / 12.0, 2.0 / 3.0, 5))
+    cfg.time_steps, cfg.batch_size, cfg.n_epochs, cfg.eta, cfg.seed = 50, 32, 10, 0.01, 7
+    cfg = cfg.validate()
+    out = tmp_path_factory.mktemp("desk_wave_v6")
+    cli.train_run(cfg, normalize_snapshots(cli.generate_snapshots(cfg)), out)
+    return cfg, cli.load_network(out / "params_n4.npz")
+
+
+def _desk_rom(desk, mu):
+    """FOM, initial state and learned ROM of the desk V6 network at speed mu."""
+    cfg, network = desk
+    sys, x0 = cli.fom_system_for(cfg, mu)
+    return sys, x0, build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
+                              use_ref=True, normalized=True)
+
+
+def test_learned_verlet_error_matches_midpoint(desk_wave_v6):
+    """At mu = 0.44 the desk V6 wave ROM is below the bound and steps by
+    Störmer–Verlet; its e_red is within 1.1x of the same ROM's midpoint e_red."""
+    sys, x0, rom = _desk_rom(desk_wave_v6, 0.44)
+    model = sys.second_order
+    assert max_frequency(model, rom.basis, rom.x_ref, rom.fold.post) / 50 <= VERLET_BOUND
+    fom = implicit_midpoint(sys, x0, 0.0, 1.0, 50)
+    verlet = reduction_error("with_ref", fom, rom, solve_rom(rom, sys, 0.0, 1.0, 50, tol=1e-10))
+    midpoint = reduction_error("with_ref", fom, rom, Trajectory(
+        states=_separable_midpoint(model, rom, 0.0, 1.0, 50, 1e-10), t0=0.0, t1=1.0, K=50))
+    assert verlet <= 1.1 * midpoint, (verlet, midpoint)
+
+
+def test_learned_verlet_hamiltonian_does_not_drift(learned_wave_rom):
+    """At a fixed tau a learned wave ROM below the bound (omega_max tau = 0.16)
+    keeps its reconstructed H: the spread over 10x the horizon is at most 2x
+    the spread over the horizon.  This ROM's X^T S X is positive definite; the
+    desk V6 basis has a negative direction on today's wave stiffness (ROADMAP
+    item 1), so its trajectories grow exponentially under any step."""
+    sys, rom = learned_wave_rom
+    X = rom.basis
+    assert np.linalg.eigvalsh(X.T @ sys.second_order.S(X))[0] > 0
+    assert max_frequency(sys.second_order, X, rom.x_ref, rom.fold.post) / 20 <= VERLET_BOUND
+
+    def spread(t1, K):
+        recon = rom.reconstruct_state(solve_rom(rom, sys, 0.0, t1, K, tol=1e-10).states)
+        H = np.array([sys.hamiltonian(x) for x in recon.T])
+        return (H.max() - H.min()) / abs(H.mean())
+
+    one, ten = spread(1.0, 20), spread(10.0, 200)
+    assert 0 < ten <= 2.0 * one, (one, ten)
+
+
+def test_stiff_untrained_network_keeps_the_newton_midpoint():
+    """An untrained build_network decoder at N = 128 has a random, stiff X
+    (omega_max tau about 2 at K = 50): the hook declines, and solve_rom is the
+    separable midpoint."""
+    sys, x0 = wave_system(wave_build(128, 0.6)), wave_initial(128, 0.6)
+    network = build_network(sys.dim, 8, seed=7)
+    rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
+                    use_ref=True, normalized=True)
+    projected, _ = _learned_system(rom, sys)
+    assert max_frequency(sys.second_order, rom.basis, rom.x_ref, rom.fold.post) / 50 > VERLET_BOUND
+    assert projected.step(0.0, 1.0 / 50) is None
+    assert np.array_equal(solve_rom(rom, sys, 0.0, 1.0, 50, tol=1e-10).states,
+                          _separable_midpoint(sys.second_order, rom, 0.0, 1.0, 50, 1e-10))
+
+
+@pytest.mark.parametrize("scale", [1.0, 300.0])
+def test_post_curvature_bounds_the_hessian_of_v_post(scale, desk_wave_v6):
+    """The state-independent bound on ||Hess V_post|| that max_frequency adds
+    to omega_max^2 is at least the spectral norm of the central-difference
+    Hessian at random xi_q, for the desk V6 post-expand layer and for the same
+    layer with its a scaled up."""
+    sys, _, rom = _desk_rom(desk_wave_v6, 0.55)
+    X, x_ref, post = rom.basis, rom.x_ref, rom.fold.post
+    post = GradientLayer("P", post.K, scale * post.a, post.b)
+    d, n = X.shape
+
+    def V(xi_q):
+        r = x_ref[d:] + post.K.T @ (post.a * np.tanh(post.K @ (X @ xi_q) + post.b))
+        r -= X @ (X.T @ r)
+        return 0.5 * r @ r
+
+    bound = (max_frequency(sys.second_order, X, x_ref, post) ** 2
+             - max_frequency(sys.second_order, X) ** 2)
+    rng, eps, E = np.random.default_rng(19), 1e-3, np.eye(n)
+    worst = 0.0
+    for _ in range(10):
+        xi_q = rom.x_r0[:n] + 3.0 * rng.standard_normal(n)
+        H = np.array([[(V(xi_q + eps * (ei + ej)) - V(xi_q + eps * (ei - ej))
+                        - V(xi_q - eps * (ei - ej)) + V(xi_q - eps * (ei + ej))) / (4 * eps ** 2)
+                       for ej in E] for ei in E])
+        worst = max(worst, np.linalg.norm(H, 2))
+    assert 0 < worst <= bound, (worst, bound)
 
 
 def test_square_rom_reproduces_fom():
