@@ -379,33 +379,44 @@ def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
         assert np.linalg.norm(M - oracle) < 1e-12 * np.linalg.norm(oracle)
 
 
-def test_learned_rom_decoder_passes_per_solve(learned_wave_rom):
-    """A learned ROM of 'P' layers makes no decoder pass and no FOM call: by
-    Störmer–Verlet and by the Newton midpoint, solve_rom never calls decode,
-    decode_jacobian, the FOM field or its Jacobian.  At K = 50 the midpoint
-    makes at most 2.5 Newton iterates per step: the extrapolated start costs
-    none, and the contraction stop skips the confirming iterate."""
-    sys, rom = learned_wave_rom
-    calls = []
-
+def _counter(calls):
+    """A wrapper that appends fn to calls each time the wrapped fn is called."""
     def counted(fn):
         def wrapped(*args):
             calls.append(fn)
             return fn(*args)
         return wrapped
+    return counted
 
+
+def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
+    """A learned ROM of 'P' layers makes no decoder pass and no FOM call: by
+    Störmer–Verlet and by the Newton midpoint, solve_rom never calls decode,
+    decode_jacobian, the FOM field or its Jacobian."""
+    sys, rom = learned_wave_rom
+    calls = []
+    counted = _counter(calls)
     counted_rom = dataclasses.replace(rom, decode=counted(rom.decode),
                                       decode_jacobian=counted(rom.decode_jacobian))
     model = dataclasses.replace(sys.second_order)
     model.field, model.jacobian = counted(model.field), counted(model.jacobian)
     fom = dataclasses.replace(sys, vector_field=counted(sys.vector_field), second_order=model)
-    projected, eta0 = _learned_system(rom, sys)
+    projected, _ = _learned_system(rom, sys)
     for t1, explicit in ((1.0, True), (4.0, False)):
         assert (projected.step(0.0, t1 / 20) is not None) == explicit
         solve_rom(counted_rom, fom, 0.0, t1, 20, tol=1e-10)
     assert calls == []
+
+
+def test_learned_rom_decoder_passes_per_solve(learned_wave_rom):
+    """At K = 50 the learned ROM's Newton midpoint makes at most 2.5 Newton
+    iterates per step: the extrapolated start costs none, and the contraction
+    stop skips the confirming iterate."""
+    sys, rom = learned_wave_rom
+    calls = []
     K = 50
-    newton = counted(projected.newton)
+    projected, eta0 = _learned_system(rom, sys)
+    newton = _counter(calls)(projected.newton)
     implicit_midpoint(dataclasses.replace(projected, step=None, newton=newton), eta0,
                       0.0, 1.0, K, tol=1e-10)
     assert K <= len(calls) <= 2.5 * K
