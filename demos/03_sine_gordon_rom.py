@@ -57,7 +57,7 @@ def main():
 
         (rom, reduced), rom_s = best_of(rom_solve)
         err = reduction_error("no_ref", fom, rom, reduced)
-        explicit = projected_system(model, rom.basis, rom.x_ref).step(0.0, tau) is not None
+        explicit = projected_system(model, rom.basis, rom.x_ref).step(0.0, tau, K) is not None
         print(f"n = {n:2d}: omega_max tau {max_frequency(model, rom.basis) * tau:.3f} "
               f"({'Stormer-Verlet' if explicit else 'midpoint'}), reduction error {err:.2e}, "
               f"FOM {fom_s:.4f} s, ROM {rom_s:.4f} s, FOM/ROM {fom_s / rom_s:.2f}x")

@@ -6,10 +6,11 @@ iteration.  Each Newton iterate linearizes the system once: ``newton(t, x, h)``
 returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r.  A structured FOM
 supplies its own (O(dim) per solve); without one the solve is dense, with a
 finite-difference Df.  A system may instead supply the whole step,
-``step(t0, h) -> (x_k -> x_{k+1})``, set up once per solve and taken without
-Newton, or decline it by returning None.  The wave factors its tridiagonal
-Schur matrix once; a non-stiff separable ROM (the sine-Gordon PSD ROM, a
-learned ROM) takes `kick_drift_kick`.
+``step(t0, h, K) -> (x_k -> x_{k+1})``, set up once per solve of K steps and
+taken without Newton, or decline it by returning None.  The wave factors its
+tridiagonal Schur matrix once; a non-stiff separable ROM (the sine-Gordon PSD
+ROM, a learned ROM) takes `kick_drift_kick`, with any time-dependent force
+tabulated at the K + 1 step times once.
 
 Newton starts step 0 from explicit Euler and every later step from the linear
 extrapolation 2 x_k - x_{k-1}, which costs no field call.  A step is accepted
@@ -38,7 +39,7 @@ class OdeSystem:
     hamiltonian: Optional[Callable] = None
     newton: Optional[Callable] = None  # (t, x, h) -> (f(t, x), r -> (I - h/2 Df(x))^{-1} r)
     second_order: Optional[object] = None  # the FOM's models.SecondOrder, which every ROM needs
-    step: Optional[Callable] = None    # (t0, h) -> (x_k -> x_{k+1}), or None for Newton
+    step: Optional[Callable] = None    # (t0, h, K) -> (x_k -> x_{k+1}), or None for Newton
     linear_matrix = None   # not a field: the benchmark's step counter still reads it
 
 
@@ -72,13 +73,15 @@ def dense_newton(linearize):
     return newton
 
 
-def kick_drift_kick(c, force, t0, h):
+def kick_drift_kick(c, force, h):
     """The Störmer–Verlet step x_k -> x_{k+1} at step size h of the separable
-    system q' = c + p, p' = force(t, q) on x = [q; p], t_k = t0 + k h:
+    system q' = c + p, p' = F(t, q) on x = [q; p], t_k = t0 + k h, where
+    force(k, q) = F(t_k, q) takes the step index, so a time-dependent force can
+    read a table made once per solve:
 
-        p_{k+1/2} = p_k + h/2 force(t_k, q_k),
+        p_{k+1/2} = p_k + h/2 force(k, q_k),
         q_{k+1} = q_k + h (c + p_{k+1/2}),
-        p_{k+1} = p_{k+1/2} + h/2 force(t_{k+1}, q_{k+1}).
+        p_{k+1} = p_{k+1/2} + h/2 force(k + 1, q_{k+1}).
 
     Explicit, second order and symplectic (Hairer, Lubich & Wanner, Geometric
     Numerical Integration, 2006, I.3 and VI.3).  The end-of-step force is the
@@ -87,16 +90,16 @@ def kick_drift_kick(c, force, t0, h):
     state is an IntegrationFailureError naming the step.
     """
     n, half = len(c), 0.5 * h
-    k, a = 0, None      # the step about to be taken and force(t_k, q_k)
+    k, a = 0, None      # the step about to be taken and force(k, q_k)
 
     def advance(x):
         nonlocal k, a
         q, p = x[:n], x[n:]
         if k == 0:
-            a = force(t0, q)
+            a = force(0, q)
         p_half = p + half * a
         q_new = q + h * (c + p_half)
-        a = force(t0 + (k + 1) * h, q_new)
+        a = force(k + 1, q_new)
         x_new = np.concatenate([q_new, p_half + half * a])
         if not np.isfinite(x_new).all():
             raise IntegrationFailureError(k, f"non-finite state at step {k}")
@@ -119,7 +122,7 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     X[:, 0] = x0
 
     try:
-        advance = sys.step and sys.step(t0, h)   # set up once for the whole solve
+        advance = sys.step and sys.step(t0, h, K)   # set up once for the whole solve
     except np.linalg.LinAlgError:
         raise IntegrationFailureError(0, "singular Newton matrix at step 0") from None
     if advance is not None:

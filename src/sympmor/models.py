@@ -30,7 +30,8 @@ class SecondOrder:
     S's bands: arrays of length d and d - 1, or numbers for a uniform band.  A
     nonlinear testbed sets potential to the pointwise (V', V''), curvature to
     sup |V''| where it is bounded, and defines ends(t) -> (b_0, b_{d-1}), the
-    forcing on the two end nodes (b is zero elsewhere).
+    forcing on the two end nodes (b is zero elsewhere), and for an array of m
+    times their (m, 2) table.
     """
     N: int
     diag: object
@@ -70,9 +71,10 @@ class SecondOrder:
         q, p = x[:self.d], x[self.d:]
         return float(0.5 * self.h * (q @ self.S(q)) + 0.5 * self.h * (p @ p))
 
-    def midpoint_step(self, t0, tau):
+    def midpoint_step(self, t0, tau, K):
         """The implicit midpoint step x_k -> x_{k+1} at step size tau of a model
-        without a potential, q' = p, p' = -S q, for a solve from any t0.
+        without a potential, q' = p, p' = -S q, for a solve of any K steps from
+        any t0.
 
         With sigma = tau/2 S, eliminating p_{k+1} leaves the Schur system
         (I/tau + sigma/2) dq = p_k - sigma q_k for the increment dq = q_{k+1} - q_k,
@@ -218,7 +220,12 @@ class SineGordonModel(SecondOrder):
         return sg_exact(self.bc, self.nu, t, np.array([self.a, self.b]))
 
     def ends(self, t):
-        return self.boundary(t)[0] / self.h ** 2
+        """u at both ends over h^2 at a time t, or for an array of m times their
+        (m, 2) table from one sg_exact call, row by row bitwise the same."""
+        if np.ndim(t) == 0:
+            return self.boundary(t)[0] / self.h ** 2
+        u, _ = sg_exact(self.bc, self.nu, np.asarray(t)[:, None], np.array([self.a, self.b]))
+        return u / self.h ** 2
 
     def hamiltonian(self, x, t):
         """The discrete Hamiltonian at time t, with the boundary contributions of t."""
@@ -241,7 +248,8 @@ def sg_build(N, nu, a, b, bc):
 
 
 def sg_exact(bc, nu, t, xi):
-    """Closed-form solution (u, u_t) of the sine-Gordon equation."""
+    """Closed-form solution (u, u_t) of the sine-Gordon equation at t and xi,
+    broadcast against each other."""
     if abs(nu) >= 1:
         raise DimensionError("need |nu| < 1")
     xi = np.asarray(xi, dtype=float)

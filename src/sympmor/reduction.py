@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import blas
 from .errors import DimensionError, SympmorError, UnsplitSystemError
 from .integrators import OdeSystem, implicit_midpoint, kick_drift_kick
 from .network import FoldedDecoder, GradientLayer, Network, PSDLayer
@@ -207,12 +208,13 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
     = r_q + tau/2 r_p, then delta_p = r_p - tau/2 T delta_q, with T = X^T S X +
     X^T diag(V''(q)) X (symmetric: midpoint keeps a quadratic H) plus the
     Gauss-Newton Hessian J^T J of V_post at xi_q0, formed once (a simplified
-    Newton; the residual stays exact).  Without a potential T and its Schur
-    matrix are formed once per step size.  The system is separable, so with a
-    potential or a learned term its step hook supplies
-    `integrators.kick_drift_kick`, one force per step and no Newton, where
-    omega_max tau <= VERLET_BOUND (`max_frequency`, once per solve); above
-    the bound, and for a PSD ROM without a potential, it declines.
+    Newton; the residual stays exact).  Without a potential T is constant and
+    its Schur matrix is LU-factored once per step size (`blas.lu_factor`).
+    The system is separable, so with a potential or a learned term its step
+    hook supplies `integrators.kick_drift_kick`, one force per step and no
+    Newton, where omega_max tau <= VERLET_BOUND (`max_frequency`, once per
+    solve), and tabulates the end forcing b(t) at the K + 1 step times once;
+    above the bound, and for a PSD ROM without a potential, it declines.
     """
     d, n = X.shape
     if d != model.d:
@@ -239,12 +241,13 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
         J -= X @ (X.T @ J)
         T0 = XtSX + J.T @ J
 
-    def force(t, xi_q):
-        """(xi_p', q) at xi_q; q = q_ref + X xi_q is None without a potential."""
+    def force(xi_q, b):
+        """(xi_p', q) at xi_q under the end forcing b = model.ends(t); q = q_ref +
+        X xi_q, and b, are None without a potential."""
         f_p, q = c_p - XtSX @ xi_q, None
         if model.potential is not None:
             q = q_ref + X @ xi_q
-            f_p -= X.T @ model.potential[0](q) - ends @ model.ends(t)
+            f_p -= X.T @ model.potential[0](q) - ends @ b
         if post is not None:
             f_p -= post_force(xi_q)
         return f_p, q
@@ -253,32 +256,35 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
         """(reduced field, q) at xi."""
         if len(xi) != 2 * n:
             raise DimensionError(f"reduced state must have length {2 * n}")
-        f_p, q = force(t, xi[:n])
+        f_p, q = force(xi[:n], None if model.potential is None else model.ends(t))
         return np.concatenate([c_q + xi[n:], f_p]), q
 
     @functools.lru_cache(maxsize=1)
     def constant_schur(tau):
-        return np.eye(n) + 0.25 * tau ** 2 * T0
+        return blas.lu_factor(np.eye(n) + 0.25 * tau ** 2 * T0)
 
     def newton(t, xi, tau):
         f, q = field_at(t, xi)
         if q is None:
-            T, schur = T0, constant_schur(tau)
+            T, schur_solve = T0, constant_schur(tau)
         else:
             T = T0 + X.T @ (model.potential[1](q)[:, None] * X)
-            schur = np.eye(n) + 0.25 * tau ** 2 * T
+            schur_solve = functools.partial(np.linalg.solve, np.eye(n) + 0.25 * tau ** 2 * T)
 
         def solve(r):
-            dq = np.linalg.solve(schur, r[:n] + 0.5 * tau * r[n:])
+            dq = schur_solve(r[:n] + 0.5 * tau * r[n:])
             return np.concatenate([dq, r[n:] - 0.5 * tau * (T @ dq)])
 
         return f, solve
 
-    def verlet(t0, tau):
+    def verlet(t0, tau, K):
         omega = _max_frequency(model, X, XtSX, x_ref, post)
         if omega is None or omega * tau > VERLET_BOUND:
             return None
-        return kick_drift_kick(c_q, lambda t, xi_q: force(t, xi_q)[0], t0, tau)
+        # b(t_k) for t_k = t0 + k tau; Trajectory.times ends at t1 exactly and can round apart
+        table = ([None] * (K + 1) if model.potential is None
+                 else model.ends(t0 + tau * np.arange(K + 1)))
+        return kick_drift_kick(c_q, lambda k, xi_q: force(xi_q, table[k])[0], tau)
 
     return OdeSystem(dim=2 * n, vector_field=lambda t, xi: field_at(t, xi)[0], newton=newton,
                      step=None if model.potential is None and post is None else verlet)

@@ -197,7 +197,7 @@ def test_kick_drift_kick_names_the_non_finite_step():
     """A force that turns NaN at t = 0.4 fails the step that ends there (k = 3),
     through the step hook of implicit_midpoint."""
     force = lambda t, q: np.full(1, np.nan) if t > 0.35 else -q
-    step = lambda t0, h: kick_drift_kick(np.zeros(1), force, t0, h)
+    step = lambda t0, h, K: kick_drift_kick(np.zeros(1), lambda k, q: force(t0 + k * h, q), h)
     sys = OdeSystem(2, lambda t, x: x, step=step)
     with pytest.raises(IntegrationFailureError, match="non-finite state at step 3") as exc:
         implicit_midpoint(sys, np.array([1.0, 0.0]), 0.0, 1.0, 10)
@@ -207,6 +207,6 @@ def test_kick_drift_kick_names_the_non_finite_step():
 def test_declined_step_takes_the_newton_midpoint():
     """A step hook that returns None leaves the solve to Newton, bitwise."""
     sys = oscillator()
-    declined = dataclasses.replace(sys, step=lambda t0, h: None)
+    declined = dataclasses.replace(sys, step=lambda t0, h, K: None)
     assert np.array_equal(implicit_midpoint(declined, np.array([1.0, 0.0]), 0.0, 1.0, 10).states,
                           implicit_midpoint(sys, np.array([1.0, 0.0]), 0.0, 1.0, 10).states)

@@ -345,6 +345,20 @@ def test_sg_boundary_values_match_single_point_calls():
             assert np.allclose(u_t, [s[1][0] for s in single], rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("K", [20, 50])
+@pytest.mark.parametrize("bc", list(SgKind))
+def test_sg_ends_table_matches_single_time_calls(bc, K):
+    """ends at an array of times is one table whose rows are ends(t) at each
+    time, bitwise, on the step grids t0 + h arange(K + 1) of a solve."""
+    rng = np.random.default_rng(K)
+    for nu in np.linspace(-0.9, 0.9, 7):
+        t0, t1 = sorted(rng.uniform(-5.0, 20.0, 2))
+        model, h = sg_build(64, nu, a=-10.0, b=10.0, bc=bc), (t1 - t0) / K
+        table = model.ends(t0 + h * np.arange(K + 1))
+        assert table.shape == (K + 1, 2)
+        assert np.array_equal(table, [model.ends(t0 + k * h) for k in range(K + 1)])
+
+
 @pytest.mark.parametrize("bc", list(SgKind))
 def test_sg_fom_evaluates_the_closed_form_boundary_once_per_time(bc, monkeypatch):
     # each Newton iterate asks for b(t) at the same t; without the memo a

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from sympmor import cli, reduction
+from sympmor import blas, cli, models, reduction
 from sympmor.config import RunConfig
 from sympmor.errors import (DimensionError, IntegrationFailureError, SympmorError,
                             UnsplitSystemError)
 from sympmor.integrators import (MAX_NEWTON, OdeSystem, Trajectory, _fd_jacobian,
                                  dense_newton, implicit_midpoint)
-from sympmor.models import (SgKind, SineGordonModel, sg_build, sg_initial, sg_system,
-                            wave_build, wave_initial, wave_system)
+from sympmor.models import (SecondOrder, SgKind, SineGordonModel, sg_build, sg_initial,
+                            sg_system, wave_build, wave_initial, wave_system)
 from sympmor.network import (GradientLayer, LossKind, Network, PSDLayer, Trainer, build_network,
                              train_epochwise)
 from sympmor.reduction import (
@@ -403,7 +403,7 @@ def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
     fom = dataclasses.replace(sys, vector_field=counted(sys.vector_field), second_order=model)
     projected, _ = _learned_system(rom, sys)
     for t1, explicit in ((1.0, True), (4.0, False)):
-        assert (projected.step(0.0, t1 / 20) is not None) == explicit
+        assert (projected.step(0.0, t1 / 20, 20) is not None) == explicit
         solve_rom(counted_rom, fom, 0.0, t1, 20, tol=1e-10)
     assert calls == []
 
@@ -812,6 +812,23 @@ def test_sine_gordon_psd_rom_takes_kick_drift_kick(case):
     assert np.array_equal(solve_rom(rom, sys, 0.0, 1.0, 20).states, want)
 
 
+@pytest.mark.parametrize("kind", list(SgKind))
+def test_verlet_sine_gordon_rom_evaluates_the_boundary_once_per_solve(kind, monkeypatch):
+    """A Störmer–Verlet sine-Gordon solve tabulates b(t) at its K + 1 step times
+    with one closed-form call, not one per step."""
+    sys, rom = _sg_psd_rom(kind)
+    assert max_frequency(sys.second_order, rom.basis) / 50 <= VERLET_BOUND
+    exact, calls = models.sg_exact, []
+
+    def counting(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(models, "sg_exact", counting)
+    solve_rom(rom, sys, 0.0, 1.0, 50)
+    assert len(calls) == 1
+
+
 def test_kick_drift_kick_is_second_order():
     """Halving tau divides the end-state error by 3 to 5, against a reference
     solve at tau / 64."""
@@ -843,7 +860,7 @@ def test_kick_drift_kick_error_matches_midpoint(nu):
     """Störmer–Verlet's e_red is within 1.1x of the same ROM's midpoint e_red."""
     sys, x0, rom = _sg64_rom(SgKind.SingleSoliton, 4, nu)
     projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
-    assert projected.step(0.0, 16.0 / 50) is not None
+    assert projected.step(0.0, 16.0 / 50, 50) is not None
     fom = implicit_midpoint(sys, x0, 0.0, 16.0, 50)
     verlet = reduction_error("with_ref", fom, rom, solve_rom(rom, sys, 0.0, 16.0, 50))
     midpoint = reduction_error("with_ref", fom, rom, implicit_midpoint(
@@ -857,7 +874,7 @@ class _FrozenEndsModel(SineGordonModel):
     so the flow is autonomous and conserves H."""
 
     def ends(self, t):
-        return super().ends(0.0)
+        return super().ends(0.0 * t)   # t = 0 at one time or at an array of them
 
     def hamiltonian(self, x, t):
         return super().hamiltonian(x, 0.0)
@@ -890,7 +907,7 @@ def test_psd_rom_falls_back_to_newton_midpoint():
     sys, x0, rom = _sg64_rom(SgKind.SingleSoliton, 4, 0.475)
     projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
     assert max_frequency(sys.second_order, rom.basis) * 16.0 / 20 > VERLET_BOUND
-    assert projected.step(0.0, 16.0 / 20) is None
+    assert projected.step(0.0, 16.0 / 20, 20) is None
     newton = dataclasses.replace(projected, step=None)
     assert np.array_equal(solve_rom(rom, sys, 0.0, 16.0, 20).states,
                           implicit_midpoint(newton, rom.x_r0, 0.0, 16.0, 20).states)
@@ -900,6 +917,36 @@ def test_psd_rom_falls_back_to_newton_midpoint():
         assert projected.step is None
         assert np.array_equal(solve_rom(rom, sys, 0.0, 1.0, 20).states,
                               implicit_midpoint(projected, rom.x_r0, 0.0, 1.0, 20).states)
+
+
+@pytest.mark.parametrize("n", [4, 18])
+def test_constant_schur_lu_equals_numpy_solve(n, monkeypatch):
+    """A wave PSD ROM's Schur matrix I + tau^2/4 X^T S X is LU-factored once per
+    solve: its dgetrs solves equal np.linalg.solve bitwise, and so does the
+    Newton midpoint trajectory against the np.linalg.solve fallback used where
+    numpy bundles no LAPACK."""
+    sys, rom = _wave_psd_rom(n)
+    X, rng = rom.basis, np.random.default_rng(n)
+    for tau in (1.0 / 20, 1.0 / 60, 0.3):
+        schur = np.eye(n) + 0.25 * tau ** 2 * (X.T @ sys.second_order.S(X))
+        solve = blas.lu_factor(schur)
+        for r in rng.standard_normal((20, n)):
+            assert np.array_equal(solve(r), np.linalg.solve(schur, r))
+    factored = solve_rom(rom, sys, 0.0, 1.0, 20).states
+    monkeypatch.setattr(blas, "_LAPACK", {})
+    assert np.array_equal(solve_rom(rom, sys, 0.0, 1.0, 20).states, factored)
+
+
+def test_singular_constant_schur_raises_integration_failure(monkeypatch):
+    """S = -4 I and tau = 1 make I + tau^2/4 X^T S X exactly zero: dgetrf's zero
+    pivot, or np.linalg.solve's where numpy bundles no LAPACK, is an
+    IntegrationFailureError at step 0."""
+    model, X = SecondOrder(N=3, diag=-4.0, off=0.0, h=1.0), np.eye(3)[:, :2]
+    for bound in (blas._LAPACK, {}):
+        monkeypatch.setattr(blas, "_LAPACK", bound)
+        with pytest.raises(IntegrationFailureError, match="singular Newton matrix at step 0") as exc:
+            implicit_midpoint(projected_system(model, X), np.ones(4), 0.0, 2.0, 2)
+        assert exc.value.step_index == 0
 
 
 def test_kick_drift_kick_non_finite_state_raises():
@@ -924,7 +971,7 @@ def test_max_frequency_is_the_spectral_radius():
     omega = max_frequency(model, X)
     assert omega == pytest.approx(np.sqrt(-lam[0] + model.curvature), rel=1e-12)
     assert omega * 0.05 > VERLET_BOUND
-    assert projected_system(model, X).step(0.0, 0.05) is None
+    assert projected_system(model, X).step(0.0, 0.05, 20) is None
 
 
 def test_learned_rom_newton_matrix_matches_fd_path(learned_wave_rom):
@@ -1005,7 +1052,7 @@ def test_stiff_untrained_network_keeps_the_newton_midpoint():
                     use_ref=True, normalized=True)
     projected, _ = _learned_system(rom, sys)
     assert max_frequency(sys.second_order, rom.basis, rom.x_ref, rom.fold.post) / 50 > VERLET_BOUND
-    assert projected.step(0.0, 1.0 / 50) is None
+    assert projected.step(0.0, 1.0 / 50, 50) is None
     assert np.array_equal(solve_rom(rom, sys, 0.0, 1.0, 50, tol=1e-10).states,
                           _separable_midpoint(sys.second_order, rom, 0.0, 1.0, 50, 1e-10))
 
