@@ -86,8 +86,7 @@ def kick_drift_kick(c, force, h):
     Explicit, second order and symplectic (Hairer, Lubich & Wanner, Geometric
     Numerical Integration, 2006, I.3 and VI.3).  The end-of-step force is the
     next step's first kick, so a step costs one force call.  The advance must
-    be called on the states it returned, in step order from x_0.  A non-finite
-    state is an IntegrationFailureError naming the step.
+    be called on the states it returned, in step order from x_0.
     """
     n, half = len(c), 0.5 * h
     k, a = 0, None      # the step about to be taken and force(k, q_k)
@@ -100,18 +99,17 @@ def kick_drift_kick(c, force, h):
         p_half = p + half * a
         q_new = q + h * (c + p_half)
         a = force(k + 1, q_new)
-        x_new = np.concatenate([q_new, p_half + half * a])
-        if not np.isfinite(x_new).all():
-            raise IntegrationFailureError(k, f"non-finite state at step {k}")
         k += 1
-        return x_new
+        return np.concatenate([q_new, p_half + half * a])
 
     return advance
 
 
 def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     """Integrate sys from x0 over [t0, t1] in K steps: the system's own step
-    where `sys.step` supplies one, else implicit midpoint by Newton."""
+    where `sys.step` supplies one, else implicit midpoint by Newton.  A NaN or
+    inf carries through every later step, so the states are checked once, at
+    the end: a non-finite one is an IntegrationFailureError naming its step."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,):
         raise DimensionError(f"initial state must have length {sys.dim}")
@@ -128,7 +126,7 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     if advance is not None:
         for k in range(K):
             X[:, k + 1] = advance(X[:, k])
-        return Trajectory(states=X, t0=t0, t1=t1, K=K)
+        return _finite(X, t0, t1, K)
 
     f = sys.vector_field
     newton = sys.newton or dense_newton(lambda t, x: (f(t, x), _fd_jacobian(f, t, x)))
@@ -162,4 +160,13 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
         else:
             raise IntegrationFailureError(k)
         X[:, k + 1] = x_new
+    return _finite(X, t0, t1, K)
+
+
+def _finite(X, t0, t1, K):
+    """The Trajectory of X, unless step k is the first to end non-finite."""
+    finite = np.isfinite(X[:, 1:]).all(axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise IntegrationFailureError(k, f"non-finite state at step {k}")
     return Trajectory(states=X, t0=t0, t1=t1, K=K)

@@ -29,16 +29,16 @@ class SecondOrder:
     d is the N interior nodes unless a testbed overrides it.  diag and off are
     S's bands: arrays of length d and d - 1, or numbers for a uniform band.  A
     nonlinear testbed sets potential to the pointwise (V', V''), curvature to
-    sup |V''| where it is bounded, and defines ends(t) -> (b_0, b_{d-1}), the
-    forcing on the two end nodes (b is zero elsewhere), and for an array of m
-    times their (m, 2) table.
+    sup |V''| (0 without a potential), and defines ends(t) -> (b_0, b_{d-1}),
+    the forcing on the two end nodes (b is zero elsewhere), and for an array
+    of m times their (m, 2) table.
     """
     N: int
     diag: object
     off: object
     h: float
     potential = None
-    curvature = None
+    curvature = 0.0
     d = property(lambda self: self.N)
     dim = property(lambda self: 2 * self.d)
 

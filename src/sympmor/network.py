@@ -186,10 +186,11 @@ class Network:
 
     def fold_decoder(self):
         """The decoder as it is now, copied once as a `FoldedDecoder`, when it
-        keeps q = X xi_q: 'P' GradientLayers around one PSD expand X, or the
-        expand alone (the PSD decoder).  Any other decoder ('Q' layers, a
-        reduce, not exactly one expand) gives None and keeps the network's own
-        per-layer `decode` and `decoder_jacobian`."""
+        keeps q = X xi_q: 'P' GradientLayers around one PSD expand X, none of
+        them for the PSD decoder.  The copy decodes as a frozen Network of its
+        own arrays.  Any other decoder ('Q' layers, a reduce, not exactly one
+        expand) gives None and keeps the network's own per-layer `decode` and
+        `decoder_jacobian`."""
         decoder = self.layers[self.encoder_len:]
         psd = [i for i, layer in enumerate(decoder) if isinstance(layer, PSDLayer)]
         if (len(psd) != 1 or decoder[psd[0]].direction != "expand"
@@ -199,11 +200,10 @@ class Network:
         # the weight's own (Fortran) layout: on a C-order copy the products of
         # `reduction.projected_system` round differently
         X = decoder[psd[0]].weight.data.copy(order="K")
-        if len(decoder) == 1:
-            return FoldedDecoder(X, *_psd_decoder(X))
         before = [_stacked([layer]) for layer in decoder[:psd[0]]]
         post = [_stacked(decoder[psd[0] + 1:])] if psd[0] + 1 < len(decoder) else []
-        shift = _stacked(before, [(layer.K @ X, layer.a, layer.b) for layer in post])
+        shift = (_stacked(before, [(layer.K @ X, layer.a, layer.b) for layer in post])
+                 if before or post else None)
         frozen = Network([*before, PSDLayer(st.StiefelPoint(X, check=False), "expand"), *post],
                          encoder_len=0)
         return FoldedDecoder(X, frozen.decode, frozen.decoder_jacobian, shift, *post)
@@ -234,24 +234,6 @@ def _stacked(layers, extra=()):
     and then extra's: its increment is the sum of theirs."""
     parts = [(layer.K, layer.a, layer.b) for layer in layers] + list(extra)
     return GradientLayer("P", *(np.concatenate(arrays) for arrays in zip(*parts)))
-
-
-def _psd_decoder(X):
-    """(decode, decode_jacobian) of the PSD decoder blockdiag(X, X), for a single
-    state or a block of states."""
-    d, n = X.shape
-
-    def decode(xr):
-        if len(xr) != 2 * n:
-            raise DimensionError(f"expected {2 * n} rows, got {len(xr)}")
-        return np.concatenate([X @ xr[:n], X @ xr[n:]])
-
-    def decode_jacobian(xi):
-        D = np.zeros((2 * d, 2 * n))
-        D[:d, :n] = D[d:, n:] = X
-        return decode(xi), D
-
-    return decode, decode_jacobian
 
 
 def loss(kind, Xb, Yb):

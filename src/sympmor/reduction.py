@@ -163,9 +163,9 @@ VERLET_BOUND = 0.5
 def max_frequency(model, X, x_ref=None, post=None):
     """omega_max of `projected_system(model, X, x_ref, post)`, bounding its
     linearization's frequencies at every state: sqrt(rho + sup |V''| + h), rho
-    the spectral radius of X^T S X; None for a potential without a curvature
-    bound.  h bounds ||Hess V_post|| = ||J^T J + sum_l (K_l r) a_l sigma''_l
-    B_l^T B_l|| (B = K X, J = (I - X X^T) K^T diag(a sigma') B): with
+    the spectral radius of X^T S X and sup |V''| the model's `curvature` (0
+    without a potential).  h bounds ||Hess V_post|| = ||J^T J + sum_l (K_l r)
+    a_l sigma''_l B_l^T B_l|| (B = K X, J = (I - X X^T) K^T diag(a sigma') B): with
     k_l = ||(I - X X^T) K_l^T||, |tanh|, |tanh'| <= 1 and |tanh''| <= 4 / (3 sqrt 3),
     J^T J <= (sum_l |a_l| k_l^2) B^T diag(|a|) B and |K_l r| <= k_l R,
     R = ||(I - X X^T) p_ref|| + sum_l |a_l| k_l; h is lambda_max(B^T diag(w) B)."""
@@ -173,10 +173,8 @@ def max_frequency(model, X, x_ref=None, post=None):
 
 
 def _max_frequency(model, X, XtSX, x_ref, post):
-    if model.potential is not None and model.curvature is None:
-        return None
     lam = np.linalg.eigvalsh(XtSX)
-    omega2 = max(-lam[0], lam[-1]) + (model.curvature or 0.0)
+    omega2 = max(-lam[0], lam[-1]) + model.curvature
     if post is not None:
         d = X.shape[0]
         p_ref = np.zeros(d) if x_ref is None else x_ref[d:]
@@ -279,7 +277,7 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
 
     def verlet(t0, tau, K):
         omega = _max_frequency(model, X, XtSX, x_ref, post)
-        if omega is None or omega * tau > VERLET_BOUND:
+        if omega * tau > VERLET_BOUND:
             return None
         # b(t_k) for t_k = t0 + k tau; Trajectory.times ends at t1 exactly and can round apart
         table = ([None] * (K + 1) if model.potential is None

@@ -204,6 +204,16 @@ def test_kick_drift_kick_names_the_non_finite_step():
     assert exc.value.step_index == 3
 
 
+def test_wave_fom_non_finite_initial_state_raises():
+    """A wave FOM whose x0 holds one NaN is an IntegrationFailureError at step 0
+    on its midpoint step hook, not a trajectory without a finite column."""
+    x0 = wave_initial(12, 0.5)
+    x0[3] = np.nan
+    with pytest.raises(IntegrationFailureError, match="non-finite state at step 0") as exc:
+        implicit_midpoint(wave_system(wave_build(12, 0.5)), x0, 0.0, 1.0, 20)
+    assert exc.value.step_index == 0
+
+
 def test_declined_step_takes_the_newton_midpoint():
     """A step hook that returns None leaves the solve to Newton, bitwise."""
     sys = oscillator()

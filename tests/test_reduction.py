@@ -581,6 +581,21 @@ def test_learned_rom_binds_the_decoder_weights_at_build(learned_wave_network):
     assert not np.array_equal(network.decoder_jacobian(xi)[1], before[1])
 
 
+def test_psd_rom_binds_the_decoder_weight_at_build():
+    """A new weight on the psd_maps network's expand layer after build_rom moves
+    the network's decoder, not the ROM's."""
+    rng = np.random.default_rng(21)
+    encode, decode, jacobian = psd_maps(psd_cotangent_lift(rng.standard_normal((12, 8)), 2))
+    rom = build_rom(encode, decode, jacobian, rng.standard_normal(12),
+                    use_ref=True, normalized=True)
+    xi = rng.standard_normal(4)
+    before = (rom.decode(xi), *rom.decode_jacobian(xi), rom.basis.copy())
+    decode.__self__.layers[-1].weight = psd_cotangent_lift(rng.standard_normal((12, 8)), 2)
+    after = (rom.decode(xi), *rom.decode_jacobian(xi), rom.basis)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert not np.array_equal(decode(xi), before[0])
+
+
 def _sg_fom():
     model = sg_build(40, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
     return sg_system(model), sg_initial(model)
