@@ -5,7 +5,8 @@ variants side by side: the homogeneous-space baseline (V3) and the direct
 Stiefel optimizer with learning-rate decay (V6).  Then solves the V6
 network's learned ROM at a held-out speed against the full-order model, and
 reports the step it took: Störmer–Verlet where omega_max tau is at most
-`reduction.VERLET_BOUND`, else the Newton midpoint.
+`reduction.VERLET_BOUND`, else the split midpoint, the implicit midpoint step
+of the ROM's linear part between half kicks by its learned potential.
 """
 
 import time
@@ -51,7 +52,7 @@ def learned_rom(cfg, params_path, mu):
     rom_s = time.perf_counter() - t_start
     tau = (cfg.t1 - cfg.t0) / K
     omega_tau = max_frequency(sys_fom.second_order, rom.basis, rom.x_ref, rom.fold.post) * tau
-    step = "Stormer-Verlet" if omega_tau <= VERLET_BOUND else "implicit midpoint"
+    step = "Stormer-Verlet" if omega_tau <= VERLET_BOUND else "split midpoint"
     return reduction_error("with_ref", exact, rom, reduced), fom_s, rom_s, omega_tau, step
 
 

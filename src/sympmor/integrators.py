@@ -1,5 +1,5 @@
-"""Implicit midpoint rule for (Hamiltonian) ODEs, and the explicit
-Störmer–Verlet step a system may take in its place.
+"""Implicit midpoint rule for (Hamiltonian) ODEs, and the steps a system may
+take in its place.
 
 One midpoint step solves x_{k+1} = x_k + h f(t_k + h/2, (x_k + x_{k+1})/2) by Newton
 iteration.  Each Newton iterate linearizes the system once: ``newton(t, x, h)``
@@ -7,10 +7,12 @@ returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r.  A structured FOM
 supplies its own (O(dim) per solve); without one the solve is dense, with a
 finite-difference Df.  A system may instead supply the whole step,
 ``step(t0, h, K) -> (x_k -> x_{k+1})``, set up once per solve of K steps and
-taken without Newton, or decline it by returning None.  The wave factors its
-tridiagonal Schur matrix once; a non-stiff separable ROM (the sine-Gordon PSD
-ROM, a learned ROM) takes `kick_drift_kick`, with any time-dependent force
-tabulated at the K + 1 step times once.
+taken without Newton, or decline it by returning None.  The wave FOM factors
+its tridiagonal Schur matrix once.  A projected ROM takes `kick_drift_kick`,
+one force per step around a drift: the free drift (Störmer–Verlet, with any
+time-dependent force tabulated at the K + 1 step times once) where it is not
+stiff, or for a wave ROM the midpoint step of its linear part, set up once per
+solve, which a wave PSD ROM takes alone.
 
 Newton starts step 0 from explicit Euler and every later step from the linear
 extrapolation 2 x_k - x_{k-1}, which costs no field call.  A step is accepted
@@ -18,7 +20,9 @@ when ||delta|| < tol max(1, ||x||), or, from the second iterate on, when the
 contraction estimate of the remaining error, theta / (1 - theta) ||delta|| with
 theta = ||delta_j|| / ||delta_{j-1}|| < 1, is below the same bound (the
 simplified-Newton stop of Hairer & Wanner, Solving ODEs II, IV.8).  That
-saves the iterate that would only confirm convergence.
+saves the iterate that would only confirm convergence.  A non-finite iterate
+ends the solve at once, naming its step.  The tolerance governs Newton alone;
+a supplied step has no iteration to stop.
 """
 
 import math
@@ -73,43 +77,61 @@ def dense_newton(linearize):
     return newton
 
 
-def kick_drift_kick(c, force, h):
-    """The Störmer–Verlet step x_k -> x_{k+1} at step size h of the separable
-    system q' = c + p, p' = F(t, q) on x = [q; p], t_k = t0 + k h, where
-    force(k, q) = F(t_k, q) takes the step index, so a time-dependent force can
-    read a table made once per solve:
+def free_drift(c, h):
+    """The exact step x -> [q + h (c + p); p] of q' = c + p, p' = 0, written into x."""
+    n = len(c)
+
+    def drift(x):
+        x[:n] += h * (c + x[n:])
+        return x
+
+    return drift
+
+
+def kick_drift_kick(drift, force, h):
+    """The Strang splitting x_k -> x_{k+1} at step size h of x' = g(x) +
+    [0; F(t, q)] on x = [q; p], t_k = t0 + k h: half kicks by the force F
+    around drift(x), a step of x' = g(x) that may write into x and returns the
+    new state (`free_drift` for g = [c + p; 0], or a midpoint step of a linear
+    g).  force(k, q) = F(t_k, q) takes the step index, so a time-dependent force
+    can read a table made once per solve:
 
         p_{k+1/2} = p_k + h/2 force(k, q_k),
-        q_{k+1} = q_k + h (c + p_{k+1/2}),
-        p_{k+1} = p_{k+1/2} + h/2 force(k + 1, q_{k+1}).
+        [q_{k+1}; p'] = drift([q_k; p_{k+1/2}]),
+        p_{k+1} = p' + h/2 force(k + 1, q_{k+1}).
 
-    Explicit, second order and symplectic (Hairer, Lubich & Wanner, Geometric
-    Numerical Integration, 2006, I.3 and VI.3).  The end-of-step force is the
-    next step's first kick, so a step costs one force call.  The advance must
-    be called on the states it returned, in step order from x_0.
+    With the free drift this is Störmer–Verlet, explicit; with any symmetric
+    symplectic drift it is second order and symplectic (Hairer, Lubich &
+    Wanner, Geometric Numerical Integration, 2006, II.5, I.3 and VI.3).  The
+    end-of-step force is the next step's first kick, so a step costs one force
+    call.  The advance must be called on the states it returned, in step order
+    from x_0.
     """
-    n, half = len(c), 0.5 * h
+    half = 0.5 * h
     k, a = 0, None      # the step about to be taken and force(k, q_k)
 
     def advance(x):
         nonlocal k, a
-        q, p = x[:n], x[n:]
+        n = len(x) // 2
         if k == 0:
-            a = force(0, q)
-        p_half = p + half * a
-        q_new = q + h * (c + p_half)
-        a = force(k + 1, q_new)
+            a = force(0, x[:n])
+        x = x.copy()
+        x[n:] += half * a
+        x = drift(x)
+        a = force(k + 1, x[:n])
+        x[n:] += half * a
         k += 1
-        return np.concatenate([q_new, p_half + half * a])
+        return x
 
     return advance
 
 
 def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     """Integrate sys from x0 over [t0, t1] in K steps: the system's own step
-    where `sys.step` supplies one, else implicit midpoint by Newton.  A NaN or
-    inf carries through every later step, so the states are checked once, at
-    the end: a non-finite one is an IntegrationFailureError naming its step."""
+    where `sys.step` supplies one, else implicit midpoint by Newton to tol.  A
+    NaN or inf carries through every later step, so a supplied step's states
+    are checked once, at the end, and Newton's at each iterate's norm: a
+    non-finite one is an IntegrationFailureError naming its step."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,):
         raise DimensionError(f"initial state must have length {sys.dim}")
@@ -150,6 +172,8 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
             # sqrt(v @ v) is np.linalg.norm's arithmetic without its dispatch
             bound = tol * max(1.0, math.sqrt(x_new @ x_new))
             step = math.sqrt(delta @ delta)
+            if not math.isfinite(step):     # no later iterate can converge
+                raise IntegrationFailureError(k, f"non-finite state at step {k}")
             if step < bound:
                 break
             # contraction estimate: with theta = step / prev < 1 the remaining

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import blas
 from .errors import DimensionError, SympmorError, UnsplitSystemError
-from .integrators import OdeSystem, implicit_midpoint, kick_drift_kick
+from .integrators import OdeSystem, free_drift, implicit_midpoint, kick_drift_kick
 from .network import FoldedDecoder, GradientLayer, Network, PSDLayer
 from .stiefel import StiefelPoint
 
@@ -163,28 +163,34 @@ VERLET_BOUND = 0.5
 def max_frequency(model, X, x_ref=None, post=None):
     """omega_max of `projected_system(model, X, x_ref, post)`, bounding its
     linearization's frequencies at every state: sqrt(rho + sup |V''| + h), rho
-    the spectral radius of X^T S X and sup |V''| the model's `curvature` (0
-    without a potential).  h bounds ||Hess V_post|| = ||J^T J + sum_l (K_l r)
-    a_l sigma''_l B_l^T B_l|| (B = K X, J = (I - X X^T) K^T diag(a sigma') B): with
-    k_l = ||(I - X X^T) K_l^T||, |tanh|, |tanh'| <= 1 and |tanh''| <= 4 / (3 sqrt 3),
+    the spectral radius of X^T S X, sup |V''| the model's `curvature` (0
+    without a potential) and h the bound of `_post_curvature` (0 without post)."""
+    XtSX = X.T @ model.S(X)
+    return _max_frequency(model, XtSX, _post_curvature(X, x_ref, post))
+
+
+def _max_frequency(model, XtSX, h):
+    lam = np.linalg.eigvalsh(XtSX)
+    return float(np.sqrt(max(-lam[0], lam[-1]) + model.curvature + h))
+
+
+def _post_curvature(X, x_ref, post):
+    """h >= ||Hess V_post|| at every xi_q, V_post the potential of the
+    post-expand layer `post` (0 without one): Hess V_post = J^T J + sum_l (K_l r)
+    a_l sigma''_l B_l^T B_l (B = K X, J = (I - X X^T) K^T diag(a sigma') B), and
+    with k_l = ||(I - X X^T) K_l^T||, |tanh|, |tanh'| <= 1 and |tanh''| <= 4 / (3 sqrt 3),
     J^T J <= (sum_l |a_l| k_l^2) B^T diag(|a|) B and |K_l r| <= k_l R,
     R = ||(I - X X^T) p_ref|| + sum_l |a_l| k_l; h is lambda_max(B^T diag(w) B)."""
-    return _max_frequency(model, X, X.T @ model.S(X), x_ref, post)
-
-
-def _max_frequency(model, X, XtSX, x_ref, post):
-    lam = np.linalg.eigvalsh(XtSX)
-    omega2 = max(-lam[0], lam[-1]) + model.curvature
-    if post is not None:
-        d = X.shape[0]
-        p_ref = np.zeros(d) if x_ref is None else x_ref[d:]
-        a, B = np.abs(post.a), post.K @ X
-        k2 = np.maximum(np.einsum("ij,ij->i", post.K, post.K) - np.einsum("ij,ij->i", B, B), 0.0)
-        k = np.sqrt(k2)
-        R = np.linalg.norm(p_ref - X @ (X.T @ p_ref)) + a @ k
-        w = a * (a @ k2 + 4.0 / (3.0 * np.sqrt(3.0)) * R * k)
-        omega2 += np.linalg.eigvalsh(B.T @ (w[:, None] * B))[-1]
-    return float(np.sqrt(omega2))
+    if post is None:
+        return 0.0
+    d = X.shape[0]
+    p_ref = np.zeros(d) if x_ref is None else x_ref[d:]
+    a, B = np.abs(post.a), post.K @ X
+    k2 = np.maximum(np.einsum("ij,ij->i", post.K, post.K) - np.einsum("ij,ij->i", B, B), 0.0)
+    k = np.sqrt(k2)
+    R = np.linalg.norm(p_ref - X @ (X.T @ p_ref)) + a @ k
+    w = a * (a @ k2 + 4.0 / (3.0 * np.sqrt(3.0)) * R * k)
+    return float(np.linalg.eigvalsh(B.T @ (w[:, None] * B))[-1])
 
 
 def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
@@ -208,11 +214,18 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
     Gauss-Newton Hessian J^T J of V_post at xi_q0, formed once (a simplified
     Newton; the residual stays exact).  Without a potential T is constant and
     its Schur matrix is LU-factored once per step size (`blas.lu_factor`).
-    The system is separable, so with a potential or a learned term its step
-    hook supplies `integrators.kick_drift_kick`, one force per step and no
-    Newton, where omega_max tau <= VERLET_BOUND (`max_frequency`, once per
-    solve), and tabulates the end forcing b(t) at the K + 1 step times once;
-    above the bound, and for a PSD ROM without a potential, it declines.
+
+    The step hook takes no Newton where it can, deciding once per solve.  The
+    system is separable, so with a potential or a learned term it supplies
+    `integrators.kick_drift_kick` with the free drift (Störmer–Verlet, one
+    force per step) where omega_max tau <= VERLET_BOUND (`max_frequency`), and
+    tabulates the end forcing b(t) at the K + 1 step times once.  Without a
+    potential (every wave ROM) the rest of the system is linear: a PSD ROM
+    steps by the implicit midpoint step of that linear part, set up once, and
+    a learned ROM wraps it in half kicks by grad V_post (a Strang splitting,
+    one force per step) where tau sqrt(h) <= VERLET_BOUND, h the bound on
+    ||Hess V_post|| that omega_max takes in.  Otherwise the hook declines and
+    the solve takes the Newton midpoint.
     """
     d, n = X.shape
     if d != model.d:
@@ -275,17 +288,45 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
 
         return f, solve
 
-    def verlet(t0, tau, K):
-        omega = _max_frequency(model, X, XtSX, x_ref, post)
-        if omega * tau > VERLET_BOUND:
+    def midpoint_drift(tau):
+        """The implicit midpoint step of the linear part xi_q' = c_q + eta_p,
+        eta_p' = c_p - A xi_q (A = X^T S X) in increment form, as in
+        `models.SecondOrder.midpoint_step`: with w = c_p - A xi_q and
+        G = (I + tau^2/4 A)^{-1}, inverted once here, the increment is
+        dq = tau G (c_q + eta_p + tau/2 w) and tau w - tau/2 A dq.  Forming the
+        small sums before the n x n products keeps a step's rounding relative to
+        the step: the reconstructed H wanders by rounding, it does not drift."""
+        half = 0.5 * tau
+        tG = tau * np.linalg.inv(np.eye(n) + 0.25 * tau ** 2 * XtSX)
+        rows = np.vstack([tG, -half * (XtSX @ tG)])     # r -> [dq; -tau/2 A dq]
+
+        def drift(x):
+            w = c_p - XtSX @ x[:n]
+            y = rows @ (c_q + x[n:] + half * w)
+            y[n:] += tau * w
+            return x + y
+
+        return drift
+
+    def step(t0, tau, K):
+        h = _post_curvature(X, x_ref, post)
+        # a wave PSD ROM skips Verlet: the midpoint step keeps its quadratic H
+        if ((model.potential is not None or post is not None)
+                and _max_frequency(model, XtSX, h) * tau <= VERLET_BOUND):
+            # b(t_k) for t_k = t0 + k tau; Trajectory.times ends at t1 exactly and can round apart
+            table = ([None] * (K + 1) if model.potential is None
+                     else model.ends(t0 + tau * np.arange(K + 1)))
+            return kick_drift_kick(free_drift(c_q, tau),
+                                   lambda k, xi_q: force(xi_q, table[k])[0], tau)
+        if model.potential is not None or tau * np.sqrt(h) > VERLET_BOUND:
             return None
-        # b(t_k) for t_k = t0 + k tau; Trajectory.times ends at t1 exactly and can round apart
-        table = ([None] * (K + 1) if model.potential is None
-                 else model.ends(t0 + tau * np.arange(K + 1)))
-        return kick_drift_kick(c_q, lambda k, xi_q: force(xi_q, table[k])[0], tau)
+        drift = midpoint_drift(tau)
+        if post is None:
+            return drift
+        return kick_drift_kick(drift, lambda k, xi_q: -post_force(xi_q), tau)
 
     return OdeSystem(dim=2 * n, vector_field=lambda t, xi: field_at(t, xi)[0], newton=newton,
-                     step=None if model.potential is None and post is None else verlet)
+                     step=step)
 
 
 def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
@@ -295,7 +336,8 @@ def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
     eta = shift(xi), and its trajectory goes back to xi by one block pass of
     the shift layer with -a, so it neither decodes nor calls the FOM.  Any
     other decoder decodes and projects on every field call
-    (`reduced_vector_field`), by finite-difference Newton."""
+    (`reduced_vector_field`), by finite-difference Newton.  tol applies only
+    where the solve takes Newton (see `projected_system`'s step hook)."""
     model = fom_sys.second_order
     if model is None:
         raise UnsplitSystemError("a ROM needs a FOM with a SecondOrder split")

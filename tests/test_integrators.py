@@ -8,9 +8,10 @@ import scipy.linalg
 
 from sympmor import blas, integrators
 from sympmor.errors import DimensionError, IntegrationFailureError
-from sympmor.integrators import (OdeSystem, Trajectory, _fd_jacobian, dense_newton,
+from sympmor.integrators import (OdeSystem, Trajectory, _fd_jacobian, dense_newton, free_drift,
                                  implicit_midpoint, kick_drift_kick)
-from sympmor.models import SecondOrder, wave_build, wave_initial, wave_system
+from sympmor.models import (SecondOrder, SgKind, sg_build, sg_initial, sg_system, wave_build,
+                            wave_initial, wave_system)
 
 
 def oscillator(omega=1.0):
@@ -193,11 +194,30 @@ def test_singular_banded_hook_raises_integration_failure():
     assert exc.value.step_index == 0
 
 
+def test_newton_stops_at_a_non_finite_iterate():
+    """A sine-Gordon FOM whose x0 holds one NaN fails at its first Newton
+    iterate, naming the non-finite state, not after MAX_NEWTON banded solves."""
+    model = sg_build(40, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
+    sys, x0 = sg_system(model), sg_initial(model)
+    x0[5] = np.nan
+    calls = []
+
+    def counted(t, x, h):
+        calls.append(t)
+        return sys.newton(t, x, h)
+
+    with pytest.raises(IntegrationFailureError, match="non-finite state at step 0") as exc:
+        implicit_midpoint(dataclasses.replace(sys, newton=counted), x0, 0.0, 1.0, 20)
+    assert exc.value.step_index == 0
+    assert len(calls) == 1
+
+
 def test_kick_drift_kick_names_the_non_finite_step():
     """A force that turns NaN at t = 0.4 fails the step that ends there (k = 3),
     through the step hook of implicit_midpoint."""
     force = lambda t, q: np.full(1, np.nan) if t > 0.35 else -q
-    step = lambda t0, h, K: kick_drift_kick(np.zeros(1), lambda k, q: force(t0 + k * h, q), h)
+    step = lambda t0, h, K: kick_drift_kick(free_drift(np.zeros(1), h),
+                                            lambda k, q: force(t0 + k * h, q), h)
     sys = OdeSystem(2, lambda t, x: x, step=step)
     with pytest.raises(IntegrationFailureError, match="non-finite state at step 3") as exc:
         implicit_midpoint(sys, np.array([1.0, 0.0]), 0.0, 1.0, 10)

@@ -211,7 +211,8 @@ def learned_wave_network():
 def learned_wave_rom(learned_wave_network):
     """The desk-trained wave decoder bound as a reference-state ROM.  Its
     omega_max is 3.2: solves over [0, 1] at K = 20 take Störmer–Verlet, over
-    [0, 4] at K = 20 the Newton midpoint."""
+    [0, 4] at K = 20 the split midpoint (tau sqrt(h) = 0.22 for the bound h on
+    ||Hess V_post||)."""
     sys, x0, network, _ = learned_wave_network
     rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
                     use_ref=True, normalized=True)
@@ -251,28 +252,40 @@ def _decode_and_project(rom, sys):
     return system, linearize
 
 
+def _post_gradient(X, x_ref, post):
+    """grad V_post(xi_q) = (K X)^T [a sigma' K r] of a learned decoder's
+    post-expand layer (K, a, b): V_post = 1/2 ||r||^2,
+    r = (I - X X^T)(p_ref + K^T (a tanh(K X xi_q + b)))."""
+    d = X.shape[0]
+    B = post.K @ X
+
+    def grad(xi_q):
+        s = np.tanh(B @ xi_q + post.b)
+        g = post.K.T @ (post.a * s)
+        r = (x_ref[d:] - X @ (X.T @ x_ref[d:])) + (g - X @ (X.T @ g))
+        return B.T @ (post.a * (1.0 - s * s) * (post.K @ r))
+
+    return grad
+
+
 def _separable_force(model, X, x_ref, post=None):
     """(c_q, X^T S X, force) of the separable ROM written out:
     eta_q' = c_q + eta_p with c_q = X^T p_ref, and eta_p' = force(t, xi_q) =
-    -X^T S (q_ref + X xi_q) - X^T (V'(q) - b(t)) - grad V_post(xi_q), where
-    V_post = 1/2 ||r||^2, r = (I - X X^T)(p_ref + K^T (a tanh(K X xi_q + b))) for
-    a learned decoder's post-expand layer (K, a, b)."""
+    -X^T S (q_ref + X xi_q) - X^T (V'(q) - b(t)) - grad V_post(xi_q) for a
+    learned decoder's post-expand layer (`_post_gradient`)."""
     d = X.shape[0]
     x_ref = np.zeros(2 * d) if x_ref is None else x_ref
     XtSX = X.T @ model.S(X)
     c_q, c_p = X.T @ x_ref[d:], -(X.T @ model.S(x_ref[:d]))
     ends = X[[0, -1]].T
+    grad = None if post is None else _post_gradient(X, x_ref, post)
 
     def force(t, xi_q):
         f_p = c_p - XtSX @ xi_q
         if model.potential is not None:
             f_p -= X.T @ model.potential[0](x_ref[:d] + X @ xi_q) - ends @ model.ends(t)
-        if post is not None:
-            B = post.K @ X
-            s = np.tanh(B @ xi_q + post.b)
-            g = post.K.T @ (post.a * s)
-            r = (x_ref[d:] - X @ c_q) + (g - X @ (X.T @ g))
-            f_p -= B.T @ (post.a * (1.0 - s * s) * (post.K @ r))
+        if grad is not None:
+            f_p -= grad(xi_q)
         return f_p
 
     return c_q, XtSX, force
@@ -389,21 +402,40 @@ def _counter(calls):
     return counted
 
 
+def _scaled_post(rom, scale):
+    """The learned ROM with its post-expand layer's a scaled by scale."""
+    post = rom.fold.post
+    post = GradientLayer("P", post.K, scale * post.a, post.b)
+    return dataclasses.replace(rom, fold=dataclasses.replace(rom.fold, post=post))
+
+
+def _learned_path(sys, rom, tau):
+    """The step solve_rom takes for a learned ROM at step size tau: 'verlet'
+    where omega_max tau <= VERLET_BOUND, else 'split' where the step hook
+    supplies one, else 'newton'."""
+    model, post = sys.second_order, rom.fold.post
+    if max_frequency(model, rom.basis, rom.x_ref, post) * tau <= VERLET_BOUND:
+        return "verlet"
+    projected, _ = _learned_system(rom, sys)
+    return "newton" if projected.step(0.0, tau, 20) is None else "split"
+
+
 def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
     """A learned ROM of 'P' layers makes no decoder pass and no FOM call: by
-    Störmer–Verlet and by the Newton midpoint, solve_rom never calls decode,
-    decode_jacobian, the FOM field or its Jacobian."""
+    Störmer–Verlet, by the split midpoint and by the Newton midpoint (its
+    post-expand layer scaled up until the split declines), solve_rom never
+    calls decode, decode_jacobian, the FOM field or its Jacobian."""
     sys, rom = learned_wave_rom
     calls = []
     counted = _counter(calls)
-    counted_rom = dataclasses.replace(rom, decode=counted(rom.decode),
-                                      decode_jacobian=counted(rom.decode_jacobian))
     model = dataclasses.replace(sys.second_order)
     model.field, model.jacobian = counted(model.field), counted(model.jacobian)
     fom = dataclasses.replace(sys, vector_field=counted(sys.vector_field), second_order=model)
-    projected, _ = _learned_system(rom, sys)
-    for t1, explicit in ((1.0, True), (4.0, False)):
-        assert (projected.step(0.0, t1 / 20, 20) is not None) == explicit
+    for r, t1, path in ((rom, 1.0, "verlet"), (rom, 4.0, "split"),
+                        (_scaled_post(rom, 3.0), 4.0, "newton")):
+        assert _learned_path(sys, r, t1 / 20) == path
+        counted_rom = dataclasses.replace(r, decode=counted(r.decode),
+                                          decode_jacobian=counted(r.decode_jacobian))
         solve_rom(counted_rom, fom, 0.0, t1, 20, tol=1e-10)
     assert calls == []
 
@@ -514,14 +546,20 @@ STEPS = {"midpoint": 10, "verlet": 50}
 @pytest.mark.parametrize("case", LEARNED_CASES)
 def test_learned_solve_is_the_separable_loop(case, path, learned_sine_gordon_network):
     """solve_rom of a learned ROM is, bitwise, the separable solve written out
-    here: the Newton midpoint of _separable_midpoint above the bound, and below
-    it the kick-drift-kick loop in eta, both converted back to xi."""
+    here, converted back to xi: below the bound the kick-drift-kick loop in eta;
+    above it the Newton midpoint of _separable_midpoint for sine-Gordon, and
+    for the wave the split midpoint loop, which is that Newton midpoint to
+    2e-7 relative (9.7e-8 measured)."""
     sys, rom, t1 = _learned_case(case, learned_sine_gordon_network)
     model, K = sys.second_order, STEPS[path]
     omega = max_frequency(model, rom.basis, rom.x_ref, rom.fold.post)
     assert (omega * t1 / K <= VERLET_BOUND) == (path == "verlet")
     got = solve_rom(rom, sys, 0.0, t1, K, tol=1e-10).states
-    if path == "midpoint":
+    if path == "midpoint" and model.potential is None:
+        assert _learned_path(sys, rom, t1 / K) == "split"
+        want = _learned_split_loop(model, rom, 0.0, t1, K)
+        assert _rel(want, _separable_midpoint(model, rom, 0.0, t1, K, 1e-10)) <= 2e-7
+    elif path == "midpoint":
         want = _separable_midpoint(model, rom, 0.0, t1, K, 1e-10)
     else:
         eta0 = _shift(rom.fold.shift, rom.x_r0[:, None])[:, 0]
@@ -536,9 +574,10 @@ def test_folded_learned_rom_matches_the_per_layer_jet_rom(case, learned_wave_net
     """build_rom folds a Network's decoder; a decoder Jacobian that is not a
     Network's bound method keeps the per-layer jet, and solve_rom decodes and
     projects it on every field call.  Both reconstruct x_ref to 1e-14.  Over a
-    horizon where the folded ROM keeps the Newton midpoint, its e_red is within
-    1e-5 of the decode-and-project midpoint's (midpoint is not invariant under
-    the change to eta), and the generic ROM is that midpoint to 1e-8."""
+    horizon above the Verlet bound (the folded wave ROM takes the split
+    midpoint, the sine-Gordon one the Newton midpoint), the folded e_red is
+    within 1e-5 of the decode-and-project midpoint's (neither step is invariant
+    under the change to eta), and the generic ROM is that midpoint to 1e-8."""
     sys, x0, network, _ = (learned_wave_network if case == "wave"
                            else learned_sine_gordon_network)
     t1, K = {"wave": 4.0, "sine_gordon": 8.0}[case], 20
@@ -691,8 +730,9 @@ def test_solve_rom_equals_default_dense_newton(learned, learned_wave_rom):
     with the integrator's default dense Newton: for the PSD ROM on the generic
     decode-and-project system, for the learned ROM on its own separable field
     in eta with the dense Newton matrix J_2n blockdiag(T_0, I).  Over [0, 4]
-    the learned ROM keeps the midpoint, and solve_rom is the separable
-    midpoint written out here, bitwise."""
+    the learned ROM takes the split midpoint: solve_rom is the split loop
+    written out here, bitwise, and the separable Newton midpoint to 2e-3
+    relative (1.2e-3 measured: this ROM's V_post is strong, tau sqrt(h) = 0.22)."""
     if not learned:
         sys, rom = _sg_psd_rom(SgKind.SingleSoliton)
         projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
@@ -709,8 +749,9 @@ def test_solve_rom_equals_default_dense_newton(learned, learned_wave_rom):
     a = implicit_midpoint(dataclasses.replace(projected, step=None), eta0, 0.0, 1.0, 20, tol=1e-10)
     b = implicit_midpoint(default, eta0, 0.0, 1.0, 20, tol=1e-10)
     assert _rel(a.states, b.states) <= 1e-12
-    assert np.array_equal(solve_rom(rom, sys, 0.0, 4.0, 20, tol=1e-10).states,
-                          _separable_midpoint(sys.second_order, rom, 0.0, 4.0, 20, 1e-10))
+    got = solve_rom(rom, sys, 0.0, 4.0, 20, tol=1e-10).states
+    assert np.array_equal(got, _learned_split_loop(sys.second_order, rom, 0.0, 4.0, 20))
+    assert _rel(got, _separable_midpoint(sys.second_order, rom, 0.0, 4.0, 20, 1e-10)) <= 2e-3
 
 
 PROJECTED_CASES = {"sg_single": lambda: _sg_psd_rom(SgKind.SingleSoliton),
@@ -726,8 +767,9 @@ def test_projected_system_matches_generic_rom(case):
     """The projected PSD system against the decode-and-project oracles: its field
     is the reduced field, its Newton solve is the dense solve of I - h/2 M for
     the Newton matrix M, and its midpoint trajectory is the generic one (through
-    solve_rom for the wave; the sine-Gordon ROMs, which solve_rom runs by
-    Störmer–Verlet, through the Newton path)."""
+    solve_rom for the wave, whose step is the midpoint step of its linear part;
+    the sine-Gordon ROMs, which solve_rom runs by Störmer–Verlet, through the
+    Newton path)."""
     sys, rom = PROJECTED_CASES[case]()
     assert rom.basis is not None and sys.second_order is not None
     projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
@@ -745,7 +787,7 @@ def test_projected_system_matches_generic_rom(case):
         assert _rel(solve(r), np.linalg.solve(np.eye(dim) - 0.5 * h * M, r)) <= 1e-12
     with pytest.raises(DimensionError):
         projected.vector_field(0.0, np.zeros(dim + 1))
-    if projected.step is None:
+    if sys.second_order.potential is None:
         a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
     else:
         a = implicit_midpoint(dataclasses.replace(projected, step=None), rom.x_r0, 0.0, 1.0, 20,
@@ -815,6 +857,48 @@ def _kick_drift_kick_loop(model, X, x_ref, x0, t0, t1, K, post=None):
         a = force(t0 + (k + 1) * h, q_new)
         states[:, k + 1] = np.concatenate([q_new, p_half + 0.5 * h * a])
     return states
+
+
+def _split_midpoint_loop(model, X, x_ref, x0, t0, t1, K, post=None):
+    """A wave ROM's split midpoint solve written out.  The linear part
+    xi_q' = c_q + eta_p, eta_p' = c_p - A xi_q (A = X^T S X) takes implicit
+    midpoint in increment form: with w = c_p - A xi_q and
+    G = (I + tau^2/4 A)^{-1}, dq = tau G (c_q + eta_p + tau/2 w) and eta_p gains
+    tau w - tau/2 A dq.  A learned decoder's post-expand layer wraps that step
+    in the half kicks eta_p -= tau/2 grad V_post(xi_q), the end kick's gradient
+    reused by the next step."""
+    d, n = X.shape
+    x_ref = np.zeros(2 * d) if x_ref is None else x_ref
+    c_q, A, _ = _separable_force(model, X, x_ref)
+    c_p = -(X.T @ model.S(x_ref[:d]))
+    tau = (t1 - t0) / K
+    tG = tau * np.linalg.inv(np.eye(n) + 0.25 * tau ** 2 * A)
+    rows = np.vstack([tG, -0.5 * tau * (A @ tG)])
+    grad = None if post is None else _post_gradient(X, x_ref, post)
+    states = np.empty((2 * n, K + 1))
+    states[:, 0] = x0
+    g = None if grad is None else grad(states[:n, 0])
+    for k in range(K):
+        x = states[:, k]
+        if grad is not None:
+            x = x.copy()
+            x[n:] -= 0.5 * tau * g
+        w = c_p - A @ x[:n]
+        y = rows @ (c_q + x[n:] + 0.5 * tau * w)
+        y[n:] += tau * w
+        x = x + y
+        if grad is not None:
+            g = grad(x[:n])
+            x[n:] -= 0.5 * tau * g
+        states[:, k + 1] = x
+    return states
+
+
+def _learned_split_loop(model, rom, t0, t1, K):
+    """_split_midpoint_loop of a learned ROM in eta, from eta(0), converted back to xi."""
+    eta0 = _shift(rom.fold.shift, rom.x_r0[:, None])[:, 0]
+    eta = _split_midpoint_loop(model, rom.basis, rom.x_ref, eta0, t0, t1, K, rom.fold.post)
+    return _shift(rom.fold.shift, eta, -1.0)
 
 
 @pytest.mark.parametrize("case", ["sg_single", "sg_doublets", "sg_single_ref", "sg_network"])
@@ -917,8 +1001,10 @@ def test_kick_drift_kick_hamiltonian_does_not_drift(kind):
 
 
 def test_psd_rom_falls_back_to_newton_midpoint():
-    """Above the bound (omega_max tau > 1/2) and for every wave PSD ROM the step
-    hook declines, and solve_rom is the Newton midpoint bitwise."""
+    """Above the bound (omega_max tau > 1/2) a sine-Gordon PSD ROM's step hook
+    declines, and solve_rom is the Newton midpoint bitwise.  A wave PSD ROM
+    takes the midpoint step of its linear part: the loop written out here,
+    bitwise, and the Newton midpoint to 1e-12 relative."""
     sys, x0, rom = _sg64_rom(SgKind.SingleSoliton, 4, 0.475)
     projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
     assert max_frequency(sys.second_order, rom.basis) * 16.0 / 20 > VERLET_BOUND
@@ -929,17 +1015,97 @@ def test_psd_rom_falls_back_to_newton_midpoint():
     for n in (4, 18):
         sys, rom = _wave_psd_rom(n)
         projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
-        assert projected.step is None
-        assert np.array_equal(solve_rom(rom, sys, 0.0, 1.0, 20).states,
-                              implicit_midpoint(projected, rom.x_r0, 0.0, 1.0, 20).states)
+        got = solve_rom(rom, sys, 0.0, 1.0, 20).states
+        assert np.array_equal(got, _split_midpoint_loop(sys.second_order, rom.basis, rom.x_ref,
+                                                        rom.x_r0, 0.0, 1.0, 20))
+        newton = implicit_midpoint(dataclasses.replace(projected, step=None), rom.x_r0,
+                                   0.0, 1.0, 20)
+        assert _rel(got, newton.states) <= 1e-12
+
+
+def _corrected_wave(N, mu):
+    """The wave model with the edge stiffness of ROADMAP item 1's fix: S's
+    diagonal is minus its off-diagonal row sum, so S is positive semidefinite.
+    On today's indefinite S a PSD ROM at N = 128, n = 32 grows by 1e22 over
+    [0, 1], and the rounding of its H with it."""
+    model = wave_build(N, mu)
+    return dataclasses.replace(model, diag=-(np.r_[model.off, 0.0] + np.r_[0.0, model.off]))
+
+
+def test_stiff_wave_psd_rom_takes_the_midpoint_step_without_newton():
+    """A stiff wave PSD ROM (N = 128, n = 32, omega_max tau = 2.5 at K = 50)
+    makes no Newton call, and is the Newton midpoint to 1e-12 relative.
+    Midpoint keeps its quadratic H, so the reconstructed H's spread is rounding:
+    over 10x the horizon it stays below 1e-13 and grows by at most 4x, as a
+    random walk of rounding does (sqrt(10) = 3.2; 1.9-2.7x measured), where a
+    secular drift would grow 10x."""
+    snaps = []
+    for mu in np.linspace(5.0 / 12.0, 2.0 / 3.0, 5):
+        sys, x0 = wave_system(_corrected_wave(128, mu)), wave_initial(128, mu)
+        snaps.append(implicit_midpoint(sys, x0, 0.0, 1.0, 50).states - x0[:, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # the lift is below rank
+        X = psd_cotangent_lift(np.hstack(snaps), 32)
+    model = _corrected_wave(128, 0.6)
+    sys, x0 = wave_system(model), wave_initial(128, 0.6)
+    rom = build_rom(*psd_maps(X), x0, use_ref=True, normalized=True)
+    assert max_frequency(model, rom.basis) / 50 == pytest.approx(2.5, abs=0.1)
+    projected = projected_system(model, rom.basis, rom.x_ref)
+    calls = []
+    counted = dataclasses.replace(projected, newton=_counter(calls)(projected.newton))
+    got = implicit_midpoint(counted, rom.x_r0, 0.0, 1.0, 50).states
+    assert calls == []
+    assert np.array_equal(got, solve_rom(rom, sys, 0.0, 1.0, 50).states)
+    newton = implicit_midpoint(dataclasses.replace(projected, step=None), rom.x_r0, 0.0, 1.0, 50)
+    assert _rel(got, newton.states) <= 1e-12
+
+    def spread(t1, K):
+        recon = rom.reconstruct_state(solve_rom(rom, sys, 0.0, t1, K).states)
+        H = np.array([sys.hamiltonian(x) for x in recon.T])
+        return (H.max() - H.min()) / abs(H.mean())
+
+    one, ten = spread(1.0, 50), spread(10.0, 500)
+    assert 0 < ten <= min(4.0 * one, 1e-13), (one, ten)
+
+
+def test_learned_split_step_is_symplectic(learned_wave_rom):
+    """One split midpoint step of the learned wave ROM (tau = 0.2, omega_max tau
+    = 0.64) is a symplectic map: its central-difference Jacobian M satisfies
+    M^T J M = J to 1e-8, at states around eta(0)."""
+    sys, rom = learned_wave_rom
+    assert _learned_path(sys, rom, 0.2) == "split"
+    projected, eta0 = _learned_system(rom, sys)
+    J = _dense_j(rom.reduced_dim // 2)
+    rng, eps = np.random.default_rng(22), 1e-5
+    for _ in range(3):
+        eta = eta0 + rng.standard_normal(rom.reduced_dim)
+        M = np.column_stack([(projected.step(0.0, 0.2, 1)(eta + eps * e)
+                              - projected.step(0.0, 0.2, 1)(eta - eps * e)) / (2 * eps)
+                             for e in np.eye(rom.reduced_dim)])
+        assert np.linalg.norm(M.T @ J @ M - J) <= 1e-8
+
+
+def test_strong_post_potential_declines_the_split(learned_wave_rom):
+    """With the post-expand layer's a scaled by 3 the bound h on ||Hess V_post||
+    gives tau sqrt(h) > 1/2: the step hook declines, and solve_rom is the
+    separable Newton midpoint bitwise."""
+    sys, rom = learned_wave_rom
+    rom = _scaled_post(rom, 3.0)
+    model, X, post = sys.second_order, rom.basis, rom.fold.post
+    h = max_frequency(model, X, rom.x_ref, post) ** 2 - max_frequency(model, X) ** 2
+    assert 0.2 * np.sqrt(h) > VERLET_BOUND
+    projected, _ = _learned_system(rom, sys)
+    assert projected.step(0.0, 0.2, 20) is None
+    assert np.array_equal(solve_rom(rom, sys, 0.0, 4.0, 20, tol=1e-10).states,
+                          _separable_midpoint(model, rom, 0.0, 4.0, 20, 1e-10))
 
 
 @pytest.mark.parametrize("n", [4, 18])
 def test_constant_schur_lu_equals_numpy_solve(n, monkeypatch):
-    """A wave PSD ROM's Schur matrix I + tau^2/4 X^T S X is LU-factored once per
-    solve: its dgetrs solves equal np.linalg.solve bitwise, and so does the
-    Newton midpoint trajectory against the np.linalg.solve fallback used where
-    numpy bundles no LAPACK."""
+    """A wave PSD ROM's Newton Schur matrix I + tau^2/4 X^T S X is LU-factored
+    once per solve: its dgetrs solves equal np.linalg.solve bitwise, and so does
+    the Newton midpoint trajectory against the np.linalg.solve fallback used
+    where numpy bundles no LAPACK."""
     sys, rom = _wave_psd_rom(n)
     X, rng = rom.basis, np.random.default_rng(n)
     for tau in (1.0 / 20, 1.0 / 60, 0.3):
@@ -947,9 +1113,11 @@ def test_constant_schur_lu_equals_numpy_solve(n, monkeypatch):
         solve = blas.lu_factor(schur)
         for r in rng.standard_normal((20, n)):
             assert np.array_equal(solve(r), np.linalg.solve(schur, r))
-    factored = solve_rom(rom, sys, 0.0, 1.0, 20).states
+    newton = dataclasses.replace(projected_system(sys.second_order, X, rom.x_ref), step=None)
+    factored = implicit_midpoint(newton, rom.x_r0, 0.0, 1.0, 20).states
     monkeypatch.setattr(blas, "_LAPACK", {})
-    assert np.array_equal(solve_rom(rom, sys, 0.0, 1.0, 20).states, factored)
+    newton = dataclasses.replace(projected_system(sys.second_order, X, rom.x_ref), step=None)
+    assert np.array_equal(implicit_midpoint(newton, rom.x_r0, 0.0, 1.0, 20).states, factored)
 
 
 def test_singular_constant_schur_raises_integration_failure(monkeypatch):
@@ -1057,19 +1225,49 @@ def test_learned_verlet_hamiltonian_does_not_drift(learned_wave_rom):
     assert 0 < ten <= 2.0 * one, (one, ten)
 
 
-def test_stiff_untrained_network_keeps_the_newton_midpoint():
+def test_stiff_untrained_network_takes_the_split_midpoint():
     """An untrained build_network decoder at N = 128 has a random, stiff X
-    (omega_max tau about 2 at K = 50): the hook declines, and solve_rom is the
-    separable midpoint."""
+    (omega_max tau about 2 at K = 50) and a weak V_post (tau sqrt(h) = 8e-4):
+    solve_rom is the split midpoint loop written out here, bitwise, and the
+    separable Newton midpoint to 3e-10 relative (1.4e-10 measured)."""
     sys, x0 = wave_system(wave_build(128, 0.6)), wave_initial(128, 0.6)
     network = build_network(sys.dim, 8, seed=7)
     rom = build_rom(network.encode, network.decode, network.decoder_jacobian, x0,
                     use_ref=True, normalized=True)
-    projected, _ = _learned_system(rom, sys)
     assert max_frequency(sys.second_order, rom.basis, rom.x_ref, rom.fold.post) / 50 > VERLET_BOUND
-    assert projected.step(0.0, 1.0 / 50, 50) is None
-    assert np.array_equal(solve_rom(rom, sys, 0.0, 1.0, 50, tol=1e-10).states,
-                          _separable_midpoint(sys.second_order, rom, 0.0, 1.0, 50, 1e-10))
+    assert _learned_path(sys, rom, 1.0 / 50) == "split"
+    got = solve_rom(rom, sys, 0.0, 1.0, 50, tol=1e-10).states
+    assert np.array_equal(got, _learned_split_loop(sys.second_order, rom, 0.0, 1.0, 50))
+    assert _rel(got, _separable_midpoint(sys.second_order, rom, 0.0, 1.0, 50, 1e-10)) <= 3e-10
+
+
+def _benchmark_speeds(seed):
+    """The five test speeds of the wave-autoencoder benchmark at a seed
+    (perfbench/workloads.py, `stratified`): one draw in each fifth of
+    [5/12, 2/3]."""
+    lo, hi = 5.0 / 12.0, 2.0 / 3.0
+    u = np.random.default_rng(seed).uniform(0.05, 0.95, size=5)
+    return [lo + (i + u[i]) * (hi - lo) / 5 for i in range(5)]
+
+
+@pytest.mark.parametrize("seed, verlet", [(1, 1), (2, 2)])
+def test_desk_wave_rom_makes_no_newton_iterate(seed, verlet, desk_wave_v6, monkeypatch):
+    """At the benchmark's test speeds the desk V6 wave ROM steps by
+    Störmer–Verlet or by the split midpoint, and never calls its Newton hook."""
+    calls, paths = [], []
+    midpoint = reduction.implicit_midpoint
+
+    def counting(system, *args, **kwargs):
+        return midpoint(dataclasses.replace(system, newton=_counter(calls)(system.newton)),
+                        *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "implicit_midpoint", counting)
+    for mu in _benchmark_speeds(seed):
+        sys, _, rom = _desk_rom(desk_wave_v6, mu)
+        paths.append(_learned_path(sys, rom, 1.0 / 50))
+        solve_rom(rom, sys, 0.0, 1.0, 50, tol=1e-10)
+    assert calls == []
+    assert paths.count("verlet") == verlet and paths.count("split") == 5 - verlet, paths
 
 
 @pytest.mark.parametrize("scale", [1.0, 300.0])
