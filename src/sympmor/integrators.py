@@ -3,26 +3,26 @@ take in its place.
 
 One midpoint step solves x_{k+1} = x_k + h f(t_k + h/2, (x_k + x_{k+1})/2) by Newton
 iteration.  Each Newton iterate linearizes the system once: ``newton(t, x, h)``
-returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r.  A structured FOM
-supplies its own (O(dim) per solve); without one the solve is dense, with a
-finite-difference Df.  A system may instead supply the whole step,
-``step(t0, h, K) -> (x_k -> x_{k+1})``, set up once per solve of K steps and
-taken without Newton, or decline it by returning None.  The wave FOM factors
-its tridiagonal Schur matrix once.  A projected ROM takes `kick_drift_kick`,
-one force per step around a drift: the free drift (Störmer–Verlet, with any
-time-dependent force tabulated at the K + 1 step times once) where it is not
-stiff, or for a wave ROM the midpoint step of its linear part, set up once per
-solve, which a wave PSD ROM takes alone.
+returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r; without the hook the
+solve is dense, with a finite-difference Df.  A system may instead supply the
+whole step, ``step(t0, h, K, tol) -> (x_k -> x_{k+1})``, set up once per solve
+of K steps, or decline it by returning None.  The FOMs do: the wave factors its
+tridiagonal Schur matrix once, and sine-Gordon runs Newton on the midpoint q
+alone, one stencil and one tridiagonal solve per iterate, to tol.  A projected
+ROM takes `kick_drift_kick`, one force per step around a drift: the free drift
+(Störmer–Verlet, with any time-dependent force tabulated at the K + 1 step
+times once) where it is not stiff, or for a wave ROM the midpoint step of its
+linear part, set up once per solve, which a wave PSD ROM takes alone.
 
 Newton starts step 0 from explicit Euler and every later step from the linear
-extrapolation 2 x_k - x_{k-1}, which costs no field call.  A step is accepted
-when ||delta|| < tol max(1, ||x||), or, from the second iterate on, when the
-contraction estimate of the remaining error, theta / (1 - theta) ||delta|| with
-theta = ||delta_j|| / ||delta_{j-1}|| < 1, is below the same bound (the
-simplified-Newton stop of Hairer & Wanner, Solving ODEs II, IV.8).  That
-saves the iterate that would only confirm convergence.  A non-finite iterate
-ends the solve at once, naming its step.  The tolerance governs Newton alone;
-a supplied step has no iteration to stop.
+extrapolation 2 x_k - x_{k-1}, which costs no field call.  Every Newton
+iteration, the midpoint's here and a step's own, stops by one rule,
+`newton_solve`: a step is accepted when ||delta|| < tol max(1, ||x||), or, from
+the second iterate on, when the contraction estimate of the remaining error,
+theta / (1 - theta) ||delta|| with theta = ||delta_j|| / ||delta_{j-1}|| < 1, is
+below the same bound (the simplified-Newton stop of Hairer & Wanner, Solving
+ODEs II, IV.8).  That saves the iterate that would only confirm convergence.
+A non-finite iterate ends the solve at once, naming its step.
 """
 
 import math
@@ -43,7 +43,7 @@ class OdeSystem:
     hamiltonian: Optional[Callable] = None
     newton: Optional[Callable] = None  # (t, x, h) -> (f(t, x), r -> (I - h/2 Df(x))^{-1} r)
     second_order: Optional[object] = None  # the FOM's models.SecondOrder, which every ROM needs
-    step: Optional[Callable] = None    # (t0, h, K) -> (x_k -> x_{k+1}), or None for Newton
+    step: Optional[Callable] = None    # (t0, h, K, tol) -> (x_k -> x_{k+1}), or None for Newton
     linear_matrix = None   # not a field: the benchmark's step counter still reads it
 
 
@@ -128,10 +128,11 @@ def kick_drift_kick(drift, force, h):
 
 def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     """Integrate sys from x0 over [t0, t1] in K steps: the system's own step
-    where `sys.step` supplies one, else implicit midpoint by Newton to tol.  A
-    NaN or inf carries through every later step, so a supplied step's states
-    are checked once, at the end, and Newton's at each iterate's norm: a
-    non-finite one is an IntegrationFailureError naming its step."""
+    where `sys.step` supplies one (tol stops any Newton it runs), else implicit
+    midpoint by Newton to tol.  A NaN or inf carries through every later step,
+    so a supplied step's states are checked once, at the end, and Newton's at
+    each iterate's norm: a non-finite one is an IntegrationFailureError naming
+    its step.  A step whose set-up meets a singular matrix fails at step 0."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (sys.dim,):
         raise DimensionError(f"initial state must have length {sys.dim}")
@@ -142,9 +143,9 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     X[:, 0] = x0
 
     try:
-        advance = sys.step and sys.step(t0, h, K)   # set up once for the whole solve
+        advance = sys.step and sys.step(t0, h, K, tol)   # set up once for the whole solve
     except np.linalg.LinAlgError:
-        raise IntegrationFailureError(0, "singular Newton matrix at step 0") from None
+        raise IntegrationFailureError(0, "singular step matrix at step 0") from None
     if advance is not None:
         for k in range(K):
             X[:, k + 1] = advance(X[:, k])
@@ -152,39 +153,51 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
 
     f = sys.vector_field
     newton = sys.newton or dense_newton(lambda t, x: (f(t, x), _fd_jacobian(f, t, x)))
+
+    def iterate(x_new):
+        """One Newton iterate of the step from x_old at t_mid."""
+        f_mid, solve = newton(t_mid, 0.5 * (x_old + x_new), h)
+        delta = solve(x_new - x_old - h * f_mid)
+        x_new = x_new - delta
+        # sqrt(v @ v) is np.linalg.norm's arithmetic without its dispatch
+        return x_new, math.sqrt(delta @ delta), math.sqrt(x_new @ x_new)
+
     for k in range(K):
-        t_mid = t0 + (k + 0.5) * h
-        x_old = X[:, k]
+        t_mid, x_old = t0 + (k + 0.5) * h, X[:, k]
         if k == 0:
             x_new = x_old + h * f(t0, x_old)    # explicit Euler start
         else:
             x_new = 2.0 * x_old - X[:, k - 1]   # linear extrapolation, no field call
-        prev = None
-        for _ in range(MAX_NEWTON):
-            x_mid = 0.5 * (x_old + x_new)
-            try:
-                f_mid, solve = newton(t_mid, x_mid, h)
-                delta = solve(x_new - x_old - h * f_mid)
-            except np.linalg.LinAlgError:
-                raise IntegrationFailureError(k, f"singular Newton matrix at step {k}") from None
-            x_new = x_new - delta
-            # scale-aware: an absolute 1e-12 is unattainable for large states;
-            # sqrt(v @ v) is np.linalg.norm's arithmetic without its dispatch
-            bound = tol * max(1.0, math.sqrt(x_new @ x_new))
-            step = math.sqrt(delta @ delta)
-            if not math.isfinite(step):     # no later iterate can converge
-                raise IntegrationFailureError(k, f"non-finite state at step {k}")
-            if step < bound:
-                break
-            # contraction estimate: with theta = step / prev < 1 the remaining
-            # error is at most theta / (1 - theta) * step = step^2 / (prev - step)
-            if prev is not None and step < prev and step * step < bound * (prev - step):
-                break
-            prev = step
-        else:
-            raise IntegrationFailureError(k)
-        X[:, k + 1] = x_new
+        X[:, k + 1] = newton_solve(iterate, x_new, k, tol)
     return _finite(X, t0, t1, K)
+
+
+def newton_solve(iterate, x, k, tol):
+    """Newton's iterates x -> x' of step k from x, by iterate(x) = (x', ||dx||,
+    ||x_new||), until the module's stop rule holds; returns that x'.  dx is the
+    update the iterate makes to the step's new state and x_new that state
+    after it, so an iteration on fewer unknowns is stopped as the full one is.
+    A singular matrix (np.linalg.LinAlgError from iterate), a non-finite update
+    and MAX_NEWTON iterates without acceptance are each an
+    IntegrationFailureError naming step k."""
+    prev = None
+    for _ in range(MAX_NEWTON):
+        try:
+            x, step, size = iterate(x)
+        except np.linalg.LinAlgError:
+            raise IntegrationFailureError(k, f"singular Newton matrix at step {k}") from None
+        if not math.isfinite(step):     # no later iterate can converge
+            raise IntegrationFailureError(k, f"non-finite state at step {k}")
+        # scale-aware: an absolute 1e-12 is unattainable for large states
+        bound = tol * max(1.0, size)
+        if step < bound:
+            return x
+        # with theta = step / prev < 1 the remaining error is at most
+        # theta / (1 - theta) * step = step^2 / (prev - step)
+        if prev is not None and step < prev and step * step < bound * (prev - step):
+            return x
+        prev = step
+    raise IntegrationFailureError(k)
 
 
 def _finite(X, t0, t1, K):

@@ -12,6 +12,7 @@ soliton doublets), both with closed-form solutions.
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import blas
 from .errors import DimensionError
-from .integrators import OdeSystem
+from .integrators import OdeSystem, newton_solve
 
 
 @dataclass(eq=False)
@@ -71,19 +72,24 @@ class SecondOrder:
         q, p = x[:self.d], x[self.d:]
         return float(0.5 * self.h * (q @ self.S(q)) + 0.5 * self.h * (p @ p))
 
-    def midpoint_step(self, t0, tau, K):
-        """The implicit midpoint step x_k -> x_{k+1} at step size tau of a model
-        without a potential, q' = p, p' = -S q, for a solve of any K steps from
-        any t0.
+    def midpoint_step(self, t0, tau, K, tol):
+        """The implicit midpoint step x_k -> x_{k+1} at step size tau, for a solve
+        of K steps from t0; tol is the Newton tolerance of a model with a
+        potential (`integrators.newton_solve`).
 
-        With sigma = tau/2 S, eliminating p_{k+1} leaves the Schur system
-        (I/tau + sigma/2) dq = p_k - sigma q_k for the increment dq = q_{k+1} - q_k,
-        and then p_{k+1} = p_k - sigma (q_k + q_{k+1}).  The Schur matrix is
-        factored once here (LAPACK dgttrf); a step costs one dgttrs and two
-        stencils, O(d).  Solving for the increment rather than for q_k + q_{k+1}
-        keeps the solve's rounding relative to the step, not to the state: on
-        acceptance 4's wave the Hamiltonian drifts 2.9e-13 against 3.7e-12.
+        Without a potential, q' = p, p' = -S q: with sigma = tau/2 S, eliminating
+        p_{k+1} leaves the Schur system (I/tau + sigma/2) dq = p_k - sigma q_k
+        for the increment dq = q_{k+1} - q_k, and then p_{k+1} = p_k - sigma (q_k +
+        q_{k+1}).  The Schur matrix is factored once here (LAPACK dgttrf); a step
+        costs one dgttrs and two stencils, O(d).  Solving for the increment
+        rather than for q_k + q_{k+1} keeps the solve's rounding relative to the
+        step, not to the state: on acceptance 4's wave the Hamiltonian drifts
+        2.9e-13 against 3.7e-12.
+
+        With a potential the step is `_newton_midpoint_step`.
         """
+        if self.potential is not None:
+            return self._newton_midpoint_step(t0, tau, K, tol)
         c = 0.5 * tau / self.h ** 2
         diag, off = c * self.diag, c * self.off   # sigma's bands
         solve = blas.tridiagonal_factor(0.5 * off, np.full(self.d, 1.0 / tau) + 0.5 * diag)
@@ -96,28 +102,64 @@ class SecondOrder:
 
         return step
 
-    def banded_newton(self, field):
-        """Newton hook (t, x, tau) -> (field(t, x), solve of (I - tau/2 Df(x)) delta = r).
+    def _newton_midpoint_step(self, t0, tau, K, tol):
+        """The implicit midpoint step of q' = p, p' = F(t, q) = -S q - V'(q) + b(t)
+        by Newton on the midpoint q alone (Hairer & Wanner, Solving ODEs II,
+        IV.8), in its increment z = (q_{k+1} - q_k) / 2: with w = tau^2/4,
 
-        With T = S + diag V''(q), eliminating delta_p leaves the tridiagonal Schur
-        complement (I + tau^2/4 T) delta_q = r_q + tau/2 r_p, solved by one LAPACK
-        dgtsv at O(d); then delta_p = r_p - tau/2 T delta_q.
+            G(z) = z - tau/2 p_k - w F(t_k + tau/2, q_k + z) = 0,
+
+        whose Jacobian is the tridiagonal Schur matrix I + w (S + diag V''(q_k + z)).
+        An iterate is one stencil, one V', one V'' and one LAPACK dgtsv, all on
+        d-vectors; then q_{k+1} = q_k + 2 z and p_{k+1} = 4/tau z - p_k.  These
+        are the full-space Newton iterates in q from the same start (explicit
+        Euler at step 0; after it 2 q_k - q_{k-1}, whose z is the last step's),
+        and the update the state takes, [2 dz; 4/tau dz], is what the stop rule
+        measures.  Solving for the increment keeps the rounding of p_{k+1}
+        relative to the step, as in the step without a potential.  b at the K
+        midpoints is one `ends` table per solve.  The advance must be called
+        on the states it returned, in step order from x_0.
         """
-        schur_solve = blas.tridiagonal_solver(self.d)
+        d, w, half = self.d, 0.25 * tau ** 2, 0.5 * tau
+        off, diag = w * self.off / self.h ** 2, w * self.diag / self.h ** 2   # w S's bands
+        schur_diag = 1.0 + diag
+        weight = math.sqrt(4.0 + 16.0 / tau ** 2)    # ||[2 dz; 4/tau dz]|| / ||dz||
+        forcing = w * self.ends(t0 + (np.arange(K) + 0.5) * tau)
+        grad, curvature = self.potential
+        schur_solve = blas.tridiagonal_solver(d)
+        k, z = 0, None      # the step about to be taken and the last step's z
 
-        def newton(t, x, tau):
-            d, c = self.d, self.potential[1](x[:self.d])
-            w = 0.25 * tau ** 2
-            off = w * (self.off / self.h ** 2)
-            main = 1.0 + w * (self.diag / self.h ** 2 + c)
+        def advance(x):
+            nonlocal k, z
+            q, p = x[:d], x[d:]
+            c = half * p
+            if k == 0:
+                z = c.copy()    # explicit Euler's q_{k+1} = q_k + tau p_k
+            c[0] += forcing[k, 0]
+            c[-1] += forcing[k, 1]
+            x_new = np.empty(2 * d)
 
-            def solve(r):
-                dq = schur_solve(off, main, r[:d] + 0.5 * tau * r[d:])
-                return np.concatenate([dq, r[d:] - 0.5 * tau * (self.S(dq) + c * dq)])
+            def iterate(z):
+                y = q + z
+                G = _band_product(diag, off, y)
+                G += w * grad(y)
+                G += z
+                G -= c
+                main = w * curvature(y)
+                main += schur_diag
+                dz = schur_solve(off, main, G)
+                z = z - dz
+                np.multiply(2.0, z, out=x_new[:d])
+                x_new[:d] += q
+                np.multiply(4.0 / tau, z, out=x_new[d:])
+                x_new[d:] -= p
+                return z, weight * math.sqrt(dz @ dz), math.sqrt(x_new @ x_new)
 
-            return field(t, x), solve
+            z = newton_solve(iterate, z, k, tol)
+            k += 1
+            return x_new
 
-        return newton
+        return advance
 
 
 def _band_product(diag, off, Q):
@@ -213,7 +255,9 @@ class SineGordonModel(SecondOrder):
         """Interior grid points."""
         return self.a + self.h * np.arange(1, self.N + 1)
 
-    @functools.lru_cache(maxsize=4)   # the field asks once per Newton iterate at one t
+    # serves the ROM's Newton midpoint, whose iterates of a step all ask at one
+    # t, and the Hamiltonian; the FOM step and the Verlet ROM read `ends` tables
+    @functools.lru_cache(maxsize=4)
     def boundary(self, t):
         """([u(t, a), u(t, b)], [u_t(t, a), u_t(t, b)]) from one sg_exact call per
         model and t; callers must not write into the arrays."""
@@ -280,9 +324,8 @@ def sg_initial(model, t=0.0):
 
 
 def sg_system(model):
-    field = sg_vector_field(model)
-    return OdeSystem(dim=model.dim, vector_field=field, hamiltonian=model.hamiltonian,
-                     newton=model.banded_newton(field), second_order=model)
+    return OdeSystem(dim=model.dim, vector_field=sg_vector_field(model),
+                     hamiltonian=model.hamiltonian, step=model.midpoint_step, second_order=model)
 
 
 @dataclass(frozen=True)

@@ -211,9 +211,10 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
     A Newton iterate solves the n x n Schur complement (I + tau^2/4 T) delta_q
     = r_q + tau/2 r_p, then delta_p = r_p - tau/2 T delta_q, with T = X^T S X +
     X^T diag(V''(q)) X (symmetric: midpoint keeps a quadratic H) plus the
-    Gauss-Newton Hessian J^T J of V_post at xi_q0, formed once (a simplified
-    Newton; the residual stays exact).  Without a potential T is constant and
-    its Schur matrix is LU-factored once per step size (`blas.lu_factor`).
+    Gauss-Newton Hessian J^T J of V_post at xi_q0, formed on the first Newton
+    call (a simplified Newton; the residual stays exact).  Without a potential
+    T is constant and its Schur matrix is LU-factored once per step size
+    (`blas.lu_factor`).
 
     The step hook takes no Newton where it can, deciding once per solve.  The
     system is separable, so with a potential or a learned term it supplies
@@ -235,7 +236,6 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
     XtSX = X.T @ model.S(X)
     c_q, c_p = X.T @ x_ref[d:], -(X.T @ model.S(q_ref))
     ends = X[[0, -1]].T                     # the two end nodes' rows, as n x 2
-    T0 = XtSX
     if post is not None:
         K, a, b = post.K, post.a, post.b
         B = K @ X
@@ -247,10 +247,16 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
             r = r_ref + (g - X @ (X.T @ g))
             return B.T @ (a * (1.0 - s * s) * (K @ r))
 
+    @functools.cache
+    def newton_matrix():
+        """T0 = X^T S X, plus V_post's Gauss-Newton Hessian J^T J at xi_q0 for a
+        learned decoder, formed on the first Newton call: no other path reads it."""
+        if post is None:
+            return XtSX
         s = np.tanh(B @ (np.zeros(n) if xi_q0 is None else xi_q0) + b)
         J = K.T @ ((a * (1.0 - s * s))[:, None] * B)
         J -= X @ (X.T @ J)
-        T0 = XtSX + J.T @ J
+        return XtSX + J.T @ J
 
     def force(xi_q, b):
         """(xi_p', q) at xi_q under the end forcing b = model.ends(t); q = q_ref +
@@ -272,14 +278,14 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
 
     @functools.lru_cache(maxsize=1)
     def constant_schur(tau):
-        return blas.lu_factor(np.eye(n) + 0.25 * tau ** 2 * T0)
+        return blas.lu_factor(np.eye(n) + 0.25 * tau ** 2 * newton_matrix())
 
     def newton(t, xi, tau):
         f, q = field_at(t, xi)
         if q is None:
-            T, schur_solve = T0, constant_schur(tau)
+            T, schur_solve = newton_matrix(), constant_schur(tau)
         else:
-            T = T0 + X.T @ (model.potential[1](q)[:, None] * X)
+            T = newton_matrix() + X.T @ (model.potential[1](q)[:, None] * X)
             schur_solve = functools.partial(np.linalg.solve, np.eye(n) + 0.25 * tau ** 2 * T)
 
         def solve(r):
@@ -308,7 +314,8 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
 
         return drift
 
-    def step(t0, tau, K):
+    def step(t0, tau, K, tol=None):
+        # tol goes unused: the hook takes no Newton, it declines
         h = _post_curvature(X, x_ref, post)
         # a wave PSD ROM skips Verlet: the midpoint step keeps its quadratic H
         if ((model.potential is not None or post is not None)

@@ -178,7 +178,7 @@ def test_singular_schur_factor_raises_integration_failure(monkeypatch):
     sys = OdeSystem(model.dim, model.field, step=model.midpoint_step)
     for bound in (blas._LAPACK, {}):
         monkeypatch.setattr(blas, "_LAPACK", bound)
-        with pytest.raises(IntegrationFailureError, match="singular Newton matrix at step 0") as exc:
+        with pytest.raises(IntegrationFailureError, match="singular step matrix at step 0") as exc:
             implicit_midpoint(sys, np.ones(6), 0.0, 2.0, 2)
         assert exc.value.step_index == 0
 
@@ -194,20 +194,21 @@ def test_singular_banded_hook_raises_integration_failure():
     assert exc.value.step_index == 0
 
 
-def test_newton_stops_at_a_non_finite_iterate():
+def test_newton_stops_at_a_non_finite_iterate(monkeypatch):
     """A sine-Gordon FOM whose x0 holds one NaN fails at its first Newton
-    iterate, naming the non-finite state, not after MAX_NEWTON banded solves."""
+    iterate, naming the non-finite state, not after MAX_NEWTON Schur solves."""
     model = sg_build(40, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
     sys, x0 = sg_system(model), sg_initial(model)
     x0[5] = np.nan
-    calls = []
+    calls, solver = [], blas.tridiagonal_solver
 
-    def counted(t, x, h):
-        calls.append(t)
-        return sys.newton(t, x, h)
+    def counted(n):
+        solve = solver(n)
+        return lambda *args: calls.append(args) or solve(*args)
 
+    monkeypatch.setattr(blas, "tridiagonal_solver", counted)
     with pytest.raises(IntegrationFailureError, match="non-finite state at step 0") as exc:
-        implicit_midpoint(dataclasses.replace(sys, newton=counted), x0, 0.0, 1.0, 20)
+        implicit_midpoint(sys, x0, 0.0, 1.0, 20)
     assert exc.value.step_index == 0
     assert len(calls) == 1
 
@@ -216,8 +217,8 @@ def test_kick_drift_kick_names_the_non_finite_step():
     """A force that turns NaN at t = 0.4 fails the step that ends there (k = 3),
     through the step hook of implicit_midpoint."""
     force = lambda t, q: np.full(1, np.nan) if t > 0.35 else -q
-    step = lambda t0, h, K: kick_drift_kick(free_drift(np.zeros(1), h),
-                                            lambda k, q: force(t0 + k * h, q), h)
+    step = lambda t0, h, K, tol: kick_drift_kick(free_drift(np.zeros(1), h),
+                                                 lambda k, q: force(t0 + k * h, q), h)
     sys = OdeSystem(2, lambda t, x: x, step=step)
     with pytest.raises(IntegrationFailureError, match="non-finite state at step 3") as exc:
         implicit_midpoint(sys, np.array([1.0, 0.0]), 0.0, 1.0, 10)
@@ -237,6 +238,6 @@ def test_wave_fom_non_finite_initial_state_raises():
 def test_declined_step_takes_the_newton_midpoint():
     """A step hook that returns None leaves the solve to Newton, bitwise."""
     sys = oscillator()
-    declined = dataclasses.replace(sys, step=lambda t0, h, K: None)
+    declined = dataclasses.replace(sys, step=lambda t0, h, K, tol: None)
     assert np.array_equal(implicit_midpoint(declined, np.array([1.0, 0.0]), 0.0, 1.0, 10).states,
                           implicit_midpoint(sys, np.array([1.0, 0.0]), 0.0, 1.0, 10).states)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sympmor import models
+from sympmor import blas, models
 from sympmor.errors import DimensionError, IntegrationFailureError
 from sympmor.integrators import OdeSystem, dense_newton, implicit_midpoint
 from sympmor.models import (
@@ -349,7 +349,8 @@ def test_sg_boundary_values_match_single_point_calls():
 @pytest.mark.parametrize("bc", list(SgKind))
 def test_sg_ends_table_matches_single_time_calls(bc, K):
     """ends at an array of times is one table whose rows are ends(t) at each
-    time, bitwise, on the step grids t0 + h arange(K + 1) of a solve."""
+    time, bitwise, on the step grids t0 + h arange(K + 1) of a solve and on
+    the midpoints t0 + (k + 1/2) h that the FOM step reads."""
     rng = np.random.default_rng(K)
     for nu in np.linspace(-0.9, 0.9, 7):
         t0, t1 = sorted(rng.uniform(-5.0, 20.0, 2))
@@ -357,23 +358,26 @@ def test_sg_ends_table_matches_single_time_calls(bc, K):
         table = model.ends(t0 + h * np.arange(K + 1))
         assert table.shape == (K + 1, 2)
         assert np.array_equal(table, [model.ends(t0 + k * h) for k in range(K + 1)])
+        midpoints = model.ends(t0 + (np.arange(K) + 0.5) * h)
+        assert np.array_equal(midpoints, [model.ends(t0 + (k + 0.5) * h) for k in range(K)])
 
 
 @pytest.mark.parametrize("bc", list(SgKind))
 def test_sg_fom_evaluates_the_closed_form_boundary_once_per_time(bc, monkeypatch):
-    # each Newton iterate asks for b(t) at the same t; without the memo a
-    # K = 50 solve made 150 closed-form calls for its 100 distinct times
+    """A FOM solve reads b(t) at its K step midpoints from one table, one
+    closed-form call per solve (a call per midpoint, 50 here, without it)."""
     model, K = sg_build(200, 0.35, a=-10.0, b=10.0, bc=bc), 50
     x0 = sg_initial(model)
-    times = []
+    calls = []
 
     def counting(bc, nu, t, xi):
-        times.append(t)
+        calls.append(t)
         return sg_exact(bc, nu, t, xi)
 
     monkeypatch.setattr(models, "sg_exact", counting)
     implicit_midpoint(sg_system(model), x0, 0.0, 1.0, K)
-    assert len(times) == len(set(times)) <= 2 * K
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][:, 0], 0.0 + (np.arange(K) + 0.5) * (1.0 / K))
 
 
 def test_sg_hamiltonian_boundary_velocity_term():
@@ -393,56 +397,107 @@ def test_sg_hamiltonian_boundary_velocity_term():
         assert model.hamiltonian(x, t=t) == pytest.approx(expected, rel=1e-14)
 
 
+def _counted_schur_solves(monkeypatch):
+    """A list that records (off, main, rhs, solution) of every tridiagonal solve
+    made from here on."""
+    calls, solver = [], blas.tridiagonal_solver
+
+    def counted(n):
+        solve = solver(n)
+
+        def recorded(off, main, rhs):
+            x = solve(off, main, rhs).copy()
+            calls.append((off, main.copy(), rhs.copy(), x))
+            return x
+
+        return recorded
+
+    monkeypatch.setattr(blas, "tridiagonal_solver", counted)
+    return calls
+
+
+def _per_step(sys, calls):
+    """sys whose step records, per step, the solves in `calls` it made."""
+    per_step = []
+
+    def step(*args):
+        advance = sys.step(*args)
+
+        def counted(x):
+            before = len(calls)
+            x = advance(x)
+            per_step.append(len(calls) - before)
+            return x
+
+        return counted
+
+    return dataclasses.replace(sys, step=step), per_step
+
+
 @pytest.mark.parametrize("N", [1, 2, 7, 64])
-def test_sg_newton_solve_matches_dense_solve(N):
+def test_sg_newton_solve_matches_dense_solve(N, monkeypatch):
+    """Each Newton iterate of the FOM step solves, by dgtsv, the Schur system
+    (I + tau^2/4 (S + diag cos y)) dz = G of its midpoint y, with
+    G = y - q_k - tau/2 p_k - tau^2/4 F(t_mid, y): checked against the matrix and
+    residual built here at each iterate's y (recorded where the step asks for
+    V'') and a dense solve."""
     model = sg_build(N, nu=0.4, a=-5.0, b=5.0, bc=SgKind.SingleSoliton)
-    newton = sg_system(model).newton
-    jac = sg_jacobian(model)
-    rng = np.random.default_rng(N)
+    calls, midpoints = _counted_schur_solves(monkeypatch), []
+    model.potential = (np.sin, lambda y: midpoints.append(y.copy()) or np.cos(y))
+    L = dense_laplacian(N, model.h)
     for tau in (1e-3, 0.02, 0.5):
-        x = 3.0 * rng.standard_normal(model.dim)
-        r = rng.standard_normal(model.dim)
-        dense = np.linalg.solve(np.eye(model.dim) - 0.5 * tau * jac(0.3, x, np.eye(model.dim)), r)
-        assert np.linalg.norm(newton(0.3, x, tau)[1](r) - dense) <= 1e-12 * np.linalg.norm(dense)
+        del calls[:], midpoints[:]
+        sys, per_step = _per_step(sg_system(model), calls)
+        X = implicit_midpoint(sys, sg_initial(model), 0.0, 3 * tau, 3).states
+        steps = np.repeat(np.arange(3), per_step)
+        assert len(calls) == len(midpoints) == len(steps)
+        for k, (off, main, rhs, dz), y in zip(steps, calls, midpoints):
+            M = np.eye(N) + 0.25 * tau ** 2 * (np.diag(np.cos(y)) - L)
+            assert np.allclose(main, np.diag(M), rtol=1e-14, atol=0.0)
+            assert np.allclose(off, np.diag(M, 1), rtol=1e-14, atol=0.0)
+            dense = np.linalg.solve(M, rhs)
+            assert np.linalg.norm(dz - dense) <= 1e-12 * np.linalg.norm(dense)
+            q, p = X[:N, k], X[N:, k]
+            F = model.field((k + 0.5) * tau, np.concatenate([y, p]))[N:]
+            G = y - q - 0.5 * tau * p - 0.25 * tau ** 2 * F
+            assert np.linalg.norm(rhs - G) <= 1e-12 * max(1.0, np.linalg.norm(G))
 
 
 @pytest.mark.parametrize("nu", [0.1, 0.35, 0.6])
-def test_sg_banded_fom_matches_dense_fom(nu):
+def test_sg_banded_fom_matches_dense_fom(nu, monkeypatch):
+    """The FOM step (Newton on the midpoint q, one dgtsv per iterate) agrees to
+    1e-12 with the full-space Newton midpoint on a dense I - tau/2 Df from
+    model.jacobian, and takes no more iterates at any step."""
     model = sg_build(200, nu, a=-10.0, b=10.0, bc=SgKind.SingleSoliton)
-    sys = sg_system(model)
-    assert sys.newton is not None
-    calls = {"banded": 0, "dense": 0}
+    calls = _counted_schur_solves(monkeypatch)
+    fom, fom_steps = _per_step(sg_system(model), calls)
+    dense_steps = np.zeros(50, dtype=int)
 
-    def counted(key, fn):
-        def wrapped(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapped
+    def linearize(t, x):
+        dense_steps[int(t / 0.02)] += 1     # t_mid = (k + 1/2) tau, tau = 1/50
+        return model.field(t, x), model.jacobian(t, x, np.eye(model.dim))
 
-    # one call per Newton iterate on each path: the banded hook, the dense Jacobian
-    banded = dataclasses.replace(sys, newton=counted("banded", sys.newton))
-    jac = counted("dense", model.jacobian)
-    dense = dataclasses.replace(sys, newton=dense_newton(
-        lambda t, x: (sys.vector_field(t, x), jac(t, x, np.eye(model.dim)))))
-    a = implicit_midpoint(banded, sg_initial(model), 0.0, 1.0, 50)
+    dense = dataclasses.replace(fom, step=None, newton=dense_newton(linearize))
+    a = implicit_midpoint(fom, sg_initial(model), 0.0, 1.0, 50)
     b = implicit_midpoint(dense, sg_initial(model), 0.0, 1.0, 50)
     assert np.linalg.norm(a.states - b.states) <= 1e-12 * np.linalg.norm(b.states)
-    assert calls["banded"] == calls["dense"]
+    assert len(fom_steps) == 50
+    assert np.all(np.array(fom_steps) <= dense_steps), (fom_steps, dense_steps)
 
 
 def test_banded_newton_singular_schur_complement():
-    """tau = 2, S = tridiag(0, -1, 0), V = 0: I + tau^2/4 S is exactly zero."""
+    """The FOM step's tridiagonal Schur matrix I + tau^2/4 (S + diag V''(y)) at
+    tau = 1 with S = 0 and a V'' of -4 beyond y = 1: from q = 0, p = 1 the
+    midpoint reaches y = 1.5 at step 1, where the matrix is exactly zero, which
+    dgtsv reports and the solve names as a singular Newton matrix at step 1."""
     class Flat(SecondOrder):
-        potential = (np.zeros_like, np.zeros_like)
+        potential = (np.zeros_like, lambda y: np.where(y > 1.0, -4.0, 0.0))
 
         def ends(self, t):
-            return 0.0, 0.0
+            return np.zeros(np.shape(t) + (2,))
 
-    model = Flat(N=2, diag=-1.0, off=0.0, h=1.0)
-    _, solve = model.banded_newton(model.field)(0.0, np.ones(4), 2.0)
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        solve(np.ones(4))
-    sys = OdeSystem(4, model.field, newton=model.banded_newton(model.field))
-    with pytest.raises(IntegrationFailureError, match="singular Newton matrix") as exc:
-        implicit_midpoint(sys, np.ones(4), 0.0, 4.0, 2)
-    assert exc.value.step_index == 0
+    model = Flat(N=2, diag=0.0, off=0.0, h=1.0)
+    sys = OdeSystem(4, model.field, step=model.midpoint_step)
+    with pytest.raises(IntegrationFailureError, match="singular Newton matrix at step 1") as exc:
+        implicit_midpoint(sys, np.r_[0.0, 0.0, 1.0, 1.0], 0.0, 3.0, 3)
+    assert exc.value.step_index == 1

@@ -420,6 +420,29 @@ def _learned_path(sys, rom, tau):
     return "newton" if projected.step(0.0, tau, 20) is None else "split"
 
 
+class _Unread:
+    """A stand-in array that fails the test when anything reads it."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("read")
+
+
+@pytest.mark.parametrize("t1, path", [(1.0, "verlet"), (4.0, "split")])
+def test_learned_rom_forms_the_gauss_newton_hessian_on_the_first_newton_call(t1, path,
+                                                                          learned_wave_rom):
+    """V_post's Gauss-Newton Hessian at xi_q0 is formed by the Newton hook
+    alone: a Verlet and a split solve never read xi_q0, and are bitwise the
+    solves of the system built with it; the Newton midpoint reads it."""
+    sys, rom = learned_wave_rom
+    assert _learned_path(sys, rom, t1 / 20) == path
+    projected, eta0 = _learned_system(rom, sys)
+    unread = projected_system(sys.second_order, rom.basis, rom.x_ref, rom.fold.post, _Unread())
+    assert np.array_equal(implicit_midpoint(unread, eta0, 0.0, t1, 20).states,
+                          implicit_midpoint(projected, eta0, 0.0, t1, 20).states)
+    with pytest.raises(AssertionError, match="read"):
+        implicit_midpoint(dataclasses.replace(unread, step=None), eta0, 0.0, t1, 20)
+
+
 def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
     """A learned ROM of 'P' layers makes no decoder pass and no FOM call: by
     Störmer–Verlet, by the split midpoint and by the Newton midpoint (its
@@ -635,16 +658,43 @@ def test_psd_rom_binds_the_decoder_weight_at_build():
     assert not np.array_equal(decode(xi), before[0])
 
 
-def _sg_fom():
+STOP_T1, STOP_K = 1.0, 30
+
+
+def _sg_fom(fixture):
+    """The sine-Gordon FOM, whose step counts its Newton iterates (one V'' call
+    each) per step, and the full-space Newton midpoint of the same model on a
+    dense I - h/2 Df, the iteration whose q-iterates the step takes."""
     model = sg_build(40, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
-    return sg_system(model), sg_initial(model)
+    sys, per_step = sg_system(model), []
+
+    def curvature(y):
+        per_step[-1] += 1
+        return np.cos(y)
+
+    def step(*args):
+        advance = sys.step(*args)
+        return lambda x: per_step.append(0) or advance(x)
+
+    model.potential = (np.sin, curvature)
+    plain = sg_build(40, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
+    newton = dataclasses.replace(sg_system(plain), step=None, newton=dense_newton(
+        lambda t, x: (plain.field(t, x), plain.jacobian(t, x, np.eye(plain.dim)))))
+    return dataclasses.replace(sys, step=step), sg_initial(model), per_step, newton
 
 
 def _learned_rom_system(learned_wave_rom):
-    """The learned ROM's Newton midpoint as solve_rom runs it, in eta."""
+    """The learned ROM's Newton midpoint as solve_rom runs it, in eta, counting
+    its Newton hook's calls per step, and the same system uncounted."""
     sys, rom = learned_wave_rom
     projected, eta0 = _learned_system(rom, sys)
-    return dataclasses.replace(projected, step=None), eta0
+    newton, per_step = dataclasses.replace(projected, step=None), [0] * STOP_K
+
+    def counted(t, x, tau):
+        per_step[int(t * STOP_K / STOP_T1)] += 1     # t_mid = (k + 1/2) t1 / K
+        return newton.newton(t, x, tau)
+
+    return dataclasses.replace(newton, newton=counted), eta0, per_step, newton
 
 
 def _plain_iterates(sys, X, k, t0, h, tol):
@@ -661,27 +711,22 @@ def _plain_iterates(sys, X, k, t0, h, tol):
     raise AssertionError(f"step {k} did not converge")
 
 
-STOP_CASES = {"sg_fom": lambda fixture: _sg_fom(), "learned_rom": _learned_rom_system}
+STOP_CASES = {"sg_fom": _sg_fom, "learned_rom": _learned_rom_system}
 
 
 @pytest.mark.parametrize("case", list(STOP_CASES))
 def test_contraction_stop_takes_no_more_iterates(case, learned_wave_rom):
     """Each step, from the same start, takes no more Newton iterates than the
     plain ||delta|| test would, and the trajectory agrees with a solve at
-    tol = 1e-13 to 1e-9."""
-    sys, x0 = STOP_CASES[case](learned_wave_rom)
-    t0, t1, K, tol = 0.0, 1.0, 30, 1e-10
-    h = (t1 - t0) / K
-    per_step = np.zeros(K, dtype=int)
-
-    def counted(t, x, tau):
-        per_step[int(round((t - t0) / h - 0.5))] += 1
-        return sys.newton(t, x, tau)
-
-    traj = implicit_midpoint(dataclasses.replace(sys, newton=counted), x0, t0, t1, K, tol=tol)
-    plain = [_plain_iterates(sys, traj.states, k, t0, h, tol) for k in range(K)]
-    assert np.all(per_step >= 1) and np.all(per_step <= plain), (per_step, plain)
-    tight = implicit_midpoint(sys, x0, t0, t1, K, tol=1e-13)
+    tol = 1e-13 to 1e-9.  The FOM's iterates are its step's own."""
+    counted, x0, per_step, newton = STOP_CASES[case](learned_wave_rom)
+    t0, h, tol = 0.0, STOP_T1 / STOP_K, 1e-10
+    traj = implicit_midpoint(counted, x0, t0, STOP_T1, STOP_K, tol=tol)
+    iterates = np.array(per_step)
+    plain = [_plain_iterates(newton, traj.states, k, t0, h, tol) for k in range(STOP_K)]
+    assert len(iterates) == STOP_K
+    assert np.all(iterates >= 1) and np.all(iterates <= plain), (iterates, plain)
+    tight = implicit_midpoint(counted, x0, t0, STOP_T1, STOP_K, tol=1e-13)
     assert _rel(traj.states, tight.states) <= 1e-9
 
 
@@ -1121,13 +1166,14 @@ def test_constant_schur_lu_equals_numpy_solve(n, monkeypatch):
 
 
 def test_singular_constant_schur_raises_integration_failure(monkeypatch):
-    """S = -4 I and tau = 1 make I + tau^2/4 X^T S X exactly zero: dgetrf's zero
-    pivot, or np.linalg.solve's where numpy bundles no LAPACK, is an
-    IntegrationFailureError at step 0."""
+    """S = -4 I and tau = 1 make I + tau^2/4 X^T S X exactly zero: the set-up of
+    the ROM's midpoint step (np.linalg.inv of that matrix), with or without
+    the bundled LAPACK, fails as an IntegrationFailureError at step 0 that
+    names the step's matrix, since no Newton runs."""
     model, X = SecondOrder(N=3, diag=-4.0, off=0.0, h=1.0), np.eye(3)[:, :2]
     for bound in (blas._LAPACK, {}):
         monkeypatch.setattr(blas, "_LAPACK", bound)
-        with pytest.raises(IntegrationFailureError, match="singular Newton matrix at step 0") as exc:
+        with pytest.raises(IntegrationFailureError, match="singular step matrix at step 0") as exc:
             implicit_midpoint(projected_system(model, X), np.ones(4), 0.0, 2.0, 2)
         assert exc.value.step_index == 0
 
