@@ -12,7 +12,9 @@ from .stiefel import (
     TangentVector,
     TransportKind,
     cayley_factors,
+    cayley_parts,
     cayley_retract,
+    cayley_system,
     metric_inner,
     project_tangent,
     random_stiefel,
@@ -29,7 +31,9 @@ __all__ = [
     "TangentVector",
     "TransportKind",
     "cayley_factors",
+    "cayley_parts",
     "cayley_retract",
+    "cayley_system",
     "metric_inner",
     "project_tangent",
     "random_stiefel",

@@ -6,8 +6,9 @@ the group.  It costs one Householder QR of the N x (N-n) sample per step,
 applied in WY blocks; no Q is formed.  Tangent vectors lift to the fixed
 horizontal space g^{hor,E} of skew N x N matrices [[W, -C^T], [C, 0]],
 stored compactly as the one N x n array [W; C] = [X | lambda_bar]^T Z.  Retraction back to the manifold goes
-through the Cayley transform of the horizontal element: the manifold's
-``stiefel._smw_core`` builds its SMW system and ``_cayley_apply`` applies it.
+through the Cayley transform of the horizontal element in the manifold's
+2n x 2n coordinates: ``stiefel.cayley_system`` builds its system from W and
+C^T C and applies it to [I; 0].
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import blas
 from .errors import DimensionError, SectionDegenerateError
-from .stiefel import StiefelPoint, _cayley_apply, _smw_core, skew
+from .stiefel import StiefelPoint, cayley_system, skew
 
 
 # reflectors per compact-WY block: of 16 to 64, 32 was within noise of the
@@ -127,21 +128,14 @@ def lift_to_global(section, Z):
 def retract_global(section, V):
     """Retract lambda_E(X) cay(M/2) E for the horizontal blocks V = [W; C] (M its dense form).
 
-    M = U' V' with U' = [[W, -I], [C, 0]] and V' = [[I, 0], [0, C^T]], so
-    cay(M/2) E comes from the manifold's SMW kernel; the only dense solve is
-    2n x 2n and no N x N matrix appears.
+    M = Q [[W, -I], [I, 0]] Q^T with Q = [E, [0; C]] and Q^T Q = blockdiag(I, C^T C),
+    so cay(M/2) E = E + Q k with k the increment of the manifold's 2n x 2n Cayley
+    system; the only dense solve is 2n x 2n and no N x N matrix appears.
     """
     X = section.base
-    N, n = X.shape
-
-    Up = np.zeros((N, 2 * n))
-    Up[:, :n] = V
-    Up[:n, n:] = -np.eye(n)
-    Vp = np.zeros((2 * n, N))
-    Vp[:n, :n] = np.eye(n)
-    Vp[n:, n:] = V[n:].T
-
-    out = _cayley_apply(_smw_core(Up, Vp), np.eye(N, n))
-    # left-multiply by lambda = [X | lambda_bar] without assembling it
-    full = X.data @ out[:n] + _complement(section, out[n:])
+    n = X.shape[1]
+    C = V[n:]
+    k = cayley_system(V[:n], C)[2]
+    # left-multiply E + Q k by lambda = [X | lambda_bar] without assembling it
+    full = X.data + X.data @ k[:n] + _complement(section, C @ k[n:])
     return StiefelPoint(full, check=False).renormalized()

@@ -124,7 +124,8 @@ class StiefelAdamCache:
 
 
 def stiefel_adam_step(hyper, cache, X, Z):
-    """Modified Adam on St(n,N): returns the tangent update direction V.
+    """Modified Adam on St(n,N): returns the tangent update X omega + perp as
+    its parts (omega, perp), omega n x n skew and X^T perp = 0.
 
     The second moment is formed elementwise from the old B1 and the fresh
     gradient; the skew part of the update is scaled by the elementwise square
@@ -142,21 +143,22 @@ def stiefel_adam_step(hyper, cache, X, Z):
 
     A = X.data
     W = A.T @ B1
-    K_part = B1 - A @ W
-    skew_part = A @ (W / np.sqrt(B2.T @ B2))
-    comp = K_part / B2
-    comp_part = comp - A @ (A.T @ comp)
-    return TangentVector(-hyper.eta * (skew_part + comp_part), X, check=False)
+    comp = (B1 - A @ W) / B2
+    omega = -hyper.eta * st.skew(W / np.sqrt(B2.T @ B2))
+    perp = -hyper.eta * (comp - A @ (A.T @ comp))
+    return omega, perp
 
 
 def stiefel_psd_update(hyper, cache, X, egrad, metric, transport_kind):
-    """One direct update on one BLAS thread: rgrad -> StiefelAdam -> retract -> transport."""
+    """One direct update on one BLAS thread: rgrad -> StiefelAdam -> retract -> transport.
+
+    The update's parts give the step's Cayley system, built once and shared by
+    the retraction and the transport."""
     with blas.single_thread():
         Z = st.riemannian_gradient(metric, X, egrad)
-        V = stiefel_adam_step(hyper, cache, X, Z)
-        system = st.cayley_system(X, V)
-        X_new = st.cayley_retract(X, V, system)
-        cache.B1 = st.transport(transport_kind, X, V, cache.B1, retracted=X_new, system=system)
+        system = st.cayley_system(*stiefel_adam_step(hyper, cache, X, Z))
+        X_new = st.cayley_retract(X, system=system)
+        cache.B1 = st.transport(transport_kind, X, None, cache.B1, retracted=X_new, system=system)
     update_hyper(hyper)
     return X_new
 

@@ -5,9 +5,16 @@ tangent space at X consists of all Z with X^T Z + Z^T X = 0.  This module
 provides the tangent projection, Riemannian gradients for the Euclidean and
 canonical metrics, the Cayley retraction in its factored SMW form, and the
 two vector transports associated with it.  No operation materializes an
-N x N matrix; everything is O(N n^2).  Every direct step builds its system
-(U, V, S = I - VU/2, VU) once, in _smw_core; the one dense solve is with the
-2n x 2n SMW matrix S, rejected when its exact 1-norm condition exceeds COND_LIMIT.
+N x N matrix; everything is O(N n^2).
+
+A step Z = X omega + perp (omega = X^T Z skew, X^T perp = 0) has the generator
+A_{X,Z} = Q C Q^T with Q = [X, perp] and C = [[omega, -I], [I, 0]], and
+Q^T Q = blockdiag(I, perp^T perp).  Every direct step builds its 2n x 2n
+system (C, G = Q^T Q, S = I - GC/2, GC) once, in _smw_core, and shares it
+between the retraction and the transport.  N enters only through n x n Grams
+such as perp^T perp and the outputs, e.g. R_X(Z) = X + X k_1 + perp k_2; the
+dense solves are with S, rejected when its exact 1-norm condition exceeds
+COND_LIMIT.
 """
 
 import enum
@@ -134,13 +141,13 @@ def random_stiefel(N, n, seed):
 
 
 def project_tangent(X, Y):
-    """Orthogonal projection P_X(Y) = (I - XX^T)Y + X skew(X^T Y) onto T_X St(n,N)."""
+    """Orthogonal projection P_X(Y) = Y - X sym(X^T Y) onto T_X St(n,N)."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != X.shape:
         raise DimensionError(f"shape mismatch: {Y.shape} vs {X.shape}")
     A = X.data
     AtY = A.T @ Y
-    Z = Y - A @ AtY + A @ skew(AtY)
+    Z = Y - A @ ((AtY + AtY.T) / 2.0)
     return TangentVector(Z, X, check=False)
 
 
@@ -175,19 +182,27 @@ def metric_inner(metric, X, Z1, Z2):
     return full - 0.5 * float(np.tensordot(A.T @ B1, A.T @ B2))
 
 
-def cayley_factors(X, Z):
-    """Low-rank factors U (N x 2n), V (2n x N) with U V = A_{X,Z}.
-
-    A_{X,Z} = (I - XX^T/2) Z X^T - X Z^T (I - XX^T/2) is the skew N x N matrix
-    generating the Cayley retraction; it is never formed densely here.
-    """
+def cayley_parts(X, Z):
+    """(omega, perp) with Z = X omega + perp: omega = skew(X^T Z), perp = Z - X X^T Z."""
     Z.require_anchor(X)
     A, B = X.data, Z.data
     AtB = A.T @ B
-    left = B - 0.5 * A @ (AtB - AtB.T)
-    U = np.hstack([left, -A])
-    V = np.vstack([A.T, B.T])
-    return U, V
+    return skew(AtB), B - A @ AtB
+
+
+def cayley_factors(omega, perp):
+    """The 2n x 2n factors (C, G) of A = Q C Q^T, Q = [X, perp]: C = [[omega, -I], [I, 0]]
+    and G = Q^T Q.
+
+    Given X^T X = I and X^T perp = 0, G = blockdiag(I, perp^T perp), so perp
+    enters only through its n x n Gram; A is never formed.
+    """
+    n = omega.shape[0]
+    C = np.eye(2 * n, k=-n) - np.eye(2 * n, k=n)
+    C[:n, :n] = omega
+    G = np.eye(2 * n)
+    G[n:, n:] = perp.T @ perp
+    return C, G
 
 
 def _smw_core(U, V):
@@ -205,13 +220,24 @@ def _smw_core(U, V):
     return U, V, S, VU
 
 
-def cayley_system(X, Z):
-    """The Cayley system of one step along Z, for the retraction and a transport to share."""
-    return _smw_core(*cayley_factors(X, Z))
+def cayley_system(omega, perp):
+    """The Cayley system (perp, (C, G, S, GC), k) of the step X omega + perp, for the
+    retraction and a transport to share.
+
+    cay(A/2) = 2 (I - A/2)^{-1} - I and (I - A/2)^{-1} = I + Q C S^{-1} Q^T / 2,
+    with Q^T X = [I; 0], give cay(A/2) X = X + Q k for the 2n x n increment
+    k = C S^{-1} [I; 0], from the 2n x 2n factors alone.
+    """
+    core = _smw_core(*cayley_factors(omega, perp))
+    C, _, S, _ = core
+    n = omega.shape[0]
+    return perp, core, C @ np.linalg.solve(S, np.eye(2 * n, n))
 
 
 def _cayley_apply(system, M):
-    """Apply cay(A/2) = (I - UV/2)^{-1}(I + UV/2) to the N x m matrix M via SMW."""
+    """Apply cay(A/2) = (I - UV/2)^{-1}(I + UV/2) to the N x m matrix M via SMW,
+    for any factors (U, V, S, VU) = _smw_core(U, V) of A = UV.  The retractions
+    take the 2n x 2n increment of cayley_system instead; this is the generic form."""
     U, V, S, VU = system
     VM = V @ M
     first = M + 0.5 * U @ VM
@@ -219,42 +245,53 @@ def _cayley_apply(system, M):
     return first + 0.5 * U @ np.linalg.solve(S, rhs)
 
 
-def cayley_retract(X, Z, system=None):
-    """Cayley retraction R_X(Z) = cay(A_{X,Z}/2) X through the factored SMW form;
-    system is cayley_system(X, Z) when the caller has built it."""
-    out = _cayley_apply(system or cayley_system(X, Z), X.data)
-    return StiefelPoint(out, check=False).renormalized()
+def cayley_retract(X, Z=None, system=None):
+    """Cayley retraction R_X(Z) = cay(A_{X,Z}/2) X = X + X k_1 + perp k_2; system is the
+    step's cayley_system when the caller has built it, and Z is then not read."""
+    perp, _, k = system or cayley_system(*cayley_parts(X, Z))
+    n = X.shape[1]
+    # formed transposed, so it is column-major like every StiefelPoint's data
+    Xt = X.data.T
+    out = Xt + k[:n].T @ Xt + k[n:].T @ perp.T
+    return StiefelPoint(out.T, check=False).renormalized()
 
 
 def transport_submanifold(X, Z, Y, retracted):
-    """Projection-based transport of Y along Z onto the tangent space at retracted = R_X(Z)."""
-    Z.require_anchor(X)
+    """Projection-based transport of Y along Z onto the tangent space at retracted = R_X(Z).
+    Z is only checked for its anchor, and may be None."""
+    if Z is not None:
+        Z.require_anchor(X)
     Y.require_anchor(X)
     P = retracted.data
     PtY = P.T @ Y.data
-    out = Y.data - 0.5 * P @ (PtY + Y.data.T @ P)
+    out = Y.data - P @ ((PtY + PtY.T) / 2.0)
     return TangentVector(out, retracted, check=False)
 
 
 def transport_differential(X, Z, Y, retracted, system=None):
     """Differentiated-retraction transport of Y along Z.
 
-    Evaluates (I - A_{X,Z}/2)^{-1} A_{X,Y} (I - A_{X,Z}/2)^{-1} X through the
-    SMW expansion and projects it onto the tangent space at retracted = R_X(Z).
-    system is the retraction's cayley_system(X, Z), rebuilt here if not given.
+    Evaluates (I - A_{X,Z}/2)^{-1} A_{X,Y} (I - A_{X,Z}/2)^{-1} X in the step's
+    coordinates and projects it onto the tangent space at retracted = R_X(Z).
+    (I - A/2)^{-1} X = (X + cay(A/2) X)/2 = X + Q k/2.  With
+    Y = X omega_Y + Y_perp, A_{X,Y} = Q_Y C_Y Q_Y^T for Q_Y = [X, Y_perp];
+    (I - A/2)^{-1} = I + Q C S^{-1} Q^T / 2 and Q_Y^T Q = blockdiag(I, Y_perp^T perp),
+    so the one solve is with the step's S and the N-row work is the n x n cross
+    Gram and the output.  system is the retraction's cayley_system, built here
+    from Z if not given.
     """
-    Z.require_anchor(X)
-    Y.require_anchor(X)
-    U, V, S, _ = system or cayley_system(X, Z)
-    UY, VY = cayley_factors(X, Y)
+    omega_y, perp_y = cayley_parts(X, Y)
+    perp, (C, _, S, _), k = system or cayley_system(*cayley_parts(X, Z))
+    n = X.shape[1]
+    cross = perp_y.T @ perp
 
-    # W = (I - A_{X,Z}/2)^{-1} X
-    VX = V @ X.data
-    W = X.data + 0.5 * U @ np.linalg.solve(S, VX)
-    # A_{X,Y} W = UY (VY W)
-    AW = UY @ (VY @ W)
-    # (I - A_{X,Z}/2)^{-1} (A_{X,Y} W)
-    out = AW + 0.5 * U @ np.linalg.solve(S, V @ AW)
+    # (I - A_{X,Z}/2)^{-1} X = Q w, w = [I + k_1/2; k_2/2]; A_{X,Y} Q w = Q_Y a, a = C_Y Q_Y^T Q w
+    u = np.eye(n) + k[:n] / 2.0
+    v = cross @ (k[n:] / 2.0)
+    a = np.vstack([omega_y @ u - v, u])
+    # (I - A_{X,Z}/2)^{-1} Q_Y a = Q_Y a + Q b with b = C S^{-1} Q^T Q_Y a / 2
+    b = 0.5 * C @ np.linalg.solve(S, np.vstack([a[:n], cross.T @ a[n:]]))
+    out = X.data @ (a[:n] + b[:n]) + perp_y @ a[n:] + perp @ b[n:]
 
     return project_tangent(retracted, out)
 

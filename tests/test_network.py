@@ -395,17 +395,19 @@ def test_training_continues_after_renormalization(monkeypatch):
     data = np.random.default_rng(1).standard_normal((6, 25)) * 0.3
     net = build_network(6, 2, seed=0)
     trainer = Trainer(net, RunConfig(variant="V5", seed=0))
-    apply = stiefel._cayley_apply
+    build = stiefel.cayley_system
     drifted = []
 
-    def drift_once(*args):
-        out = apply(*args)
+    def drift_once(omega, perp):
+        perp, core, k = build(omega, perp)
         if not drifted:
-            out *= 1.0 + 5e-8   # residual 1e-7 sqrt(n), past REORTH_THRESHOLD
-            drifted.append(out)
-        return out
+            # k + eps (E + k) scales the retracted X + Q k by 1 + eps: residual
+            # 1e-7 sqrt(n), past REORTH_THRESHOLD
+            k = k + 5e-8 * (np.eye(*k.shape) + k)
+            drifted.append(k)
+        return perp, core, k
 
-    monkeypatch.setattr(stiefel, "_cayley_apply", drift_once)
+    monkeypatch.setattr(stiefel, "cayley_system", drift_once)
     with pytest.warns(RuntimeWarning, match="re-orthonormalizing"):
         losses = train_noepoch(trainer, data, batch_size=8, n_epochs=2,
                                loss_kind=LossKind.ScaledMSE, seed=3)

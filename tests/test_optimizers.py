@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sympmor import blas, stiefel
+from sympmor.errors import RetractionSingularError
 from sympmor.homogeneous import horizontal_pointwise, section_qr
 from sympmor.optimizers import (
     AdamHyper,
@@ -133,8 +134,11 @@ def test_stiefel_adam_update_is_tangent():
     h = AdamHyper()
     cache = StiefelAdamCache(X)
     Z = riemannian_gradient(MetricKind.Canonical, X, np.random.default_rng(2).standard_normal((12, 4)))
-    V = stiefel_adam_step(h, cache, X, Z)
-    res = np.linalg.norm(X.data.T @ V.data + V.data.T @ X.data)
+    omega, perp = stiefel_adam_step(h, cache, X, Z)
+    assert np.array_equal(omega, -omega.T)
+    assert np.linalg.norm(X.data.T @ perp) < 1e-12
+    V = X.data @ omega + perp
+    res = np.linalg.norm(X.data.T @ V + V.T @ X.data)
     assert res < 1e-12
     # the cache was mutated to the new first moment
     assert np.linalg.norm(cache.B1.data - Z.data) < 1e-14  # first step: B1 = Z
@@ -161,18 +165,19 @@ def test_stiefel_psd_update_descends_and_stays_feasible():
 @pytest.mark.parametrize("kind", [TransportKind.Submanifold, TransportKind.Differential],
                          ids=["submanifold", "differential"])
 def test_differential_step_builds_one_smw_system(monkeypatch, kind):
-    """A direct step builds the SMW system once, whichever the transport, and
-    hands it to the retraction and the transport, bitwise the step that
-    builds it inside each."""
+    """A direct step builds the SMW system of its update's parts once, whichever
+    the transport, and hands it to the retraction and the transport, bitwise
+    the step that builds it from the parts inside each."""
     _, egrad = quad_target(10, 3, 7)
     X0 = random_stiefel(10, 3, 3)
     X, h, cache = X0, AdamHyper(eta=0.05), StiefelAdamCache(X0)
     with blas.single_thread():
         for _ in range(3):
             Z = riemannian_gradient(MetricKind.Canonical, X, egrad(X))
-            V = stiefel_adam_step(h, cache, X, Z)
-            X_new = stiefel.cayley_retract(X, V)
-            cache.B1 = stiefel.transport(kind, X, V, cache.B1, X_new)
+            parts = stiefel_adam_step(h, cache, X, Z)
+            X_new = stiefel.cayley_retract(X, system=stiefel.cayley_system(*parts))
+            cache.B1 = stiefel.transport(kind, X, None, cache.B1, X_new,
+                                         stiefel.cayley_system(*parts))
             X = X_new
             update_hyper(h)
     cores = []
@@ -183,6 +188,67 @@ def test_differential_step_builds_one_smw_system(monkeypatch, kind):
         Y = stiefel_psd_update(h, shared, Y, egrad(Y), MetricKind.Canonical, kind)
     assert len(cores) == 3
     assert np.array_equal(Y.data, X.data) and np.array_equal(shared.B1.data, cache.B1.data)
+
+
+def _dense_step(hyper, B1, X, egrad, metric, kind):
+    """One direct step from the definitions with N x N matrices: the Adam update
+    summed, cay(A/2) X by np.linalg.solve, and the transport of the new B1."""
+    A = X.data
+    N, n = A.shape
+    if metric is MetricKind.Euclidean:
+        Z = egrad - A @ (A.T @ egrad + egrad.T @ A) / 2
+    else:
+        Z = egrad - A @ egrad.T @ A
+    c1, c1n, c2, c2n = hyper.moment_coeffs()
+    B2 = np.sqrt(c2 * B1 * B1 + c2n * Z * Z + hyper.delta)
+    B1 = c1 * B1 + c1n * Z
+    W = A.T @ B1
+    I = np.eye(N)
+    V = -hyper.eta * (A @ (W / np.sqrt(B2.T @ B2)) + (I - A @ A.T) @ ((B1 - A @ W) / B2))
+
+    def generator(D):   # A_{X,D} = (I - XX^T/2) D X^T - X D^T (I - XX^T/2)
+        P = I - A @ A.T / 2
+        return P @ D @ A.T - A @ D.T @ P
+
+    M = I - generator(V) / 2
+    X_new = np.linalg.solve(M, (I + generator(V) / 2) @ A)
+    if kind is TransportKind.Submanifold:
+        T = B1
+    else:
+        T = np.linalg.solve(M, generator(B1) @ np.linalg.solve(M, A))
+    return X_new, T - X_new @ (X_new.T @ T + T.T @ X_new) / 2
+
+
+@pytest.mark.parametrize("N, n", [(8, 3), (30, 4), (200, 10), (5, 4), (4, 4)])
+@pytest.mark.parametrize("kind", list(TransportKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("metric", list(MetricKind), ids=lambda m: m.value)
+def test_direct_step_matches_dense_oracle(metric, kind, N, n):
+    """One direct step from the same inputs (after three warm-up steps) gives the
+    dense step's iterate and transported first moment to 1e-13 relative."""
+    rng = np.random.default_rng(N + n)
+    X, h = random_stiefel(N, n, 9), AdamHyper(eta=0.01)
+    cache = StiefelAdamCache(X)
+    for _ in range(3):
+        X = stiefel_psd_update(h, cache, X, rng.standard_normal((N, n)), metric, kind)
+    egrad = rng.standard_normal((N, n))
+    X_ref, B1_ref = _dense_step(h, cache.B1.data, X, egrad, metric, kind)
+    X_new = stiefel_psd_update(h, cache, X, egrad, metric, kind)
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    assert rel(X_new.data, X_ref) <= 1e-13
+    assert rel(cache.B1.data, B1_ref) <= 1e-13
+
+
+def test_nan_gradient_step_is_singular():
+    """A NaN gradient reaches the Cayley system, which rejects it."""
+    X = random_stiefel(10, 3, 3)
+    h, cache = AdamHyper(), StiefelAdamCache(X)
+    egrad = np.ones((10, 3))
+    egrad[4, 1] = np.nan
+    with pytest.raises(RetractionSingularError, match="non-finite"):
+        stiefel_psd_update(h, cache, X, egrad, MetricKind.Canonical, TransportKind.Differential)
 
 
 def test_homogeneous_psd_update_descends_and_stays_feasible():

@@ -13,6 +13,7 @@ from sympmor.stiefel import (
     StiefelPoint,
     TangentVector,
     cayley_factors,
+    cayley_parts,
     cayley_retract,
     cayley_system,
     metric_inner,
@@ -182,7 +183,7 @@ def test_prebuilt_system_gives_the_same_bits():
     build the Cayley system themselves or are handed cayley_system(X, Z)."""
     X = rand_point(12, 3, 60)
     Z, Y = rand_tangent(X, 61), rand_tangent(X, 62)
-    system = cayley_system(X, Z)
+    system = cayley_system(*cayley_parts(X, Z))
     retracted = cayley_retract(X, Z)
     assert np.array_equal(retracted.data, cayley_retract(X, Z, system).data)
     assert np.array_equal(transport_differential(X, Z, Y, retracted).data,
@@ -190,15 +191,24 @@ def test_prebuilt_system_gives_the_same_bits():
 
 
 def test_cayley_factors():
+    """cayley_parts splits Z as X omega + perp, and cayley_factors gives the 2n x 2n
+    (C, G) with Q C Q^T = A_{X,Z} and G = Q^T Q for Q = [X, perp]."""
     X = rand_point(6, 2, 5)
     Z0 = TangentVector(np.zeros((6, 2)), X)
-    U, V = cayley_factors(X, Z0)
-    assert np.linalg.norm(U @ V) < 1e-14
+    C, G = cayley_factors(*cayley_parts(X, Z0))
+    Q = np.hstack([X.data, np.zeros((6, 2))])
+    assert np.linalg.norm(Q @ C @ Q.T) < 1e-14
     Z = rand_tangent(X, 6)
-    U, V = cayley_factors(X, Z)
-    prod = U @ V
+    omega, perp = cayley_parts(X, Z)
+    assert np.array_equal(omega, -omega.T)
+    assert np.linalg.norm(X.data.T @ perp) < 1e-14
+    assert np.linalg.norm(X.data @ omega + perp - Z.data) < 1e-14
+    C, G = cayley_factors(omega, perp)
+    Q = np.hstack([X.data, perp])
+    prod = Q @ C @ Q.T
     assert np.linalg.norm(prod - dense_a(X.data, Z.data)) < 1e-11
     assert np.linalg.norm(prod + prod.T) < 1e-11
+    assert np.linalg.norm(G - Q.T @ Q) < 1e-14
 
 
 def test_cayley_retract_oracle():
@@ -270,6 +280,12 @@ def test_transport_differential():
     assert np.linalg.norm(T2.data - oracle) < 1e-9
 
 
+def _nrow_factors(X, Z):
+    """Generic factors U (N x 2n), V (2n x N) with U V = A_{X,Z} (reference implementation)."""
+    A, B = X.data, Z.data
+    return np.hstack([B - A @ skew(A.T @ B), -A]), np.vstack([A.T, B.T])
+
+
 def _lu_cayley_apply(U, V, M):
     """The SMW apply with (I - VU/2) factored by scipy's LU (reference implementation)."""
     lu = scipy.linalg.lu_factor(np.eye(U.shape[1]) - 0.5 * (V @ U))
@@ -280,8 +296,9 @@ def _lu_cayley_apply(U, V, M):
 
 @pytest.mark.parametrize("N, n", [(34, 4), (1000, 10)])
 def test_smw_apply_matches_lu_reference(N, n):
-    """cayley_retract, transport_differential and retract_global agree to 1e-13
-    relative with the same SMW formulas solved through scipy's LU."""
+    """cayley_retract, transport_differential and retract_global, in 2n x 2n
+    coordinates, agree to 1e-13 relative with the SMW formulas on the generic
+    N-row factors of the generator, solved through scipy's LU."""
     def rel(a, b):
         return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -289,11 +306,11 @@ def test_smw_apply_matches_lu_reference(N, n):
     Z = rand_tangent(X, 51)
     Z = TangentVector(Z.data / np.linalg.norm(Z.data), X)
     Y = rand_tangent(X, 52)
-    U, V = cayley_factors(X, Z)
+    U, V = _nrow_factors(X, Z)
     retracted = cayley_retract(X, Z)
     assert rel(retracted.data, _lu_cayley_apply(U, V, X.data)) <= 1e-13
 
-    UY, VY = cayley_factors(X, Y)
+    UY, VY = _nrow_factors(X, Y)
     lu = scipy.linalg.lu_factor(np.eye(2 * n) - 0.5 * (V @ U))
     W = X.data + 0.5 * U @ scipy.linalg.lu_solve(lu, V @ X.data)
     AW = UY @ (VY @ W)
