@@ -1,6 +1,5 @@
 """numpy's bundled OpenBLAS, reached through ctypes: its thread count, and the
-six LAPACK routines that the FOM solvers, the projected ROM's constant Schur
-matrix and the homogeneous section call.
+four LAPACK routines that the FOM solvers and the homogeneous section call.
 
 Threads.  Under default threads the direct Stiefel step's timings scatter
 widely enough to fail acceptance 7's scaling gate.  The step calls BLAS and
@@ -11,10 +10,9 @@ variable is set.
 LAPACK.  numpy's wheels export ILP64 LAPACK as ``scipy_<name>_64_``: every
 integer argument is an int64 passed by reference, and gfortran appends a
 hidden ``size_t`` length for each character argument.  The tridiagonal solvers
-and the LU solver keep fixed work buffers whose addresses are taken once; each
-closure holds every array whose address it passes.  Where a symbol is missing
-(another numpy build), the tridiagonal solvers fall back to
-``scipy.linalg.lapack``, the LU solver to ``np.linalg.solve`` and the
+keep fixed work buffers whose addresses are taken once; each closure holds
+every array whose address it passes.  Where a symbol is missing (another numpy
+build), the tridiagonal solvers fall back to ``scipy.linalg.lapack`` and the
 triangular inverse to ``np.linalg.inv``, so the manifold path never imports
 scipy.
 """
@@ -28,8 +26,7 @@ import numpy as np
 _CONTROLS = []   # the (get, set) thread-count functions of numpy's bundled OpenBLAS, if found
 _LAPACK = {}     # routine name -> its ctypes function in numpy's bundled OpenBLAS, if found
 # routine -> (pointer arguments, hidden character lengths)
-_SIGNATURES = {"dgetrf": (6, 0), "dgetrs": (9, 1), "dgtsv": (8, 0), "dgttrf": (7, 0),
-               "dgttrs": (11, 1), "dtrtri": (6, 2)}
+_SIGNATURES = {"dgtsv": (8, 0), "dgttrf": (7, 0), "dgttrs": (11, 1), "dtrtri": (6, 2)}
 try:
     _lib = ctypes.CDLL(importlib.import_module("numpy._core._multiarray_umath").__file__)
     _get, _set = (getattr(_lib, f"scipy_openblas_{op}_num_threads64_") for op in ("get", "set"))
@@ -133,39 +130,6 @@ def tridiagonal_factor(off, main):
         return _checked(b, ints[3])
 
     solve.factor = (dl, d, du, du2, ipiv)   # gttrs reads these by address: they live with solve
-    return solve
-
-
-def lu_factor(A):
-    """Factor a square A of order n once, by LAPACK dgetrf (LU with partial
-    pivoting); returns solve(b) -> A^{-1} b, one dgetrs at O(n^2).
-
-    np.linalg.solve runs dgesv, which is dgetrf then dgetrs on the same
-    column-major copy of A, so every solve equals np.linalg.solve(A, b)
-    bitwise.  x is the solver's own buffer, overwritten by the next solve.  An
-    exactly zero pivot raises np.linalg.LinAlgError here; without the bundled
-    routines each solve is np.linalg.solve(A, b), which raises it there.
-    """
-    getrf, getrs = _LAPACK.get("dgetrf"), _LAPACK.get("dgetrs")
-    if getrf is None or getrs is None:
-        A = np.array(A, dtype=float)
-        return lambda rhs: np.linalg.solve(A, rhs)
-
-    lu = np.array(A, dtype=float, order="F")
-    n = lu.shape[0]
-    ipiv, b = np.zeros(n, dtype=np.int64), np.zeros(n)
-    ints = np.array([n, 1, 0], dtype=np.int64)   # N = LDA = LDB, NRHS, INFO
-    n_, nrhs, info = _addresses(ints)
-    getrf(n_, n_, lu.ctypes.data, n_, ipiv.ctypes.data, info)
-    _checked(None, ints[2])
-    args = (b"N", n_, nrhs, lu.ctypes.data, n_, ipiv.ctypes.data, b.ctypes.data, n_, info, 1)
-
-    def solve(rhs):
-        b[:] = rhs
-        getrs(*args)
-        return b
-
-    solve.factor = (lu, ipiv, ints)   # getrs reads these by address: they live with solve
     return solve
 
 

@@ -6,17 +6,17 @@ iteration.  Each Newton iterate linearizes the system once: ``newton(t, x, h)``
 returns f(t, x) and a solve of (I - h/2 Df(x)) delta = r; without the hook the
 solve is dense, with a finite-difference Df.  A system may instead supply the
 whole step, ``step(t0, h, K, tol) -> (x_k -> x_{k+1})``, set up once per solve
-of K steps, or decline it by returning None.  The FOMs do: the wave factors its
-tridiagonal Schur matrix once, and sine-Gordon runs Newton on the midpoint q
-alone, one stencil and one tridiagonal solve per iterate, to tol.  A projected
-ROM takes `kick_drift_kick`, one force per step around a drift: the free drift
-(Störmer–Verlet, with any time-dependent force tabulated at the K + 1 step
-times once) where it is not stiff, or for a wave ROM the midpoint step of its
-linear part, set up once per solve, which a wave PSD ROM takes alone.
+of K steps.  Every FOM and folded ROM does: the wave factors its tridiagonal
+Schur matrix once; the sine-Gordon FOM and a projected ROM above its bounds
+take `newton_midpoint`, Newton on the midpoint q alone, to tol; a projected ROM
+below them takes `kick_drift_kick`, one force per step around a drift, the
+free drift (Störmer–Verlet, any time-dependent force tabulated at the K + 1
+step times once) or for a wave ROM the midpoint step of its linear part, set
+up once per solve, which a wave PSD ROM takes alone.
 
 Newton starts step 0 from explicit Euler and every later step from the linear
 extrapolation 2 x_k - x_{k-1}, which costs no field call.  Every Newton
-iteration, the midpoint's here and a step's own, stops by one rule,
+iteration, the dense midpoint's and `newton_midpoint`'s, stops by one rule,
 `newton_solve`: a step is accepted when ||delta|| < tol max(1, ||x||), or, from
 the second iterate on, when the contraction estimate of the remaining error,
 theta / (1 - theta) ||delta|| with theta = ||delta_j|| / ||delta_{j-1}|| < 1, is
@@ -43,7 +43,7 @@ class OdeSystem:
     hamiltonian: Optional[Callable] = None
     newton: Optional[Callable] = None  # (t, x, h) -> (f(t, x), r -> (I - h/2 Df(x))^{-1} r)
     second_order: Optional[object] = None  # the FOM's models.SecondOrder, which every ROM needs
-    step: Optional[Callable] = None    # (t0, h, K, tol) -> (x_k -> x_{k+1}), or None for Newton
+    step: Optional[Callable] = None    # (t0, h, K, tol) -> (x_k -> x_{k+1}), set up once per solve
     linear_matrix = None   # not a field: the benchmark's step counter still reads it
 
 
@@ -142,11 +142,11 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
     X = np.empty((sys.dim, K + 1))
     X[:, 0] = x0
 
-    try:
-        advance = sys.step and sys.step(t0, h, K, tol)   # set up once for the whole solve
-    except np.linalg.LinAlgError:
-        raise IntegrationFailureError(0, "singular step matrix at step 0") from None
-    if advance is not None:
+    if sys.step is not None:
+        try:
+            advance = sys.step(t0, h, K, tol)   # set up once for the whole solve
+        except np.linalg.LinAlgError:
+            raise IntegrationFailureError(0, "singular step matrix at step 0") from None
         for k in range(K):
             X[:, k + 1] = advance(X[:, k])
         return _finite(X, t0, t1, K)
@@ -170,6 +170,54 @@ def implicit_midpoint(sys, x0, t0, t1, K, tol=1e-12):
             x_new = 2.0 * x_old - X[:, k - 1]   # linear extrapolation, no field call
         X[:, k + 1] = newton_solve(iterate, x_new, k, tol)
     return _finite(X, t0, t1, K)
+
+
+def newton_midpoint(tau, tol, rhs, residual, solve):
+    """The implicit midpoint step x_k -> x_{k+1} at step size tau of a separable
+    q' = p, p' = F(t, q) on x = [q; p], by Newton on the midpoint q alone
+    (Hairer & Wanner, Solving ODEs II, IV.8) in the increment
+    z = (q_{k+1} - q_k) / 2: with w = tau^2/4 it solves
+    G(z) = residual(q_k + z) + z - rhs(k, p_k) = 0 for residual(y) = -w F(t, y)
+    without F's part that does not depend on y, rhs(k, p) = tau/2 p plus w
+    times that part at step k's midpoint (a new array), and solve(y, r) the
+    inverse of I - w DF(y), or a simplified Newton's stand-in, applied to r.
+    Then q_{k+1} = q_k + 2 z and p_{k+1} = 4/tau z - p_k.  These are
+    full-space Newton's q-iterates from the integrator's start (Euler at step
+    0, then 2 q_k - q_{k-1}, whose z is the last step's), and `newton_solve`
+    measures the update the state takes, [2 dz; 4/tau dz].  The increment
+    keeps p_{k+1}'s rounding relative to the step.  The advance must be called
+    on the states it returned, in step order from x_0.
+    """
+    half, weight = 0.5 * tau, math.sqrt(4.0 + 16.0 / tau ** 2)   # ||[2 dz; 4/tau dz]|| / ||dz||
+    k, z = 0, None      # the step about to be taken and the last step's z
+
+    def advance(x):
+        nonlocal k, z
+        n = len(x) // 2
+        q, p = x[:n], x[n:]
+        if k == 0:
+            z = half * p    # explicit Euler's q_{k+1} = q_k + tau p_k
+        c = rhs(k, p)
+        x_new = np.empty(2 * n)
+
+        def iterate(z):
+            y = q + z
+            G = residual(y)
+            G += z
+            G -= c
+            dz = solve(y, G)
+            z = z - dz
+            np.multiply(2.0, z, out=x_new[:n])
+            x_new[:n] += q
+            np.multiply(4.0 / tau, z, out=x_new[n:])
+            x_new[n:] -= p
+            return z, weight * math.sqrt(dz @ dz), math.sqrt(x_new @ x_new)
+
+        z = newton_solve(iterate, z, k, tol)
+        k += 1
+        return x_new
+
+    return advance
 
 
 def newton_solve(iterate, x, k, tol):

@@ -12,7 +12,6 @@ soliton doublets), both with closed-form solutions.
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import blas
 from .errors import DimensionError
-from .integrators import OdeSystem, newton_solve
+from .integrators import OdeSystem, newton_midpoint
 
 
 @dataclass(eq=False)
@@ -86,7 +85,9 @@ class SecondOrder:
         step, not to the state: on acceptance 4's wave the Hamiltonian drifts
         2.9e-13 against 3.7e-12.
 
-        With a potential the step is `_newton_midpoint_step`.
+        With a potential it is `integrators.newton_midpoint`: an iterate is one
+        stencil, V', V'' and LAPACK dgtsv of I + tau^2/4 (S + diag V''(y)) on
+        d-vectors, and b at the K midpoints is one `ends` table per solve.
         """
         if self.potential is not None:
             return self._newton_midpoint_step(t0, tau, K, tol)
@@ -103,63 +104,31 @@ class SecondOrder:
         return step
 
     def _newton_midpoint_step(self, t0, tau, K, tol):
-        """The implicit midpoint step of q' = p, p' = F(t, q) = -S q - V'(q) + b(t)
-        by Newton on the midpoint q alone (Hairer & Wanner, Solving ODEs II,
-        IV.8), in its increment z = (q_{k+1} - q_k) / 2: with w = tau^2/4,
-
-            G(z) = z - tau/2 p_k - w F(t_k + tau/2, q_k + z) = 0,
-
-        whose Jacobian is the tridiagonal Schur matrix I + w (S + diag V''(q_k + z)).
-        An iterate is one stencil, one V', one V'' and one LAPACK dgtsv, all on
-        d-vectors; then q_{k+1} = q_k + 2 z and p_{k+1} = 4/tau z - p_k.  These
-        are the full-space Newton iterates in q from the same start (explicit
-        Euler at step 0; after it 2 q_k - q_{k-1}, whose z is the last step's),
-        and the update the state takes, [2 dz; 4/tau dz], is what the stop rule
-        measures.  Solving for the increment keeps the rounding of p_{k+1}
-        relative to the step, as in the step without a potential.  b at the K
-        midpoints is one `ends` table per solve.  The advance must be called
-        on the states it returned, in step order from x_0.
-        """
-        d, w, half = self.d, 0.25 * tau ** 2, 0.5 * tau
+        """`midpoint_step` with a potential."""
+        w, half = 0.25 * tau ** 2, 0.5 * tau
         off, diag = w * self.off / self.h ** 2, w * self.diag / self.h ** 2   # w S's bands
         schur_diag = 1.0 + diag
-        weight = math.sqrt(4.0 + 16.0 / tau ** 2)    # ||[2 dz; 4/tau dz]|| / ||dz||
         forcing = w * self.ends(t0 + (np.arange(K) + 0.5) * tau)
         grad, curvature = self.potential
-        schur_solve = blas.tridiagonal_solver(d)
-        k, z = 0, None      # the step about to be taken and the last step's z
+        schur_solve = blas.tridiagonal_solver(self.d)
 
-        def advance(x):
-            nonlocal k, z
-            q, p = x[:d], x[d:]
+        def rhs(k, p):
             c = half * p
-            if k == 0:
-                z = c.copy()    # explicit Euler's q_{k+1} = q_k + tau p_k
             c[0] += forcing[k, 0]
             c[-1] += forcing[k, 1]
-            x_new = np.empty(2 * d)
+            return c
 
-            def iterate(z):
-                y = q + z
-                G = _band_product(diag, off, y)
-                G += w * grad(y)
-                G += z
-                G -= c
-                main = w * curvature(y)
-                main += schur_diag
-                dz = schur_solve(off, main, G)
-                z = z - dz
-                np.multiply(2.0, z, out=x_new[:d])
-                x_new[:d] += q
-                np.multiply(4.0 / tau, z, out=x_new[d:])
-                x_new[d:] -= p
-                return z, weight * math.sqrt(dz @ dz), math.sqrt(x_new @ x_new)
+        def residual(y):
+            G = _band_product(diag, off, y)
+            G += w * grad(y)
+            return G
 
-            z = newton_solve(iterate, z, k, tol)
-            k += 1
-            return x_new
+        def solve(y, G):
+            main = w * curvature(y)
+            main += schur_diag
+            return schur_solve(off, main, G)
 
-        return advance
+        return newton_midpoint(tau, tol, rhs, residual, solve)
 
 
 def _band_product(diag, off, Q):
@@ -255,8 +224,8 @@ class SineGordonModel(SecondOrder):
         """Interior grid points."""
         return self.a + self.h * np.arange(1, self.N + 1)
 
-    # serves the ROM's Newton midpoint, whose iterates of a step all ask at one
-    # t, and the Hamiltonian; the FOM step and the Verlet ROM read `ends` tables
+    # serves the field at one t, which a finite-difference Newton asks 2 dim + 1
+    # times per iterate, and the Hamiltonian; every step hook reads `ends` tables
     @functools.lru_cache(maxsize=4)
     def boundary(self, t):
         """([u(t, a), u(t, b)], [u_t(t, a), u_t(t, b)]) from one sg_exact call per

@@ -9,16 +9,15 @@ or any `network.build_network` decoder) skips the decoder: `projected_system`
 projects the split once, and a learned decoder adds one potential.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import blas
 from .errors import DimensionError, SympmorError, UnsplitSystemError
-from .integrators import OdeSystem, free_drift, implicit_midpoint, kick_drift_kick
+from .integrators import (OdeSystem, free_drift, implicit_midpoint, kick_drift_kick,
+                          newton_midpoint)
 from .network import FoldedDecoder, GradientLayer, Network, PSDLayer
 from .stiefel import StiefelPoint
 
@@ -193,7 +192,7 @@ def _post_curvature(X, x_ref, post):
     return float(np.linalg.eigvalsh(B.T @ (w[:, None] * B))[-1])
 
 
-def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
+def projected_system(model, X, x_ref=None, post=None):
     """The ROM of a `models.SecondOrder` model whose decoder keeps
     q = q_ref + X xi_q (orthonormal X, d x n), as a reduced OdeSystem:
 
@@ -208,14 +207,6 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
     Glas & Haasdonk 2023), whose force (K X)^T [a sigma' K r] is one pass
     through the layer and back, O(d L), with no decoder Jacobian.
 
-    A Newton iterate solves the n x n Schur complement (I + tau^2/4 T) delta_q
-    = r_q + tau/2 r_p, then delta_p = r_p - tau/2 T delta_q, with T = X^T S X +
-    X^T diag(V''(q)) X (symmetric: midpoint keeps a quadratic H) plus the
-    Gauss-Newton Hessian J^T J of V_post at xi_q0, formed on the first Newton
-    call (a simplified Newton; the residual stays exact).  Without a potential
-    T is constant and its Schur matrix is LU-factored once per step size
-    (`blas.lu_factor`).
-
     The step hook takes no Newton where it can, deciding once per solve.  The
     system is separable, so with a potential or a learned term it supplies
     `integrators.kick_drift_kick` with the free drift (Störmer–Verlet, one
@@ -225,8 +216,11 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
     steps by the implicit midpoint step of that linear part, set up once, and
     a learned ROM wraps it in half kicks by grad V_post (a Strang splitting,
     one force per step) where tau sqrt(h) <= VERLET_BOUND, h the bound on
-    ||Hess V_post|| that omega_max takes in.  Otherwise the hook declines and
-    the solve takes the Newton midpoint.
+    ||Hess V_post|| that omega_max takes in.  Otherwise it is
+    `integrators.newton_midpoint` on xi_q, with the Schur matrix
+    I + tau^2/4 (X^T S X + X^T diag(V''(q)) X + J^T J), J^T J V_post's
+    Gauss-Newton Hessian at the solve's first iterate (a simplified Newton;
+    the residual stays exact), inverted once per solve without a potential.
     """
     d, n = X.shape
     if d != model.d:
@@ -247,52 +241,20 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
             r = r_ref + (g - X @ (X.T @ g))
             return B.T @ (a * (1.0 - s * s) * (K @ r))
 
-    @functools.cache
-    def newton_matrix():
-        """T0 = X^T S X, plus V_post's Gauss-Newton Hessian J^T J at xi_q0 for a
-        learned decoder, formed on the first Newton call: no other path reads it."""
-        if post is None:
-            return XtSX
-        s = np.tanh(B @ (np.zeros(n) if xi_q0 is None else xi_q0) + b)
-        J = K.T @ ((a * (1.0 - s * s))[:, None] * B)
-        J -= X @ (X.T @ J)
-        return XtSX + J.T @ J
-
     def force(xi_q, b):
-        """(xi_p', q) at xi_q under the end forcing b = model.ends(t); q = q_ref +
-        X xi_q, and b, are None without a potential."""
-        f_p, q = c_p - XtSX @ xi_q, None
+        """xi_p' at xi_q under the end forcing b = model.ends(t) (None without a potential)."""
+        f_p = c_p - XtSX @ xi_q
         if model.potential is not None:
-            q = q_ref + X @ xi_q
-            f_p -= X.T @ model.potential[0](q) - ends @ b
+            f_p -= X.T @ model.potential[0](q_ref + X @ xi_q) - ends @ b
         if post is not None:
             f_p -= post_force(xi_q)
-        return f_p, q
+        return f_p
 
-    def field_at(t, xi):
-        """(reduced field, q) at xi."""
+    def field(t, xi):
         if len(xi) != 2 * n:
             raise DimensionError(f"reduced state must have length {2 * n}")
-        f_p, q = force(xi[:n], None if model.potential is None else model.ends(t))
-        return np.concatenate([c_q + xi[n:], f_p]), q
-
-    @functools.lru_cache(maxsize=1)
-    def constant_schur(tau):
-        return blas.lu_factor(np.eye(n) + 0.25 * tau ** 2 * newton_matrix())
-
-    def newton(t, xi, tau):
-        f, q = field_at(t, xi)
-        if q is None:
-            T, schur_solve = newton_matrix(), constant_schur(tau)
-        else:
-            T = newton_matrix() + X.T @ (model.potential[1](q)[:, None] * X)
-            schur_solve = functools.partial(np.linalg.solve, np.eye(n) + 0.25 * tau ** 2 * T)
-
-        def solve(r):
-            dq = schur_solve(r[:n] + 0.5 * tau * r[n:])
-            return np.concatenate([dq, r[n:] - 0.5 * tau * (T @ dq)])
-
-        return f, solve
+        return np.concatenate([c_q + xi[n:],
+                               force(xi[:n], None if model.potential is None else model.ends(t))])
 
     def midpoint_drift(tau):
         """The implicit midpoint step of the linear part xi_q' = c_q + eta_p,
@@ -314,8 +276,50 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
 
         return drift
 
-    def step(t0, tau, K, tol=None):
-        # tol goes unused: the hook takes no Newton, it declines
+    def newton_step(t0, tau, n_steps, tol):
+        """`integrators.newton_midpoint` in (xi_q, pi = c_q + xi_p), where
+        xi_q' = pi and pi' = xi_p'; the state goes back to xi_p after each step."""
+        w, half = 0.25 * tau ** 2, 0.5 * tau
+        table = np.broadcast_to(w * c_p, (n_steps, n))
+        if model.potential is not None:
+            table = table + w * (model.ends(t0 + (np.arange(n_steps) + 0.5) * tau) @ ends.T)
+        schur = []      # the Schur matrix's constant part, or its inverse without a potential
+
+        def residual(y):
+            g = XtSX @ y
+            if model.potential is not None:
+                g += X.T @ model.potential[0](q_ref + X @ y)
+            if post is not None:
+                g += post_force(y)
+            return w * g
+
+        def solve(y, r):
+            if not schur:
+                T = XtSX
+                if post is not None:    # V_post's Gauss-Newton Hessian at the first iterate
+                    s = np.tanh(B @ y + b)
+                    J = K.T @ ((a * (1.0 - s * s))[:, None] * B)
+                    J -= X @ (X.T @ J)
+                    T = T + J.T @ J
+                M = np.eye(n) + w * T
+                schur.append(M if model.potential is not None else np.linalg.inv(M))
+            if model.potential is None:
+                return schur[0] @ r
+            V2 = model.potential[1](q_ref + X @ y)
+            return np.linalg.solve(schur[0] + w * (X.T @ (V2[:, None] * X)), r)
+
+        advance = newton_midpoint(tau, tol, lambda k, p: half * p + table[k], residual, solve)
+
+        def step_xi(x):
+            x = x.copy()
+            x[n:] += c_q
+            x = advance(x)
+            x[n:] -= c_q
+            return x
+
+        return step_xi
+
+    def step(t0, tau, K, tol):
         h = _post_curvature(X, x_ref, post)
         # a wave PSD ROM skips Verlet: the midpoint step keeps its quadratic H
         if ((model.potential is not None or post is not None)
@@ -324,16 +328,15 @@ def projected_system(model, X, x_ref=None, post=None, xi_q0=None):
             table = ([None] * (K + 1) if model.potential is None
                      else model.ends(t0 + tau * np.arange(K + 1)))
             return kick_drift_kick(free_drift(c_q, tau),
-                                   lambda k, xi_q: force(xi_q, table[k])[0], tau)
+                                   lambda k, xi_q: force(xi_q, table[k]), tau)
         if model.potential is not None or tau * np.sqrt(h) > VERLET_BOUND:
-            return None
+            return newton_step(t0, tau, K, tol)
         drift = midpoint_drift(tau)
         if post is None:
             return drift
         return kick_drift_kick(drift, lambda k, xi_q: -post_force(xi_q), tau)
 
-    return OdeSystem(dim=2 * n, vector_field=lambda t, xi: field_at(t, xi)[0], newton=newton,
-                     step=step)
+    return OdeSystem(dim=2 * n, vector_field=field, step=step)
 
 
 def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
@@ -343,8 +346,9 @@ def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
     eta = shift(xi), and its trajectory goes back to xi by one block pass of
     the shift layer with -a, so it neither decodes nor calls the FOM.  Any
     other decoder decodes and projects on every field call
-    (`reduced_vector_field`), by finite-difference Newton.  tol applies only
-    where the solve takes Newton (see `projected_system`'s step hook)."""
+    (`reduced_vector_field`), by finite-difference Newton.  tol stops every
+    Newton the solve runs: the finite-difference one, and the projected
+    system's Newton step above its bounds (see `projected_system`)."""
     model = fom_sys.second_order
     if model is None:
         raise UnsplitSystemError("a ROM needs a FOM with a SecondOrder split")
@@ -356,7 +360,7 @@ def solve_rom(rom, fom_sys, t0, t1, K, tol=1e-12):
     else:
         if shift is not None:
             x0 = shift.forward(x0[:, None])[0][:, 0]
-        reduced_sys = projected_system(model, fold.basis, rom.x_ref, fold.post, x0[:len(x0) // 2])
+        reduced_sys = projected_system(model, fold.basis, rom.x_ref, fold.post)
     traj = implicit_midpoint(reduced_sys, x0, t0, t1, K, tol=tol)
     if shift is not None:
         traj.states[:] = GradientLayer("P", shift.K, -shift.a, shift.b).forward(traj.states)[0]

@@ -83,5 +83,8 @@ def read_snapshot_file(path):
         t0, t1 = float(meta.get("t0", 0.0)), float(meta.get("t1", 1.0))
     except (TypeError, ValueError) as exc:
         raise SympmorError(f"bad snapshot metadata {str(meta_path)!r}: {exc}") from exc
+    if len(params) != n_params:
+        raise SympmorError(f"snapshot metadata {str(meta_path)!r} lists {len(params)} "
+                           f"parameters, the header {n_params}")
     return SnapshotSet(data=data, params=params, K=K, t0=t0, t1=t1,
                        normalized=bool(normalized)), meta

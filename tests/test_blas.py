@@ -60,24 +60,8 @@ def test_scipy_fallback_matches_bundled_lapack(monkeypatch):
     assert np.array_equal(np.tril(inverse, -1), np.zeros((30, 30)))
 
 
-def test_lu_factor_matches_numpy_solve(monkeypatch):
-    """dgetrf once and dgetrs per solve is np.linalg.solve (dgesv) bitwise, on
-    the bundled LAPACK and on its np.linalg.solve fallback; an exactly zero
-    pivot is np.linalg.LinAlgError on both."""
-    rng = np.random.default_rng(3)
-    for bound in (blas._LAPACK, {}):
-        monkeypatch.setattr(blas, "_LAPACK", bound)
-        for n in range(1, 12):
-            A = rng.standard_normal((n, n))
-            solve = blas.lu_factor(A)
-            for b in rng.standard_normal((5, n)):
-                assert np.array_equal(solve(b), np.linalg.solve(A, b))
-        with pytest.raises(np.linalg.LinAlgError, match="[Ss]ingular"):
-            blas.lu_factor(np.diag([1.0, 0.0, 2.0]))(np.ones(3))
-
-
 def test_bundled_lapack_binds_where_numpy_bundles_it():
-    """A numpy built on scipy-openblas must bind all six routines; a renamed
+    """A numpy built on scipy-openblas must bind all four routines; a renamed
     symbol would otherwise fall back to scipy silently and bring its import back."""
     try:
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
@@ -85,4 +69,4 @@ def test_bundled_lapack_binds_where_numpy_bundles_it():
         pytest.skip("numpy reports no build dependencies")
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not scipy-openblas")
-    assert sorted(blas._LAPACK) == ["dgetrf", "dgetrs", "dgtsv", "dgttrf", "dgttrs", "dtrtri"]
+    assert sorted(blas._LAPACK) == ["dgtsv", "dgttrf", "dgttrs", "dtrtri"]

@@ -235,9 +235,20 @@ def test_wave_fom_non_finite_initial_state_raises():
     assert exc.value.step_index == 0
 
 
-def test_declined_step_takes_the_newton_midpoint():
-    """A step hook that returns None leaves the solve to Newton, bitwise."""
-    sys = oscillator()
-    declined = dataclasses.replace(sys, step=lambda t0, h, K, tol: None)
-    assert np.array_equal(implicit_midpoint(declined, np.array([1.0, 0.0]), 0.0, 1.0, 10).states,
-                          implicit_midpoint(sys, np.array([1.0, 0.0]), 0.0, 1.0, 10).states)
+def test_newton_midpoint_is_the_midpoint_rule():
+    """newton_midpoint on two forced pendulums q'' = -sin q + cos t, Newton on the
+    midpoint q with the exact Schur matrix 1 + tau^2/4 cos y, is the dense
+    finite-difference Newton midpoint of the same field to 1e-12 relative."""
+    def field(t, x):
+        return np.concatenate([x[2:], np.cos(t) - np.sin(x[:2])])
+
+    def step(t0, tau, K, tol):
+        w = 0.25 * tau ** 2
+        return integrators.newton_midpoint(
+            tau, tol, lambda k, p: 0.5 * tau * p + w * np.cos(t0 + (k + 0.5) * tau),
+            lambda y: w * np.sin(y), lambda y, r: r / (1.0 + w * np.cos(y)))
+
+    x0 = np.array([0.3, -1.2, 0.5, 0.1])
+    got = implicit_midpoint(OdeSystem(4, field, step=step), x0, 0.5, 4.5, 40).states
+    want = implicit_midpoint(OdeSystem(4, field), x0, 0.5, 4.5, 40).states
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

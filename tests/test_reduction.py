@@ -4,16 +4,18 @@ error metrics with hand-computed oracles, snapshot file round trip."""
 import copy
 import dataclasses
 import json
+import math
 import struct
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from sympmor import blas, cli, models, reduction
+from sympmor import cli, integrators, models, reduction
 from sympmor.config import RunConfig
 from sympmor.errors import (DimensionError, IntegrationFailureError, SympmorError,
                             UnsplitSystemError)
@@ -340,23 +342,129 @@ def _separable_midpoint(model, rom, t0, t1, K, tol):
     return _shift(rom.fold.shift, eta.states, -1.0)
 
 
+def _xi_q_newton(model, X, x_ref, t0, tau, K, tol, post=None):
+    """The projected ROM's Newton midpoint step written out: Newton on
+    z = (xi_q,k+1 - xi_q,k) / 2 in (xi_q, pi = c_q + eta_p), w = tau^2/4, with
+
+        G(z) = w (A y + X^T V'(q_ref + X y) + grad V_post(y)) + z - tau/2 pi_k
+               - w (c_p + X^T b(t_k + tau/2)),   y = xi_q,k + z,
+
+    solved with the Schur matrix I + w (A + X^T diag(V''(q)) X + J^T J)
+    (A = X^T S X; J^T J V_post's Gauss-Newton Hessian at the solve's first
+    iterate; without a potential the matrix is constant and inverted once).
+    Returns step(x, z, k, plain=False) -> (x_{k+1}, z, iterates): step k from
+    x = x_k, started at z (None at step 0: explicit Euler's tau/2 pi_0), stopped
+    by the integrator's rule on the update [2 dz; 4/tau dz] and the size of
+    [xi_q; pi], or by ||update|| < tol max(1, size) alone where plain."""
+    d, n = X.shape
+    x_ref = np.zeros(2 * d) if x_ref is None else x_ref
+    c_q, A, _ = _separable_force(model, X, x_ref)
+    c_p = -(X.T @ model.S(x_ref[:d]))
+    ends = X[[0, -1]].T
+    w, half, weight = 0.25 * tau ** 2, 0.5 * tau, math.sqrt(4.0 + 16.0 / tau ** 2)
+    table = np.broadcast_to(w * c_p, (K, n))
+    if model.potential is not None:
+        table = table + w * (model.ends(t0 + (np.arange(K) + 0.5) * tau) @ ends.T)
+    grad = None if post is None else _post_gradient(X, x_ref, post)
+    schur = []
+
+    def residual(y):
+        g = A @ y
+        if model.potential is not None:
+            g += X.T @ model.potential[0](x_ref[:d] + X @ y)
+        if grad is not None:
+            g += grad(y)
+        return w * g
+
+    def solve(y, r):
+        if not schur:
+            T = A
+            if post is not None:
+                B = post.K @ X
+                s = np.tanh(B @ y + post.b)
+                J = post.K.T @ ((post.a * (1.0 - s * s))[:, None] * B)
+                J -= X @ (X.T @ J)
+                T = T + J.T @ J
+            M = np.eye(n) + w * T
+            schur.append(np.linalg.inv(M) if model.potential is None else M)
+        if model.potential is None:
+            return schur[0] @ r
+        V2 = model.potential[1](x_ref[:d] + X @ y)
+        return np.linalg.solve(schur[0] + w * (X.T @ (V2[:, None] * X)), r)
+
+    def step(x, z, k, plain=False):
+        q, p = x[:n], x[n:] + c_q
+        z = half * p if z is None else z
+        c = half * p + table[k]
+        prev = None
+        for it in range(1, MAX_NEWTON + 1):
+            y = q + z
+            dz = solve(y, residual(y) + z - c)
+            z = z - dz
+            x_new = np.concatenate([2.0 * z + q, (4.0 / tau) * z - p])
+            update, size = weight * math.sqrt(dz @ dz), math.sqrt(x_new @ x_new)
+            bound = tol * max(1.0, size)
+            if update < bound or (not plain and prev is not None and update < prev
+                                  and update * update < bound * (prev - update)):
+                x_new[n:] -= c_q
+                return x_new, z, it
+            prev = update
+        raise AssertionError(f"step {k} did not converge")
+
+    return step
+
+
+def _xi_q_newton_loop(model, X, x_ref, x0, t0, t1, K, tol, post=None):
+    """The states of _xi_q_newton's steps from x0 over [t0, t1], each step
+    started from the last step's z."""
+    step = _xi_q_newton(model, X, x_ref, t0, (t1 - t0) / K, K, tol, post)
+    states, z = np.empty((len(x0), K + 1)), None
+    states[:, 0] = x0
+    for k in range(K):
+        states[:, k + 1], z, _ = step(states[:, k], z, k)
+    return states
+
+
+def _learned_xi_q_newton_loop(model, rom, t0, t1, K, tol):
+    """_xi_q_newton_loop of a learned ROM in eta, from eta(0), converted back to xi."""
+    eta0 = _shift(rom.fold.shift, rom.x_r0[:, None])[:, 0]
+    eta = _xi_q_newton_loop(model, rom.basis, rom.x_ref, eta0, t0, t1, K, tol, rom.fold.post)
+    return _shift(rom.fold.shift, eta, -1.0)
+
+
 def _learned_system(rom, sys):
     """The learned ROM's separable system in eta, as solve_rom builds it, and eta(0)."""
-    n = rom.reduced_dim // 2
     eta0 = rom.fold.shift.forward(rom.x_r0[:, None])[0][:, 0]
-    return projected_system(sys.second_order, rom.basis, rom.x_ref, rom.fold.post, eta0[:n]), eta0
+    return projected_system(sys.second_order, rom.basis, rom.x_ref, rom.fold.post), eta0
 
 
-def _newton_matrix(system, t, x, h):
-    """M of a Newton hook whose solve applies (I - h/2 M)^{-1}, from its solves."""
-    solve = system.newton(t, x, h)[1]
-    inverse = np.column_stack([solve(e) for e in np.eye(len(x))])
-    return (2.0 / h) * (np.eye(len(x)) - np.linalg.inv(inverse))
+def _first_iterate(advance, x):
+    """The Newton iterate z -> (z', ||update||, ||x_new||) of advance's step from
+    x, captured where the step calls integrators.newton_solve (which then
+    returns its start unchanged), or None for a step that runs no Newton."""
+    captured = []
+    with mock.patch.object(integrators, "newton_solve",
+                           lambda iterate, z, k, tol: captured.append(iterate) or z):
+        advance(x)
+    return captured[0] if captured else None
+
+
+def _midpoint_q_iterate(field, matrix, x, t0, tau, z):
+    """One Newton iterate on the midpoint q of a separable reduced field
+    (t, xi) -> [pi(xi_p); f_p(t, xi_q)]: z - (I - w matrix)^{-1} G(z) with
+    G(z) = z - tau/2 pi - w f_p(t0 + tau/2, xi_q + z), w = tau^2/4, for the
+    matrix standing for df_p/dxi_q."""
+    n = len(x) // 2
+    w = 0.25 * tau ** 2
+    y = np.concatenate([x[:n] + z, x[n:]])
+    G = z - 0.5 * tau * field(t0, x)[:n] - w * field(t0 + 0.5 * tau, y)[n:]
+    return z - np.linalg.solve(np.eye(n) - w * matrix, G)
 
 
 def test_reduced_jacobian_psd_matches_fd():
-    """Linear PSD decoder on sine-Gordon: the projected system's Newton matrix
-    is the exact Jacobian of the reduced field."""
+    """Linear PSD decoder on sine-Gordon above the Verlet bound: an iterate of
+    the projected system's Newton step is Newton's on the midpoint q with the
+    exact Jacobian of the reduced field (central differences), at every start."""
     model = sg_build(20, 0.3, -10.0, 10.0, SgKind.SingleSoliton)
     sys, x0 = sg_system(model), sg_initial(model)
     fom = implicit_midpoint(sys, x0, 0.0, 1.0, 10)
@@ -364,32 +472,41 @@ def test_reduced_jacobian_psd_matches_fd():
     rom = build_rom(encode, decode, jacobian, x0, use_ref=False, normalized=False)
     field = reduced_vector_field(rom, sys.vector_field)
     projected = projected_system(model, rom.basis, rom.x_ref)
+    t0, tau, n = 0.3, 1.0, 3
+    assert max_frequency(model, rom.basis) * tau > VERLET_BOUND
     rng = np.random.default_rng(13)
     for _ in range(5):
-        xi = rom.x_r0 + 0.5 * rng.standard_normal(6)
-        fd = _fd_jacobian(field, 0.3, xi)
-        M = _newton_matrix(projected, 0.3, xi, 0.05)
-        assert np.linalg.norm(M - fd) < 1e-6 * np.linalg.norm(fd)
+        xi = rom.x_r0 + 0.5 * rng.standard_normal(2 * n)
+        iterate = _first_iterate(projected.step(t0, tau, 1, 1e-12), xi)
+        for z in 0.3 * rng.standard_normal((3, n)):
+            y = np.concatenate([xi[:n] + z, xi[n:]])
+            fd = _fd_jacobian(field, t0 + 0.5 * tau, y)[n:, :n]
+            want = z - _midpoint_q_iterate(field, fd, xi, t0, tau, z)
+            assert _rel(z - iterate(z)[0], want) <= 1e-6
 
 
 def test_reduced_jacobian_learned_matches_dense_j_products(learned_wave_rom):
-    """The learned ROM's Newton matrix in eta is J_2n blockdiag(T_0, I) with
+    """An iterate of the learned ROM's Newton step in eta (tau = 1, where
+    tau sqrt(h) > 1/2) is Newton's on the midpoint q with the matrix -T_0,
     T_0 = X^T S X + G^T (I - X X^T) G from dense products: S from the FOM's
     dense Jacobian and G = dp/dxi_q, the lower-left block of the decoder
-    Jacobian at xi_q(0), so G^T (I - X X^T) G is V_post's Gauss-Newton Hessian."""
+    Jacobian at the first iterate's xi_q, so G^T (I - X X^T) G is V_post's
+    Gauss-Newton Hessian there.  Later iterates keep that T_0."""
     sys, rom = learned_wave_rom
     model, X, n = sys.second_order, rom.basis, 2
     d = model.d
     S = -model.jacobian(0.0, np.zeros(sys.dim), np.eye(sys.dim))[d:, :d]
-    G = rom.decode_jacobian(rom.x_r0)[1][d:, :n]
-    T0 = X.T @ S @ X + G.T @ (np.eye(d) - X @ X.T) @ G
-    oracle = _dense_j(n) @ np.block([[T0, np.zeros((n, n))], [np.zeros((n, n)), np.eye(n)]])
     projected, eta0 = _learned_system(rom, sys)
     rng = np.random.default_rng(14)
-    for _ in range(5):
+    for _ in range(3):
         eta = eta0 + rng.standard_normal(2 * n)
-        M = _newton_matrix(projected, 0.0, eta, 0.05)
-        assert np.linalg.norm(M - oracle) < 1e-12 * np.linalg.norm(oracle)
+        iterate = _first_iterate(projected.step(0.0, 1.0, 1, 1e-12), eta)
+        zs = rng.standard_normal((3, n))
+        G = rom.decode_jacobian(np.concatenate([eta[:n] + zs[0], rom.x_r0[n:]]))[1][d:, :n]
+        T0 = X.T @ S @ X + G.T @ (np.eye(d) - X @ X.T) @ G
+        for z in zs:
+            want = z - _midpoint_q_iterate(projected.vector_field, -T0, eta, 0.0, 1.0, z)
+            assert _rel(z - iterate(z)[0], want) <= 1e-12
 
 
 def _counter(calls):
@@ -411,36 +528,32 @@ def _scaled_post(rom, scale):
 
 def _learned_path(sys, rom, tau):
     """The step solve_rom takes for a learned ROM at step size tau: 'verlet'
-    where omega_max tau <= VERLET_BOUND, else 'split' where the step hook
-    supplies one, else 'newton'."""
+    where omega_max tau <= VERLET_BOUND, else 'newton' where the step runs
+    Newton, else 'split'."""
     model, post = sys.second_order, rom.fold.post
     if max_frequency(model, rom.basis, rom.x_ref, post) * tau <= VERLET_BOUND:
         return "verlet"
-    projected, _ = _learned_system(rom, sys)
-    return "newton" if projected.step(0.0, tau, 20) is None else "split"
-
-
-class _Unread:
-    """A stand-in array that fails the test when anything reads it."""
-
-    def __array__(self, *args, **kwargs):
-        raise AssertionError("read")
+    projected, eta0 = _learned_system(rom, sys)
+    return "split" if _first_iterate(projected.step(0.0, tau, 20, 1e-10), eta0) is None else "newton"
 
 
 @pytest.mark.parametrize("t1, path", [(1.0, "verlet"), (4.0, "split")])
 def test_learned_rom_forms_the_gauss_newton_hessian_on_the_first_newton_call(t1, path,
-                                                                          learned_wave_rom):
-    """V_post's Gauss-Newton Hessian at xi_q0 is formed by the Newton hook
-    alone: a Verlet and a split solve never read xi_q0, and are bitwise the
-    solves of the system built with it; the Newton midpoint reads it."""
+                                                                          learned_wave_rom,
+                                                                          monkeypatch):
+    """V_post's Gauss-Newton Hessian is formed by the Newton step alone, at its
+    first iterate: a Verlet and a split solve run no Newton iterate, so with a
+    Newton that fails on any call they are bitwise the solves without it."""
     sys, rom = learned_wave_rom
     assert _learned_path(sys, rom, t1 / 20) == path
     projected, eta0 = _learned_system(rom, sys)
-    unread = projected_system(sys.second_order, rom.basis, rom.x_ref, rom.fold.post, _Unread())
-    assert np.array_equal(implicit_midpoint(unread, eta0, 0.0, t1, 20).states,
-                          implicit_midpoint(projected, eta0, 0.0, t1, 20).states)
-    with pytest.raises(AssertionError, match="read"):
-        implicit_midpoint(dataclasses.replace(unread, step=None), eta0, 0.0, t1, 20)
+    want = implicit_midpoint(projected, eta0, 0.0, t1, 20).states
+
+    def unread(*args):
+        raise AssertionError("read")
+
+    monkeypatch.setattr(integrators, "newton_solve", unread)
+    assert np.array_equal(implicit_midpoint(projected, eta0, 0.0, t1, 20).states, want)
 
 
 def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
@@ -463,18 +576,36 @@ def test_learned_rom_decodes_once_per_fom_field_call(learned_wave_rom):
     assert calls == []
 
 
-def test_learned_rom_decoder_passes_per_solve(learned_wave_rom):
-    """At K = 50 the learned ROM's Newton midpoint makes at most 2.5 Newton
-    iterates per step: the extrapolated start costs none, and the contraction
-    stop skips the confirming iterate."""
+def _counting_newton(monkeypatch):
+    """Count the Newton iterates of every integrators.newton_solve call from now
+    on: the returned list gains one entry per call, its iterate count."""
+    per_call, solve = [], integrators.newton_solve
+
+    def counting(iterate, x, k, tol):
+        per_call.append(0)
+
+        def counted(z):
+            per_call[-1] += 1
+            return iterate(z)
+
+        return solve(counted, x, k, tol)
+
+    monkeypatch.setattr(integrators, "newton_solve", counting)
+    return per_call
+
+
+def test_learned_rom_decoder_passes_per_solve(learned_wave_rom, monkeypatch):
+    """At K = 50 the learned ROM's Newton step (its post-expand layer scaled by
+    3, tau = 0.2; the unscaled ROM takes no Newton) makes at most 3 Newton
+    iterates per step, as many as the 2n Newton midpoint it replaced made on
+    this ROM: the extrapolated start costs none, and the contraction stop
+    skips the confirming iterate."""
     sys, rom = learned_wave_rom
-    calls = []
-    K = 50
-    projected, eta0 = _learned_system(rom, sys)
-    newton = _counter(calls)(projected.newton)
-    implicit_midpoint(dataclasses.replace(projected, step=None, newton=newton), eta0,
-                      0.0, 1.0, K, tol=1e-10)
-    assert K <= len(calls) <= 2.5 * K
+    rom, K = _scaled_post(rom, 3.0), 50
+    assert _learned_path(sys, rom, 10.0 / K) == "newton"
+    per_step = _counting_newton(monkeypatch)
+    solve_rom(rom, sys, 0.0, 10.0, K, tol=1e-10)
+    assert len(per_step) == K and K <= sum(per_step) <= 3 * K
 
 
 def _untrained_wave_rom():
@@ -570,9 +701,11 @@ STEPS = {"midpoint": 10, "verlet": 50}
 def test_learned_solve_is_the_separable_loop(case, path, learned_sine_gordon_network):
     """solve_rom of a learned ROM is, bitwise, the separable solve written out
     here, converted back to xi: below the bound the kick-drift-kick loop in eta;
-    above it the Newton midpoint of _separable_midpoint for sine-Gordon, and
-    for the wave the split midpoint loop, which is that Newton midpoint to
-    2e-7 relative (9.7e-8 measured)."""
+    above it for sine-Gordon the Newton loop on xi_q of _xi_q_newton, which is
+    the 2n Newton midpoint of _separable_midpoint to 1e-10 relative (3.4e-11
+    measured), and for
+    the wave the split midpoint loop, which is that Newton midpoint to 2e-7
+    relative (9.7e-8 measured)."""
     sys, rom, t1 = _learned_case(case, learned_sine_gordon_network)
     model, K = sys.second_order, STEPS[path]
     omega = max_frequency(model, rom.basis, rom.x_ref, rom.fold.post)
@@ -583,7 +716,8 @@ def test_learned_solve_is_the_separable_loop(case, path, learned_sine_gordon_net
         want = _learned_split_loop(model, rom, 0.0, t1, K)
         assert _rel(want, _separable_midpoint(model, rom, 0.0, t1, K, 1e-10)) <= 2e-7
     elif path == "midpoint":
-        want = _separable_midpoint(model, rom, 0.0, t1, K, 1e-10)
+        want = _learned_xi_q_newton_loop(model, rom, 0.0, t1, K, 1e-10)
+        assert _rel(want, _separable_midpoint(model, rom, 0.0, t1, K, 1e-10)) <= 1e-10
     else:
         eta0 = _shift(rom.fold.shift, rom.x_r0[:, None])[:, 0]
         eta = _kick_drift_kick_loop(model, rom.basis, rom.x_ref, eta0, 0.0, t1, K, rom.fold.post)
@@ -658,43 +792,46 @@ def test_psd_rom_binds_the_decoder_weight_at_build():
     assert not np.array_equal(decode(xi), before[0])
 
 
-STOP_T1, STOP_K = 1.0, 30
+STOP_T1, STOP_K, STOP_TOL = 1.0, 30, 1e-10
 
 
-def _sg_fom(fixture):
-    """The sine-Gordon FOM, whose step counts its Newton iterates (one V'' call
-    each) per step, and the full-space Newton midpoint of the same model on a
-    dense I - h/2 Df, the iteration whose q-iterates the step takes."""
+def _sg_fom():
+    """The sine-Gordon FOM and its initial state, and the plain iterate count of
+    step k from a trajectory's states by the full-space Newton midpoint of the
+    same model on a dense I - h/2 Df, the iteration whose q-iterates the step
+    takes."""
     model = sg_build(40, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
-    sys, per_step = sg_system(model), []
-
-    def curvature(y):
-        per_step[-1] += 1
-        return np.cos(y)
-
-    def step(*args):
-        advance = sys.step(*args)
-        return lambda x: per_step.append(0) or advance(x)
-
-    model.potential = (np.sin, curvature)
-    plain = sg_build(40, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
-    newton = dataclasses.replace(sg_system(plain), step=None, newton=dense_newton(
-        lambda t, x: (plain.field(t, x), plain.jacobian(t, x, np.eye(plain.dim)))))
-    return dataclasses.replace(sys, step=step), sg_initial(model), per_step, newton
+    dense = dataclasses.replace(sg_system(model), step=None, newton=dense_newton(
+        lambda t, x: (model.field(t, x), model.jacobian(t, x, np.eye(model.dim)))))
+    h = STOP_T1 / STOP_K
+    return (sg_system(model), sg_initial(model),
+            lambda states, k: _plain_iterates(dense, states, k, 0.0, h, STOP_TOL))
 
 
-def _learned_rom_system(learned_wave_rom):
-    """The learned ROM's Newton midpoint as solve_rom runs it, in eta, counting
-    its Newton hook's calls per step, and the same system uncounted."""
-    sys, rom = learned_wave_rom
+def _stiff_learned_wave_rom():
+    """An untrained build_network decoder (N = 16, n = 4) as a wave ROM with its
+    post-expand layer's a scaled by 3000: tau sqrt(h) = 0.72 at K = 50 over
+    [0, 1], so every solve at that step size or above runs the Newton step."""
+    sys, rom = _untrained_wave_rom()
+    return sys, _scaled_post(rom, 3000.0)
+
+
+def _learned_rom_system():
+    """The stiff learned wave ROM's system in eta and eta(0), and the plain
+    iterate count of step k from a trajectory's states by the Newton loop on
+    xi_q written out in _xi_q_newton, from the same start; called for
+    k = 0, 1, ... in turn, since step 0's first iterate forms the Schur matrix."""
+    sys, rom = _stiff_learned_wave_rom()
     projected, eta0 = _learned_system(rom, sys)
-    newton, per_step = dataclasses.replace(projected, step=None), [0] * STOP_K
+    n = len(eta0) // 2
+    step = _xi_q_newton(sys.second_order, rom.basis, rom.x_ref, 0.0, STOP_T1 / STOP_K,
+                        STOP_K, STOP_TOL, rom.fold.post)
 
-    def counted(t, x, tau):
-        per_step[int(t * STOP_K / STOP_T1)] += 1     # t_mid = (k + 1/2) t1 / K
-        return newton.newton(t, x, tau)
+    def plain(states, k):
+        z = None if k == 0 else 0.5 * (states[:n, k] - states[:n, k - 1])
+        return step(states[:, k], z, k, plain=True)[2]
 
-    return dataclasses.replace(newton, newton=counted), eta0, per_step, newton
+    return projected, eta0, plain
 
 
 def _plain_iterates(sys, X, k, t0, h, tol):
@@ -715,18 +852,20 @@ STOP_CASES = {"sg_fom": _sg_fom, "learned_rom": _learned_rom_system}
 
 
 @pytest.mark.parametrize("case", list(STOP_CASES))
-def test_contraction_stop_takes_no_more_iterates(case, learned_wave_rom):
+def test_contraction_stop_takes_no_more_iterates(case, monkeypatch):
     """Each step, from the same start, takes no more Newton iterates than the
     plain ||delta|| test would, and the trajectory agrees with a solve at
-    tol = 1e-13 to 1e-9.  The FOM's iterates are its step's own."""
-    counted, x0, per_step, newton = STOP_CASES[case](learned_wave_rom)
-    t0, h, tol = 0.0, STOP_T1 / STOP_K, 1e-10
-    traj = implicit_midpoint(counted, x0, t0, STOP_T1, STOP_K, tol=tol)
+    tol = 1e-13 to 1e-9.  The iterates are the step's own (Newton on the
+    midpoint q); the FOM's plain count is the full-space Newton's, the ROM's
+    that of the same loop on xi_q."""
+    sys, x0, plain = STOP_CASES[case]()
+    per_step = _counting_newton(monkeypatch)
+    traj = implicit_midpoint(sys, x0, 0.0, STOP_T1, STOP_K, tol=STOP_TOL)
     iterates = np.array(per_step)
-    plain = [_plain_iterates(newton, traj.states, k, t0, h, tol) for k in range(STOP_K)]
+    plain = [plain(traj.states, k) for k in range(STOP_K)]
     assert len(iterates) == STOP_K
     assert np.all(iterates >= 1) and np.all(iterates <= plain), (iterates, plain)
-    tight = implicit_midpoint(counted, x0, t0, STOP_T1, STOP_K, tol=1e-13)
+    tight = implicit_midpoint(sys, x0, 0.0, STOP_T1, STOP_K, tol=1e-13)
     assert _rel(traj.states, tight.states) <= 1e-9
 
 
@@ -770,14 +909,17 @@ def _rel(a, b):
 
 @pytest.mark.parametrize("learned", [False, True])
 def test_solve_rom_equals_default_dense_newton(learned, learned_wave_rom):
-    """The projected system, through its Newton midpoint path (solve_rom takes
-    Störmer–Verlet for these ROMs at K = 20 over [0, 1]), agrees to rounding
-    with the integrator's default dense Newton: for the PSD ROM on the generic
-    decode-and-project system, for the learned ROM on its own separable field
-    in eta with the dense Newton matrix J_2n blockdiag(T_0, I).  Over [0, 4]
-    the learned ROM takes the split midpoint: solve_rom is the split loop
-    written out here, bitwise, and the separable Newton midpoint to 2e-3
-    relative (1.2e-3 measured: this ROM's V_post is strong, tau sqrt(h) = 0.22)."""
+    """The projected system's field, under the integrator's default
+    finite-difference Newton (solve_rom takes Störmer–Verlet for these ROMs at
+    K = 20 over [0, 1]), agrees to rounding with dense Newton: for the PSD ROM
+    on the generic decode-and-project system; for the learned ROM its Newton
+    step (its post-expand layer scaled by 3, tau = 0.2) is the 2n Newton
+    midpoint of its own field in eta with the dense matrix J_2n blockdiag(T_0, I),
+    T_0 V_post's Gauss-Newton Hessian at the step's first iterate, to 1e-12.
+    Over [0, 4] the learned ROM takes the split midpoint: solve_rom is the
+    split loop written out here, bitwise, and the separable Newton midpoint to
+    2e-3 relative (1.2e-3 measured: this ROM's V_post is strong,
+    tau sqrt(h) = 0.22)."""
     if not learned:
         sys, rom = _sg_psd_rom(SgKind.SingleSoliton)
         projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
@@ -787,12 +929,20 @@ def test_solve_rom_equals_default_dense_newton(learned, learned_wave_rom):
         assert _rel(a.states, b.states) <= 1e-12
         return
     sys, rom = learned_wave_rom
-    projected, eta0 = _learned_system(rom, sys)
-    M = _newton_matrix(projected, 0.0, eta0, 0.05)
+    strong = _scaled_post(rom, 3.0)
+    projected, eta0 = _learned_system(strong, sys)
+    model, X, post, n = sys.second_order, strong.basis, strong.fold.post, 2
+    assert _learned_path(sys, strong, 0.2) == "newton"
+    y = eta0[:n] + 0.1 * projected.vector_field(0.0, eta0)[:n]    # the first iterate's xi_q
+    s = np.tanh(post.K @ (X @ y) + post.b)
+    J = post.K.T @ ((post.a * (1.0 - s * s))[:, None] * (post.K @ X))
+    J -= X @ (X.T @ J)
+    M = _dense_j(n) @ np.block([[X.T @ model.S(X) + J.T @ J, np.zeros((n, n))],
+                                [np.zeros((n, n)), np.eye(n)]])
     default = OdeSystem(dim=rom.reduced_dim, vector_field=projected.vector_field,
                         newton=dense_newton(lambda t, eta: (projected.vector_field(t, eta), M)))
-    a = implicit_midpoint(dataclasses.replace(projected, step=None), eta0, 0.0, 1.0, 20, tol=1e-10)
-    b = implicit_midpoint(default, eta0, 0.0, 1.0, 20, tol=1e-10)
+    a = implicit_midpoint(projected, eta0, 0.0, 4.0, 20, tol=1e-10)
+    b = implicit_midpoint(default, eta0, 0.0, 4.0, 20, tol=1e-10)
     assert _rel(a.states, b.states) <= 1e-12
     got = solve_rom(rom, sys, 0.0, 4.0, 20, tol=1e-10).states
     assert np.array_equal(got, _learned_split_loop(sys.second_order, rom, 0.0, 4.0, 20))
@@ -810,34 +960,38 @@ PROJECTED_CASES = {"sg_single": lambda: _sg_psd_rom(SgKind.SingleSoliton),
 @pytest.mark.parametrize("case", list(PROJECTED_CASES))
 def test_projected_system_matches_generic_rom(case):
     """The projected PSD system against the decode-and-project oracles: its field
-    is the reduced field, its Newton solve is the dense solve of I - h/2 M for
-    the Newton matrix M, and its midpoint trajectory is the generic one (through
-    solve_rom for the wave, whose step is the midpoint step of its linear part;
-    the sine-Gordon ROMs, which solve_rom runs by Störmer–Verlet, through the
-    Newton path)."""
+    is the reduced field; above the Verlet bound (tau = 1) a sine-Gordon ROM's
+    Newton iterate is Newton's on the midpoint q with the generic matrix M's
+    block df_p/dxi_q, while a wave ROM's step runs no Newton; and its
+    midpoint trajectory through solve_rom is the generic one (the wave's the
+    midpoint step of its linear part over [0, 1] at K = 20, the sine-Gordon
+    ROMs' the Newton step over [0, 10] at K = 10)."""
     sys, rom = PROJECTED_CASES[case]()
-    assert rom.basis is not None and sys.second_order is not None
-    projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
+    model = sys.second_order
+    assert rom.basis is not None and model is not None
+    projected = projected_system(model, rom.basis, rom.x_ref)
     field = reduced_vector_field(rom, sys.vector_field)
     generic, linearize = _decode_and_project(rom, sys)
     rng = np.random.default_rng(15)
-    h, dim = 0.05, rom.reduced_dim
+    tau, dim, n = 1.0, rom.reduced_dim, rom.reduced_dim // 2
     for _ in range(10):
-        t, r = rng.uniform(0.0, 1.0), rng.standard_normal(dim)
+        t = rng.uniform(0.0, 1.0)
         xi = rom.x_r0 + rng.standard_normal(dim)
         assert _rel(projected.vector_field(t, xi), field(t, xi)) <= 1e-12
-        f, solve = projected.newton(t, xi, h)
-        f_gen, M = linearize(t, xi)
-        assert _rel(f, f_gen) <= 1e-12
-        assert _rel(solve(r), np.linalg.solve(np.eye(dim) - 0.5 * h * M, r)) <= 1e-12
+        iterate = _first_iterate(projected.step(t, tau, 1, 1e-12), xi)
+        if model.potential is None:
+            assert iterate is None
+            continue
+        z = rng.standard_normal(n)
+        M = linearize(t + 0.5 * tau, np.concatenate([xi[:n] + z, xi[n:]]))[1][n:, :n]
+        want = z - _midpoint_q_iterate(lambda t, x: linearize(t, x)[0], M, xi, t, tau, z)
+        assert _rel(z - iterate(z)[0], want) <= 1e-12
     with pytest.raises(DimensionError):
         projected.vector_field(0.0, np.zeros(dim + 1))
-    if sys.second_order.potential is None:
-        a = solve_rom(rom, sys, 0.0, 1.0, 20, tol=1e-10)
-    else:
-        a = implicit_midpoint(dataclasses.replace(projected, step=None), rom.x_r0, 0.0, 1.0, 20,
-                              tol=1e-10)
-    b = implicit_midpoint(generic, rom.x_r0, 0.0, 1.0, 20, tol=1e-10)
+    t1, K = (1.0, 20) if model.potential is None else (10.0, 10)
+    assert (max_frequency(model, rom.basis) * t1 / K > VERLET_BOUND) == (model.potential is not None)
+    a = solve_rom(rom, sys, 0.0, t1, K, tol=1e-10)
+    b = implicit_midpoint(generic, rom.x_r0, 0.0, t1, K, tol=1e-10)
     assert _rel(a.states, b.states) <= 1e-12
 
 
@@ -1004,7 +1158,7 @@ def test_kick_drift_kick_error_matches_midpoint(nu):
     """Störmer–Verlet's e_red is within 1.1x of the same ROM's midpoint e_red."""
     sys, x0, rom = _sg64_rom(SgKind.SingleSoliton, 4, nu)
     projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
-    assert projected.step(0.0, 16.0 / 50, 50) is not None
+    assert max_frequency(sys.second_order, rom.basis) * 16.0 / 50 <= VERLET_BOUND
     fom = implicit_midpoint(sys, x0, 0.0, 16.0, 50)
     verlet = reduction_error("with_ref", fom, rom, solve_rom(rom, sys, 0.0, 16.0, 50))
     midpoint = reduction_error("with_ref", fom, rom, implicit_midpoint(
@@ -1045,18 +1199,56 @@ def test_kick_drift_kick_hamiltonian_does_not_drift(kind):
     assert 0 < ten <= 2.0 * one, (one, ten)
 
 
+# the five ROMs whose solves run the Newton step, with the newton_solve iterates per
+# solve that the 2n Newton midpoint it replaced took, by Newton tolerance
+NEWTON_ROMS = {
+    **{f"sg_{kind.value}_{n}": (lambda kind=kind, n=n: _sg64_rom(kind, n, 0.475)[::2],
+                                {1e-12: 150})
+       for kind in SgKind for n in (8, 16)},
+    "stiff_learned_wave": (_stiff_learned_wave_rom, {1e-12: 159, 1e-10: 139}),
+}
+
+
+@pytest.mark.parametrize("case", list(NEWTON_ROMS))
+def test_newton_step_matches_the_dense_newton_midpoint(case, monkeypatch):
+    """Above their bounds (sine-Gordon PSD ROMs of the README's table at
+    n in {8, 16}, nu = 0.475, omega_max tau = 0.76-1.58; a learned wave ROM
+    with tau sqrt(h) = 0.72) solve_rom runs Newton on xi_q.  At tol = 1e-12 it
+    is the finite-difference dense Newton midpoint of the same reduced field to
+    1e-9 relative (4.4e-16 to 3.0e-12 measured), and it takes no more
+    newton_solve iterates per solve than the 2n Newton midpoint that the
+    projected system ran before (150 each on sine-Gordon; 155 against 159 on
+    the wave ROM, and 135 against 139 at tol = 1e-10)."""
+    make, parent_iterates = NEWTON_ROMS[case]
+    sys, rom = make()
+    t1 = 16.0 if sys.second_order.potential is not None else 1.0
+    projected, eta0 = (_learned_system(rom, sys) if rom.fold.shift is not None else
+                       (projected_system(sys.second_order, rom.basis, rom.x_ref), rom.x_r0))
+    dense = implicit_midpoint(dataclasses.replace(projected, step=None), eta0, 0.0, t1, 50)
+    want = dense.states if rom.fold.shift is None else _shift(rom.fold.shift, dense.states, -1.0)
+    per_step = _counting_newton(monkeypatch)
+    assert _rel(solve_rom(rom, sys, 0.0, t1, 50, tol=1e-12).states, want) <= 1e-9
+    for tol, parent in parent_iterates.items():
+        per_step.clear()
+        solve_rom(rom, sys, 0.0, t1, 50, tol=tol)
+        assert len(per_step) == 50 and sum(per_step) <= parent, (tol, sum(per_step))
+
+
 def test_psd_rom_falls_back_to_newton_midpoint():
-    """Above the bound (omega_max tau > 1/2) a sine-Gordon PSD ROM's step hook
-    declines, and solve_rom is the Newton midpoint bitwise.  A wave PSD ROM
-    takes the midpoint step of its linear part: the loop written out here,
-    bitwise, and the Newton midpoint to 1e-12 relative."""
+    """Above the bound (omega_max tau > 1/2) a sine-Gordon PSD ROM steps by
+    Newton on xi_q: solve_rom is the loop of _xi_q_newton bitwise, and the 2n
+    dense Newton midpoint of the decode-and-project system to 1e-12 relative
+    (9.1e-16 measured).  A wave PSD ROM takes the midpoint step of its linear
+    part: the loop written out here, bitwise, and the Newton midpoint to 1e-12
+    relative."""
     sys, x0, rom = _sg64_rom(SgKind.SingleSoliton, 4, 0.475)
-    projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
-    assert max_frequency(sys.second_order, rom.basis) * 16.0 / 20 > VERLET_BOUND
-    assert projected.step(0.0, 16.0 / 20, 20) is None
-    newton = dataclasses.replace(projected, step=None)
-    assert np.array_equal(solve_rom(rom, sys, 0.0, 16.0, 20).states,
-                          implicit_midpoint(newton, rom.x_r0, 0.0, 16.0, 20).states)
+    model = sys.second_order
+    assert max_frequency(model, rom.basis) * 16.0 / 20 > VERLET_BOUND
+    got = solve_rom(rom, sys, 0.0, 16.0, 20).states
+    assert np.array_equal(got, _xi_q_newton_loop(model, rom.basis, rom.x_ref, rom.x_r0,
+                                                 0.0, 16.0, 20, 1e-12))
+    dense = implicit_midpoint(_decode_and_project(rom, sys)[0], rom.x_r0, 0.0, 16.0, 20)
+    assert _rel(got, dense.states) <= 1e-12
     for n in (4, 18):
         sys, rom = _wave_psd_rom(n)
         projected = projected_system(sys.second_order, rom.basis, rom.x_ref)
@@ -1077,7 +1269,7 @@ def _corrected_wave(N, mu):
     return dataclasses.replace(model, diag=-(np.r_[model.off, 0.0] + np.r_[0.0, model.off]))
 
 
-def test_stiff_wave_psd_rom_takes_the_midpoint_step_without_newton():
+def test_stiff_wave_psd_rom_takes_the_midpoint_step_without_newton(monkeypatch):
     """A stiff wave PSD ROM (N = 128, n = 32, omega_max tau = 2.5 at K = 50)
     makes no Newton call, and is the Newton midpoint to 1e-12 relative.
     Midpoint keeps its quadratic H, so the reconstructed H's spread is rounding:
@@ -1096,9 +1288,8 @@ def test_stiff_wave_psd_rom_takes_the_midpoint_step_without_newton():
     rom = build_rom(*psd_maps(X), x0, use_ref=True, normalized=True)
     assert max_frequency(model, rom.basis) / 50 == pytest.approx(2.5, abs=0.1)
     projected = projected_system(model, rom.basis, rom.x_ref)
-    calls = []
-    counted = dataclasses.replace(projected, newton=_counter(calls)(projected.newton))
-    got = implicit_midpoint(counted, rom.x_r0, 0.0, 1.0, 50).states
+    calls = _counting_newton(monkeypatch)
+    got = implicit_midpoint(projected, rom.x_r0, 0.0, 1.0, 50).states
     assert calls == []
     assert np.array_equal(got, solve_rom(rom, sys, 0.0, 1.0, 50).states)
     newton = implicit_midpoint(dataclasses.replace(projected, step=None), rom.x_r0, 0.0, 1.0, 50)
@@ -1124,58 +1315,38 @@ def test_learned_split_step_is_symplectic(learned_wave_rom):
     rng, eps = np.random.default_rng(22), 1e-5
     for _ in range(3):
         eta = eta0 + rng.standard_normal(rom.reduced_dim)
-        M = np.column_stack([(projected.step(0.0, 0.2, 1)(eta + eps * e)
-                              - projected.step(0.0, 0.2, 1)(eta - eps * e)) / (2 * eps)
+        M = np.column_stack([(projected.step(0.0, 0.2, 1, 1e-12)(eta + eps * e)
+                              - projected.step(0.0, 0.2, 1, 1e-12)(eta - eps * e)) / (2 * eps)
                              for e in np.eye(rom.reduced_dim)])
         assert np.linalg.norm(M.T @ J @ M - J) <= 1e-8
 
 
 def test_strong_post_potential_declines_the_split(learned_wave_rom):
     """With the post-expand layer's a scaled by 3 the bound h on ||Hess V_post||
-    gives tau sqrt(h) > 1/2: the step hook declines, and solve_rom is the
-    separable Newton midpoint bitwise."""
+    gives tau sqrt(h) > 1/2: the step declines the split and runs Newton on
+    xi_q, and solve_rom is the loop of _xi_q_newton bitwise, and the 2n
+    separable Newton midpoint of _separable_midpoint to 1e-12 relative
+    (9.7e-16 measured)."""
     sys, rom = learned_wave_rom
     rom = _scaled_post(rom, 3.0)
     model, X, post = sys.second_order, rom.basis, rom.fold.post
     h = max_frequency(model, X, rom.x_ref, post) ** 2 - max_frequency(model, X) ** 2
     assert 0.2 * np.sqrt(h) > VERLET_BOUND
-    projected, _ = _learned_system(rom, sys)
-    assert projected.step(0.0, 0.2, 20) is None
-    assert np.array_equal(solve_rom(rom, sys, 0.0, 4.0, 20, tol=1e-10).states,
-                          _separable_midpoint(model, rom, 0.0, 4.0, 20, 1e-10))
+    assert _learned_path(sys, rom, 0.2) == "newton"
+    got = solve_rom(rom, sys, 0.0, 4.0, 20, tol=1e-10).states
+    assert np.array_equal(got, _learned_xi_q_newton_loop(model, rom, 0.0, 4.0, 20, 1e-10))
+    assert _rel(got, _separable_midpoint(model, rom, 0.0, 4.0, 20, 1e-10)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [4, 18])
-def test_constant_schur_lu_equals_numpy_solve(n, monkeypatch):
-    """A wave PSD ROM's Newton Schur matrix I + tau^2/4 X^T S X is LU-factored
-    once per solve: its dgetrs solves equal np.linalg.solve bitwise, and so does
-    the Newton midpoint trajectory against the np.linalg.solve fallback used
-    where numpy bundles no LAPACK."""
-    sys, rom = _wave_psd_rom(n)
-    X, rng = rom.basis, np.random.default_rng(n)
-    for tau in (1.0 / 20, 1.0 / 60, 0.3):
-        schur = np.eye(n) + 0.25 * tau ** 2 * (X.T @ sys.second_order.S(X))
-        solve = blas.lu_factor(schur)
-        for r in rng.standard_normal((20, n)):
-            assert np.array_equal(solve(r), np.linalg.solve(schur, r))
-    newton = dataclasses.replace(projected_system(sys.second_order, X, rom.x_ref), step=None)
-    factored = implicit_midpoint(newton, rom.x_r0, 0.0, 1.0, 20).states
-    monkeypatch.setattr(blas, "_LAPACK", {})
-    newton = dataclasses.replace(projected_system(sys.second_order, X, rom.x_ref), step=None)
-    assert np.array_equal(implicit_midpoint(newton, rom.x_r0, 0.0, 1.0, 20).states, factored)
-
-
-def test_singular_constant_schur_raises_integration_failure(monkeypatch):
+def test_singular_constant_schur_raises_integration_failure():
     """S = -4 I and tau = 1 make I + tau^2/4 X^T S X exactly zero: the set-up of
-    the ROM's midpoint step (np.linalg.inv of that matrix), with or without
-    the bundled LAPACK, fails as an IntegrationFailureError at step 0 that
-    names the step's matrix, since no Newton runs."""
+    the ROM's midpoint step (np.linalg.inv of that matrix) fails as an
+    IntegrationFailureError at step 0 that names the step's matrix, since no
+    Newton runs."""
     model, X = SecondOrder(N=3, diag=-4.0, off=0.0, h=1.0), np.eye(3)[:, :2]
-    for bound in (blas._LAPACK, {}):
-        monkeypatch.setattr(blas, "_LAPACK", bound)
-        with pytest.raises(IntegrationFailureError, match="singular step matrix at step 0") as exc:
-            implicit_midpoint(projected_system(model, X), np.ones(4), 0.0, 2.0, 2)
-        assert exc.value.step_index == 0
+    with pytest.raises(IntegrationFailureError, match="singular step matrix at step 0") as exc:
+        implicit_midpoint(projected_system(model, X), np.ones(4), 0.0, 2.0, 2)
+    assert exc.value.step_index == 0
 
 
 def test_kick_drift_kick_non_finite_state_raises():
@@ -1191,7 +1362,7 @@ def test_kick_drift_kick_non_finite_state_raises():
 def test_max_frequency_is_the_spectral_radius():
     """omega_max takes the spectral radius of X^T S X.  With a negative definite
     X^T S X, sqrt(lambda_max + sup |V''|) would be nan, nan * tau > VERLET_BOUND
-    is False, and Verlet would be taken; the hook declines."""
+    is False, and Verlet would be taken; the step runs Newton."""
     base = sg_build(30, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
     model = dataclasses.replace(base, diag=-200.0, off=100.0)   # S = -100 tridiag(-1, 2, -1) / h^2
     X = psd_cotangent_lift(np.random.default_rng(16).standard_normal((60, 12)), 3).data
@@ -1200,19 +1371,22 @@ def test_max_frequency_is_the_spectral_radius():
     omega = max_frequency(model, X)
     assert omega == pytest.approx(np.sqrt(-lam[0] + model.curvature), rel=1e-12)
     assert omega * 0.05 > VERLET_BOUND
-    assert projected_system(model, X).step(0.0, 0.05, 20) is None
+    assert _first_iterate(projected_system(model, X).step(0.0, 0.05, 20, 1e-12),
+                          np.zeros(6)) is not None
 
 
 def test_learned_rom_newton_matrix_matches_fd_path(learned_wave_rom):
-    """Freezing V_post's Gauss-Newton Hessian at xi_q(0) changes the Newton
-    matrix, not the solution: the learned midpoint matches its separable field
+    """Freezing V_post's Gauss-Newton Hessian at the first iterate changes the
+    Newton matrix, not the solution: the learned ROM's Newton step (its
+    post-expand layer scaled by 3, tau = 0.2) matches its separable field
     solved by finite-difference Newton."""
     sys, rom = learned_wave_rom
+    rom = _scaled_post(rom, 3.0)
+    assert _learned_path(sys, rom, 0.2) == "newton"
     projected, eta0 = _learned_system(rom, sys)
-    analytic = implicit_midpoint(dataclasses.replace(projected, step=None), eta0, 0.0, 1.0, 20,
-                                 tol=1e-10)
+    analytic = implicit_midpoint(projected, eta0, 0.0, 4.0, 20, tol=1e-10)
     fd = implicit_midpoint(OdeSystem(dim=rom.reduced_dim, vector_field=projected.vector_field),
-                           eta0, 0.0, 1.0, 20, tol=1e-10)
+                           eta0, 0.0, 4.0, 20, tol=1e-10)
     scale = np.max(np.abs(fd.states))
     assert np.max(np.abs(analytic.states - fd.states)) <= 1e-8 * scale
 
@@ -1299,15 +1473,9 @@ def _benchmark_speeds(seed):
 @pytest.mark.parametrize("seed, verlet", [(1, 1), (2, 2)])
 def test_desk_wave_rom_makes_no_newton_iterate(seed, verlet, desk_wave_v6, monkeypatch):
     """At the benchmark's test speeds the desk V6 wave ROM steps by
-    Störmer–Verlet or by the split midpoint, and never calls its Newton hook."""
-    calls, paths = [], []
-    midpoint = reduction.implicit_midpoint
-
-    def counting(system, *args, **kwargs):
-        return midpoint(dataclasses.replace(system, newton=_counter(calls)(system.newton)),
-                        *args, **kwargs)
-
-    monkeypatch.setattr(reduction, "implicit_midpoint", counting)
+    Störmer–Verlet or by the split midpoint, and makes no Newton iterate."""
+    paths = []
+    calls = _counting_newton(monkeypatch)
     for mu in _benchmark_speeds(seed):
         sys, _, rom = _desk_rom(desk_wave_v6, mu)
         paths.append(_learned_path(sys, rom, 1.0 / 50))
@@ -1438,6 +1606,13 @@ def test_snapshot_file_rejects_garbage(tmp_path):
     # a 41-byte header claiming 2^40 parameters, no payload and no sidecar
     p.write_bytes(struct.pack("<4sIQQQQB", b"SMOR", 1, 0, 0, 2 ** 40, 0, 0))
     with pytest.raises(SympmorError, match="parameters"):
+        read_snapshot_file(p)
+    # a header of 2 parameters and a sidecar of 3
+    write_snapshot_file(p, SnapshotSet(data=np.zeros((4, 6)), params=[0.25, 0.5], K=2,
+                                       t0=0.0, t1=1.0))
+    side = Path(str(p) + ".meta.json")
+    side.write_text(json.dumps(dict(json.loads(side.read_text()), params=[0.25, 0.5, 0.75])))
+    with pytest.raises(SympmorError, match="meta.json.* 3 parameters, the header 2"):
         read_snapshot_file(p)
 
 
