@@ -8,7 +8,7 @@ horizontal space g^{hor,E} of skew N x N matrices [[W, -C^T], [C, 0]],
 stored compactly as the one N x n array [W; C] = [X | lambda_bar]^T Z.  Retraction back to the manifold goes
 through the Cayley transform of the horizontal element in the manifold's
 2n x 2n coordinates: ``stiefel.cayley_system`` builds its system from W and
-C^T C and applies it to [I; 0].
+C^T C, factors its S once and returns the increment k = C S^{-1} [I; 0].
 """
 
 from dataclasses import dataclass
@@ -130,12 +130,13 @@ def retract_global(section, V):
 
     M = Q [[W, -I], [I, 0]] Q^T with Q = [E, [0; C]] and Q^T Q = blockdiag(I, C^T C),
     so cay(M/2) E = E + Q k with k the increment of the manifold's 2n x 2n Cayley
-    system; the only dense solve is 2n x 2n and no N x N matrix appears.
+    system; the only dense factorization is of its 2n x 2n S, and no N x N
+    matrix appears.
     """
     X = section.base
     n = X.shape[1]
     C = V[n:]
-    k = cayley_system(V[:n], C)[2]
+    _, _, _, k = cayley_system(V[:n], C)
     # left-multiply E + Q k by lambda = [X | lambda_bar] without assembling it
     full = X.data + X.data @ k[:n] + _complement(section, C @ k[n:])
     return StiefelPoint(full, check=False).renormalized()

@@ -152,8 +152,10 @@ def stiefel_adam_step(hyper, cache, X, Z):
 def stiefel_psd_update(hyper, cache, X, egrad, metric, transport_kind):
     """One direct update on one BLAS thread: rgrad -> StiefelAdam -> retract -> transport.
 
-    The update's parts give the step's Cayley system, built once and shared by
-    the retraction and the transport."""
+    The update's parts give the step's Cayley system (perp, C, S, k), built once
+    and shared by the retraction and the transport.  Its 2n x 2n S is factored
+    once, by one np.linalg.inv; only the differential transport solves with S
+    again."""
     with blas.single_thread():
         Z = st.riemannian_gradient(metric, X, egrad)
         system = st.cayley_system(*stiefel_adam_step(hyper, cache, X, Z))

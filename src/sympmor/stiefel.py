@@ -10,11 +10,12 @@ N x N matrix; everything is O(N n^2).
 A step Z = X omega + perp (omega = X^T Z skew, X^T perp = 0) has the generator
 A_{X,Z} = Q C Q^T with Q = [X, perp] and C = [[omega, -I], [I, 0]], and
 Q^T Q = blockdiag(I, perp^T perp).  Every direct step builds its 2n x 2n
-system (C, G = Q^T Q, S = I - GC/2, GC) once, in _smw_core, and shares it
-between the retraction and the transport.  N enters only through n x n Grams
-such as perp^T perp and the outputs, e.g. R_X(Z) = X + X k_1 + perp k_2; the
-dense solves are with S, rejected when its exact 1-norm condition exceeds
-COND_LIMIT.
+system (C, S = I - Q^T Q C/2, k = C S^{-1} [I; 0]) once and shares it between
+the retraction and the transport.  S is factored once, by the inverse that
+_smw_core takes for its exact 1-norm condition check (S is rejected when that
+exceeds COND_LIMIT); the differential transport solves with S once more.  N
+enters only through n x n Grams such as perp^T perp and the outputs, e.g.
+R_X(Z) = X + X k_1 + perp k_2.
 """
 
 import enum
@@ -191,64 +192,53 @@ def cayley_parts(X, Z):
 
 
 def cayley_factors(omega, perp):
-    """The 2n x 2n factors (C, G) of A = Q C Q^T, Q = [X, perp]: C = [[omega, -I], [I, 0]]
-    and G = Q^T Q.
+    """The 2n x 2n factors (C, GC) of A = Q C Q^T, Q = [X, perp]: C = [[omega, -I], [I, 0]]
+    and GC = Q^T Q C.
 
-    Given X^T X = I and X^T perp = 0, G = blockdiag(I, perp^T perp), so perp
-    enters only through its n x n Gram; A is never formed.
+    Given X^T X = I and X^T perp = 0, Q^T Q = blockdiag(I, perp^T perp), so
+    GC = [[omega, -I], [perp^T perp, 0]]: perp enters only through its n x n Gram,
+    and A is never formed.
     """
     n = omega.shape[0]
     C = np.eye(2 * n, k=-n) - np.eye(2 * n, k=n)
     C[:n, :n] = omega
-    G = np.eye(2 * n)
-    G[n:, n:] = perp.T @ perp
-    return C, G
+    GC = C.copy()
+    GC[n:, :n] = perp.T @ perp
+    return C, GC
 
 
-def _smw_core(U, V):
-    """The Cayley system (U, V, S, VU), S = I - VU/2; raise if S is near-singular."""
-    VU = V @ U
-    S = np.eye(U.shape[1]) - 0.5 * VU
+def _smw_core(GC):
+    """(S, S^-1) for S = I - GC/2; raise if S is near-singular."""
+    S = np.eye(GC.shape[0]) - 0.5 * GC
     if not np.all(np.isfinite(S)):
         raise RetractionSingularError("SMW system has non-finite entries")
     try:   # exact 1-norm condition ||S||_1 ||S^-1||_1; inv raises if S is exactly singular
-        cond = np.linalg.norm(S, 1) * np.linalg.norm(np.linalg.inv(S), 1)
+        S_inv = np.linalg.inv(S)
+        cond = np.linalg.norm(S, 1) * np.linalg.norm(S_inv, 1)
     except np.linalg.LinAlgError:
         cond = np.inf
     if not cond <= COND_LIMIT:
         raise RetractionSingularError(f"SMW system condition exceeds {COND_LIMIT:.0e}")
-    return U, V, S, VU
+    return S, S_inv
 
 
 def cayley_system(omega, perp):
-    """The Cayley system (perp, (C, G, S, GC), k) of the step X omega + perp, for the
+    """The Cayley system (perp, C, S, k) of the step X omega + perp, for the
     retraction and a transport to share.
 
     cay(A/2) = 2 (I - A/2)^{-1} - I and (I - A/2)^{-1} = I + Q C S^{-1} Q^T / 2,
     with Q^T X = [I; 0], give cay(A/2) X = X + Q k for the 2n x n increment
     k = C S^{-1} [I; 0], from the 2n x 2n factors alone.
     """
-    core = _smw_core(*cayley_factors(omega, perp))
-    C, _, S, _ = core
-    n = omega.shape[0]
-    return perp, core, C @ np.linalg.solve(S, np.eye(2 * n, n))
-
-
-def _cayley_apply(system, M):
-    """Apply cay(A/2) = (I - UV/2)^{-1}(I + UV/2) to the N x m matrix M via SMW,
-    for any factors (U, V, S, VU) = _smw_core(U, V) of A = UV.  The retractions
-    take the 2n x 2n increment of cayley_system instead; this is the generic form."""
-    U, V, S, VU = system
-    VM = V @ M
-    first = M + 0.5 * U @ VM
-    rhs = VM + 0.5 * VU @ VM
-    return first + 0.5 * U @ np.linalg.solve(S, rhs)
+    C, GC = cayley_factors(omega, perp)
+    S, S_inv = _smw_core(GC)
+    return perp, C, S, C @ S_inv[:, :omega.shape[0]]
 
 
 def cayley_retract(X, Z=None, system=None):
     """Cayley retraction R_X(Z) = cay(A_{X,Z}/2) X = X + X k_1 + perp k_2; system is the
     step's cayley_system when the caller has built it, and Z is then not read."""
-    perp, _, k = system or cayley_system(*cayley_parts(X, Z))
+    perp, _, _, k = system or cayley_system(*cayley_parts(X, Z))
     n = X.shape[1]
     # formed transposed, so it is column-major like every StiefelPoint's data
     Xt = X.data.T
@@ -262,10 +252,7 @@ def transport_submanifold(X, Z, Y, retracted):
     if Z is not None:
         Z.require_anchor(X)
     Y.require_anchor(X)
-    P = retracted.data
-    PtY = P.T @ Y.data
-    out = Y.data - P @ ((PtY + PtY.T) / 2.0)
-    return TangentVector(out, retracted, check=False)
+    return project_tangent(retracted, Y.data)
 
 
 def transport_differential(X, Z, Y, retracted, system=None):
@@ -281,7 +268,7 @@ def transport_differential(X, Z, Y, retracted, system=None):
     from Z if not given.
     """
     omega_y, perp_y = cayley_parts(X, Y)
-    perp, (C, _, S, _), k = system or cayley_system(*cayley_parts(X, Z))
+    perp, C, S, k = system or cayley_system(*cayley_parts(X, Z))
     n = X.shape[1]
     cross = perp_y.T @ perp
 

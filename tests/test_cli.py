@@ -344,6 +344,21 @@ def test_bad_seed_eta_and_span_end_in_one_error_line(command, text, extra, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["sg_single_soliton", "sg_doublets"])
+def test_overflowing_closed_form_is_an_error(model, tmp_path, capsys):
+    """On [-1000, 1000] the sine-Gordon closed form overflows to inf/inf far from
+    the wave: generate-data exits 1 with one error: line naming the parameter
+    and writes no snapshot file."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"model = {model}\nN = 50\na = -1000\nb = 1000\nt0 = 0\nt1 = 1\n"
+                   "nu_list = 0.6\n")
+    out = tmp_path / "out"
+    assert main(["generate-data", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "parameter 0.6" in err
+    assert not (out / "snapshots.bin").exists()
+
+
 def test_evaluate_leaves_out_alone(cfg_path, tmp_path, capsys):
     """evaluate writes errors.csv into --run; it takes no --out, and given one
     it exits nonzero and writes nothing."""

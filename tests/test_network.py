@@ -399,13 +399,13 @@ def test_training_continues_after_renormalization(monkeypatch):
     drifted = []
 
     def drift_once(omega, perp):
-        perp, core, k = build(omega, perp)
+        perp, C, S, k = build(omega, perp)
         if not drifted:
             # k + eps (E + k) scales the retracted X + Q k by 1 + eps: residual
             # 1e-7 sqrt(n), past REORTH_THRESHOLD
             k = k + 5e-8 * (np.eye(*k.shape) + k)
             drifted.append(k)
-        return perp, core, k
+        return perp, C, S, k
 
     monkeypatch.setattr(stiefel, "cayley_system", drift_once)
     with pytest.warns(RuntimeWarning, match="re-orthonormalizing"):

@@ -182,12 +182,38 @@ def test_differential_step_builds_one_smw_system(monkeypatch, kind):
             update_hyper(h)
     cores = []
     core = stiefel._smw_core
-    monkeypatch.setattr(stiefel, "_smw_core", lambda U, V: cores.append(1) or core(U, V))
+    monkeypatch.setattr(stiefel, "_smw_core", lambda GC: cores.append(1) or core(GC))
     Y, h, shared = X0, AdamHyper(eta=0.05), StiefelAdamCache(X0)
     for _ in range(3):
         Y = stiefel_psd_update(h, shared, Y, egrad(Y), MetricKind.Canonical, kind)
     assert len(cores) == 3
     assert np.array_equal(Y.data, X.data) and np.array_equal(shared.B1.data, cache.B1.data)
+
+
+@pytest.mark.parametrize("kind, solves", [(TransportKind.Submanifold, 0),
+                                          (TransportKind.Differential, 1)],
+                         ids=["submanifold", "differential"])
+def test_direct_step_factors_its_system_once(monkeypatch, kind, solves):
+    """A direct step at (30, 4) factors its 2n x 2n S once, by the np.linalg.inv
+    that serves both the condition check and the increment; only the
+    differential transport solves with S again."""
+    X = random_stiefel(30, 4, 3)
+    h, cache = AdamHyper(eta=0.05), StiefelAdamCache(X)
+    egrad = np.random.default_rng(8).standard_normal((30, 4))
+    calls = {"inv": 0, "solve": 0}
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    stiefel_psd_update(h, cache, X, egrad, MetricKind.Canonical, kind)
+    assert calls == {"inv": 1, "solve": solves}
 
 
 def _dense_step(hyper, B1, X, egrad, metric, kind):
@@ -287,6 +313,14 @@ def test_homogeneous_first_step_oracle():
     assert np.linalg.norm(out.data - ref.data) < 1e-12
 
 
+def _nrow_cayley_apply(U, V, M):
+    """cay(UV/2) M = (I - UV/2)^{-1} (I + UV/2) M by SMW on the N-row factors U, V of
+    the generator: the one dense solve is with the 2n x 2n S = I - VU/2."""
+    VU, VM = V @ U, V @ M
+    S = np.eye(U.shape[1]) - 0.5 * VU
+    return M + 0.5 * U @ VM + 0.5 * U @ np.linalg.solve(S, VM + 0.5 * VU @ VM)
+
+
 def _explicit_q_homogeneous_step(hyper, cache, X, egrad, seed):
     """Reference homogeneous update that forms the thin Q of the section's sample
     with np.linalg.qr and multiplies by it, as the implementation once did."""
@@ -302,7 +336,7 @@ def _explicit_q_homogeneous_step(hyper, cache, X, egrad, seed):
     Vp = np.zeros((2 * n, N))
     Vp[:n, :n] = np.eye(n)
     Vp[n:, n:] = V[n:].T
-    out = stiefel._cayley_apply(stiefel._smw_core(Up, Vp), np.eye(N, n))
+    out = _nrow_cayley_apply(Up, Vp, np.eye(N, n))
     update_hyper(hyper)
     return StiefelPoint(X.data @ out[:n] + Q @ out[n:], check=False).renormalized()
 

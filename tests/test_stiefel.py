@@ -142,40 +142,40 @@ def test_nan_tangent_retraction_is_singular():
 
 
 def test_smw_condition_estimate():
-    """_smw_core returns S = I - VU/2 and rejects it when its exact 1-norm condition
+    """_smw_core returns S = I - GC/2 and rejects it when its exact 1-norm condition
     ||S||_1 ||S^-1||_1 exceeds COND_LIMIT."""
     rng = np.random.default_rng(3)
     U, V = rng.standard_normal((9, 4)), 0.3 * rng.standard_normal((4, 9))
-    S = np.eye(4) - 0.5 * V @ U
-    S_core = _smw_core(U, V)[2]
+    GC = V @ U
+    S = np.eye(4) - 0.5 * GC
+    S_core = _smw_core(GC)[0]
     assert np.array_equal(S_core, S)
     b = rng.standard_normal(4)
     assert np.allclose(S_core @ np.linalg.solve(S_core, b), b)
     Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
 
-    def graded(s_min):   # U = I, V = 2(I - S) gives back S = Q diag(1, .5, .2, s_min) Q^T
-        return np.eye(4), 2.0 * (np.eye(4) - Q @ np.diag([1.0, 0.5, 0.2, s_min]) @ Q.T)
+    def graded(s_min):   # GC = 2(I - S) gives back S = Q diag(1, .5, .2, s_min) Q^T
+        return 2.0 * (np.eye(4) - Q @ np.diag([1.0, 0.5, 0.2, s_min]) @ Q.T)
 
     # graded down to 1e-17 ...
     with pytest.raises(RetractionSingularError, match="condition"):
-        _smw_core(*graded(1e-17))
+        _smw_core(graded(1e-17))
     # ... exactly singular, which np.linalg.inv rejects ...
     with pytest.raises(RetractionSingularError, match="condition"):
-        _smw_core(np.eye(4), np.diag([0.0, 1.0, 1.6, 2.0]))
+        _smw_core(np.diag([0.0, 1.0, 1.6, 2.0]))
     # ... and a little below the limit, which passes: the condition grows as
     # 1/s_min, so one rescale of s_min lands it near 0.9 COND_LIMIT
-    s_min = 1e-13 * np.linalg.cond(_smw_core(*graded(1e-13))[2], 1) / (0.9 * COND_LIMIT)
-    assert 0.8 * COND_LIMIT < np.linalg.cond(_smw_core(*graded(s_min))[2], 1) < COND_LIMIT
+    s_min = 1e-13 * np.linalg.cond(_smw_core(graded(1e-13))[0], 1) / (0.9 * COND_LIMIT)
+    assert 0.8 * COND_LIMIT < np.linalg.cond(_smw_core(graded(s_min))[0], 1) < COND_LIMIT
 
 
 def test_smw_core_returns_the_system():
-    """_smw_core(U, V) returns (U, V, S, VU) with VU = V @ U and S = I - VU/2, bitwise."""
+    """_smw_core(GC) returns (S, S^-1) with S = I - GC/2 and S^-1 = np.linalg.inv(S), bitwise."""
     rng = np.random.default_rng(4)
-    U, V = rng.standard_normal((11, 6)), 0.3 * rng.standard_normal((6, 11))
-    U_out, V_out, S, VU = _smw_core(U, V)
-    assert U_out is U and V_out is V
-    assert np.array_equal(VU, V @ U)
-    assert np.array_equal(S, np.eye(6) - 0.5 * VU)
+    GC = 0.3 * rng.standard_normal((6, 11)) @ rng.standard_normal((11, 6))
+    S, S_inv = _smw_core(GC)
+    assert np.array_equal(S, np.eye(6) - 0.5 * GC)
+    assert np.array_equal(S_inv, np.linalg.inv(S))
 
 
 def test_prebuilt_system_gives_the_same_bits():
@@ -192,10 +192,10 @@ def test_prebuilt_system_gives_the_same_bits():
 
 def test_cayley_factors():
     """cayley_parts splits Z as X omega + perp, and cayley_factors gives the 2n x 2n
-    (C, G) with Q C Q^T = A_{X,Z} and G = Q^T Q for Q = [X, perp]."""
+    (C, GC) with Q C Q^T = A_{X,Z} and GC = Q^T Q C for Q = [X, perp]."""
     X = rand_point(6, 2, 5)
     Z0 = TangentVector(np.zeros((6, 2)), X)
-    C, G = cayley_factors(*cayley_parts(X, Z0))
+    C, GC = cayley_factors(*cayley_parts(X, Z0))
     Q = np.hstack([X.data, np.zeros((6, 2))])
     assert np.linalg.norm(Q @ C @ Q.T) < 1e-14
     Z = rand_tangent(X, 6)
@@ -203,12 +203,15 @@ def test_cayley_factors():
     assert np.array_equal(omega, -omega.T)
     assert np.linalg.norm(X.data.T @ perp) < 1e-14
     assert np.linalg.norm(X.data @ omega + perp - Z.data) < 1e-14
-    C, G = cayley_factors(omega, perp)
+    C, GC = cayley_factors(omega, perp)
     Q = np.hstack([X.data, perp])
     prod = Q @ C @ Q.T
     assert np.linalg.norm(prod - dense_a(X.data, Z.data)) < 1e-11
     assert np.linalg.norm(prod + prod.T) < 1e-11
-    assert np.linalg.norm(G - Q.T @ Q) < 1e-14
+    assert np.linalg.norm(GC - Q.T @ Q @ C) < 1e-14
+    G = np.eye(4)
+    G[2:, 2:] = perp.T @ perp
+    assert np.array_equal(GC, G @ C)
 
 
 def test_cayley_retract_oracle():
