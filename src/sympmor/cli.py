@@ -191,9 +191,9 @@ def evaluate(cfg, maps, normalized, out_path):
 
 # -- speed test -------------------------------------------------------------
 
-def _time_median(fn, repeats=5):
+def _time_median(fn):
     times = []
-    for _ in range(repeats):
+    for _ in range(5):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -201,15 +201,16 @@ def _time_median(fn, repeats=5):
 
 
 def _parse_pairs(text):
-    """'2000x10,4000x10' -> [(2000, 10), (4000, 10)]; each pair needs 0 < n <= N."""
+    """'2000x10,4000x10' -> [(2000, 10), (4000, 10)]; each pair needs 0 < n < N,
+    since the homogeneous step's section spans the N - n directions off X."""
     pairs = []
     for pair in text.split(","):
         try:
             N, n = (int(v) for v in pair.split("x"))
         except ValueError:
             raise SympmorError(f"bad --pairs entry {pair!r}: expected Nxn, e.g. 2000x10") from None
-        if not 0 < n <= N:
-            raise SympmorError(f"bad --pairs entry {pair!r}: need 0 < n <= N")
+        if not 0 < n < N:
+            raise SympmorError(f"bad --pairs entry {pair!r}: need 0 < n < N")
         pairs.append((N, n))
     return pairs
 

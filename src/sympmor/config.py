@@ -1,7 +1,7 @@
 """Run configuration: flat key-value config files and the V1-V10 variant table."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,12 +55,12 @@ def _variant_setup(name):
 class RunConfig:
     model: str = "wave"                # a key of models.MODELS
     N: int = 32
-    n_range: list = field(default_factory=lambda: [4])
+    n_range: list[int] = field(default_factory=lambda: [4])
     n_epochs: int = 10
     batch_size: int = 32
     time_steps: int = 50
-    params: list = field(default_factory=list)      # training mu / nu values
-    testing_params: list = field(default_factory=list)
+    params: list[float] = field(default_factory=list)   # training mu / nu values
+    testing_params: list[float] = field(default_factory=list)
     t0: float = 0.0
     t1: float = 1.0
     a: float = -0.5
@@ -108,13 +108,17 @@ def _float(text):
     return value
 
 
-def _parse_list(text, parse=_float):
-    return [parse(v) for v in text.replace(",", " ").split()]
+def _list(parse):
+    return lambda text: [parse(v) for v in text.replace(",", " ").split()]
 
 
+# config key -> parser: each RunConfig field by its declared type, and the span of
+# training parameters as a linspace
+_PARSE = {str: str, int: int, float: _float, list[int]: _list(int), list[float]: _list(_float)}
+_FIELDS = {f.name: _PARSE[f.type] for f in fields(RunConfig)}
+_SPAN = {"mu_left": _float, "mu_right": _float, "n_params": int}
 # config key -> the RunConfig field it sets, where the two names differ
 _ALIASES = {"mu_list": "params", "nu_list": "params", "testing": "testing_params"}
-_SPAN = ("mu_left", "mu_right", "n_params")   # training parameters as a linspace
 
 
 def load_config(path):
@@ -150,20 +154,10 @@ def load_config(path):
     span = {}
     try:
         for name, (key, value) in pairs.items():
-            if name in ("model", "variant"):
-                setattr(cfg, name, value)
-            elif name in ("N", "n_epochs", "batch_size", "time_steps", "seed"):
-                setattr(cfg, name, int(value))
-            elif name == "n_range":
-                cfg.n_range = _parse_list(value, int)
-            elif name in ("params", "testing_params"):
-                setattr(cfg, name, _parse_list(value))
-            elif name in ("mu_left", "mu_right"):
-                span[name] = _float(value)
-            elif name == "n_params":
-                span[name] = int(value)
-            elif name in ("t0", "t1", "a", "b", "eta"):
-                setattr(cfg, name, _float(value))
+            if name in _SPAN:
+                span[name] = _SPAN[name](value)
+            elif name in _FIELDS:
+                setattr(cfg, name, _FIELDS[name](value))
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     except ValueError as exc:

@@ -42,15 +42,15 @@ class SecondOrder:
     d = property(lambda self: self.N)
     dim = property(lambda self: 2 * self.d)
 
-    def S(self, Q, sign=1.0):
-        """sign S Q for a d-vector or a d x m block Q, at O(d m); no matrix is stored."""
-        return _band_product(self.diag, self.off, Q) / (sign * self.h ** 2)   # -h^2 negates exactly
+    def S(self, Q):
+        """S Q for a d-vector or a d x m block Q, at O(d m); no matrix is stored."""
+        return _band_product(self.diag, self.off, Q) / self.h ** 2
 
     def field(self, t, x):
         if len(x) != self.dim:
             raise DimensionError(f"state must have length {self.dim}")
         q, p = x[:self.d], x[self.d:]
-        f_p = self.S(q, -1.0)
+        f_p = -self.S(q)   # a / -b == -(a / b) exactly
         if self.potential is not None:
             force = self.potential[0](q)        # V'(q) - b(t), b on the two end nodes
             b0, b1 = self.ends(t)
@@ -61,7 +61,7 @@ class SecondOrder:
 
     def jacobian(self, t, x, V):
         """Df(x) V = [V_p; -(S + diag V''(q)) V_q] for a dim x m block V, at O(dim m)."""
-        DfV = self.S(V[:self.d], -1.0)
+        DfV = -self.S(V[:self.d])
         if self.potential is not None:
             DfV -= self.potential[1](x[:self.d])[:, None] * V[:self.d]
         return np.concatenate([V[self.d:], DfV])

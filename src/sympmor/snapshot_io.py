@@ -62,8 +62,11 @@ def read_snapshot_file(path):
                            f"but {cols} columns")
     if rows == 0 and cols:
         raise SympmorError(f"header claims {cols} columns of zero rows")
-    if len(payload) < rows * cols * 8:
+    extra = len(payload) - rows * cols * 8
+    if extra < 0:
         raise SympmorError("truncated payload")
+    if extra:
+        raise SympmorError(f"{extra} bytes after the {rows} x {cols} payload")
     data = np.frombuffer(payload, dtype="<f8", count=rows * cols)
     data = data.reshape((rows, cols), order="F").copy()
     meta_path = Path(str(path) + ".meta.json")

@@ -17,7 +17,7 @@ from sympmor.errors import ConfigError, IntegrationFailureError, SympmorError
 from sympmor.network import build_network
 from sympmor.optimizers import PSD_OPTIMIZERS
 from sympmor.reduction import SnapshotSet
-from sympmor.snapshot_io import write_snapshot_file
+from sympmor.snapshot_io import read_snapshot_file, write_snapshot_file
 
 
 WAVE_CFG = """
@@ -341,6 +341,36 @@ def test_bad_seed_eta_and_span_end_in_one_error_line(command, text, extra, tmp_p
     assert main([command, *extra, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pairs, entry", [("10x10", "10x10"), ("8x2,4x4", "4x4")])
+def test_speed_test_pair_with_n_equal_to_N_is_a_parse_error(pairs, entry, tmp_path, capsys,
+                                                             monkeypatch):
+    """The homogeneous step's section needs N > n, so n = N is a bad --pairs entry,
+    reported before any pair is timed."""
+    monkeypatch.setattr(cli, "speed_test", lambda *a, **k: pytest.fail("pairs were timed"))
+    out = tmp_path / "out"
+    assert main(["speed-test", "--pairs", pairs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SympmorError: bad --pairs entry '{entry}'")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_snapshot_file_with_trailing_bytes_is_an_error(cfg_path, tmp_path, capsys):
+    """A header whose columns understate the payload is an error naming the extra
+    bytes, not a silently read prefix."""
+    data = tmp_path / "snapshots.bin"
+    write_snapshot_file(data, SnapshotSet(data=np.ones((4, 3)), params=[0.5], K=2,
+                                          t0=0.0, t1=1.0))
+    data.write_bytes(data.read_bytes() + b"\x00" * 24)
+    with pytest.raises(SympmorError, match="24 bytes after the 4 x 3 payload"):
+        read_snapshot_file(data)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--data", str(data),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SympmorError: 24 bytes") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Config parsing and the variant table."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -95,6 +96,26 @@ def test_load_config_full(tmp_path):
     assert cfg.setup.metric is MetricKind.Euclidean
     assert cfg.setup.transport is TransportKind.Differential
     assert cfg.eta == 0.01 and cfg.seed == 3
+
+
+def test_every_runconfig_field_is_a_config_key(tmp_path):
+    """A file setting every RunConfig field, none to its default, loads to exactly
+    that RunConfig, each value of its field's type."""
+    values = dict(model="sg_single_soliton", N=48, n_range=[2, 6], n_epochs=3, batch_size=12,
+                  time_steps=40, params=[0.25, 0.5], testing_params=[0.375], t0=0.5, t1=2.5,
+                  a=-12.0, b=8.0, eta=0.02, seed=9, variant="V7")
+    assert list(values) == [f.name for f in dataclasses.fields(RunConfig)]
+    assert all(value != getattr(RunConfig(), name) for name, value in values.items())
+    p = tmp_path / "run.cfg"
+    p.write_text("".join(f"{key} = {' '.join(map(str, v)) if isinstance(v, list) else v}\n"
+                         for key, v in values.items()))
+    cfg = load_config(p)
+    assert cfg == RunConfig(**values)
+    for name, value in values.items():
+        got = getattr(cfg, name)
+        assert type(got) is type(value), name
+        if isinstance(value, list):
+            assert {type(v) for v in got} == {type(value[0])}, name
 
 
 def test_load_config_variant_and_linspace(tmp_path):

@@ -299,7 +299,7 @@ def test_linearization_is_field_and_jacobian_bitwise(testbed, N):
     for m in (1, 2, 9):
         x, V = 2.0 * rng.standard_normal(model.dim), rng.standard_normal((model.dim, m))
         q, p = x[:d], x[d:]
-        force, DfV = model.S(q, -1.0), model.S(V[:d], -1.0)
+        force, DfV = -model.S(q), -model.S(V[:d])
         if model.potential is not None:
             applied = model.potential[0](q)
             b0, b1 = model.ends(0.7)

@@ -375,11 +375,13 @@ NO_SCIPY_SCRIPTS = {
             opt.homogeneous_psd_update(hyper, cache, Y, np.ones((N, 4)), seed=0)
         print(sorted(m for m in sys.modules if m.startswith("scipy")))
     """,
-    # the wave FOM (factor-once step), the sine-Gordon FOM (banded Newton), a
-    # PSD ROM of it (Störmer–Verlet: with no Newton iterate allowed, a midpoint
-    # step would raise) and a learned wave ROM
+    # the wave FOM (factor-once step), a wave PSD ROM and a learned wave ROM (the
+    # midpoint step of their linear part), the sine-Gordon FOM (Newton on the
+    # midpoint q, one dgtsv per iterate: it calls no field, so it runs without one)
+    # and a PSD ROM of it (Störmer–Verlet: with no Newton iterate allowed, a
+    # midpoint step would raise)
     "solvers": """
-        import sys
+        import dataclasses, sys
         import sympmor.cli
         from sympmor import integrators
         from sympmor.integrators import implicit_midpoint
@@ -389,18 +391,51 @@ NO_SCIPY_SCRIPTS = {
         from sympmor.reduction import build_rom, psd_cotangent_lift, psd_maps, solve_rom
         wave = wave_system(wave_build(8, 0.5))
         x0 = wave_initial(8, 0.5)
-        implicit_midpoint(wave, x0, 0.0, 1.0, 10)
+        snaps = implicit_midpoint(wave, x0, 0.0, 1.0, 10).states - x0[:, None]
+        rom = build_rom(*psd_maps(psd_cotangent_lift(snaps, 2)), x0, use_ref=True,
+                        normalized=True)
+        solve_rom(rom, wave, 0.0, 1.0, 10)
         net = build_network(wave.dim, 4, seed=0)
         rom = build_rom(net.encode, net.decode, net.decoder_jacobian, x0, use_ref=True,
                         normalized=True)
         solve_rom(rom, wave, 0.0, 0.2, 5)
         model = sg_build(20, 0.3, -10.0, 10.0, SgKind.SingleSoliton)
         sg, y0 = sg_system(model), sg_initial(model)
-        fom = implicit_midpoint(sg, y0, 0.0, 1.0, 10)
+        assert sg.newton is None and sg.step is not None
+        fom = implicit_midpoint(dataclasses.replace(sg, vector_field=None), y0, 0.0, 1.0, 10)
         rom = build_rom(*psd_maps(psd_cotangent_lift(fom.states, 3)), y0, use_ref=False,
                         normalized=False)
         integrators.MAX_NEWTON = 0
         solve_rom(rom, sg, 0.0, 1.0, 10)
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+    """,
+    # the sine-Gordon PSD ROM above the Verlet bound: Newton on xi_q
+    "rom_newton": """
+        import sys
+        from sympmor.integrators import implicit_midpoint
+        from sympmor.models import SgKind, sg_build, sg_initial, sg_system
+        from sympmor.reduction import (VERLET_BOUND, build_rom, max_frequency,
+                                       psd_cotangent_lift, psd_maps, solve_rom)
+        model = sg_build(30, 0.35, -10.0, 10.0, SgKind.SingleSoliton)
+        sg, y0 = sg_system(model), sg_initial(model)
+        fom = implicit_midpoint(sg, y0, 0.0, 1.0, 20)
+        rom = build_rom(*psd_maps(psd_cotangent_lift(fom.states, 3)), y0, use_ref=False,
+                        normalized=False)
+        assert max_frequency(model, rom.basis) * 0.5 > VERLET_BOUND
+        solve_rom(rom, sg, 0.0, 1.0, 2)
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+    """,
+    # one training batch of the homogeneous baseline (V3) and of the direct step
+    # with each transport (V6 submanifold, V7 differential)
+    "training": """
+        import sys
+        import numpy as np
+        from sympmor.config import RunConfig
+        from sympmor.network import Trainer, build_network
+        data = np.random.default_rng(0).standard_normal((32, 8))
+        for variant in ("V3", "V6", "V7"):
+            cfg = RunConfig(variant=variant)
+            Trainer(build_network(32, 4, seed=0), cfg).train_batch(cfg.setup.loss, data)
         print(sorted(m for m in sys.modules if m.startswith("scipy")))
     """,
 }
@@ -411,7 +446,7 @@ def test_manifold_path_imports_no_scipy(case):
     """Neither the manifold optimizers nor the FOM and ROM solvers load any scipy
     module: LAPACK comes from numpy's bundled OpenBLAS.  The solvers fall back to
     scipy.linalg.lapack only where that OpenBLAS does not export the routines."""
-    if case == "solvers" and not blas._LAPACK:
+    if case in ("solvers", "rom_newton") and not blas._LAPACK:
         pytest.skip("numpy's bundled OpenBLAS exports no LAPACK routines to bind")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", textwrap.dedent(NO_SCIPY_SCRIPTS[case])],
