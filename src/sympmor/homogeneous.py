@@ -2,8 +2,9 @@
 
 The manifold is a homogeneous space: any point is lambda E with E = [I_n; 0]
 and lambda in O(N).  A section lambda_E(X) = [X, lambda_bar] maps a point into
-the group.  It costs one Householder QR of the N x (N-n) sample per step,
-applied in WY blocks; no Q is formed.  Tangent vectors lift to the fixed
+the group.  lambda_bar is the thin Q of a random N x (N-n) sample, drawn
+and factored one WY panel at a time (about N^2/2 normals and O(N^2) work per
+step); no Q is formed.  Tangent vectors lift to the fixed
 horizontal space g^{hor,E} of skew N x N matrices [[W, -C^T], [C, 0]],
 stored compactly as the one N x n array [W; C] = [X | lambda_bar]^T Z.  Retraction back to the manifold goes
 through the Cayley transform of the horizontal element in the manifold's
@@ -58,33 +59,43 @@ def horizontal_pointwise(hyper, cache, B):
 
 
 def section_qr(X, seed):
-    """Orthogonal extension lambda_bar of X from a seeded random sample.
+    """Orthogonal extension lambda_bar of X from a seeded random sample, drawn by panel.
 
-    Draws A in R^{N x (N-n)} (standard normal), deflates against span(X) and
-    factors it by one Householder QR; lambda_bar is the thin Q, kept as its
-    reflectors in compact-WY blocks and never formed.  Deterministic for a
-    fixed seed.
+    lambda_bar is the thin Q of a standard normal N x (N-n) sample deflated
+    against span(X), kept as its Householder reflectors in compact-WY blocks
+    and never formed.  After j reflectors the trailing columns of such a sample
+    are again fresh Gaussians deflated against X carried through those
+    reflectors (Stewart 1980), so each block starting at row j draws only its
+    own (N-j) x k panel, deflates it against that carried X, and factors it by
+    a thin Householder QR.  Q then has the distribution of the one-draw QR's,
+    and is that QR bitwise when N - n <= _WY_BLOCK (one panel).  Cost: about
+    N^2/2 normals, O(_WY_BLOCK N^2) for the panel QRs and O(N^2 n) for the
+    carries, in place of an O(N^3) QR.  Deterministic for a fixed seed.
     """
     N, n = X.shape
     if N <= n:
         raise DimensionError("section requires N > n")
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((N, N - n))
-    A -= X.data @ (X.data.T @ A)
-    # h is the LAPACK factor transposed: row j holds R's column j, then v_j
-    h, tau = np.linalg.qr(A, mode="raw")
-    d = np.abs(np.diagonal(h))
-    if np.any(d < 1e-12 * max(1.0, d.max())):
-        raise SectionDegenerateError(
-            "rank-deficient sample in section construction; retry with a new seed"
-        )
+    Xc = X.data  # X carried through the earlier blocks' reflectors, rows j: kept
     blocks = []
     for j in range(0, N - n, _WY_BLOCK):
-        Vt = h[j:j + _WY_BLOCK, j:]  # this block's reflectors as rows
-        k = Vt.shape[0]
+        k = min(_WY_BLOCK, N - n - j)
+        A = rng.standard_normal((N - j, k))
+        A -= Xc @ (Xc.T @ A)
+        # Vt is the LAPACK factor transposed: row i holds R's column i, then v_i
+        Vt, tau = np.linalg.qr(A, mode="raw")
+        d = np.abs(np.diagonal(Vt))
+        if np.any(d < 1e-12 * max(1.0, d.max())):
+            raise SectionDegenerateError(
+                "rank-deficient sample in section construction; retry with a new seed"
+            )
         # R's entries sit on and below the leading square's diagonal: write unit heads there
         np.copyto(Vt[:, :k], _EYE[:k, :k], where=_ON_OR_BELOW[:k, :k])
-        blocks.append((j, Vt.T, _wy(Vt.T, tau[j:j + k])))
+        V, W = Vt.T, _wy(Vt.T, tau)
+        blocks.append((j, V, W))
+        if j + k < N - n:
+            # Q_i^T X vanishes on the panel's k rows, as its columns are orthogonal to X
+            Xc = (Xc - V @ (W.T @ Xc))[k:]
     return OrthoSection(base=X, blocks=tuple(blocks))
 
 

@@ -11,8 +11,9 @@ Three update rules share the hyperparameter record:
   Adam runs pointwise on its N x n block array [W; C], and the result
   retracts back.
   Caches persist across steps without transport (the global space is fixed),
-  but the section is recomputed every step: one Householder QR of the
-  N x (N-n) sample per step, applied in WY blocks; no Q formed.
+  but the section is recomputed every step: the Householder reflectors of a
+  random N x (N-n) sample, drawn and factored one WY panel at a time, with
+  the one-draw QR's distribution; no Q formed.
 * ``stiefel_psd_update``: the direct St(n,N) update. One first-moment cache
   lives in the tangent space at the current iterate and is carried along by a
   vector transport after each Cayley retraction.
@@ -117,10 +118,12 @@ def homogeneous_psd_update(hyper, cache, X, egrad, seed):
 
 
 class StiefelAdamCache:
-    """Single first-moment cache, tangent at the current iterate."""
+    """Single first-moment cache, tangent at the current iterate, and the split
+    (skew(X^T B1), B1 - X X^T B1) of the moment the last step formed."""
 
     def __init__(self, X):
         self.B1 = TangentVector(np.zeros(X.shape), X, check=False)
+        self.B1_parts = None
 
 
 def stiefel_adam_step(hyper, cache, X, Z):
@@ -130,20 +133,29 @@ def stiefel_adam_step(hyper, cache, X, Z):
     The second moment is formed elementwise from the old B1 and the fresh
     gradient; the skew part of the update is scaled by the elementwise square
     root of the Gram matrix B2^T B2, the complement part elementwise by B2.
-    Mutates cache.B1 in place.
+    Mutates cache.B1 in place and stores its split in cache.B1_parts, as
+    stiefel.cayley_parts(X, cache.B1) would return it.
     """
     Z.require_anchor(X)
     cache.B1.require_anchor(X)
     c1, c1n, c2, c2n = hyper.moment_coeffs()
     B1, G = cache.B1.data, Z.data
 
-    B2 = np.sqrt(c2 * (B1 * B1) + c2n * (G * G) + hyper.delta)
+    # B2 = sqrt(c2 (B1 B1) + c2n (G G) + delta), rounded in that order, in two buffers
+    B2, tmp = np.multiply(B1, B1), np.multiply(G, G)
+    B2 *= c2
+    tmp *= c2n
+    B2 += tmp
+    B2 += hyper.delta
+    np.sqrt(B2, out=B2)
     B1 = c1 * B1 + c1n * G
     cache.B1 = TangentVector(B1, X, check=False)
 
     A = X.data
     W = A.T @ B1
-    comp = (B1 - A @ W) / B2
+    B1_perp = B1 - A @ W
+    cache.B1_parts = (st.skew(W), B1_perp)
+    comp = B1_perp / B2
     omega = -hyper.eta * st.skew(W / np.sqrt(B2.T @ B2))
     perp = -hyper.eta * (comp - A @ (A.T @ comp))
     return omega, perp
@@ -155,12 +167,13 @@ def stiefel_psd_update(hyper, cache, X, egrad, metric, transport_kind):
     The update's parts give the step's Cayley system (perp, C, S, k), built once
     and shared by the retraction and the transport.  Its 2n x 2n S is factored
     once, by one np.linalg.inv; only the differential transport solves with S
-    again."""
+    again, and it takes the first moment's split from the Adam step."""
     with blas.single_thread():
         Z = st.riemannian_gradient(metric, X, egrad)
         system = st.cayley_system(*stiefel_adam_step(hyper, cache, X, Z))
         X_new = st.cayley_retract(X, system=system)
-        cache.B1 = st.transport(transport_kind, X, None, cache.B1, retracted=X_new, system=system)
+        cache.B1 = st.transport(transport_kind, X, None, cache.B1, retracted=X_new,
+                                system=system, y_parts=cache.B1_parts)
     update_hyper(hyper)
     return X_new
 

@@ -255,7 +255,7 @@ def transport_submanifold(X, Z, Y, retracted):
     return project_tangent(retracted, Y.data)
 
 
-def transport_differential(X, Z, Y, retracted, system=None):
+def transport_differential(X, Z, Y, retracted, system=None, y_parts=None):
     """Differentiated-retraction transport of Y along Z.
 
     Evaluates (I - A_{X,Z}/2)^{-1} A_{X,Y} (I - A_{X,Z}/2)^{-1} X in the step's
@@ -265,9 +265,10 @@ def transport_differential(X, Z, Y, retracted, system=None):
     (I - A/2)^{-1} = I + Q C S^{-1} Q^T / 2 and Q_Y^T Q = blockdiag(I, Y_perp^T perp),
     so the one solve is with the step's S and the N-row work is the n x n cross
     Gram and the output.  system is the retraction's cayley_system, built here
-    from Z if not given.
+    from Z if not given; y_parts is cayley_parts(X, Y), split here if not given.
     """
-    omega_y, perp_y = cayley_parts(X, Y)
+    Y.require_anchor(X)
+    omega_y, perp_y = y_parts or cayley_parts(X, Y)
     perp, C, S, k = system or cayley_system(*cayley_parts(X, Z))
     n = X.shape[1]
     cross = perp_y.T @ perp
@@ -283,10 +284,11 @@ def transport_differential(X, Z, Y, retracted, system=None):
     return project_tangent(retracted, out)
 
 
-def transport(kind, X, Z, Y, retracted, system=None):
-    """Transport Y along Z; system, if given, is passed on to the differential transport."""
+def transport(kind, X, Z, Y, retracted, system=None, y_parts=None):
+    """Transport Y along Z; system and y_parts, if given, are passed on to the
+    differential transport."""
     if kind is TransportKind.Submanifold:
         return transport_submanifold(X, Z, Y, retracted)
     if kind is TransportKind.Differential:
-        return transport_differential(X, Z, Y, retracted, system)
+        return transport_differential(X, Z, Y, retracted, system, y_parts)
     raise DimensionError(f"unknown transport {kind!r}")

@@ -9,6 +9,7 @@ from sympmor.errors import DimensionError, SectionDegenerateError
 from sympmor.homogeneous import (
     _WY_BLOCK,
     _complement,
+    _complement_t,
     _wy,
     horizontal_pointwise,
     lift_to_global,
@@ -63,20 +64,99 @@ def test_section_qr_orthogonal_completion():
         section_qr(random_stiefel(3, 3, 0), seed=0)
 
 
+def panel_section_q(X, seed):
+    """Dense Q = Q_1 ... Q_b of the panel-sampled section (test-only): per panel, the
+    seeded draw deflated against an explicitly carried X, its complete np.linalg.qr
+    factor, and the product of the factors.  lambda_bar is Q's first N - n columns."""
+    N, n = X.shape
+    rng = np.random.default_rng(seed)
+    Q, Xc = np.eye(N), X.data
+    for j in range(0, N - n, _WY_BLOCK):
+        k = min(_WY_BLOCK, N - n - j)
+        A = rng.standard_normal((N - j, k))
+        A -= Xc @ (Xc.T @ A)
+        Qi = np.linalg.qr(A, mode="complete")[0]
+        Q[:, j:] = Q[:, j:] @ Qi
+        Xc = (Qi.T @ Xc)[k:]
+    return Q
+
+
 @pytest.mark.parametrize("N, n", [(5, 4), (9, 3), (34, 4), (37, 4), (150, 4)])
 def test_section_qr_matches_explicit_qr(N, n):
-    """The implicit section is the thin Q that np.linalg.qr forms from the same
-    seeded, deflated sample; (37, 4) ends in a one-reflector WY block and
-    (150, 4) spans five blocks."""
+    """The implicit section is the product of the dense per-panel Qs; (37, 4) ends
+    in a one-reflector WY block and (150, 4) spans five blocks.  Where N - n fits
+    one panel, its reflectors are bitwise those of the one-draw QR."""
     X = random_stiefel(N, n, 2)
     sec = section_qr(X, seed=8)
     assert len(sec.blocks) == -(-(N - n) // _WY_BLOCK)
     lam_bar = complement(sec)
     lam = np.hstack([X.data, lam_bar])
     assert np.abs(lam.T @ lam - np.eye(N)).max() <= 1e-12
-    A = np.random.default_rng(8).standard_normal((N, N - n))
-    A -= X.data @ (X.data.T @ A)
-    assert np.abs(lam_bar - np.linalg.qr(A)[0]).max() <= 1e-12
+    assert np.abs(lam_bar - panel_section_q(X, 8)[:, : N - n]).max() <= 1e-12
+    if N - n <= _WY_BLOCK:
+        A = np.random.default_rng(8).standard_normal((N, N - n))
+        A -= X.data @ (X.data.T @ A)
+        h, tau = np.linalg.qr(A, mode="raw")
+        V_ref = np.tril(h.T, -1) + np.eye(N, N - n)
+        ((j, V, W),) = sec.blocks
+        assert j == 0 and np.array_equal(V, V_ref) and np.array_equal(W, _wy(V_ref, tau))
+
+
+def test_section_qr_has_the_one_draw_distribution():
+    """At (40, 2), two panels, entries of lambda_bar over 2000 seeds against the same
+    entries of the one-draw QR's thin Q (N x (N - n) sample deflated against X,
+    np.linalg.qr) over 2000 other seeds: a two-sample Kolmogorov-Smirnov test at
+    alpha = 0.01 per entry.  Columns 32 and 37 lie in the second panel, where
+    LAPACK's sign convention makes the entries' distributions asymmetric."""
+    N, n, draws = 40, 2, 2000
+    X = random_stiefel(N, n, 0)
+    rows, cols = [0, 5, 32, 0, 33, 39], [0, 31, 32, 32, 37, 37]
+    panel = np.array([complement(section_qr(X, s))[rows, cols] for s in range(draws)])
+
+    def one_draw(seed):
+        A = np.random.default_rng(seed).standard_normal((N, N - n))
+        A -= X.data @ (X.data.T @ A)
+        return np.linalg.qr(A)[0][rows, cols]
+
+    ref = np.array([one_draw(s) for s in range(draws, 2 * draws)])
+    # D_crit = c(alpha) sqrt(2 / draws) for equal sample sizes, c(alpha) = sqrt(-ln(alpha / 2) / 2)
+    crit = np.sqrt(-0.5 * np.log(0.01 / 2)) * np.sqrt(2.0 / draws)
+    for a, b in zip(np.sort(panel, axis=0).T, np.sort(ref, axis=0).T):
+        grid = np.concatenate([a, b])
+        D = np.abs(np.searchsorted(a, grid, side="right")
+                   - np.searchsorted(b, grid, side="right")).max() / draws
+        assert D <= crit
+
+
+def test_section_qr_is_orthogonal_to_x_at_ill_conditioned_seed():
+    """At (1000, 10), section seed 330 and start seed 331, the one-draw 1000 x 990
+    sample had sigma_min 3.8e-6 and ||X^T lambda_bar|| was 6.4e-10; every thin
+    panel is well conditioned."""
+    X = random_stiefel(1000, 10, 331)
+    sec = section_qr(X, seed=330)
+    assert np.linalg.norm(_complement_t(sec, X.data)) <= 1e-12
+
+
+def test_section_qr_draws_panels_not_the_full_sample(monkeypatch):
+    """At (150, 4) the section draws sum_j (N - j) k_j normals, panel by panel, and
+    no N x (N - n) sample."""
+    N, n = 150, 4
+    X = random_stiefel(N, n, 2)
+    shapes = []
+    make_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def standard_normal(self, shape):
+            shapes.append(shape)
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    section_qr(X, seed=8)
+    assert shapes == [(150, 32), (118, 32), (86, 32), (54, 32), (22, 18)]
+    assert sum(r * c for r, c in shapes) == 13452 < N * (N - n)
 
 
 def test_wy_identity_reflector_stays_finite():

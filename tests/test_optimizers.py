@@ -31,6 +31,7 @@ from sympmor.stiefel import (
     random_stiefel,
     riemannian_gradient,
 )
+from test_homogeneous import panel_section_q
 
 
 def rand_tangent(X, seed):
@@ -196,7 +197,9 @@ def test_differential_step_builds_one_smw_system(monkeypatch, kind):
 def test_direct_step_factors_its_system_once(monkeypatch, kind, solves):
     """A direct step at (30, 4) factors its 2n x 2n S once, by the np.linalg.inv
     that serves both the condition check and the increment; only the
-    differential transport solves with S again."""
+    differential transport solves with S again.  No vector is split by
+    cayley_parts: the transport takes the new first moment's split from the
+    Adam step."""
     X = random_stiefel(30, 4, 3)
     h, cache = AdamHyper(eta=0.05), StiefelAdamCache(X)
     egrad = np.random.default_rng(8).standard_normal((30, 4))
@@ -212,6 +215,8 @@ def test_direct_step_factors_its_system_once(monkeypatch, kind, solves):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
+    split = stiefel.cayley_parts
+    monkeypatch.setattr(stiefel, "cayley_parts", lambda *a: calls.update(split=1) or split(*a))
     stiefel_psd_update(h, cache, X, egrad, MetricKind.Canonical, kind)
     assert calls == {"inv": 1, "solve": solves}
 
@@ -322,13 +327,11 @@ def _nrow_cayley_apply(U, V, M):
 
 
 def _explicit_q_homogeneous_step(hyper, cache, X, egrad, seed):
-    """Reference homogeneous update that forms the thin Q of the section's sample
-    with np.linalg.qr and multiplies by it, as the implementation once did."""
+    """Reference homogeneous update that forms the section's dense Q panel by panel
+    (each panel's complete np.linalg.qr factor) and multiplies by its thin part."""
     N, n = X.shape
     Z = riemannian_gradient(MetricKind.Canonical, X, egrad).data
-    A = np.random.default_rng(seed).standard_normal((N, N - n))
-    A -= X.data @ (X.data.T @ A)
-    Q = np.linalg.qr(A)[0]
+    Q = panel_section_q(X, seed)[:, : N - n]
     V = horizontal_pointwise(hyper, cache, np.vstack([X.data.T @ Z, Q.T @ Z]))
     Up = np.zeros((N, 2 * n))
     Up[:, :n] = V
